@@ -6,6 +6,7 @@ Hedge and growth machinery lives in `hedges` and is re-exported here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -84,12 +85,19 @@ class Verdict:
     notes: List[str] = field(default_factory=list)
 
 
+def _first_round(capitals: Sequence[float], bad: Callable[[float], bool]) -> Optional[int]:
+    return next((n for n, k in enumerate(capitals, start=1) if bad(k)), None)
+
+
 def strong_compliance_verdict(
     trace: Trace, event_proxy: Optional[Callable[[Trace], bool]] = None
 ) -> Verdict:
     """Evaluate Skeptic's duty (capital >= 0), the strong-compliance bound
     (capital <= initial), the capital supremum, and an optional finite-horizon
-    event proxy."""
+    event proxy.
+
+    A NaN capital satisfies neither inequality, so it fails both checks, and
+    the notes name the first non-finite round; the supremum is then NaN."""
     k0 = trace.protocol.initial_capital
     slack = BOUND_SLACK * k0
     capitals = trace.capitals
@@ -97,12 +105,19 @@ def strong_compliance_verdict(
     duty_ok = all(k >= -slack for k in capitals)
     bound_ok = all(k <= k0 + slack for k in capitals)
     notes = []
+    if not all(map(math.isfinite, capitals)):
+        first = _first_round(capitals, lambda k: not math.isfinite(k))
+        notes.append(f"capital is not finite ({capitals[first - 1]}) at round {first}")
+        if any(map(math.isnan, capitals)):
+            sup_capital = math.nan
     if not duty_ok:
-        first = next(i + 1 for i, k in enumerate(capitals) if k < -slack)
-        notes.append(f"skeptic capital went negative at round {first}")
+        first = _first_round(capitals, lambda k: k < -slack)
+        if first is not None:
+            notes.append(f"skeptic capital went negative at round {first}")
     if not bound_ok:
-        first = next(i + 1 for i, k in enumerate(capitals) if k > k0 + slack)
-        notes.append(f"capital exceeded the initial value at round {first}")
+        first = _first_round(capitals, lambda k: k > k0 + slack)
+        if first is not None:
+            notes.append(f"capital exceeded the initial value at round {first}")
     proxy_ok = None if event_proxy is None else bool(event_proxy(trace))
     return Verdict(
         skeptic_duty_ok=duty_ok,

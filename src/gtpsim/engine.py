@@ -9,9 +9,10 @@ produced here, and any trace can be replayed against the update rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from math import isfinite
+from typing import Callable, List, Optional, Sequence
 
 from .hedges import Hedge
 
@@ -22,10 +23,10 @@ class GameKind(Enum):
     UNBOUNDED_FORECASTING = "unbounded_forecasting"
     GENERAL_HEDGE = "general_hedge"
 
-    @property
-    def uses_price(self) -> bool:
-        """Coin/bounded games announce a single price p in [0, 1]."""
-        return self in (GameKind.COIN_TOSSING, GameKind.BOUNDED_FORECASTING)
+    def __init__(self, value: str):
+        # Coin/bounded games announce a single price p in [0, 1].  Set once
+        # per member, since the engine reads it for every move.
+        self.uses_price = value in ("coin_tossing", "bounded_forecasting")
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class Protocol:
             raise ValueError(f"{self.kind.value} protocol carries no hedge")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForecastMove:
     """Forecaster's announcement: p for coin/bounded games, (m, v) otherwise."""
 
@@ -53,7 +54,7 @@ class ForecastMove:
     v: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkepticBet:
     """Skeptic's announcement: M always, V only in mean-variance games."""
 
@@ -61,7 +62,7 @@ class SkepticBet:
     V: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outcome:
     x: float = 0.0
 
@@ -72,7 +73,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     n: int
     forecast: ForecastMove
@@ -103,6 +104,10 @@ class InvalidMoveError(ValueError):
         )
 
 
+def _not_finite(name: str, value: float) -> Violation:
+    return Violation(name, f"{name} = {value} is not finite")
+
+
 def validate_forecast(protocol: Protocol, f: ForecastMove) -> Optional[Violation]:
     if protocol.kind.uses_price:
         if f.p is None:
@@ -112,25 +117,38 @@ def validate_forecast(protocol: Protocol, f: ForecastMove) -> Optional[Violation
     else:
         if f.m is None or f.v is None:
             return Violation("m", "m and v required for this protocol")
+        if not isfinite(f.m):
+            return _not_finite("m", f.m)
+        if not isfinite(f.v):
+            return _not_finite("v", f.v)
         if f.v < 0.0:
             return Violation("v", f"v = {f.v} violates v >= 0")
     return None
 
 
 def validate_bet(protocol: Protocol, s: SkepticBet) -> Optional[Violation]:
+    if not isfinite(s.M):
+        return _not_finite("M", s.M)
     if not protocol.kind.uses_price:
         if s.V is None:
             return Violation("V", "V required for this protocol")
+        if not isfinite(s.V):
+            return _not_finite("V", s.V)
         if s.V < 0.0:
             return Violation("V", f"V = {s.V} violates V >= 0")
     return None
 
 
 def validate_outcome(protocol: Protocol, x: Outcome) -> Optional[Violation]:
-    if protocol.kind is GameKind.COIN_TOSSING and x.x not in (0.0, 1.0):
-        return Violation("x", f"x = {x.x} outside {{0, 1}}")
-    if protocol.kind is GameKind.BOUNDED_FORECASTING and not 0.0 <= x.x <= 1.0:
-        return Violation("x", f"x = {x.x} outside [0, 1]")
+    kind = protocol.kind
+    if kind is GameKind.COIN_TOSSING:
+        if x.x not in (0.0, 1.0):
+            return Violation("x", f"x = {x.x} outside {{0, 1}}")
+    elif kind is GameKind.BOUNDED_FORECASTING:
+        if not 0.0 <= x.x <= 1.0:
+            return Violation("x", f"x = {x.x} outside [0, 1]")
+    elif not isfinite(x.x):
+        return _not_finite("x", x.x)
     return None
 
 
@@ -145,13 +163,25 @@ def validate_moves(
     )
 
 
+# The player whose move carries each validated field.
+_ROLE_OF_FIELD = {
+    "p": "forecaster", "m": "forecaster", "v": "forecaster",
+    "M": "skeptic", "V": "skeptic",
+    "x": "reality",
+}
+
+
 def capital_update(
     protocol: Protocol, k_prev: float, f: ForecastMove, s: SkepticBet, x: Outcome
 ) -> float:
-    """New capital after one round, per the protocol's update rule."""
+    """New capital after one round, per the protocol's update rule.
+
+    An invalid move raises InvalidMoveError naming its role; the round index
+    is 0 since this function does not know it (`run_game` and
+    `replay_verify` report the round)."""
     violation = validate_moves(protocol, f, s, x)
     if violation is not None:
-        raise InvalidMoveError(0, "unknown", violation)
+        raise InvalidMoveError(0, _ROLE_OF_FIELD[violation.field], violation)
     if protocol.kind.uses_price:
         return k_prev + s.M * (x.x - f.p)
     centered = x.x - f.m
@@ -271,45 +301,59 @@ def run_game(
     """Play `horizon` rounds and record every move and capital.
 
     With stop_on_skeptic_fault, the run ends after the first round whose
-    capital is negative: the Skeptic broke his collateral duty and nothing
-    after that round is attributable to the other players.
+    capital is negative or NaN: the Skeptic broke his collateral duty and
+    nothing after that round is attributable to the other players.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     for policy in (forecaster, skeptic, reality):
         policy.reset(protocol)
+    forecast, bet, outcome = forecaster.forecast, skeptic.bet, reality.outcome
+    observe_f, observe_s, observe_r = (
+        forecaster.observe, skeptic.observe, reality.observe
+    )
+    floor = -1e-9 * protocol.initial_capital
     k = protocol.initial_capital
     rounds: List[RoundRecord] = []
+    append = rounds.append
     for n in range(1, horizon + 1):
-        f = forecaster.forecast(n)
+        f = forecast(n)
         violation = validate_forecast(protocol, f)
         if violation is not None:
             raise InvalidMoveError(n, "forecaster", violation)
-        s = skeptic.bet(n, f, k)
+        s = bet(n, f, k)
         violation = validate_bet(protocol, s)
         if violation is not None:
             raise InvalidMoveError(n, "skeptic", violation)
-        x = reality.outcome(n, f, s, k)
+        x = outcome(n, f, s, k)
         violation = validate_outcome(protocol, x)
         if violation is not None:
             raise InvalidMoveError(n, "reality", violation)
         k = capital_update(protocol, k, f, s, x)
-        record = RoundRecord(n=n, forecast=f, bet=s, outcome=x, capital_after=k)
-        rounds.append(record)
-        forecaster.observe(record)
-        skeptic.observe(record)
-        reality.observe(record)
-        if stop_on_skeptic_fault and k < -1e-9 * protocol.initial_capital:
+        record = RoundRecord(n, f, s, x, k)
+        append(record)
+        observe_f(record)
+        observe_s(record)
+        observe_r(record)
+        if stop_on_skeptic_fault and not k >= floor:
             break
     return Trace(protocol=protocol, rounds=rounds, seed=seed)
 
 
 def replay_verify(trace: Trace, tol: float = 1e-12) -> Optional[int]:
     """Recompute capitals from the initial value; return the first
-    mismatching round index, or None when the trace is consistent."""
+    mismatching round index, or None when the trace is consistent.
+
+    An invalid recorded move raises InvalidMoveError with its round and role.
+    """
     k = trace.protocol.initial_capital
     for record in trace.rounds:
-        k = capital_update(trace.protocol, k, record.forecast, record.bet, record.outcome)
+        try:
+            k = capital_update(
+                trace.protocol, k, record.forecast, record.bet, record.outcome
+            )
+        except InvalidMoveError as err:
+            raise InvalidMoveError(record.n, err.role, err.violation) from None
         if not math.isclose(k, record.capital_after, rel_tol=0.0, abs_tol=tol):
             return record.n
     return None

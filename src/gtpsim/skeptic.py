@@ -11,42 +11,49 @@ own responses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .engine import ForecastMove, Protocol, RoundRecord, Skeptic, SkepticBet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BcCounters:
     """Running head count b, price partial sum, and its ceiling index c.
 
     c is the unique integer with c - 1 <= partial_sum < c; an exactly
     integer partial sum rounds up, so the empty sum gives c = 1.
 
-    The partial sum is kept as an exact rational: floats are dyadic
-    rationals, so summing them exactly is cheap, and it keeps c honest on
-    scripts like p_n = 2^-n whose float partial sums would round up to an
-    integer they never actually reach.
+    The partial sum is kept exact: `acc` is the sum as an integer in units
+    of 2^-1074, the smallest subnormal.  Every finite float >= 0 is such a
+    multiple, so each increment adds exactly and c = (acc >> 1074) + 1.
+    Exactness keeps c honest on scripts like p_n = 2^-n, whose float partial
+    sums would round up to an integer they never actually reach.
+    `partial_sum` reads the sum back as a Fraction.
     """
 
     b: int = 0
-    partial_sum: Union[float, Fraction] = Fraction(0)
+    acc: int = 0
     c: int = 1
+
+    @property
+    def partial_sum(self) -> Fraction:
+        return Fraction(self.acc, 1 << 1074)
 
 
 def heads_count_update(counters: BcCounters, head: bool) -> BcCounters:
     if not head:
         return counters
-    return replace(counters, b=counters.b + 1)
+    return BcCounters(counters.b + 1, counters.acc, counters.c)
 
 
 def ceiling_index_update(counters: BcCounters, p: float) -> BcCounters:
-    if p < 0.0:
-        raise ValueError(f"price increment must be >= 0, got {p}")
-    total = Fraction(counters.partial_sum) + Fraction(p)
-    return replace(counters, partial_sum=total, c=int(math.floor(total)) + 1)
+    """Add the float increment p >= 0 to the exact sum and refresh c."""
+    if not 0.0 <= p < math.inf:
+        raise ValueError(f"price increment must be finite and >= 0, got {p}")
+    num, den = p.as_integer_ratio()  # den = 2^k with k <= 1074
+    acc = counters.acc + (num << (1075 - den.bit_length()))  # num * 2^(1074 - k)
+    return BcCounters(counters.b, acc, (acc >> 1074) + 1)
 
 
 def bc_divergent_bet(counters: BcCounters) -> float:

@@ -231,6 +231,22 @@ def test_verdict_flags_injected_bound_violation():
     assert any("round 5" in note for note in verdict.notes)
 
 
+def test_verdict_names_nan_capital_instead_of_crashing():
+    # Round 3 of five carries a NaN capital; no round has K < -slack.
+    trace = run_game(
+        COIN, price_forecaster([0.4]), ZeroSkeptic(), ConstantReality(1.0), 5
+    )
+    bad = trace.rounds[2]
+    trace.rounds[2] = RoundRecord(
+        n=bad.n, forecast=bad.forecast, bet=bad.bet, outcome=bad.outcome,
+        capital_after=math.nan,
+    )
+    verdict = strong_compliance_verdict(trace)
+    assert not verdict.skeptic_duty_ok and not verdict.strong_bound_ok
+    assert math.isnan(verdict.sup_capital)
+    assert verdict.notes == ["capital is not finite (nan) at round 3"]
+
+
 def test_verdict_event_proxy_is_evaluated():
     trace = run_game(
         COIN, price_forecaster([0.4]), ZeroSkeptic(), ConstantReality(1.0), 5

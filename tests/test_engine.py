@@ -78,8 +78,9 @@ def test_capital_update_general_hedge():
 
 
 def test_capital_update_rejects_invalid_moves():
-    with pytest.raises(InvalidMoveError):
+    with pytest.raises(InvalidMoveError) as excinfo:
         capital_update(COIN, 1.0, ForecastMove(p=0.5), SkepticBet(M=1.0), Outcome(0.5))
+    assert excinfo.value.role == "reality"
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +104,27 @@ def test_validate_unbounded_everything_legal():
         UFG, ForecastMove(m=-3.0, v=0.0), SkepticBet(M=7.0, V=0.0), Outcome(-3.0)
     )
     assert v is None
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("protocol, f, s, x, field", [
+    (COIN, ForecastMove(p=NAN), SkepticBet(M=0.0), Outcome(0.0), "p"),
+    (COIN, ForecastMove(p=0.5), SkepticBet(M=NAN), Outcome(0.0), "M"),
+    (COIN, ForecastMove(p=0.5), SkepticBet(M=-INF), Outcome(0.0), "M"),
+    (COIN, ForecastMove(p=0.5), SkepticBet(M=0.0), Outcome(NAN), "x"),
+    (UFG, ForecastMove(m=NAN, v=1.0), SkepticBet(M=0.0, V=0.0), Outcome(0.0), "m"),
+    (UFG, ForecastMove(m=0.0, v=NAN), SkepticBet(M=0.0, V=0.0), Outcome(0.0), "v"),
+    (UFG, ForecastMove(m=0.0, v=INF), SkepticBet(M=0.0, V=0.0), Outcome(0.0), "v"),
+    (UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=INF, V=0.0), Outcome(0.0), "M"),
+    (UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=NAN), Outcome(0.0), "V"),
+    (UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=0.0), Outcome(INF), "x"),
+    (UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=0.0), Outcome(-INF), "x"),
+])
+def test_validate_rejects_non_finite_moves(protocol, f, s, x, field):
+    v = validate_moves(protocol, f, s, x)
+    assert v is not None and v.field == field
 
 
 def test_validate_bounded_outcome_interval():
@@ -148,6 +170,31 @@ def test_run_game_flags_offending_role():
     assert excinfo.value.round_index == 1
 
 
+def test_run_game_rejects_nan_bet_with_round_and_role():
+    skeptic = ScriptBetSkeptic([0.25, math.nan])
+    with pytest.raises(InvalidMoveError) as excinfo:
+        run_game(COIN, price_forecaster([0.5]), skeptic, ConstantReality(0.0), 5,
+                 stop_on_skeptic_fault=True)
+    err = excinfo.value
+    assert (err.round_index, err.role, err.violation.field) == (2, "skeptic", "M")
+    assert "round 2: skeptic move invalid: M" in str(err)
+
+
+def nan_capital_run(stop: bool) -> Trace:
+    # Finite moves, but (x - m)^2 overflows: K = 1 + 0 * 1e200 + 0 * (inf - 1).
+    return run_game(
+        UFG, ScriptForecaster(lambda n: ForecastMove(m=0.0, v=1.0)), ZeroSkeptic(),
+        ConstantReality(1e200), 5, stop_on_skeptic_fault=stop,
+    )
+
+
+def test_stop_on_skeptic_fault_stops_on_nan_capital():
+    assert len(nan_capital_run(stop=False).rounds) == 5
+    stopped = nan_capital_run(stop=True)
+    assert len(stopped.rounds) == 1
+    assert math.isnan(stopped.capitals[0])
+
+
 def test_stop_on_skeptic_fault_truncates():
     # M = 10 at p = 0.9 against all-tails loses 9 in round one.
     forecaster = price_forecaster([0.9])
@@ -185,6 +232,22 @@ def test_replay_detects_tampering():
         capital_after=bad.capital_after + 1.0,
     )
     assert replay_verify(trace) == 5
+
+
+def test_replay_names_round_and_role_of_invalid_move():
+    trace = run_game(
+        COIN, price_forecaster([0.3]), ScriptBetSkeptic([0.2]),
+        ScriptReality([1.0, 0.0]), 10,
+    )
+    bad = trace.rounds[2]
+    trace.rounds[2] = RoundRecord(
+        n=bad.n, forecast=bad.forecast, bet=bad.bet, outcome=Outcome(0.5),
+        capital_after=bad.capital_after,
+    )
+    with pytest.raises(InvalidMoveError) as excinfo:
+        replay_verify(trace)
+    assert (excinfo.value.round_index, excinfo.value.role) == (3, "reality")
+    assert "round 3: reality move invalid: x" in str(excinfo.value)
 
 
 def test_replay_empty_trace_ok():

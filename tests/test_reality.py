@@ -26,7 +26,7 @@ from gtpsim import (
 from gtpsim.hedges import hedge_inverse, identity_growth, power_hedge
 from gtpsim.randomized import RandomBoundedSkeptic
 from gtpsim.reality import ConstantReality, UfgComplyState, UfghComplyState
-from gtpsim.skeptic import BcCounters, FictionalBcSkeptic
+from gtpsim.skeptic import BcCounters, FictionalBcSkeptic, ceiling_index_update
 from gtpsim.engine import Skeptic
 
 from _support import price_forecaster
@@ -81,9 +81,9 @@ def test_degenerate_price_rounds_keep_waiting():
 def test_mixing_threshold_rule():
     # mix_coeff = 0.5, b = 0, c = 2: d = 0.5 * (2^-2 - 2^-4) = 0.09375.
     def state():
-        return BcComplyState(
-            phase=MIXING_HALF, counters=BcCounters(b=0, partial_sum=1.2, c=2), n=1
-        )
+        counters = ceiling_index_update(BcCounters(b=0), 1.2)
+        assert (counters.partial_sum, counters.c) == (1.2, 2)
+        return BcComplyState(phase=MIXING_HALF, counters=counters, n=1)
 
     out, _ = bc_comply_step(state(), 0.0, 0.05, 0.5, 1.0)
     assert out.x == 1.0

@@ -1,6 +1,7 @@
 """Counter updates and the two Borel–Cantelli bets plus their combination."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,49 @@ def test_ceiling_index_exact_integer_rounds_up():
 def test_ceiling_index_rejects_negative_increment():
     with pytest.raises(ValueError):
         ceiling_index_update(BcCounters(), -0.1)
+
+
+@pytest.mark.parametrize("p", [-5e-324, math.nan, math.inf, -math.inf])
+def test_ceiling_index_rejects_non_finite_and_tiny_negative_increments(p):
+    with pytest.raises(ValueError):
+        ceiling_index_update(BcCounters(), p)
+
+
+def assert_matches_fraction_oracle(increments):
+    """c and the exact sum after every increment agree with a Fraction sum."""
+    counters, total = BcCounters(), Fraction(0)
+    for p in increments:
+        counters = ceiling_index_update(counters, p)
+        total += Fraction(p)
+        assert counters.partial_sum == total
+        assert counters.c == math.floor(total) + 1
+
+
+nonnegative_floats = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1e-300),           # subnormals and near
+    st.floats(min_value=1e300, allow_infinity=False),     # ufg increments v / n^2
+    st.sampled_from([0.0, 5e-324, 1.0, 0.5, 2.0 ** -1074, 2.0 ** -1022]),
+)
+
+
+@given(st.lists(nonnegative_floats, max_size=40))
+def test_ceiling_index_matches_fraction_oracle(increments):
+    assert_matches_fraction_oracle(increments)
+
+
+def test_ceiling_index_exact_on_harmonic_prices():
+    assert_matches_fraction_oracle(1.0 / n for n in range(1, 100_001))
+
+
+def test_ceiling_index_exact_on_powers_of_two():
+    # The float sums of 2^-n reach 1.0 at n = 53; the exact sum never does.
+    assert_matches_fraction_oracle(2.0 ** -n for n in range(1, 1100))
+    counters = BcCounters()
+    for n in range(1, 1100):
+        counters = ceiling_index_update(counters, 2.0 ** -n)
+    assert counters.c == 1
+    assert counters.partial_sum == 1 - Fraction(1, 2 ** 1074)
 
 
 # ---------------------------------------------------------------------------
