@@ -19,7 +19,6 @@ from .engine import (
     Violation,
     ZeroSkeptic,
     capital_update,
-    combine_skeptic,
     replay_verify,
     run_game,
     validate_moves,
@@ -49,18 +48,15 @@ from .skeptic import (
 from .reality import (
     BcComplyReality,
     BcComplyState,
+    BoundedAvoidMatchReality,
     ComplyPhase,
+    DerandomizedCoinReality,
+    FirstRoundComplyReality,
+    MvComplyReality,
+    MvComplyState,
     PhaseTag,
-    UfgComplyReality,
-    UfgComplyState,
-    UfghComplyReality,
-    UfghComplyState,
     bc_comply_step,
-    bounded_avoid_match,
-    derandomize_coin,
-    first_round_comply,
-    ufg_comply_step,
-    ufgh_comply_step,
+    mv_comply_step,
 )
 from .randomized import (
     RandomStream,

@@ -1,8 +1,5 @@
 """Verification utilities: damping weights, finite-horizon pricing of coin
-events, capital-bound verdicts on traces, and a tail-term bound check.
-
-Hedge and growth machinery lives in `hedges` and is re-exported here.
-"""
+events, capital-bound verdicts on traces, and a tail-term bound check."""
 
 from __future__ import annotations
 
@@ -11,17 +8,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .engine import Trace
-from .hedges import (  # noqa: F401  (re-exported surface)
-    Growth,
-    Hedge,
-    HedgeValidationError,
-    hedge_inverse,
-    identity_growth,
-    power_growth,
-    power_hedge,
-    validate_growth,
-    validate_hedge,
-)
 
 MAX_PRICING_HORIZON = 25
 BOUND_SLACK = 1e-9  # relative to the initial capital

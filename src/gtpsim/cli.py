@@ -22,15 +22,15 @@ from .analysis import (
     strong_compliance_verdict,
     upper_probability_coin,
 )
+from .engine import Trace
 from .scenario import (
     STOCK_POOLS,
     Scenario,
     ScenarioError,
-    check_scenario,
+    event_proxy_for,
     parse_scenario_file,
     run_scenario,
     scenario_passes,
-    event_proxy_for,
 )
 from .traceio import summary_dict, write_summary_json, write_trace_csv
 
@@ -39,16 +39,21 @@ def _safe_name(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in name)
 
 
+def _write_outputs(out_dir: Path, trace: Trace, summary: dict) -> None:
+    """Write the trace CSV and the summary JSON, named after the scenario."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stem = _safe_name(summary["scenario"])
+    write_trace_csv(trace, out_dir / f"{stem}.csv")
+    write_summary_json(summary, out_dir / f"{stem}.json")
+
+
 def cmd_run(scenario: Scenario, horizon: Optional[int] = None,
             seed: Optional[int] = None, out_dir: Optional[Path] = None) -> dict:
     trace = run_scenario(scenario, horizon=horizon, seed=seed)
     verdict = strong_compliance_verdict(trace, event_proxy_for(scenario))
     summary = summary_dict(scenario.name, trace, verdict)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        stem = _safe_name(scenario.name)
-        write_trace_csv(trace, out_dir / f"{stem}.csv")
-        write_summary_json(summary, out_dir / f"{stem}.json")
+        _write_outputs(out_dir, trace, summary)
     return summary
 
 
@@ -88,7 +93,7 @@ def cmd_verify(scenarios: List[Scenario], horizon: Optional[int] = None,
     failures = 0
     for scenario in scenarios:
         trace = run_scenario(scenario, horizon=horizon, seed=seed)
-        verdict = check_scenario(scenario, trace)
+        verdict = strong_compliance_verdict(trace, event_proxy_for(scenario))
         ok = scenario_passes(scenario, verdict)
         if not ok:
             failures += 1
@@ -100,13 +105,7 @@ def cmd_verify(scenarios: List[Scenario], horizon: Optional[int] = None,
             f" proxy={verdict.event_proxy_ok}{duty}"
         )
         if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            stem = _safe_name(scenario.name)
-            write_trace_csv(trace, out_dir / f"{stem}.csv")
-            write_summary_json(
-                summary_dict(scenario.name, trace, verdict),
-                out_dir / f"{stem}.json",
-            )
+            _write_outputs(out_dir, trace, summary_dict(scenario.name, trace, verdict))
     lines.append(f"{len(scenarios) - failures}/{len(scenarios)} scenarios passed")
     return failures, lines
 

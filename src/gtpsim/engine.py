@@ -185,9 +185,13 @@ def capital_update(
     if protocol.kind.uses_price:
         return k_prev + s.M * (x.x - f.p)
     centered = x.x - f.m
+    k = k_prev + s.M * centered
+    if s.V == 0.0:
+        # The V term would add only +-0, or NaN if the hedge term overflows.
+        return k
     if protocol.kind is GameKind.UNBOUNDED_FORECASTING:
-        return k_prev + s.M * centered + s.V * (centered * centered - f.v)
-    return k_prev + s.M * centered + s.V * (protocol.hedge.forward(centered) - f.v)
+        return k + s.V * (centered * centered - f.v)
+    return k + s.V * (protocol.hedge.forward(centered) - f.v)
 
 
 class Policy:
@@ -211,7 +215,14 @@ class Forecaster(Policy):
 
 
 class Skeptic(Policy):
+    """A betting player.  `with_v` says whether the protocol takes a V bet
+    (the mean-variance games); `reset` sets it."""
+
     role = "skeptic"
+    with_v = False
+
+    def reset(self, protocol: Protocol) -> None:
+        self.with_v = not protocol.kind.uses_price
 
     def bet(self, n: int, forecast: ForecastMove, k_prev: float) -> SkepticBet:
         raise NotImplementedError
@@ -239,14 +250,8 @@ class ScriptForecaster(Forecaster):
 class ZeroSkeptic(Skeptic):
     """Never bets; capital stays at its initial value."""
 
-    def __init__(self):
-        self._with_v = False
-
-    def reset(self, protocol: Protocol) -> None:
-        self._with_v = not protocol.kind.uses_price
-
     def bet(self, n, forecast, k_prev) -> SkepticBet:
-        return SkepticBet(M=0.0, V=0.0 if self._with_v else None)
+        return SkepticBet(M=0.0, V=0.0 if self.with_v else None)
 
 
 class CombinedSkeptic(Skeptic):
@@ -265,17 +270,16 @@ class CombinedSkeptic(Skeptic):
             raise ValueError(f"weights sum to {sum(weights)!r}, expected 1")
         self.weights = list(weights)
         self.policies = list(policies)
-        self._with_v = False
 
     def reset(self, protocol: Protocol) -> None:
-        self._with_v = not protocol.kind.uses_price
+        super().reset(protocol)
         for p in self.policies:
             p.reset(protocol)
 
     def bet(self, n, forecast, k_prev) -> SkepticBet:
         bets = [p.bet(n, forecast, k_prev) for p in self.policies]
         m = sum(w * b.M for w, b in zip(self.weights, bets))
-        if self._with_v:
+        if self.with_v:
             v = sum(w * (b.V or 0.0) for w, b in zip(self.weights, bets))
             return SkepticBet(M=m, V=v)
         return SkepticBet(M=m)
@@ -283,10 +287,6 @@ class CombinedSkeptic(Skeptic):
     def observe(self, record: RoundRecord) -> None:
         for p in self.policies:
             p.observe(record)
-
-
-def combine_skeptic(weights: Sequence[float], policies: Sequence[Skeptic]) -> Skeptic:
-    return CombinedSkeptic(weights, policies)
 
 
 def run_game(

@@ -8,6 +8,7 @@ conditions on a dyadic grid rather than proving them symbolically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,6 +50,11 @@ def power_hedge(r: float) -> Hedge:
         inverse=lambda y: y ** (1.0 / r),
         name=f"power:r={r:g}",
     )
+
+
+# The unbounded game's x^2, inverted by math.sqrt so that h^-1(n * n) = n
+# exactly (y ** 0.5 need not equal sqrt(y)).
+SQUARE_HEDGE = Hedge(forward=lambda x: x * x, inverse=math.sqrt, name="square")
 
 
 def identity_growth() -> Growth:

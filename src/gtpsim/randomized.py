@@ -127,14 +127,13 @@ class RandomBoundedSkeptic(Skeptic):
         self.seed = seed
         self.bound = bound
         self.rng = RandomStream(seed)
-        self._with_v = False
 
     def reset(self, protocol: Protocol) -> None:
+        super().reset(protocol)
         self.rng = RandomStream(self.seed)
-        self._with_v = not protocol.kind.uses_price
 
     def bet(self, n, forecast, k_prev) -> SkepticBet:
         m = self.bound * (2.0 * self.rng.uniform() - 1.0)
-        if self._with_v:
+        if self.with_v:
             return SkepticBet(M=m, V=self.bound * self.rng.uniform())
         return SkepticBet(M=m)

@@ -9,10 +9,9 @@ value forever while steering the path into the target event.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .analysis import epsilon_sequence_step
 from .engine import (
@@ -25,7 +24,7 @@ from .engine import (
     Skeptic,
     SkepticBet,
 )
-from .hedges import Growth, Hedge, hedge_inverse
+from .hedges import SQUARE_HEDGE, Growth, Hedge, hedge_inverse
 from .skeptic import BcCounters, ceiling_index_update, heads_count_update
 
 
@@ -65,8 +64,9 @@ def _threshold(phase: ComplyPhase, b: int, c: int) -> float:
 # Coin-tossing game
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BcComplyState:
+# The step states are NamedTuples: each round builds a new one, and a tuple
+# is cheaper to build than a frozen dataclass.
+class BcComplyState(NamedTuple):
     phase: ComplyPhase = ComplyPhase()
     counters: BcCounters = BcCounters()
     n: int = 0
@@ -96,7 +96,7 @@ def bc_comply_step(
         d = _threshold(phase, state.counters.b, counters.c)
         x = 1.0 if M <= d else 0.0
     counters = heads_count_update(counters, x == 1.0)
-    return Outcome(x), BcComplyState(phase=phase, counters=counters, n=n)
+    return Outcome(x), BcComplyState(phase, counters, n)
 
 
 class BcComplyReality(Reality):
@@ -118,85 +118,13 @@ class BcComplyReality(Reality):
 
 
 # ---------------------------------------------------------------------------
-# Unbounded forecasting game
+# Mean-variance games: unbounded (h(x) = x^2) and general hedge
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UfgComplyState:
-    """Counters reinterpretted for the unbounded game: b counts rounds with
-    nonzero centered outcome, the partial sum accumulates v_k / k^2."""
-
-    phase: ComplyPhase = ComplyPhase()
-    counters: BcCounters = BcCounters()
-    n: int = 0
-
-
-def ufg_comply_step(
-    state: UfgComplyState, f: ForecastMove, s: SkepticBet, k_prev: float, k0: float
-) -> Tuple[Outcome, UfgComplyState]:
-    """One round of the unbounded-game compliance strategy.
-
-    Rounds with v = 0 answer x = m, leave the counters untouched, and never
-    end the waiting phase.
-    """
-    n = state.n + 1
-    m, v = f.m, f.v
-    M, V = s.M, s.V
-    if v == 0.0:
-        return Outcome(m), replace(state, n=n)
-    counters = ceiling_index_update(state.counters, v / (n * n))
-    c_changed = counters.c != state.counters.c
-    phase = state.phase
-    if phase.tag is PhaseTag.WAITING:
-        if M == 0.0 and V == 0.0:
-            xt = float(n) if c_changed else 0.0
-        else:
-            if V == 0.0:
-                xt = 1.0 if M < 0.0 else -1.0
-            else:
-                xt = 0.0
-            delta = M * xt + V * (xt * xt - v)
-            phase = _qualify(phase, n, k_prev + delta, k0)
-    elif phase.tag is PhaseTag.DEGENERATE:
-        xt = float(n) if c_changed else 0.0
-    else:
-        d = _threshold(phase, state.counters.b, counters.c) / (n * n)
-        if v < n * n:
-            if V <= d:
-                xt = float(n) if M < 0.0 else -float(n)
-            else:
-                xt = 0.0
-        else:
-            root = math.sqrt(v)
-            xt = root if M < 0.0 else -root
-    counters = heads_count_update(counters, xt != 0.0)
-    return Outcome(m + xt), UfgComplyState(phase=phase, counters=counters, n=n)
-
-
-class UfgComplyReality(Reality):
-    """Policy wrapper around ufg_comply_step."""
-
-    def __init__(self):
-        self.state = UfgComplyState()
-        self.k0 = 1.0
-
-    def reset(self, protocol: Protocol) -> None:
-        self.state = UfgComplyState()
-        self.k0 = protocol.initial_capital
-
-    def outcome(self, n, forecast, bet, k_prev) -> Outcome:
-        out, self.state = ufg_comply_step(self.state, forecast, bet, k_prev, self.k0)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# General-hedge game
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UfghComplyState:
-    """As UfgComplyState, with the partial sum accumulating
-    eps_k * v_k / g(A_k) and running state for the damping sequence."""
+class MvComplyState(NamedTuple):
+    """Counters reinterpreted for the mean-variance games: b counts rounds
+    with nonzero centered outcome, the partial sum accumulates
+    eps_k * v_k / g_k, and the damping sequence keeps its running state."""
 
     phase: ComplyPhase = ComplyPhase()
     counters: BcCounters = BcCounters()
@@ -206,26 +134,36 @@ class UfghComplyState:
     eps: float = 1.0            # current damping weight
 
 
-def ufgh_comply_step(
-    state: UfghComplyState,
+def mv_comply_step(
+    state: MvComplyState,
     f: ForecastMove,
     s: SkepticBet,
     hedge: Hedge,
-    growth: Growth,
+    growth: Optional[Growth],
     k_prev: float,
     k0: float,
-) -> Tuple[Outcome, UfghComplyState]:
-    """One round of the general-hedge compliance strategy."""
+) -> Tuple[Outcome, MvComplyState]:
+    """One round of the mean-variance compliance strategy.
+
+    Without a growth this is the unbounded game (hedge x^2): the schedule is
+    v_n / n^2 with no damping.  With a growth g it is eps_n * v_n / g(A_n),
+    eps_n from `epsilon_sequence_step`.  Rounds with v = 0 answer x = m,
+    leave the counters untouched, and never end the waiting phase.
+    """
     n = state.n + 1
     m, v = f.m, f.v
     M, V = s.M, s.V
     if v == 0.0:
-        return Outcome(m), replace(state, n=n)
+        return Outcome(m), state._replace(n=n)
     a_total = state.a_total + v
-    g_a = growth.eval(a_total)
-    if g_a <= 0.0:
-        raise ValueError(f"growth must stay positive, g({a_total}) = {g_a}")
-    eps, eps_running = epsilon_sequence_step(state.eps_running, v / g_a)
+    if growth is None:
+        # an int, so that eps * v < g_a compares exactly as v < n^2
+        eps, eps_running, g_a = 1.0, state.eps_running, n * n
+    else:
+        g_a = growth.eval(a_total)
+        if g_a <= 0.0:
+            raise ValueError(f"growth must stay positive, g({a_total}) = {g_a}")
+        eps, eps_running = epsilon_sequence_step(state.eps_running, v / g_a)
     counters = ceiling_index_update(state.counters, eps * v / g_a)
     c_changed = counters.c != state.counters.c
     phase = state.phase
@@ -255,34 +193,35 @@ def ufgh_comply_step(
             root = hedge_inverse(hedge, v)
             xt = root if M < 0.0 else -root
     counters = heads_count_update(counters, xt != 0.0)
-    return Outcome(m + xt), UfghComplyState(
-        phase=phase,
-        counters=counters,
-        n=n,
-        a_total=a_total,
-        eps_running=eps_running,
-        eps=eps,
+    return Outcome(m + xt), MvComplyState(
+        phase, counters, n, a_total, eps_running, eps
     )
 
 
-class UfghComplyReality(Reality):
-    """Policy wrapper around ufgh_comply_step."""
+class MvComplyReality(Reality):
+    """Policy wrapper around mv_comply_step: the unbounded game without a
+    growth, the general-hedge game with one."""
 
-    def __init__(self, growth: Growth):
+    def __init__(self, growth: Optional[Growth] = None):
         self.growth = growth
-        self.state = UfghComplyState()
+        self.state = MvComplyState()
         self.k0 = 1.0
-        self.hedge: Optional[Hedge] = None
+        self.hedge = SQUARE_HEDGE
 
     def reset(self, protocol: Protocol) -> None:
-        if protocol.kind is not GameKind.GENERAL_HEDGE:
-            raise ValueError("UfghComplyReality requires the general-hedge game")
-        self.state = UfghComplyState()
+        kind = (GameKind.UNBOUNDED_FORECASTING if self.growth is None
+                else GameKind.GENERAL_HEDGE)
+        if protocol.kind is not kind:
+            raise ValueError(
+                f"MvComplyReality {'with' if self.growth else 'without'} a growth"
+                f" requires the {kind.value} game, got {protocol.kind.value}"
+            )
+        self.state = MvComplyState()
         self.k0 = protocol.initial_capital
-        self.hedge = protocol.hedge
+        self.hedge = protocol.hedge or SQUARE_HEDGE
 
     def outcome(self, n, forecast, bet, k_prev) -> Outcome:
-        out, self.state = ufgh_comply_step(
+        out, self.state = mv_comply_step(
             self.state, forecast, bet, self.hedge, self.growth, k_prev, self.k0
         )
         return out
@@ -325,10 +264,6 @@ class DerandomizedCoinReality(Reality):
         self.fictional.observe(record)
 
 
-def derandomize_coin(fictional: Skeptic) -> DerandomizedCoinReality:
-    return DerandomizedCoinReality(fictional)
-
-
 # ---------------------------------------------------------------------------
 # Example strategies: first-round head, avoid-the-price
 # ---------------------------------------------------------------------------
@@ -344,10 +279,6 @@ class FirstRoundComplyReality(Reality):
         if n == 1:
             return Outcome(1.0 if forecast.p > 0.0 else 0.0)
         return Outcome(1.0 if bet.M < 0.0 else 0.0)
-
-
-def first_round_comply() -> FirstRoundComplyReality:
-    return FirstRoundComplyReality()
 
 
 class BoundedAvoidMatchReality(Reality):
@@ -376,10 +307,6 @@ class BoundedAvoidMatchReality(Reality):
             gap = min(0.5, (self.q - k_prev) / (2.0 * abs(M) + 1.0))
             return Outcome(gap if p == 0.0 else 1.0 - gap)
         return Outcome(1.0 if M <= 0.0 else 0.0)
-
-
-def bounded_avoid_match(q: float) -> BoundedAvoidMatchReality:
-    return BoundedAvoidMatchReality(q)
 
 
 # ---------------------------------------------------------------------------

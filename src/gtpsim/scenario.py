@@ -14,13 +14,7 @@ from typing import Callable, Dict, List, Optional
 import yaml
 
 from . import randomized, reality, skeptic
-from .analysis import (
-    BOUND_SLACK,
-    Verdict,
-    strong_compliance_verdict,
-    validate_growth,
-    validate_hedge,
-)
+from .analysis import BOUND_SLACK, Verdict
 from .engine import (
     Forecaster,
     ForecastMove,
@@ -33,7 +27,15 @@ from .engine import (
     ZeroSkeptic,
     run_game,
 )
-from .hedges import Growth, Hedge, identity_growth, power_growth, power_hedge
+from .hedges import (
+    Growth,
+    Hedge,
+    identity_growth,
+    power_growth,
+    power_hedge,
+    validate_growth,
+    validate_hedge,
+)
 from .skeptic import BcCounters, ceiling_index_update
 
 
@@ -41,17 +43,21 @@ class ScenarioError(ValueError):
     """Malformed or out-of-range scenario content."""
 
 
-EXPECTED_EVENTS = (
-    "none",
-    "strong_comply",
-    "no_late_heads",
-    "heads_at_c_increments",
-    "slln_hold",
-    "slln_fail",
-    "first_round",
-    "avoid_match",
-    "violation",
-)
+# Expected event -> name of its finite-horizon proxy in this module (None:
+# no proxy).  `event_proxy_for` looks the name up when called, so a rebound
+# proxy_* function is the one that runs.
+_EVENT_PROXIES: Dict[str, Optional[str]] = {
+    "none": None,
+    "strong_comply": None,
+    "no_late_heads": "proxy_no_late_heads",
+    "heads_at_c_increments": "proxy_heads_at_c_increments",
+    "slln_hold": "proxy_slln_hold",
+    "slln_fail": "proxy_slln_fail",
+    "first_round": "proxy_first_round",
+    "avoid_match": "proxy_avoid_match",
+    "violation": None,
+}
+EXPECTED_EVENTS = tuple(_EVENT_PROXIES)
 
 
 @dataclass
@@ -164,54 +170,57 @@ def build_forecaster(scenario: Scenario) -> Forecaster:
 # Skeptic and Reality registries
 # ---------------------------------------------------------------------------
 
+def _seed(scenario: Scenario) -> int:
+    return scenario.seed if scenario.seed is not None else 0
+
+
+# name -> constructor from (scenario, its strategy spec)
+_SKEPTICS: Dict[str, Callable[[Scenario, Dict], Skeptic]] = {
+    "zero": lambda sc, spec: ZeroSkeptic(),
+    "bc_divergent": lambda sc, spec: skeptic.DivergentBcSkeptic(),
+    "bc_convergent": lambda sc, spec: skeptic.ConvergentBcSkeptic(),
+    "bc_fictional": lambda sc, spec: skeptic.FictionalBcSkeptic(),
+    "random_bounded": lambda sc, spec: randomized.RandomBoundedSkeptic(
+        seed=_seed(sc), bound=float(spec.get("bound", 10.0))
+    ),
+    "bang_bang": lambda sc, spec: skeptic.BangBangSkeptic(
+        amplitude=float(spec.get("amplitude", 1.0)),
+        v_amplitude=float(spec.get("v_amplitude", 1.0)),
+    ),
+}
+
+_REALITIES: Dict[str, Callable[[Scenario, Dict], Reality]] = {
+    "bc_comply": lambda sc, spec: reality.BcComplyReality(),
+    "ufg_comply": lambda sc, spec: reality.MvComplyReality(),
+    "ufgh_comply": lambda sc, spec: reality.MvComplyReality(
+        growth=sc.growth or identity_growth()
+    ),
+    "derandomized_fictional": lambda sc, spec: reality.DerandomizedCoinReality(
+        skeptic.FictionalBcSkeptic()
+    ),
+    "first_round": lambda sc, spec: reality.FirstRoundComplyReality(),
+    "avoid_match": lambda sc, spec: reality.BoundedAvoidMatchReality(
+        float(spec.get("q", 0.9))
+    ),
+    "bernoulli": lambda sc, spec: randomized.BernoulliReality(seed=_seed(sc)),
+    "kolmogorov": lambda sc, spec: randomized.KolmogorovReality(seed=_seed(sc)),
+    "constant": lambda sc, spec: reality.ConstantReality(float(spec.get("x", 0.0))),
+}
+
+
+def _build(registry: Dict, role: str, scenario: Scenario, spec: Dict):
+    name = spec["name"]
+    if name not in registry:
+        raise ScenarioError(f"unknown {role} {name!r}")
+    return registry[name](scenario, spec)
+
+
 def build_skeptic(scenario: Scenario) -> Skeptic:
-    spec = dict(scenario.skeptic_spec)
-    name = spec.pop("name")
-    seed = scenario.seed if scenario.seed is not None else 0
-    if name == "zero":
-        return ZeroSkeptic()
-    if name == "bc_divergent":
-        return skeptic.DivergentBcSkeptic()
-    if name == "bc_convergent":
-        return skeptic.ConvergentBcSkeptic()
-    if name == "bc_fictional":
-        return skeptic.FictionalBcSkeptic()
-    if name == "random_bounded":
-        return randomized.RandomBoundedSkeptic(
-            seed=seed, bound=float(spec.get("bound", 10.0))
-        )
-    if name == "bang_bang":
-        return skeptic.BangBangSkeptic(
-            amplitude=float(spec.get("amplitude", 1.0)),
-            v_amplitude=float(spec.get("v_amplitude", 1.0)),
-        )
-    raise ScenarioError(f"unknown skeptic {name!r}")
+    return _build(_SKEPTICS, "skeptic", scenario, scenario.skeptic_spec)
 
 
 def build_reality(scenario: Scenario) -> Reality:
-    spec = dict(scenario.reality_spec)
-    name = spec.pop("name")
-    seed = scenario.seed if scenario.seed is not None else 0
-    if name == "bc_comply":
-        return reality.BcComplyReality()
-    if name == "ufg_comply":
-        return reality.UfgComplyReality()
-    if name == "ufgh_comply":
-        growth = scenario.growth or identity_growth()
-        return reality.UfghComplyReality(growth=growth)
-    if name == "derandomized_fictional":
-        return reality.derandomize_coin(skeptic.FictionalBcSkeptic())
-    if name == "first_round":
-        return reality.first_round_comply()
-    if name == "avoid_match":
-        return reality.bounded_avoid_match(float(spec.get("q", 0.9)))
-    if name == "bernoulli":
-        return randomized.BernoulliReality(seed=seed)
-    if name == "kolmogorov":
-        return randomized.KolmogorovReality(seed=seed)
-    if name == "constant":
-        return reality.ConstantReality(float(spec.get("x", 0.0)))
-    raise ScenarioError(f"unknown reality {name!r}")
+    return _build(_REALITIES, "reality", scenario, scenario.reality_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -353,22 +362,16 @@ def proxy_avoid_match(trace: Trace, q: float) -> bool:
 
 def event_proxy_for(scenario: Scenario) -> Optional[Callable[[Trace], bool]]:
     expected = scenario.expected_event
-    if expected in ("none", "strong_comply", "violation"):
+    if expected not in _EVENT_PROXIES:
+        raise ScenarioError(f"unknown expected_event {expected!r}")
+    name = _EVENT_PROXIES[expected]
+    if name is None:
         return None
-    if expected == "no_late_heads":
-        return proxy_no_late_heads
-    if expected == "heads_at_c_increments":
-        return proxy_heads_at_c_increments
-    if expected == "slln_hold":
-        return proxy_slln_hold
-    if expected == "slln_fail":
-        return proxy_slln_fail
-    if expected == "first_round":
-        return proxy_first_round
+    proxy = globals()[name]
     if expected == "avoid_match":
         q = float(scenario.reality_spec.get("q", 0.9))
-        return lambda trace: proxy_avoid_match(trace, q)
-    raise ScenarioError(f"unknown expected_event {expected!r}")
+        return lambda trace: proxy(trace, q)
+    return proxy
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +392,6 @@ def run_scenario(scenario: Scenario, horizon: Optional[int] = None,
         stop_on_skeptic_fault=True,
     )
     return trace
-
-
-def check_scenario(scenario: Scenario, trace: Trace) -> Verdict:
-    """Verdict for a trace, with pass/fail against the scenario's labels
-    recorded in the notes."""
-    verdict = strong_compliance_verdict(trace, event_proxy_for(scenario))
-    ok = scenario_passes(scenario, verdict)
-    verdict.notes.append(f"scenario {scenario.name}: {'pass' if ok else 'FAIL'}")
-    return verdict
 
 
 def scenario_passes(scenario: Scenario, verdict: Verdict) -> bool:

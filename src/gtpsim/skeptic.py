@@ -82,6 +82,7 @@ class _CounterSkeptic(Skeptic):
         self.counters = BcCounters()
 
     def reset(self, protocol: Protocol) -> None:
+        super().reset(protocol)
         self.counters = BcCounters()
 
     def _formula(self, counters: BcCounters) -> float:
@@ -119,13 +120,9 @@ class BangBangSkeptic(Skeptic):
     def __init__(self, amplitude: float = 1.0, v_amplitude: float = 1.0):
         self.amplitude = amplitude
         self.v_amplitude = v_amplitude
-        self._with_v = False
-
-    def reset(self, protocol: Protocol) -> None:
-        self._with_v = not protocol.kind.uses_price
 
     def bet(self, n: int, forecast: ForecastMove, k_prev: float) -> SkepticBet:
         m = self.amplitude if n % 2 else -self.amplitude
-        if self._with_v:
+        if self.with_v:
             return SkepticBet(M=m, V=self.v_amplitude if n % 2 == 0 else 0.0)
         return SkepticBet(M=m)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -107,4 +108,10 @@ def summary_dict(name: str, trace: Trace, verdict: Verdict) -> Dict:
 
 
 def write_summary_json(summary: Dict, path) -> None:
-    Path(path).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    """Write the summary as strict JSON: a NaN or infinite float is null."""
+    strict = {
+        key: None if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in summary.items()
+    }
+    text = json.dumps(strict, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")

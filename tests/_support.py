@@ -7,7 +7,6 @@ from typing import Sequence
 from gtpsim import (
     ForecastMove,
     Outcome,
-    Protocol,
     Reality,
     ScriptForecaster,
     Skeptic,
@@ -31,14 +30,10 @@ class ScriptBetSkeptic(Skeptic):
     def __init__(self, ms: Sequence[float], vs: Sequence[float] = ()):
         self.ms = list(ms)
         self.vs = list(vs)
-        self._with_v = False
-
-    def reset(self, protocol: Protocol) -> None:
-        self._with_v = not protocol.kind.uses_price
 
     def bet(self, n, forecast, k_prev) -> SkepticBet:
         m = self.ms[(n - 1) % len(self.ms)]
-        if self._with_v:
+        if self.with_v:
             v = self.vs[(n - 1) % len(self.vs)] if self.vs else 0.0
             return SkepticBet(M=m, V=v)
         return SkepticBet(M=m)

@@ -13,8 +13,8 @@ from gtpsim import (
     GameKind,
     HedgeValidationError,
     Protocol,
+    CombinedSkeptic,
     RandomStream,
-    combine_skeptic,
     epsilon_sequence_step,
     lower_probability_coin,
     run_game,
@@ -26,10 +26,10 @@ from gtpsim.engine import ScriptForecaster
 from gtpsim.hedges import power_hedge
 from gtpsim.randomized import KolmogorovReality, RandomBoundedSkeptic
 from gtpsim.reality import (
+    BoundedAvoidMatchReality,
     ConstantReality,
-    bounded_avoid_match,
-    derandomize_coin,
-    first_round_comply,
+    DerandomizedCoinReality,
+    FirstRoundComplyReality,
 )
 from gtpsim.scenario import (
     event_proxy_for,
@@ -361,7 +361,7 @@ def test_criterion_9_derandomizer_and_linearity():
     forecaster_ps = [min(1.0, 1.0 / n) for n in range(1, 61)]
     monotone = True
     for seed in range(1000):
-        reality = derandomize_coin(FictionalBcSkeptic())
+        reality = DerandomizedCoinReality(FictionalBcSkeptic())
         run_game(
             COIN, price_forecaster(forecaster_ps),
             RandomBoundedSkeptic(seed=seed), reality, 60,
@@ -381,7 +381,7 @@ def test_criterion_9_derandomizer_and_linearity():
 
     k1 = capitals(RandomBoundedSkeptic(seed=1))
     k2 = capitals(RandomBoundedSkeptic(seed=2))
-    kc = capitals(combine_skeptic(
+    kc = capitals(CombinedSkeptic(
         [0.5, 0.5], [RandomBoundedSkeptic(seed=1), RandomBoundedSkeptic(seed=2)]
     ))
     linear = all(
@@ -416,7 +416,7 @@ def test_criterion_10_example_strategies():
     forecaster_ps = [min(1.0, 1.0 / n) for n in range(1, horizon + 1)]
     for make in pool:
         trace = run_game(
-            COIN, price_forecaster(forecaster_ps), make(), first_round_comply(),
+            COIN, price_forecaster(forecaster_ps), make(), FirstRoundComplyReality(),
             horizon,
         )
         if trace.rounds[0].outcome.x != 1.0:     # p_1 = 1 > 0 forces a head
@@ -429,7 +429,7 @@ def test_criterion_10_example_strategies():
     for make in pool:
         trace = run_game(
             bounded, price_forecaster(endpoint_ps), make(),
-            bounded_avoid_match(0.9), horizon,
+            BoundedAvoidMatchReality(0.9), horizon,
         )
         if any(r.outcome.x == r.forecast.p for r in trace.rounds):
             ok = False

@@ -17,7 +17,6 @@ from gtpsim import (
     SkepticBet,
     ZeroSkeptic,
     capital_update,
-    combine_skeptic,
     replay_verify,
     run_game,
     validate_moves,
@@ -181,11 +180,22 @@ def test_run_game_rejects_nan_bet_with_round_and_role():
 
 
 def nan_capital_run(stop: bool) -> Trace:
-    # Finite moves, but (x - m)^2 overflows: K = 1 + 0 * 1e200 + 0 * (inf - 1).
+    # Finite moves that overflow: K = 1 + (-1e200) * 1e200 + 1 * (inf - 1),
+    # i.e. -inf + inf.
     return run_game(
-        UFG, ScriptForecaster(lambda n: ForecastMove(m=0.0, v=1.0)), ZeroSkeptic(),
-        ConstantReality(1e200), 5, stop_on_skeptic_fault=stop,
+        UFG, ScriptForecaster(lambda n: ForecastMove(m=0.0, v=1.0)),
+        ScriptBetSkeptic([-1e200], [1.0]), ConstantReality(1e200), 5,
+        stop_on_skeptic_fault=stop,
     )
+
+
+def test_zero_v_bet_skips_the_overflowing_variance_term():
+    # M = V = 0: (x - m)^2 = inf would make 0 * inf = NaN; the capital is 1.
+    k = capital_update(
+        UFG, 1.0, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=0.0),
+        Outcome(1e200),
+    )
+    assert k == 1.0
 
 
 def test_stop_on_skeptic_fault_stops_on_nan_capital():
@@ -255,11 +265,11 @@ def test_replay_empty_trace_ok():
 
 
 # ---------------------------------------------------------------------------
-# combine_skeptic
+# CombinedSkeptic
 # ---------------------------------------------------------------------------
 
 def test_combine_single_policy_is_identity():
-    single = combine_skeptic([1.0], [ScriptBetSkeptic([0.7, -0.2])])
+    single = CombinedSkeptic([1.0], [ScriptBetSkeptic([0.7, -0.2])])
     single.reset(COIN)
     f = ForecastMove(p=0.5)
     assert single.bet(1, f, 1.0).M == 0.7
@@ -267,14 +277,14 @@ def test_combine_single_policy_is_identity():
 
 
 def test_combine_divergent_and_convergent_first_bet():
-    combo = combine_skeptic([0.5, 0.5], [DivergentBcSkeptic(), ConvergentBcSkeptic()])
+    combo = CombinedSkeptic([0.5, 0.5], [DivergentBcSkeptic(), ConvergentBcSkeptic()])
     combo.reset(COIN)
     # b = 0 gives -1/2; p = 0.5 keeps c = 1, giving 1/4; average is -1/8.
     assert combo.bet(1, ForecastMove(p=0.5), 1.0).M == -0.125
 
 
 def test_combine_with_zero_halves_bets():
-    combo = combine_skeptic([0.5, 0.5], [ScriptBetSkeptic([0.8]), ZeroSkeptic()])
+    combo = CombinedSkeptic([0.5, 0.5], [ScriptBetSkeptic([0.8]), ZeroSkeptic()])
     combo.reset(COIN)
     assert combo.bet(1, ForecastMove(p=0.5), 1.0).M == 0.4
 
@@ -320,7 +330,7 @@ def test_capital_linearity_of_half_half_combination(rounds):
 
     k1 = play(ScriptBetSkeptic(m1))
     k2 = play(ScriptBetSkeptic(m2))
-    kc = play(combine_skeptic([0.5, 0.5], [ScriptBetSkeptic(m1), ScriptBetSkeptic(m2)]))
+    kc = play(CombinedSkeptic([0.5, 0.5], [ScriptBetSkeptic(m1), ScriptBetSkeptic(m2)]))
     for a, b, c in zip(k1, k2, kc):
         assert math.isclose(0.5 * (a + b), c, rel_tol=1e-12, abs_tol=1e-12)
 

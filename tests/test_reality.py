@@ -16,16 +16,19 @@ from gtpsim import (
     Protocol,
     SkepticBet,
     bc_comply_step,
-    bounded_avoid_match,
-    derandomize_coin,
-    first_round_comply,
     run_game,
-    ufg_comply_step,
-    ufgh_comply_step,
 )
-from gtpsim.hedges import hedge_inverse, identity_growth, power_hedge
+from gtpsim.hedges import SQUARE_HEDGE, hedge_inverse, identity_growth, power_hedge
 from gtpsim.randomized import RandomBoundedSkeptic
-from gtpsim.reality import ConstantReality, UfgComplyState, UfghComplyState
+from gtpsim.reality import (
+    BoundedAvoidMatchReality,
+    ConstantReality,
+    DerandomizedCoinReality,
+    FirstRoundComplyReality,
+    MvComplyReality,
+    MvComplyState,
+    mv_comply_step,
+)
 from gtpsim.skeptic import BcCounters, FictionalBcSkeptic, ceiling_index_update
 from gtpsim.engine import Skeptic
 
@@ -105,9 +108,9 @@ def test_capital_hitting_zero_enters_degenerate():
 # ---------------------------------------------------------------------------
 
 def test_ufg_zero_variance_round_answers_mean():
-    out, state = ufg_comply_step(
-        UfgComplyState(), ForecastMove(m=3.0, v=0.0), SkepticBet(M=5.0, V=1.0),
-        1.0, 1.0,
+    out, state = mv_comply_step(
+        MvComplyState(), ForecastMove(m=3.0, v=0.0), SkepticBet(M=5.0, V=1.0),
+        SQUARE_HEDGE, None, 1.0, 1.0,
     )
     assert out.x == 3.0
     assert state.n == 1 and state.counters == BcCounters()
@@ -115,18 +118,18 @@ def test_ufg_zero_variance_round_answers_mean():
 
 
 def test_ufg_qualifying_round_with_positive_v_bet():
-    out, state = ufg_comply_step(
-        UfgComplyState(), ForecastMove(m=0.0, v=2.0), SkepticBet(M=1.0, V=0.5),
-        1.0, 1.0,
+    out, state = mv_comply_step(
+        MvComplyState(), ForecastMove(m=0.0, v=2.0), SkepticBet(M=1.0, V=0.5),
+        SQUARE_HEDGE, None, 1.0, 1.0,
     )
     assert out.x == 0.0            # capital change 0.5 * (0 - 2) = -1, hits 0
     assert state.phase.tag is PhaseTag.DEGENERATE and state.phase.n0 == 1
 
 
 def test_ufg_qualifying_round_with_pure_m_bet():
-    out, state = ufg_comply_step(
-        UfgComplyState(), ForecastMove(m=0.0, v=1.0), SkepticBet(M=-0.5, V=0.0),
-        1.0, 1.0,
+    out, state = mv_comply_step(
+        MvComplyState(), ForecastMove(m=0.0, v=1.0), SkepticBet(M=-0.5, V=0.0),
+        SQUARE_HEDGE, None, 1.0, 1.0,
     )
     assert out.x == 1.0            # sign of M picks the losing side
     assert state.phase.tag is PhaseTag.MIXING
@@ -134,9 +137,9 @@ def test_ufg_qualifying_round_with_pure_m_bet():
 
 
 def test_ufg_waiting_crossing_plays_n():
-    out, state = ufg_comply_step(
-        UfgComplyState(), ForecastMove(m=2.0, v=2.0), SkepticBet(M=0.0, V=0.0),
-        1.0, 1.0,
+    out, state = mv_comply_step(
+        MvComplyState(), ForecastMove(m=2.0, v=2.0), SkepticBet(M=0.0, V=0.0),
+        SQUARE_HEDGE, None, 1.0, 1.0,
     )
     assert out.x == 3.0            # v/n^2 = 2 crosses an integer, centered move n=1
     assert state.counters.b == 1
@@ -144,18 +147,20 @@ def test_ufg_waiting_crossing_plays_n():
 
 def test_ufg_mixing_large_v_bet_zeroes_the_move():
     # n = 5, v = 1 < 25: d = 0.5 * (2^-2 - 2^-3) / 25 = 0.0025 < V.
-    state = UfgComplyState(phase=MIXING_HALF, counters=BcCounters(), n=4)
-    out, _ = ufg_comply_step(
-        state, ForecastMove(m=7.0, v=1.0), SkepticBet(M=1.0, V=0.1), 0.5, 1.0
+    state = MvComplyState(phase=MIXING_HALF, counters=BcCounters(), n=4)
+    out, _ = mv_comply_step(
+        state, ForecastMove(m=7.0, v=1.0), SkepticBet(M=1.0, V=0.1),
+        SQUARE_HEDGE, None, 0.5, 1.0,
     )
     assert out.x == 7.0
 
 
 def test_ufg_mixing_big_variance_plays_root():
     # n = 2, v = 9 >= 4, M < 0: centered move +sqrt(9).
-    state = UfgComplyState(phase=MIXING_HALF, counters=BcCounters(), n=1)
-    out, _ = ufg_comply_step(
-        state, ForecastMove(m=0.0, v=9.0), SkepticBet(M=-1.0, V=0.0), 0.5, 1.0
+    state = MvComplyState(phase=MIXING_HALF, counters=BcCounters(), n=1)
+    out, _ = mv_comply_step(
+        state, ForecastMove(m=0.0, v=9.0), SkepticBet(M=-1.0, V=0.0),
+        SQUARE_HEDGE, None, 0.5, 1.0,
     )
     assert out.x == 3.0
 
@@ -168,14 +173,27 @@ SQUARE = power_hedge(2.0)
 IDENTITY = identity_growth()
 
 
+def test_mv_reality_rejects_the_other_mean_variance_game():
+    ufg = Protocol(kind=GameKind.UNBOUNDED_FORECASTING)
+    ufgh = Protocol(kind=GameKind.GENERAL_HEDGE, hedge=SQUARE)
+    MvComplyReality().reset(ufg)
+    MvComplyReality(growth=IDENTITY).reset(ufgh)
+    with pytest.raises(ValueError, match="requires the general_hedge"):
+        MvComplyReality(growth=IDENTITY).reset(ufg)
+    with pytest.raises(ValueError, match="requires the unbounded_forecasting"):
+        MvComplyReality().reset(ufgh)
+    with pytest.raises(ValueError):
+        MvComplyReality().reset(COIN)
+
+
 def test_ufgh_damping_sequence_and_inverse_scale():
     # h(x) = x^2, g = identity, v = 1 each round: A_2 = 2, eps_2 = 1/(1 + 1.5).
-    state = UfghComplyState()
+    state = MvComplyState()
     zero = SkepticBet(M=0.0, V=0.0)
     f = ForecastMove(m=0.0, v=1.0)
-    _, state = ufgh_comply_step(state, f, zero, SQUARE, IDENTITY, 1.0, 1.0)
+    _, state = mv_comply_step(state, f, zero, SQUARE, IDENTITY, 1.0, 1.0)
     assert math.isclose(state.eps, 0.5, rel_tol=0.0, abs_tol=1e-15)
-    _, state = ufgh_comply_step(state, f, zero, SQUARE, IDENTITY, 1.0, 1.0)
+    _, state = mv_comply_step(state, f, zero, SQUARE, IDENTITY, 1.0, 1.0)
     assert math.isclose(state.eps, 0.4, rel_tol=0.0, abs_tol=1e-15)
     assert state.a_total == 2.0
     scale = IDENTITY.eval(state.a_total) / state.eps
@@ -185,8 +203,8 @@ def test_ufgh_damping_sequence_and_inverse_scale():
 
 def test_ufgh_qualifying_round_with_positive_v_bet():
     # Capital change V * (h(0) - v) = -2, strictly negative by h(0) = 0.
-    out, state = ufgh_comply_step(
-        UfghComplyState(), ForecastMove(m=0.0, v=2.0), SkepticBet(M=0.0, V=1.0),
+    out, state = mv_comply_step(
+        MvComplyState(), ForecastMove(m=0.0, v=2.0), SkepticBet(M=0.0, V=1.0),
         SQUARE, IDENTITY, 3.0, 3.0,
     )
     assert out.x == 0.0
@@ -198,22 +216,22 @@ def test_ufgh_qualifying_round_with_positive_v_bet():
 def test_ufgh_mixing_small_v_bet_plays_inverse_scale():
     # Fresh accumulators, v = 1: eps = 0.5, scale = 2, d = 0.5*(1/4-1/8)/2.
     def state():
-        return UfghComplyState(phase=MIXING_HALF, counters=BcCounters(), n=1)
+        return MvComplyState(phase=MIXING_HALF, counters=BcCounters(), n=1)
 
     f = ForecastMove(m=0.0, v=1.0)
-    out, _ = ufgh_comply_step(
+    out, _ = mv_comply_step(
         state(), f, SkepticBet(M=-1.0, V=0.0), SQUARE, IDENTITY, 0.5, 1.0
     )
     assert math.isclose(out.x, math.sqrt(2.0), rel_tol=1e-12)
-    out, _ = ufgh_comply_step(
+    out, _ = mv_comply_step(
         state(), f, SkepticBet(M=-1.0, V=0.1), SQUARE, IDENTITY, 0.5, 1.0
     )
     assert out.x == 0.0            # V above the threshold zeroes the move
 
 
 def test_ufgh_zero_variance_round_answers_mean():
-    out, state = ufgh_comply_step(
-        UfghComplyState(), ForecastMove(m=-2.0, v=0.0), SkepticBet(M=9.0, V=9.0),
+    out, state = mv_comply_step(
+        MvComplyState(), ForecastMove(m=-2.0, v=0.0), SkepticBet(M=9.0, V=9.0),
         SQUARE, IDENTITY, 1.0, 1.0,
     )
     assert out.x == -2.0 and state.phase.tag is PhaseTag.WAITING
@@ -226,7 +244,7 @@ def test_ufgh_zero_variance_round_answers_mean():
 def test_derandomizer_sign_rule():
     # Fictional bet at b=0, c=1 is -1/8; average with the real bet decides x.
     def first_outcome(m_real):
-        reality = derandomize_coin(FictionalBcSkeptic())
+        reality = DerandomizedCoinReality(FictionalBcSkeptic())
         reality.reset(COIN)
         return reality.outcome(
             1, ForecastMove(p=0.5), SkepticBet(M=m_real), 1.0
@@ -238,7 +256,7 @@ def test_derandomizer_sign_rule():
 
 
 def test_derandomizer_mixture_capital_non_increasing():
-    reality = derandomize_coin(FictionalBcSkeptic())
+    reality = DerandomizedCoinReality(FictionalBcSkeptic())
     run_game(
         COIN,
         price_forecaster([min(1.0, 1.0 / n) for n in range(1, 301)]),
@@ -255,7 +273,7 @@ def test_derandomizer_mixture_capital_non_increasing():
 # ---------------------------------------------------------------------------
 
 def test_first_round_rule():
-    reality = first_round_comply()
+    reality = FirstRoundComplyReality()
     assert reality.outcome(1, ForecastMove(p=0.0), SkepticBet(M=1.0), 1.0).x == 0.0
     assert reality.outcome(1, ForecastMove(p=0.7), SkepticBet(M=1.0), 1.0).x == 1.0
     assert reality.outcome(2, ForecastMove(p=0.5), SkepticBet(M=-1.0), 1.0).x == 1.0
@@ -263,7 +281,7 @@ def test_first_round_rule():
 
 
 def test_avoid_match_endpoint_gap():
-    reality = bounded_avoid_match(0.9)
+    reality = BoundedAvoidMatchReality(0.9)
     x = reality.outcome(1, ForecastMove(p=0.0), SkepticBet(M=4.0), 0.5).x
     assert math.isclose(x, 0.4 / 9.0, rel_tol=1e-12)
     # Round gain M*x is at most half the headroom (0.9 - 0.5)/2.
@@ -276,11 +294,11 @@ def test_avoid_match_endpoint_gap():
 
 def test_avoid_match_parameter_validation():
     with pytest.raises(ValueError):
-        bounded_avoid_match(0.4).reset(BOUNDED)   # q below initial capital
+        BoundedAvoidMatchReality(0.4).reset(BOUNDED)   # q below initial capital
     with pytest.raises(ValueError):
-        bounded_avoid_match(1.0).reset(BOUNDED)
+        BoundedAvoidMatchReality(1.0).reset(BOUNDED)
     with pytest.raises(ValueError):
-        bounded_avoid_match(0.9).reset(COIN)      # wrong protocol kind
+        BoundedAvoidMatchReality(0.9).reset(COIN)      # wrong protocol kind
 
 
 def test_constant_reality():

@@ -14,7 +14,7 @@ from gtpsim.randomized import KolmogorovReality
 from gtpsim.scenario import (
     STOCK_POOLS,
     ScenarioError,
-    check_scenario,
+    event_proxy_for,
     parse_scenario,
     parse_scenario_file,
     run_scenario,
@@ -26,6 +26,7 @@ from gtpsim.traceio import (
     summary_dict,
     trace_from_csv_text,
     trace_to_csv_text,
+    write_summary_json,
 )
 from gtpsim.analysis import strong_compliance_verdict
 
@@ -112,7 +113,7 @@ def test_shipped_example_scenarios_parse():
                  "first_round", "avoid_match"):
         scenario = parse_scenario_file(SCENARIOS / f"{stem}.yaml")
         trace = run_scenario(scenario, horizon=200)
-        verdict = check_scenario(scenario, trace)
+        verdict = strong_compliance_verdict(trace, event_proxy_for(scenario))
         assert scenario_passes(scenario, verdict), scenario.name
 
 
@@ -168,6 +169,32 @@ def test_summary_dict_fields():
     }
     assert summary["seed"] == 9
     assert summary["heads"] == sum(r.outcome.x for r in trace.rounds)
+
+
+NAN_CAPITAL = """\
+name: nan_capital
+protocol: {kind: unbounded_forecasting}
+horizon: 5
+forecaster: {name: mv}
+skeptic: {name: bang_bang, amplitude: 1.0e200}
+reality: {name: constant, x: 1.0e200}
+"""
+
+
+def test_summary_json_is_strict_on_a_nan_capital(tmp_path):
+    # Round 1 gains 1e200 * 1e200 = inf; round 2 adds -inf + inf = NaN.
+    scenario = parse_scenario(NAN_CAPITAL)
+    trace = run_scenario(scenario)
+    verdict = strong_compliance_verdict(trace)
+    assert math.isnan(verdict.sup_capital)
+    write_summary_json(summary_dict(scenario.name, trace, verdict), tmp_path / "s.json")
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    summary = json.loads((tmp_path / "s.json").read_text(), parse_constant=reject)
+    assert summary["sup_capital"] is None
+    assert summary["final_mean"] == 1e200
 
 
 # ---------------------------------------------------------------------------
