@@ -7,7 +7,6 @@ from .engine import (
     ForecastMove,
     GameKind,
     InvalidMoveError,
-    Outcome,
     Policy,
     Protocol,
     Reality,

@@ -1,7 +1,8 @@
 """Game protocols, move validation, capital updates, and recorded runs.
 
 Four protocols share one round shape: Forecaster announces prices, Skeptic
-announces bets, Reality announces the outcome, and the capital updates.
+announces bets, Reality announces the outcome x (a float), and the capital
+updates.
 Everything downstream (strategies, verdicts, the CLI) works on the Trace
 produced here, and any trace can be replayed against the update rule.
 """
@@ -27,6 +28,11 @@ class GameKind(Enum):
         # Coin/bounded games announce a single price p in [0, 1].  Set once
         # per member, since the engine reads it for every move.
         self.uses_price = value in ("coin_tossing", "bounded_forecasting")
+
+
+# The games announcing a price p, and those announcing a pair (m, v).
+PRICE_GAMES = tuple(kind for kind in GameKind if kind.uses_price)
+MEAN_VARIANCE_GAMES = tuple(kind for kind in GameKind if not kind.uses_price)
 
 
 @dataclass(frozen=True)
@@ -62,11 +68,6 @@ class SkepticBet:
     V: Optional[float] = None
 
 
-@dataclass(frozen=True, slots=True)
-class Outcome:
-    x: float = 0.0
-
-
 @dataclass(frozen=True)
 class Violation:
     field: str
@@ -78,7 +79,7 @@ class RoundRecord:
     n: int
     forecast: ForecastMove
     bet: SkepticBet
-    outcome: Outcome
+    x: float
     capital_after: float
 
 
@@ -139,21 +140,21 @@ def validate_bet(protocol: Protocol, s: SkepticBet) -> Optional[Violation]:
     return None
 
 
-def validate_outcome(protocol: Protocol, x: Outcome) -> Optional[Violation]:
+def validate_outcome(protocol: Protocol, x: float) -> Optional[Violation]:
     kind = protocol.kind
     if kind is GameKind.COIN_TOSSING:
-        if x.x not in (0.0, 1.0):
-            return Violation("x", f"x = {x.x} outside {{0, 1}}")
+        if x not in (0.0, 1.0):
+            return Violation("x", f"x = {x} outside {{0, 1}}")
     elif kind is GameKind.BOUNDED_FORECASTING:
-        if not 0.0 <= x.x <= 1.0:
-            return Violation("x", f"x = {x.x} outside [0, 1]")
-    elif not isfinite(x.x):
-        return _not_finite("x", x.x)
+        if not 0.0 <= x <= 1.0:
+            return Violation("x", f"x = {x} outside [0, 1]")
+    elif not isfinite(x):
+        return _not_finite("x", x)
     return None
 
 
 def validate_moves(
-    protocol: Protocol, f: ForecastMove, s: SkepticBet, x: Outcome
+    protocol: Protocol, f: ForecastMove, s: SkepticBet, x: float
 ) -> Optional[Violation]:
     """First domain violation among the three announcements, or None."""
     return (
@@ -172,7 +173,7 @@ _ROLE_OF_FIELD = {
 
 
 def capital_update(
-    protocol: Protocol, k_prev: float, f: ForecastMove, s: SkepticBet, x: Outcome
+    protocol: Protocol, k_prev: float, f: ForecastMove, s: SkepticBet, x: float
 ) -> float:
     """New capital after one round, per the protocol's update rule.
 
@@ -183,8 +184,8 @@ def capital_update(
     if violation is not None:
         raise InvalidMoveError(0, _ROLE_OF_FIELD[violation.field], violation)
     if protocol.kind.uses_price:
-        return k_prev + s.M * (x.x - f.p)
-    centered = x.x - f.m
+        return k_prev + s.M * (x - f.p)
+    centered = x - f.m
     k = k_prev + s.M * centered
     if s.V == 0.0:
         # The V term would add only +-0, or NaN if the hedge term overflows.
@@ -194,11 +195,19 @@ def capital_update(
     return k + s.V * (protocol.hedge.forward(centered) - f.v)
 
 
+def require_game(protocol: Protocol, player: object, *kinds: GameKind) -> None:
+    """Raise ValueError unless the protocol is one of the games `player` can
+    play.  Strategies call this from `reset`."""
+    if protocol.kind not in kinds:
+        raise ValueError(
+            f"{type(player).__name__} requires the"
+            f" {' or '.join(k.value for k in kinds)} game, got {protocol.kind.value}"
+        )
+
+
 class Policy:
     """A stateful player.  reset() is called once per run, observe() once
     per completed round with the full record."""
-
-    role = "policy"
 
     def reset(self, protocol: Protocol) -> None:
         pass
@@ -208,8 +217,6 @@ class Policy:
 
 
 class Forecaster(Policy):
-    role = "forecaster"
-
     def forecast(self, n: int) -> ForecastMove:
         raise NotImplementedError
 
@@ -218,7 +225,6 @@ class Skeptic(Policy):
     """A betting player.  `with_v` says whether the protocol takes a V bet
     (the mean-variance games); `reset` sets it."""
 
-    role = "skeptic"
     with_v = False
 
     def reset(self, protocol: Protocol) -> None:
@@ -229,11 +235,9 @@ class Skeptic(Policy):
 
 
 class Reality(Policy):
-    role = "reality"
-
     def outcome(
         self, n: int, forecast: ForecastMove, bet: SkepticBet, k_prev: float
-    ) -> Outcome:
+    ) -> float:
         raise NotImplementedError
 
 
@@ -350,7 +354,7 @@ def replay_verify(trace: Trace, tol: float = 1e-12) -> Optional[int]:
     for record in trace.rounds:
         try:
             k = capital_update(
-                trace.protocol, k, record.forecast, record.bet, record.outcome
+                trace.protocol, k, record.forecast, record.bet, record.x
             )
         except InvalidMoveError as err:
             raise InvalidMoveError(record.n, err.role, err.violation) from None

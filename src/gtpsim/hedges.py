@@ -28,9 +28,6 @@ class Hedge:
     inverse: Optional[Callable[[float], float]] = None
     name: str = "hedge"
 
-    def __call__(self, x: float) -> float:
-        return self.forward(x)
-
 
 @dataclass(frozen=True)
 class Growth:
@@ -38,9 +35,6 @@ class Growth:
 
     eval: Callable[[float], float]
     name: str = "growth"
-
-    def __call__(self, x: float) -> float:
-        return self.eval(x)
 
 
 def power_hedge(r: float) -> Hedge:

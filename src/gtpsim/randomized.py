@@ -4,6 +4,8 @@ The generator is a plain splitmix-style 64-bit mixer applied to
 seed + counter * golden_gamma, so draw i of a stream depends only on
 (seed, i).  That keeps traces reproducible bit-for-bit across platforms and
 lets Monte-Carlo checks recompute whole seed x round grids with numpy.
+numpy is imported by `uniform_block` alone, so importing the package does
+not load it.
 """
 
 from __future__ import annotations
@@ -11,9 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .engine import ForecastMove, Outcome, Protocol, Reality, Skeptic, SkepticBet
+from .engine import (
+    MEAN_VARIANCE_GAMES,
+    PRICE_GAMES,
+    Protocol,
+    Reality,
+    Skeptic,
+    SkepticBet,
+    require_game,
+)
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -49,9 +57,11 @@ class RandomStream:
         return RandomStream(seed=mix64(self.seed ^ mix64(key + 1)))
 
 
-def uniform_block(seed: int, n_draws: int, first_counter: int = 1) -> np.ndarray:
+def uniform_block(seed: int, n_draws: int, first_counter: int = 1) -> "numpy.ndarray":
     """Vectorized uniforms equal to draws first_counter..first_counter+n-1
     of RandomStream(seed)."""
+    import numpy as np
+
     counters = np.arange(first_counter, first_counter + n_draws, dtype=np.uint64)
     z = (np.uint64(seed & _MASK) + counters * np.uint64(_GAMMA))
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -60,14 +70,14 @@ def uniform_block(seed: int, n_draws: int, first_counter: int = 1) -> np.ndarray
     return z.astype(np.float64) / _TWO64
 
 
-def bernoulli_reality(p: float, rng: RandomStream) -> Outcome:
+def bernoulli_reality(p: float, rng: RandomStream) -> float:
     """Heads with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} outside [0, 1]")
-    return Outcome(1.0 if rng.uniform() < p else 0.0)
+    return 1.0 if rng.uniform() < p else 0.0
 
 
-def kolmogorov_sample(n: int, v: float, rng: RandomStream) -> Outcome:
+def kolmogorov_sample(n: int, v: float, rng: RandomStream) -> float:
     """Kolmogorov's randomized outcome for the unbounded game (centered).
 
     For v < n^2: +/-n with probability v/(2n^2) each, else 0.
@@ -82,12 +92,12 @@ def kolmogorov_sample(n: int, v: float, rng: RandomStream) -> Outcome:
     if v < n2:
         q = v / (2.0 * n2)
         if u < q:
-            return Outcome(float(n))
+            return float(n)
         if u < 2.0 * q:
-            return Outcome(-float(n))
-        return Outcome(0.0)
+            return -float(n)
+        return 0.0
     root = math.sqrt(v)
-    return Outcome(root if u < 0.5 else -root)
+    return root if u < 0.5 else -root
 
 
 class BernoulliReality(Reality):
@@ -98,9 +108,10 @@ class BernoulliReality(Reality):
         self.rng = RandomStream(seed)
 
     def reset(self, protocol: Protocol) -> None:
+        require_game(protocol, self, *PRICE_GAMES)
         self.rng = RandomStream(self.seed)
 
-    def outcome(self, n, forecast, bet, k_prev) -> Outcome:
+    def outcome(self, n, forecast, bet, k_prev) -> float:
         return bernoulli_reality(forecast.p, self.rng)
 
 
@@ -112,11 +123,11 @@ class KolmogorovReality(Reality):
         self.rng = RandomStream(seed)
 
     def reset(self, protocol: Protocol) -> None:
+        require_game(protocol, self, *MEAN_VARIANCE_GAMES)
         self.rng = RandomStream(self.seed)
 
-    def outcome(self, n, forecast, bet, k_prev) -> Outcome:
-        centered = kolmogorov_sample(n, forecast.v, self.rng)
-        return Outcome(forecast.m + centered.x)
+    def outcome(self, n, forecast, bet, k_prev) -> float:
+        return forecast.m + kolmogorov_sample(n, forecast.v, self.rng)
 
 
 class RandomBoundedSkeptic(Skeptic):

@@ -15,14 +15,15 @@ from typing import NamedTuple, Optional, Tuple
 
 from .analysis import epsilon_sequence_step
 from .engine import (
+    PRICE_GAMES,
     ForecastMove,
     GameKind,
-    Outcome,
     Protocol,
     Reality,
     RoundRecord,
     Skeptic,
     SkepticBet,
+    require_game,
 )
 from .hedges import SQUARE_HEDGE, Growth, Hedge, hedge_inverse
 from .skeptic import BcCounters, ceiling_index_update, heads_count_update
@@ -74,7 +75,7 @@ class BcComplyState(NamedTuple):
 
 def bc_comply_step(
     state: BcComplyState, p: float, M: float, k_prev: float, k0: float
-) -> Tuple[Outcome, BcComplyState]:
+) -> Tuple[float, BcComplyState]:
     """One round of the coin-game compliance strategy."""
     n = state.n + 1
     counters = ceiling_index_update(state.counters, p)
@@ -96,7 +97,7 @@ def bc_comply_step(
         d = _threshold(phase, state.counters.b, counters.c)
         x = 1.0 if M <= d else 0.0
     counters = heads_count_update(counters, x == 1.0)
-    return Outcome(x), BcComplyState(phase, counters, n)
+    return x, BcComplyState(phase, counters, n)
 
 
 class BcComplyReality(Reality):
@@ -107,14 +108,15 @@ class BcComplyReality(Reality):
         self.k0 = 1.0
 
     def reset(self, protocol: Protocol) -> None:
+        require_game(protocol, self, *PRICE_GAMES)
         self.state = BcComplyState()
         self.k0 = protocol.initial_capital
 
-    def outcome(self, n, forecast, bet, k_prev) -> Outcome:
-        out, self.state = bc_comply_step(
+    def outcome(self, n, forecast, bet, k_prev) -> float:
+        x, self.state = bc_comply_step(
             self.state, forecast.p, bet.M, k_prev, self.k0
         )
-        return out
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +144,7 @@ def mv_comply_step(
     growth: Optional[Growth],
     k_prev: float,
     k0: float,
-) -> Tuple[Outcome, MvComplyState]:
+) -> Tuple[float, MvComplyState]:
     """One round of the mean-variance compliance strategy.
 
     Without a growth this is the unbounded game (hedge x^2): the schedule is
@@ -154,7 +156,7 @@ def mv_comply_step(
     m, v = f.m, f.v
     M, V = s.M, s.V
     if v == 0.0:
-        return Outcome(m), state._replace(n=n)
+        return m, state._replace(n=n)
     a_total = state.a_total + v
     if growth is None:
         # an int, so that eps * v < g_a compares exactly as v < n^2
@@ -193,7 +195,7 @@ def mv_comply_step(
             root = hedge_inverse(hedge, v)
             xt = root if M < 0.0 else -root
     counters = heads_count_update(counters, xt != 0.0)
-    return Outcome(m + xt), MvComplyState(
+    return m + xt, MvComplyState(
         phase, counters, n, a_total, eps_running, eps
     )
 
@@ -209,22 +211,17 @@ class MvComplyReality(Reality):
         self.hedge = SQUARE_HEDGE
 
     def reset(self, protocol: Protocol) -> None:
-        kind = (GameKind.UNBOUNDED_FORECASTING if self.growth is None
-                else GameKind.GENERAL_HEDGE)
-        if protocol.kind is not kind:
-            raise ValueError(
-                f"MvComplyReality {'with' if self.growth else 'without'} a growth"
-                f" requires the {kind.value} game, got {protocol.kind.value}"
-            )
+        require_game(protocol, self, GameKind.UNBOUNDED_FORECASTING
+                     if self.growth is None else GameKind.GENERAL_HEDGE)
         self.state = MvComplyState()
         self.k0 = protocol.initial_capital
         self.hedge = protocol.hedge or SQUARE_HEDGE
 
-    def outcome(self, n, forecast, bet, k_prev) -> Outcome:
-        out, self.state = mv_comply_step(
+    def outcome(self, n, forecast, bet, k_prev) -> float:
+        x, self.state = mv_comply_step(
             self.state, forecast, bet, self.hedge, self.growth, k_prev, self.k0
         )
-        return out
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +243,20 @@ class DerandomizedCoinReality(Reality):
         self.fictional_capitals = [1.0]
 
     def reset(self, protocol: Protocol) -> None:
+        require_game(protocol, self, *PRICE_GAMES)
         self.fictional.reset(protocol)
         k0 = protocol.initial_capital
         self.mixture_capitals = [k0]
         self.fictional_capitals = [k0]
 
-    def outcome(self, n, forecast, bet, k_prev) -> Outcome:
+    def outcome(self, n, forecast, bet, k_prev) -> float:
         p = forecast.p
         m_f = self.fictional.bet(n, forecast, self.fictional_capitals[-1]).M
         m_o = 0.5 * (bet.M + m_f)
         x = 1.0 if m_o <= 0.0 else 0.0
         self.mixture_capitals.append(self.mixture_capitals[-1] + m_o * (x - p))
         self.fictional_capitals.append(self.fictional_capitals[-1] + m_f * (x - p))
-        return Outcome(x)
+        return x
 
     def observe(self, record: RoundRecord) -> None:
         self.fictional.observe(record)
@@ -275,10 +273,13 @@ class FirstRoundComplyReality(Reality):
     its losing side, so the capital never rises again.
     """
 
-    def outcome(self, n, forecast, bet, k_prev) -> Outcome:
+    def reset(self, protocol: Protocol) -> None:
+        require_game(protocol, self, *PRICE_GAMES)
+
+    def outcome(self, n, forecast, bet, k_prev) -> float:
         if n == 1:
-            return Outcome(1.0 if forecast.p > 0.0 else 0.0)
-        return Outcome(1.0 if bet.M < 0.0 else 0.0)
+            return 1.0 if forecast.p > 0.0 else 0.0
+        return 1.0 if bet.M < 0.0 else 0.0
 
 
 class BoundedAvoidMatchReality(Reality):
@@ -293,20 +294,19 @@ class BoundedAvoidMatchReality(Reality):
         self.q = q
 
     def reset(self, protocol: Protocol) -> None:
-        if protocol.kind is not GameKind.BOUNDED_FORECASTING:
-            raise ValueError("BoundedAvoidMatchReality requires the bounded game")
+        require_game(protocol, self, GameKind.BOUNDED_FORECASTING)
         if not protocol.initial_capital < self.q < 1.0:
             raise ValueError(
                 f"q = {self.q} must lie in (initial capital, 1) ="
                 f" ({protocol.initial_capital}, 1)"
             )
 
-    def outcome(self, n, forecast, bet, k_prev) -> Outcome:
+    def outcome(self, n, forecast, bet, k_prev) -> float:
         p, M = forecast.p, bet.M
         if p == 0.0 or p == 1.0:
             gap = min(0.5, (self.q - k_prev) / (2.0 * abs(M) + 1.0))
-            return Outcome(gap if p == 0.0 else 1.0 - gap)
-        return Outcome(1.0 if M <= 0.0 else 0.0)
+            return gap if p == 0.0 else 1.0 - gap
+        return 1.0 if M <= 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -320,5 +320,5 @@ class ConstantReality(Reality):
     def __init__(self, x: float):
         self.x = x
 
-    def outcome(self, n, forecast, bet, k_prev) -> Outcome:
-        return Outcome(self.x)
+    def outcome(self, n, forecast, bet, k_prev) -> float:
+        return self.x

@@ -8,7 +8,7 @@ label rather than inferred, since no finite prefix decides it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import yaml
@@ -280,10 +280,14 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         series_divergent=labels.get("series_divergent"),
         expected_event=expected,
     )
-    # fail fast on unknown strategy names and bad parameters
-    build_forecaster(scenario)
-    build_skeptic(scenario)
-    build_reality(scenario)
+    # fail fast on unknown strategy names, bad parameters, and strategies
+    # that cannot play this protocol (their reset raises ValueError)
+    for player in (build_forecaster(scenario), build_skeptic(scenario),
+                   build_reality(scenario)):
+        try:
+            player.reset(protocol)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
     return scenario
 
 
@@ -312,20 +316,20 @@ def _c_increment_rounds(increments: List[float]) -> List[int]:
 def proxy_no_late_heads(trace: Trace) -> bool:
     """No head in the final 90% of the run."""
     cutoff = max(1, len(trace.rounds) // 10)
-    return all(r.outcome.x != 1.0 for r in trace.rounds[cutoff:])
+    return all(r.x != 1.0 for r in trace.rounds[cutoff:])
 
 
 def proxy_heads_at_c_increments(trace: Trace) -> bool:
     """Heads occur exactly where the price partial sum crosses an integer."""
     increments = [r.forecast.p for r in trace.rounds]
     expected = set(_c_increment_rounds(increments))
-    actual = {r.n for r in trace.rounds if r.outcome.x == 1.0}
+    actual = {r.n for r in trace.rounds if r.x == 1.0}
     return expected == actual
 
 
 def proxy_slln_hold(trace: Trace, threshold: float = 0.01) -> bool:
     """Final centered mean is small."""
-    total = sum(r.outcome.x - r.forecast.m for r in trace.rounds)
+    total = sum(r.x - r.forecast.m for r in trace.rounds)
     return abs(total) / len(trace.rounds) <= threshold
 
 
@@ -337,7 +341,7 @@ def proxy_slln_fail(trace: Trace, threshold: float = 0.5, first_round: int = 10)
     checks = []
     by_round = {}
     for r in trace.rounds:
-        total += r.outcome.x - r.forecast.m
+        total += r.x - r.forecast.m
         by_round[r.n] = total
     for n in crossings:
         checks.append(abs(by_round[n]) / n >= threshold)
@@ -347,7 +351,7 @@ def proxy_slln_fail(trace: Trace, threshold: float = 0.5, first_round: int = 10)
 def proxy_first_round(trace: Trace) -> bool:
     """p_1 > 0 forces a first-round head, and the capital peaks at round 1."""
     first = trace.rounds[0]
-    if first.forecast.p > 0.0 and first.outcome.x != 1.0:
+    if first.forecast.p > 0.0 and first.x != 1.0:
         return False
     slack = BOUND_SLACK * trace.protocol.initial_capital
     return max(trace.capitals) <= first.capital_after + slack
@@ -355,7 +359,7 @@ def proxy_first_round(trace: Trace) -> bool:
 
 def proxy_avoid_match(trace: Trace, q: float) -> bool:
     """No outcome ever equals the price, and the capital stays below q."""
-    if any(r.outcome.x == r.forecast.p for r in trace.rounds):
+    if any(r.x == r.forecast.p for r in trace.rounds):
         return False
     return max(trace.capitals) <= q + BOUND_SLACK
 

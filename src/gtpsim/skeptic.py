@@ -14,7 +14,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import ForecastMove, Protocol, RoundRecord, Skeptic, SkepticBet
+from .engine import (
+    PRICE_GAMES,
+    ForecastMove,
+    Protocol,
+    RoundRecord,
+    Skeptic,
+    SkepticBet,
+    require_game,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,6 +90,7 @@ class _CounterSkeptic(Skeptic):
         self.counters = BcCounters()
 
     def reset(self, protocol: Protocol) -> None:
+        require_game(protocol, self, *PRICE_GAMES)
         super().reset(protocol)
         self.counters = BcCounters()
 
@@ -93,7 +102,7 @@ class _CounterSkeptic(Skeptic):
         return SkepticBet(M=self._formula(self.counters))
 
     def observe(self, record: RoundRecord) -> None:
-        self.counters = heads_count_update(self.counters, record.outcome.x == 1.0)
+        self.counters = heads_count_update(self.counters, record.x == 1.0)
 
 
 class DivergentBcSkeptic(_CounterSkeptic):

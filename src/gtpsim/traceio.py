@@ -17,7 +17,6 @@ from typing import Dict, Optional
 from .analysis import Verdict
 from .engine import (
     ForecastMove,
-    Outcome,
     Protocol,
     RoundRecord,
     SkepticBet,
@@ -43,7 +42,7 @@ def trace_to_csv_text(trace: Trace) -> str:
             _fmt(f.v),
             _fmt(r.bet.M),
             _fmt(r.bet.V),
-            _fmt(r.outcome.x),
+            _fmt(r.x),
             _fmt(r.capital_after),
         ])
     return out.getvalue()
@@ -75,7 +74,7 @@ def trace_from_csv_text(text: str, protocol: Protocol,
             n=int(n),
             forecast=forecast,
             bet=bet,
-            outcome=Outcome(float(x)),
+            x=float(x),
             capital_after=float(k),
         ))
     return Trace(protocol=protocol, rounds=rounds, seed=seed)
@@ -88,13 +87,11 @@ def read_trace_csv(path, protocol: Protocol, seed: Optional[int] = None) -> Trac
 def summary_dict(name: str, trace: Trace, verdict: Verdict) -> Dict:
     uses_price = trace.protocol.kind.uses_price
     if uses_price:
-        heads = sum(1 for r in trace.rounds if r.outcome.x == 1.0)
-        final_mean = sum(r.outcome.x for r in trace.rounds) / len(trace.rounds)
+        heads = sum(1 for r in trace.rounds if r.x == 1.0)
+        final_mean = sum(r.x for r in trace.rounds) / len(trace.rounds)
     else:
-        heads = sum(1 for r in trace.rounds if r.outcome.x != r.forecast.m)
-        final_mean = (
-            sum(r.outcome.x - r.forecast.m for r in trace.rounds) / len(trace.rounds)
-        )
+        heads = sum(1 for r in trace.rounds if r.x != r.forecast.m)
+        final_mean = sum(r.x - r.forecast.m for r in trace.rounds) / len(trace.rounds)
     return {
         "scenario": name,
         "seed": trace.seed,

@@ -6,7 +6,6 @@ from typing import Sequence
 
 from gtpsim import (
     ForecastMove,
-    Outcome,
     Reality,
     ScriptForecaster,
     Skeptic,
@@ -20,8 +19,8 @@ class ScriptReality(Reality):
     def __init__(self, xs: Sequence[float]):
         self.xs = list(xs)
 
-    def outcome(self, n, forecast, bet, k_prev) -> Outcome:
-        return Outcome(self.xs[(n - 1) % len(self.xs)])
+    def outcome(self, n, forecast, bet, k_prev) -> float:
+        return self.xs[(n - 1) % len(self.xs)]
 
 
 class ScriptBetSkeptic(Skeptic):

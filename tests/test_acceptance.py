@@ -144,7 +144,7 @@ def test_criterion_3_coin_compliance_pool():
             ok = False
         if scenario.expected_event == "no_late_heads":
             # Convergent scripts: no head after round 1000 of 10000.
-            if any(r.outcome.x == 1.0 for r in trace.rounds[1000:]):
+            if any(r.x == 1.0 for r in trace.rounds[1000:]):
                 ok = False
         if scenario.expected_event == "heads_at_c_increments":
             if verdict.event_proxy_ok is not True:
@@ -172,7 +172,7 @@ def test_criterion_4_unbounded_compliance_pool():
         if not verdict.strong_bound_ok or not scenario_passes(scenario, verdict):
             ok = False
         if scenario.expected_event == "slln_hold" and verdict.skeptic_duty_ok:
-            total = sum(r.outcome.x - r.forecast.m for r in trace.rounds)
+            total = sum(r.x - r.forecast.m for r in trace.rounds)
             if abs(total) / len(trace.rounds) > 0.01:
                 ok = False
         if scenario.expected_event == "slln_fail":
@@ -248,7 +248,7 @@ def test_criterion_6_randomized_strategy_monte_carlo():
     u = uniform_block(123, 100)
     expected = np.where(u < 0.5, ns[:100], -ns[:100])
     engine_matches = np.array_equal(
-        np.array([r.outcome.x for r in trace.rounds]), expected
+        np.array([r.x for r in trace.rounds]), expected
     )
 
     # Three-point branch (v = 1): mean nonzero-move count over 10^4 seeds.
@@ -419,7 +419,7 @@ def test_criterion_10_example_strategies():
             COIN, price_forecaster(forecaster_ps), make(), FirstRoundComplyReality(),
             horizon,
         )
-        if trace.rounds[0].outcome.x != 1.0:     # p_1 = 1 > 0 forces a head
+        if trace.rounds[0].x != 1.0:     # p_1 = 1 > 0 forces a head
             ok = False
         if max(trace.capitals) > trace.capitals[0] + BOUND_SLACK:
             ok = False
@@ -431,7 +431,7 @@ def test_criterion_10_example_strategies():
             bounded, price_forecaster(endpoint_ps), make(),
             BoundedAvoidMatchReality(0.9), horizon,
         )
-        if any(r.outcome.x == r.forecast.p for r in trace.rounds):
+        if any(r.x == r.forecast.p for r in trace.rounds):
             ok = False
         if max(trace.capitals) > 0.9 + BOUND_SLACK:
             ok = False

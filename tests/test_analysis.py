@@ -222,7 +222,7 @@ def test_verdict_flags_injected_bound_violation():
     )
     bad = trace.rounds[4]
     trace.rounds[4] = RoundRecord(
-        n=bad.n, forecast=bad.forecast, bet=bad.bet, outcome=bad.outcome,
+        n=bad.n, forecast=bad.forecast, bet=bad.bet, x=bad.x,
         capital_after=1.1,
     )
     verdict = strong_compliance_verdict(trace)
@@ -238,7 +238,7 @@ def test_verdict_names_nan_capital_instead_of_crashing():
     )
     bad = trace.rounds[2]
     trace.rounds[2] = RoundRecord(
-        n=bad.n, forecast=bad.forecast, bet=bad.bet, outcome=bad.outcome,
+        n=bad.n, forecast=bad.forecast, bet=bad.bet, x=bad.x,
         capital_after=math.nan,
     )
     verdict = strong_compliance_verdict(trace)
@@ -252,7 +252,7 @@ def test_verdict_event_proxy_is_evaluated():
         COIN, price_forecaster([0.4]), ZeroSkeptic(), ConstantReality(1.0), 5
     )
     verdict = strong_compliance_verdict(
-        trace, lambda t: all(r.outcome.x == 1.0 for r in t.rounds)
+        trace, lambda t: all(r.x == 1.0 for r in t.rounds)
     )
     assert verdict.event_proxy_ok is True
 

@@ -11,7 +11,6 @@ from gtpsim import (
     ForecastMove,
     GameKind,
     InvalidMoveError,
-    Outcome,
     Protocol,
     ScriptForecaster,
     SkepticBet,
@@ -57,13 +56,13 @@ def test_initial_capital_must_be_positive():
 
 def test_capital_update_mean_variance():
     k = capital_update(
-        UFG, 1.0, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=1.0), Outcome(2.0)
+        UFG, 1.0, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=1.0), 2.0
     )
     assert k == 4.0  # 1 + 1 * (4 - 1)
 
 
 def test_capital_update_coin_zero_bet():
-    k = capital_update(COIN, 1.0, ForecastMove(p=0.5), SkepticBet(M=0.0), Outcome(1.0))
+    k = capital_update(COIN, 1.0, ForecastMove(p=0.5), SkepticBet(M=0.0), 1.0)
     assert k == 1.0
 
 
@@ -71,14 +70,14 @@ def test_capital_update_general_hedge():
     protocol = Protocol(kind=GameKind.GENERAL_HEDGE, hedge=power_hedge(1.5))
     k = capital_update(
         protocol, 1.0, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=2.0),
-        Outcome(4.0),
+        4.0,
     )
     assert math.isclose(k, 15.0, rel_tol=0.0, abs_tol=1e-12)  # 1 + 2 * (8 - 1)
 
 
 def test_capital_update_rejects_invalid_moves():
     with pytest.raises(InvalidMoveError) as excinfo:
-        capital_update(COIN, 1.0, ForecastMove(p=0.5), SkepticBet(M=1.0), Outcome(0.5))
+        capital_update(COIN, 1.0, ForecastMove(p=0.5), SkepticBet(M=1.0), 0.5)
     assert excinfo.value.role == "reality"
 
 
@@ -87,20 +86,20 @@ def test_capital_update_rejects_invalid_moves():
 # ---------------------------------------------------------------------------
 
 def test_validate_coin_outcome_domain():
-    v = validate_moves(COIN, ForecastMove(p=0.5), SkepticBet(M=0.0), Outcome(0.5))
+    v = validate_moves(COIN, ForecastMove(p=0.5), SkepticBet(M=0.0), 0.5)
     assert v is not None and v.field == "x"
 
 
 def test_validate_negative_variance_bet():
     v = validate_moves(
-        UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=-1.0), Outcome(0.0)
+        UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=-1.0), 0.0
     )
     assert v is not None and v.field == "V"
 
 
 def test_validate_unbounded_everything_legal():
     v = validate_moves(
-        UFG, ForecastMove(m=-3.0, v=0.0), SkepticBet(M=7.0, V=0.0), Outcome(-3.0)
+        UFG, ForecastMove(m=-3.0, v=0.0), SkepticBet(M=7.0, V=0.0), -3.0
     )
     assert v is None
 
@@ -109,17 +108,17 @@ NAN, INF = math.nan, math.inf
 
 
 @pytest.mark.parametrize("protocol, f, s, x, field", [
-    (COIN, ForecastMove(p=NAN), SkepticBet(M=0.0), Outcome(0.0), "p"),
-    (COIN, ForecastMove(p=0.5), SkepticBet(M=NAN), Outcome(0.0), "M"),
-    (COIN, ForecastMove(p=0.5), SkepticBet(M=-INF), Outcome(0.0), "M"),
-    (COIN, ForecastMove(p=0.5), SkepticBet(M=0.0), Outcome(NAN), "x"),
-    (UFG, ForecastMove(m=NAN, v=1.0), SkepticBet(M=0.0, V=0.0), Outcome(0.0), "m"),
-    (UFG, ForecastMove(m=0.0, v=NAN), SkepticBet(M=0.0, V=0.0), Outcome(0.0), "v"),
-    (UFG, ForecastMove(m=0.0, v=INF), SkepticBet(M=0.0, V=0.0), Outcome(0.0), "v"),
-    (UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=INF, V=0.0), Outcome(0.0), "M"),
-    (UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=NAN), Outcome(0.0), "V"),
-    (UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=0.0), Outcome(INF), "x"),
-    (UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=0.0), Outcome(-INF), "x"),
+    (COIN, ForecastMove(p=NAN), SkepticBet(M=0.0), 0.0, "p"),
+    (COIN, ForecastMove(p=0.5), SkepticBet(M=NAN), 0.0, "M"),
+    (COIN, ForecastMove(p=0.5), SkepticBet(M=-INF), 0.0, "M"),
+    (COIN, ForecastMove(p=0.5), SkepticBet(M=0.0), NAN, "x"),
+    (UFG, ForecastMove(m=NAN, v=1.0), SkepticBet(M=0.0, V=0.0), 0.0, "m"),
+    (UFG, ForecastMove(m=0.0, v=NAN), SkepticBet(M=0.0, V=0.0), 0.0, "v"),
+    (UFG, ForecastMove(m=0.0, v=INF), SkepticBet(M=0.0, V=0.0), 0.0, "v"),
+    (UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=INF, V=0.0), 0.0, "M"),
+    (UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=NAN), 0.0, "V"),
+    (UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=0.0), INF, "x"),
+    (UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=0.0), -INF, "x"),
 ])
 def test_validate_rejects_non_finite_moves(protocol, f, s, x, field):
     v = validate_moves(protocol, f, s, x)
@@ -129,9 +128,9 @@ def test_validate_rejects_non_finite_moves(protocol, f, s, x, field):
 def test_validate_bounded_outcome_interval():
     bounded = Protocol(kind=GameKind.BOUNDED_FORECASTING)
     assert validate_moves(
-        bounded, ForecastMove(p=0.5), SkepticBet(M=0.0), Outcome(0.25)
+        bounded, ForecastMove(p=0.5), SkepticBet(M=0.0), 0.25
     ) is None
-    v = validate_moves(bounded, ForecastMove(p=0.5), SkepticBet(M=0.0), Outcome(1.5))
+    v = validate_moves(bounded, ForecastMove(p=0.5), SkepticBet(M=0.0), 1.5)
     assert v is not None and v.field == "x"
 
 
@@ -193,7 +192,7 @@ def test_zero_v_bet_skips_the_overflowing_variance_term():
     # M = V = 0: (x - m)^2 = inf would make 0 * inf = NaN; the capital is 1.
     k = capital_update(
         UFG, 1.0, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=0.0),
-        Outcome(1e200),
+        1e200,
     )
     assert k == 1.0
 
@@ -238,7 +237,7 @@ def test_replay_detects_tampering():
     )
     bad = trace.rounds[4]
     trace.rounds[4] = RoundRecord(
-        n=bad.n, forecast=bad.forecast, bet=bad.bet, outcome=bad.outcome,
+        n=bad.n, forecast=bad.forecast, bet=bad.bet, x=bad.x,
         capital_after=bad.capital_after + 1.0,
     )
     assert replay_verify(trace) == 5
@@ -251,7 +250,7 @@ def test_replay_names_round_and_role_of_invalid_move():
     )
     bad = trace.rounds[2]
     trace.rounds[2] = RoundRecord(
-        n=bad.n, forecast=bad.forecast, bet=bad.bet, outcome=Outcome(0.5),
+        n=bad.n, forecast=bad.forecast, bet=bad.bet, x=0.5,
         capital_after=bad.capital_after,
     )
     with pytest.raises(InvalidMoveError) as excinfo:

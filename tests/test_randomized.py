@@ -70,8 +70,8 @@ def test_spawned_streams_are_distinct():
 
 def test_bernoulli_degenerate_probabilities():
     rng = RandomStream(seed=0)
-    assert all(bernoulli_reality(0.0, rng).x == 0.0 for _ in range(50))
-    assert all(bernoulli_reality(1.0, rng).x == 1.0 for _ in range(50))
+    assert all(bernoulli_reality(0.0, rng) == 0.0 for _ in range(50))
+    assert all(bernoulli_reality(1.0, rng) == 1.0 for _ in range(50))
 
 
 def test_bernoulli_rejects_bad_probability():
@@ -85,7 +85,7 @@ def test_bernoulli_fair_coin_mean():
     assert 0.494 <= mean <= 0.506
     # The vectorized draws are exactly what bernoulli_reality would consume.
     rng = RandomStream(seed=2024)
-    draws = [bernoulli_reality(0.5, rng).x for _ in range(100)]
+    draws = [bernoulli_reality(0.5, rng) for _ in range(100)]
     assert draws == [1.0 if v < 0.5 else 0.0 for v in u[:100]]
 
 
@@ -95,14 +95,14 @@ def test_bernoulli_fair_coin_mean():
 
 def test_kolmogorov_zero_variance_is_zero():
     rng = RandomStream(seed=1)
-    assert all(kolmogorov_sample(n, 0.0, rng).x == 0.0 for n in range(1, 20))
+    assert all(kolmogorov_sample(n, 0.0, rng) == 0.0 for n in range(1, 20))
 
 
 def test_kolmogorov_three_point_law():
     # v = n^2/2 puts probability (1/4, 1/4, 1/2) on (n, -n, 0).
     n, v, draws = 2, 2.0, 20_000
     rng = RandomStream(seed=77)
-    samples = [kolmogorov_sample(n, v, rng).x for _ in range(draws)]
+    samples = [kolmogorov_sample(n, v, rng) for _ in range(draws)]
     assert set(samples) <= {2.0, -2.0, 0.0}
     tol = 4.0 * math.sqrt(0.25 * 0.75 / draws)
     assert abs(samples.count(2.0) / draws - 0.25) <= tol
@@ -112,7 +112,7 @@ def test_kolmogorov_three_point_law():
 def test_kolmogorov_two_point_law():
     n, v, draws = 2, 9.0, 20_000
     rng = RandomStream(seed=78)
-    samples = [kolmogorov_sample(n, v, rng).x for _ in range(draws)]
+    samples = [kolmogorov_sample(n, v, rng) for _ in range(draws)]
     assert set(samples) <= {3.0, -3.0}
     tol = 4.0 * math.sqrt(0.25 / draws)
     assert abs(samples.count(3.0) / draws - 0.5) <= tol
@@ -134,9 +134,9 @@ def test_bernoulli_reality_resets_to_same_sequence():
     reality = BernoulliReality(seed=11)
     f, s = ForecastMove(p=0.5), SkepticBet(M=0.0)
     reality.reset(protocol)
-    first = [reality.outcome(n, f, s, 1.0).x for n in range(1, 20)]
+    first = [reality.outcome(n, f, s, 1.0) for n in range(1, 20)]
     reality.reset(protocol)
-    second = [reality.outcome(n, f, s, 1.0).x for n in range(1, 20)]
+    second = [reality.outcome(n, f, s, 1.0) for n in range(1, 20)]
     assert first == second
 
 
@@ -145,7 +145,7 @@ def test_kolmogorov_reality_recenters_on_mean():
     reality = KolmogorovReality(seed=11)
     reality.reset(protocol)
     xs = {
-        reality.outcome(2, ForecastMove(m=5.0, v=9.0), SkepticBet(M=0.0, V=0.0), 1.0).x
+        reality.outcome(2, ForecastMove(m=5.0, v=9.0), SkepticBet(M=0.0, V=0.0), 1.0)
         for _ in range(20)
     }
     assert xs <= {8.0, 2.0}

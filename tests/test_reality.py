@@ -51,22 +51,22 @@ def test_mix_coeff_equals_capital_drop():
 
 
 def test_waiting_zero_bet_no_crossing_plays_tail():
-    out, state = bc_comply_step(BcComplyState(), 0.6, 0.0, 1.0, 1.0)
-    assert out.x == 0.0
+    x, state = bc_comply_step(BcComplyState(), 0.6, 0.0, 1.0, 1.0)
+    assert x == 0.0
     assert state.phase.tag is PhaseTag.WAITING
     assert state.counters.c == 1 and state.counters.b == 0
 
 
 def test_waiting_zero_bet_crossing_plays_head():
     _, state = bc_comply_step(BcComplyState(), 0.6, 0.0, 1.0, 1.0)
-    out, state = bc_comply_step(state, 0.6, 0.0, 1.0, 1.0)
-    assert out.x == 1.0            # partial sum 1.2 crosses 1
+    x, state = bc_comply_step(state, 0.6, 0.0, 1.0, 1.0)
+    assert x == 1.0                # partial sum 1.2 crosses 1
     assert state.counters.c == 2 and state.counters.b == 1
 
 
 def test_qualifying_round_enters_mixing():
-    out, state = bc_comply_step(BcComplyState(), 0.5, -0.3, 1.0, 1.0)
-    assert out.x == 1.0
+    x, state = bc_comply_step(BcComplyState(), 0.5, -0.3, 1.0, 1.0)
+    assert x == 1.0
     phase = state.phase
     assert phase.tag is PhaseTag.MIXING and phase.n0 == 1
     assert math.isclose(phase.epsilon, 0.15, rel_tol=0.0, abs_tol=1e-12)
@@ -75,10 +75,10 @@ def test_qualifying_round_enters_mixing():
 
 def test_degenerate_price_rounds_keep_waiting():
     # p = 1 with M < 0 and p = 0 with M > 0 are capital-neutral.
-    out, state = bc_comply_step(BcComplyState(), 1.0, -0.3, 1.0, 1.0)
-    assert out.x == 1.0 and state.phase.tag is PhaseTag.WAITING
-    out, state = bc_comply_step(BcComplyState(), 0.0, 0.3, 1.0, 1.0)
-    assert out.x == 0.0 and state.phase.tag is PhaseTag.WAITING
+    x, state = bc_comply_step(BcComplyState(), 1.0, -0.3, 1.0, 1.0)
+    assert x == 1.0 and state.phase.tag is PhaseTag.WAITING
+    x, state = bc_comply_step(BcComplyState(), 0.0, 0.3, 1.0, 1.0)
+    assert x == 0.0 and state.phase.tag is PhaseTag.WAITING
 
 
 def test_mixing_threshold_rule():
@@ -88,19 +88,19 @@ def test_mixing_threshold_rule():
         assert (counters.partial_sum, counters.c) == (1.2, 2)
         return BcComplyState(phase=MIXING_HALF, counters=counters, n=1)
 
-    out, _ = bc_comply_step(state(), 0.0, 0.05, 0.5, 1.0)
-    assert out.x == 1.0
-    out, _ = bc_comply_step(state(), 0.0, 0.2, 0.5, 1.0)
-    assert out.x == 0.0
+    x, _ = bc_comply_step(state(), 0.0, 0.05, 0.5, 1.0)
+    assert x == 1.0
+    x, _ = bc_comply_step(state(), 0.0, 0.2, 0.5, 1.0)
+    assert x == 0.0
 
 
 def test_capital_hitting_zero_enters_degenerate():
-    out, state = bc_comply_step(BcComplyState(), 0.5, 2.0, 1.0, 1.0)
-    assert out.x == 0.0            # losing side of M > 0
+    x, state = bc_comply_step(BcComplyState(), 0.5, 2.0, 1.0, 1.0)
+    assert x == 0.0                # losing side of M > 0
     assert state.phase.tag is PhaseTag.DEGENERATE
     # Degenerate phase follows the crossing rule: next p pushes the sum to 1.1.
-    out, state = bc_comply_step(state, 0.6, 5.0, 0.0, 1.0)
-    assert out.x == 1.0
+    x, state = bc_comply_step(state, 0.6, 5.0, 0.0, 1.0)
+    assert x == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -108,61 +108,61 @@ def test_capital_hitting_zero_enters_degenerate():
 # ---------------------------------------------------------------------------
 
 def test_ufg_zero_variance_round_answers_mean():
-    out, state = mv_comply_step(
+    x, state = mv_comply_step(
         MvComplyState(), ForecastMove(m=3.0, v=0.0), SkepticBet(M=5.0, V=1.0),
         SQUARE_HEDGE, None, 1.0, 1.0,
     )
-    assert out.x == 3.0
+    assert x == 3.0
     assert state.n == 1 and state.counters == BcCounters()
     assert state.phase.tag is PhaseTag.WAITING
 
 
 def test_ufg_qualifying_round_with_positive_v_bet():
-    out, state = mv_comply_step(
+    x, state = mv_comply_step(
         MvComplyState(), ForecastMove(m=0.0, v=2.0), SkepticBet(M=1.0, V=0.5),
         SQUARE_HEDGE, None, 1.0, 1.0,
     )
-    assert out.x == 0.0            # capital change 0.5 * (0 - 2) = -1, hits 0
+    assert x == 0.0                # capital change 0.5 * (0 - 2) = -1, hits 0
     assert state.phase.tag is PhaseTag.DEGENERATE and state.phase.n0 == 1
 
 
 def test_ufg_qualifying_round_with_pure_m_bet():
-    out, state = mv_comply_step(
+    x, state = mv_comply_step(
         MvComplyState(), ForecastMove(m=0.0, v=1.0), SkepticBet(M=-0.5, V=0.0),
         SQUARE_HEDGE, None, 1.0, 1.0,
     )
-    assert out.x == 1.0            # sign of M picks the losing side
+    assert x == 1.0                # sign of M picks the losing side
     assert state.phase.tag is PhaseTag.MIXING
     assert math.isclose(state.phase.epsilon, 0.5, rel_tol=0.0, abs_tol=1e-12)
 
 
 def test_ufg_waiting_crossing_plays_n():
-    out, state = mv_comply_step(
+    x, state = mv_comply_step(
         MvComplyState(), ForecastMove(m=2.0, v=2.0), SkepticBet(M=0.0, V=0.0),
         SQUARE_HEDGE, None, 1.0, 1.0,
     )
-    assert out.x == 3.0            # v/n^2 = 2 crosses an integer, centered move n=1
+    assert x == 3.0                # v/n^2 = 2 crosses an integer, centered move n=1
     assert state.counters.b == 1
 
 
 def test_ufg_mixing_large_v_bet_zeroes_the_move():
     # n = 5, v = 1 < 25: d = 0.5 * (2^-2 - 2^-3) / 25 = 0.0025 < V.
     state = MvComplyState(phase=MIXING_HALF, counters=BcCounters(), n=4)
-    out, _ = mv_comply_step(
+    x, _ = mv_comply_step(
         state, ForecastMove(m=7.0, v=1.0), SkepticBet(M=1.0, V=0.1),
         SQUARE_HEDGE, None, 0.5, 1.0,
     )
-    assert out.x == 7.0
+    assert x == 7.0
 
 
 def test_ufg_mixing_big_variance_plays_root():
     # n = 2, v = 9 >= 4, M < 0: centered move +sqrt(9).
     state = MvComplyState(phase=MIXING_HALF, counters=BcCounters(), n=1)
-    out, _ = mv_comply_step(
+    x, _ = mv_comply_step(
         state, ForecastMove(m=0.0, v=9.0), SkepticBet(M=-1.0, V=0.0),
         SQUARE_HEDGE, None, 0.5, 1.0,
     )
-    assert out.x == 3.0
+    assert x == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +203,11 @@ def test_ufgh_damping_sequence_and_inverse_scale():
 
 def test_ufgh_qualifying_round_with_positive_v_bet():
     # Capital change V * (h(0) - v) = -2, strictly negative by h(0) = 0.
-    out, state = mv_comply_step(
+    x, state = mv_comply_step(
         MvComplyState(), ForecastMove(m=0.0, v=2.0), SkepticBet(M=0.0, V=1.0),
         SQUARE, IDENTITY, 3.0, 3.0,
     )
-    assert out.x == 0.0
+    assert x == 0.0
     assert state.phase.tag is PhaseTag.MIXING
     assert math.isclose(state.phase.k_n0, 1.0, rel_tol=0.0, abs_tol=1e-12)
     assert math.isclose(state.phase.epsilon, 2.0 / 3.0, rel_tol=1e-12)
@@ -219,22 +219,22 @@ def test_ufgh_mixing_small_v_bet_plays_inverse_scale():
         return MvComplyState(phase=MIXING_HALF, counters=BcCounters(), n=1)
 
     f = ForecastMove(m=0.0, v=1.0)
-    out, _ = mv_comply_step(
+    x, _ = mv_comply_step(
         state(), f, SkepticBet(M=-1.0, V=0.0), SQUARE, IDENTITY, 0.5, 1.0
     )
-    assert math.isclose(out.x, math.sqrt(2.0), rel_tol=1e-12)
-    out, _ = mv_comply_step(
+    assert math.isclose(x, math.sqrt(2.0), rel_tol=1e-12)
+    x, _ = mv_comply_step(
         state(), f, SkepticBet(M=-1.0, V=0.1), SQUARE, IDENTITY, 0.5, 1.0
     )
-    assert out.x == 0.0            # V above the threshold zeroes the move
+    assert x == 0.0                # V above the threshold zeroes the move
 
 
 def test_ufgh_zero_variance_round_answers_mean():
-    out, state = mv_comply_step(
+    x, state = mv_comply_step(
         MvComplyState(), ForecastMove(m=-2.0, v=0.0), SkepticBet(M=9.0, V=9.0),
         SQUARE, IDENTITY, 1.0, 1.0,
     )
-    assert out.x == -2.0 and state.phase.tag is PhaseTag.WAITING
+    assert x == -2.0 and state.phase.tag is PhaseTag.WAITING
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def test_derandomizer_sign_rule():
         reality.reset(COIN)
         return reality.outcome(
             1, ForecastMove(p=0.5), SkepticBet(M=m_real), 1.0
-        ).x
+        )
 
     assert first_outcome(0.1) == 1.0    # average -0.0125 <= 0
     assert first_outcome(0.125) == 1.0  # boundary: average exactly 0
@@ -274,22 +274,22 @@ def test_derandomizer_mixture_capital_non_increasing():
 
 def test_first_round_rule():
     reality = FirstRoundComplyReality()
-    assert reality.outcome(1, ForecastMove(p=0.0), SkepticBet(M=1.0), 1.0).x == 0.0
-    assert reality.outcome(1, ForecastMove(p=0.7), SkepticBet(M=1.0), 1.0).x == 1.0
-    assert reality.outcome(2, ForecastMove(p=0.5), SkepticBet(M=-1.0), 1.0).x == 1.0
-    assert reality.outcome(2, ForecastMove(p=0.5), SkepticBet(M=1.0), 1.0).x == 0.0
+    assert reality.outcome(1, ForecastMove(p=0.0), SkepticBet(M=1.0), 1.0) == 0.0
+    assert reality.outcome(1, ForecastMove(p=0.7), SkepticBet(M=1.0), 1.0) == 1.0
+    assert reality.outcome(2, ForecastMove(p=0.5), SkepticBet(M=-1.0), 1.0) == 1.0
+    assert reality.outcome(2, ForecastMove(p=0.5), SkepticBet(M=1.0), 1.0) == 0.0
 
 
 def test_avoid_match_endpoint_gap():
     reality = BoundedAvoidMatchReality(0.9)
-    x = reality.outcome(1, ForecastMove(p=0.0), SkepticBet(M=4.0), 0.5).x
+    x = reality.outcome(1, ForecastMove(p=0.0), SkepticBet(M=4.0), 0.5)
     assert math.isclose(x, 0.4 / 9.0, rel_tol=1e-12)
     # Round gain M*x is at most half the headroom (0.9 - 0.5)/2.
     assert 4.0 * x <= 0.2 + 1e-12
-    x = reality.outcome(2, ForecastMove(p=1.0), SkepticBet(M=0.0), 0.3).x
+    x = reality.outcome(2, ForecastMove(p=1.0), SkepticBet(M=0.0), 0.3)
     assert x == 0.5                # gap capped at 1/2
-    assert reality.outcome(3, ForecastMove(p=0.5), SkepticBet(M=-2.0), 0.5).x == 1.0
-    assert reality.outcome(4, ForecastMove(p=0.5), SkepticBet(M=2.0), 0.5).x == 0.0
+    assert reality.outcome(3, ForecastMove(p=0.5), SkepticBet(M=-2.0), 0.5) == 1.0
+    assert reality.outcome(4, ForecastMove(p=0.5), SkepticBet(M=2.0), 0.5) == 0.0
 
 
 def test_avoid_match_parameter_validation():
@@ -303,7 +303,7 @@ def test_avoid_match_parameter_validation():
 
 def test_constant_reality():
     reality = ConstantReality(1.0)
-    assert reality.outcome(1, ForecastMove(p=0.2), SkepticBet(M=0.0), 1.0).x == 1.0
+    assert reality.outcome(1, ForecastMove(p=0.2), SkepticBet(M=0.0), 1.0) == 1.0
 
 
 # ---------------------------------------------------------------------------

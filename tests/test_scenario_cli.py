@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import pytest
+import yaml
 
 from gtpsim import GameKind, replay_verify, run_game
 from gtpsim.cli import cmd_verify, load_manifest, main
@@ -12,6 +13,8 @@ from gtpsim.engine import Protocol
 from gtpsim.hedges import HedgeValidationError
 from gtpsim.randomized import KolmogorovReality
 from gtpsim.scenario import (
+    _REALITIES,
+    _SKEPTICS,
     STOCK_POOLS,
     ScenarioError,
     event_proxy_for,
@@ -108,6 +111,51 @@ reality: {name: ufgh_comply}
         parse_scenario(text)
 
 
+# Strategies that can play only some games: the ones reading the price p,
+# the one reading (m, v), and the ones bound to a single game.
+_PRICE_READERS = {"bc_divergent", "bc_convergent", "bc_fictional", "bc_comply",
+                  "derandomized_fictional", "first_round", "bernoulli"}
+_ONE_GAME = {"ufg_comply": "unbounded_forecasting", "ufgh_comply": "general_hedge",
+             "avoid_match": "bounded_forecasting"}
+
+
+def _plays(kind: GameKind, name: str) -> bool:
+    if name in _PRICE_READERS:
+        return kind.uses_price
+    if name == "kolmogorov":
+        return not kind.uses_price
+    return _ONE_GAME.get(name, kind.value) == kind.value
+
+
+def _pair_scenario(kind: GameKind, role: str, name: str) -> str:
+    protocol = {"kind": kind.value, "initial_capital": 0.5}
+    if kind is GameKind.GENERAL_HEDGE:
+        protocol["hedge"] = "power:r=1.5"
+    doc = {
+        "protocol": protocol,
+        "horizon": 5,
+        "forecaster": {"name": "harmonic" if kind.uses_price else "mv"},
+        "skeptic": {"name": "zero"},
+        "reality": {"name": "constant"},
+        "seed": 3,
+    }
+    doc[role] = {"name": name}
+    return yaml.safe_dump(doc)
+
+
+@pytest.mark.parametrize("kind", list(GameKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("role, name", [("skeptic", n) for n in _SKEPTICS]
+                         + [("reality", n) for n in _REALITIES])
+def test_every_strategy_runs_or_is_rejected_at_parse(kind, role, name):
+    text = _pair_scenario(kind, role, name)
+    if not _plays(kind, name):
+        with pytest.raises(ScenarioError, match=kind.value):
+            parse_scenario(text)
+        return
+    trace = run_scenario(parse_scenario(text))
+    assert trace.rounds and replay_verify(trace) is None
+
+
 def test_shipped_example_scenarios_parse():
     for stem in ("coin_harmonic_fictional", "coin_broken_reality",
                  "first_round", "avoid_match"):
@@ -168,7 +216,7 @@ def test_summary_dict_fields():
         "event_proxy_ok", "heads", "final_mean",
     }
     assert summary["seed"] == 9
-    assert summary["heads"] == sum(r.outcome.x for r in trace.rounds)
+    assert summary["heads"] == sum(r.x for r in trace.rounds)
 
 
 NAN_CAPITAL = """\
@@ -246,6 +294,15 @@ def test_cli_error_exit_code(tmp_path, capsys):
     bad = _write(tmp_path / "bad.yaml", MINIMAL.replace("bc_fictional", "foo"))
     assert main(["run", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_strategy_in_the_wrong_game(tmp_path, capsys):
+    text = MINIMAL.replace("coin_tossing", "unbounded_forecasting").replace(
+        "harmonic", "mv").replace("bc_comply", "constant")
+    bad = _write(tmp_path / "wrong_game.yaml", text)
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "FictionalBcSkeptic" in err
 
 
 def test_cli_price_coordinate_event(tmp_path, capsys):

@@ -17,6 +17,7 @@ import pytest
 from gtpsim.engine import GameKind, Protocol
 from gtpsim.hedges import power_hedge
 from gtpsim.scenario import STOCK_POOLS, Scenario, parse_growth, run_scenario
+from gtpsim.traceio import trace_to_csv_text
 
 HORIZON = 500
 
@@ -37,7 +38,7 @@ def _digest(scenarios):
     rounds = 0
     for scenario in scenarios:
         for record in run_scenario(scenario).rounds:
-            digest.update(struct.pack(">dd", record.outcome.x, record.capital_after))
+            digest.update(struct.pack(">dd", record.x, record.capital_after))
             rounds += 1
     return rounds, digest.hexdigest()
 
@@ -85,3 +86,72 @@ def branch_scenarios(horizon: int = 400):
 
 def test_root_branch_traces_are_bit_identical():
     assert _digest(branch_scenarios()) == BRANCH_RECORDED
+
+
+# Every Reality outside the stock pools, against three Skeptics.  The digest
+# hashes the (x, K) columns parsed back from the trace CSV, so it reads no
+# record field.  Recorded before Reality's move became a bare float.
+REALITIES_RECORDED = (
+    24674, "8df578afa1e36035f466a98d21dc035b339a3bf528943a90663cdbe6595bacf6"
+)
+
+_PRICES = (
+    {"name": "harmonic"},
+    {"name": "constant", "value": 0.3},
+    {"name": "explicit", "values": [0.0, 1.0, 0.5, 0.3]},
+)
+_SMALL_SKEPTICS = (
+    {"name": "zero"},
+    {"name": "random_bounded", "bound": 1e-3},
+    {"name": "bang_bang", "amplitude": 1e-3, "v_amplitude": 1e-3},
+)
+
+
+def reality_scenarios(horizon: int = 500):
+    coin = Protocol(kind=GameKind.COIN_TOSSING)
+    bounded = Protocol(kind=GameKind.BOUNDED_FORECASTING, initial_capital=0.5)
+    unbounded = Protocol(kind=GameKind.UNBOUNDED_FORECASTING)
+    cases = [(coin, f_spec, {"name": name}) for f_spec in _PRICES
+             for name in ("derandomized_fictional", "first_round", "bernoulli")]
+    cases += [
+        (coin, _PRICES[0], {"name": "constant", "x": 1.0}),
+        (bounded, _PRICES[2], {"name": "avoid_match", "q": 0.9}),
+        (bounded, {"name": "explicit", "values": [1.0, 0.0, 0.25]},
+         {"name": "avoid_match", "q": 0.6}),
+        (unbounded, {"name": "mv"}, {"name": "constant", "x": 0.5}),
+    ]
+    cases += [(unbounded, {"name": "mv", "v": v_spec, "m": m_spec}, {"name": "kolmogorov"})
+              for v_spec in ({"name": "constant", "value": 1.0},
+                             {"name": "power", "exponent": 2.0})
+              for m_spec in ({"name": "zero"}, {"name": "sin", "amplitude": 3.0})]
+    return [
+        Scenario(
+            name=f"{protocol.kind.value}[{f_spec}/{s_spec}/{r_spec}]",
+            protocol=protocol,
+            horizon=horizon,
+            forecaster_spec=f_spec,
+            skeptic_spec=s_spec,
+            reality_spec=r_spec,
+            seed=7,
+        )
+        for protocol, f_spec, r_spec in cases
+        for s_spec in _SMALL_SKEPTICS
+    ]
+
+
+def _csv_digest(scenarios):
+    digest = hashlib.sha256()
+    rounds = 0
+    for scenario in scenarios:
+        lines = trace_to_csv_text(run_scenario(scenario)).splitlines()
+        header = lines[0].split(",")
+        ix, ik = header.index("x"), header.index("K")
+        for line in lines[1:]:
+            cols = line.split(",")
+            digest.update(struct.pack(">dd", float(cols[ix]), float(cols[ik])))
+            rounds += 1
+    return rounds, digest.hexdigest()
+
+
+def test_every_reality_outside_the_pools_replays_the_same_trace():
+    assert _csv_digest(reality_scenarios()) == REALITIES_RECORDED
