@@ -107,7 +107,7 @@ def test_validate_unbounded_everything_legal():
 NAN, INF = math.nan, math.inf
 
 
-@pytest.mark.parametrize("protocol, f, s, x, field", [
+NON_FINITE_MOVES = [
     (COIN, ForecastMove(p=NAN), SkepticBet(M=0.0), 0.0, "p"),
     (COIN, ForecastMove(p=0.5), SkepticBet(M=NAN), 0.0, "M"),
     (COIN, ForecastMove(p=0.5), SkepticBet(M=-INF), 0.0, "M"),
@@ -119,7 +119,16 @@ NAN, INF = math.nan, math.inf
     (UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=NAN), 0.0, "V"),
     (UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=0.0), INF, "x"),
     (UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=0.0), -INF, "x"),
-])
+]
+
+
+# Ids name each case by its index, keeping them unique and stable whatever
+# the values print as.
+@pytest.mark.parametrize(
+    "protocol, f, s, x, field", NON_FINITE_MOVES,
+    ids=[f"protocol{i}-f{i}-s{i}-x{i}-{case[-1]}"
+         for i, case in enumerate(NON_FINITE_MOVES)],
+)
 def test_validate_rejects_non_finite_moves(protocol, f, s, x, field):
     v = validate_moves(protocol, f, s, x)
     assert v is not None and v.field == field
