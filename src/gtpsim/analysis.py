@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from .engine import Trace
 
-MAX_PRICING_HORIZON = 25
+MAX_PRICING_HORIZON = 25          # the 2^N tree, for predicates without a state
+MAX_PRICING_STATES = 1 << 19      # (round, state) pairs of the induction
 BOUND_SLACK = 1e-9  # relative to the initial capital
 
 
@@ -29,21 +30,33 @@ def epsilon_sequence_step(running_sum: float, a: float) -> Tuple[float, float]:
 
 
 EventPredicate = Callable[[Tuple[int, ...]], bool]
+# A sufficient state of an event: a start state and step(state, k, bit), the
+# state after `bit` is played in round k (0-based).  Two prefixes of the same
+# length that reach the same state must have the same indicator on every
+# common extension, so one node per (round, state) stands for all of them.
+EventState = Tuple[Hashable, Callable[[Hashable, int, int], Hashable]]
 
 
-def upper_probability_coin(p_script: Sequence[float], event: EventPredicate) -> float:
+def upper_probability_coin(p_script: Sequence[float], event: EventPredicate,
+                           state: Optional[EventState] = None) -> float:
     """Minimal initial capital superreplicating the event indicator in the
     coin game with the given price script, by backward induction.
 
     The one-round market on {0, 1} with one linear instrument is complete,
-    so the node value is p * up + (1 - p) * down exactly.
+    so the node value is p * up + (1 - p) * down exactly.  Without `state`
+    the recursion runs over every prefix (2^N leaves, N <= 25).  With it, it
+    runs over the reachable (round, state) pairs, at most
+    MAX_PRICING_STATES of them, and calls `event` once per final state; the
+    prices are the same floats, since nodes with one state have one value.
     """
     n = len(p_script)
-    if n > MAX_PRICING_HORIZON:
+    if state is None and n > MAX_PRICING_HORIZON:
         raise ValueError(f"horizon {n} exceeds {MAX_PRICING_HORIZON}")
     for p in p_script:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"price {p} outside [0, 1]")
+    if state is not None:
+        return _upper_by_state(p_script, event, *state)
 
     def node(k: int, prefix: Tuple[int, ...]) -> float:
         if k == n:
@@ -54,9 +67,46 @@ def upper_probability_coin(p_script: Sequence[float], event: EventPredicate) -> 
     return node(0, ())
 
 
-def lower_probability_coin(p_script: Sequence[float], event: EventPredicate) -> float:
-    """1 - upper probability of the complement."""
-    return 1.0 - upper_probability_coin(p_script, lambda bits: not event(bits))
+def _upper_by_state(p_script: Sequence[float], event: EventPredicate,
+                    start: Hashable, step: Callable[[Hashable, int, int], Hashable]) -> float:
+    # Forward: each round's states with their two successors, and for each
+    # state of the next round the (state, bit) it was first reached from.
+    rows: List[List[Tuple[Hashable, Hashable, Hashable]]] = []
+    parents: List[dict] = []
+    frontier: dict = {start: None}
+    pairs = 1
+    for k in range(len(p_script)):
+        row, reached = [], {}
+        for s in frontier:
+            up, down = step(s, k, 1), step(s, k, 0)
+            reached.setdefault(up, (s, 1))
+            reached.setdefault(down, (s, 0))
+            row.append((s, up, down))
+        pairs += len(reached)
+        if pairs > MAX_PRICING_STATES:
+            raise ValueError(f"event needs more than {MAX_PRICING_STATES} "
+                             f"(round, state) pairs by round {k + 1}")
+        rows.append(row)
+        parents.append(reached)
+        frontier = reached
+    # Leaves: the event on one prefix per final state.
+    values = {}
+    for s in frontier:
+        bits, t = [], s
+        for reached in reversed(parents):
+            t, bit = reached[t]
+            bits.append(bit)
+        values[s] = 1.0 if event(tuple(reversed(bits))) else 0.0
+    for p, row in zip(reversed(p_script), reversed(rows)):
+        q = 1.0 - p
+        values = {s: p * values[up] + q * values[down] for s, up, down in row}
+    return values[start]
+
+
+def lower_probability_coin(p_script: Sequence[float], event: EventPredicate,
+                           state: Optional[EventState] = None) -> float:
+    """1 - upper probability of the complement, which has the same state."""
+    return 1.0 - upper_probability_coin(p_script, lambda bits: not event(bits), state)
 
 
 @dataclass

@@ -11,13 +11,17 @@ or price a finite-horizon coin event.
 from __future__ import annotations
 
 import argparse
+import math
+import operator
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 import yaml
 
 from .analysis import (
+    EventPredicate,
+    EventState,
     lower_probability_coin,
     strong_compliance_verdict,
     upper_probability_coin,
@@ -114,26 +118,63 @@ def cmd_verify(scenarios: List[Scenario], horizon: Optional[int] = None,
 # Pricing
 # ---------------------------------------------------------------------------
 
-def _event_from_spec(spec: dict, n: int):
+def _field(spec: dict, key: str, convert):
+    """spec[key] through `convert`, or a ScenarioError naming the field."""
+    kind = spec["type"]
+    if key not in spec:
+        raise ScenarioError(f"{kind} event needs {key}")
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{kind} event {key} {spec[key]!r} is not valid") from None
+
+
+def _as_list(raw) -> list:
+    if not isinstance(raw, list):
+        raise TypeError(f"{raw!r} is not a list")
+    return raw
+
+
+def _coordinate(spec: dict, n: int) -> Tuple[int, int]:
+    """The 1-based index and the required bit of a coordinate event."""
+    index = _field(spec, "index", int)
+    value = _field(spec, "value", int) if "value" in spec else 1
+    if not 1 <= index <= n:
+        raise ScenarioError(f"coordinate index {index} outside 1..{n}")
+    if value not in (0, 1):
+        raise ScenarioError(f"coordinate value {value} is not 0 or 1")
+    return index, value
+
+
+def _leaf_masks(spec: dict, n: int) -> Set[int]:
+    """The listed leaves, first round in the top bit of an N-bit mask."""
+    masks = _field(spec, "bitmasks", lambda raw: {int(m) for m in _as_list(raw)})
+    for mask in masks:
+        if not 0 <= mask < 1 << n:
+            raise ScenarioError(f"leaves bitmask {mask} outside [0, 2^{n})")
+    return masks
+
+
+def _event_from_spec(spec: dict, n: int) -> EventPredicate:
+    """The predicate on N-bit tuples that a pricing file's `event` names."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"event must be a mapping with a type, got {spec!r}")
     kind = spec.get("type")
     if kind == "threshold":
         op = spec.get("op", "ge")
-        value = float(spec["value"])
-        if op == "ge":
-            return lambda bits: sum(bits) >= value
-        if op == "le":
-            return lambda bits: sum(bits) <= value
-        if op == "eq":
-            return lambda bits: sum(bits) == value
-        raise ScenarioError(f"unknown threshold op {op!r}")
+        if op not in ("ge", "le", "eq"):
+            raise ScenarioError(f"unknown threshold op {op!r}")
+        compare = getattr(operator, op)
+        value = _field(spec, "value", float)
+        if not math.isfinite(value):
+            raise ScenarioError(f"threshold value {value} is not finite")
+        return lambda bits: compare(sum(bits), value)
     if kind == "coordinate":
-        index = int(spec["index"])
-        value = int(spec.get("value", 1))
-        if not 1 <= index <= n:
-            raise ScenarioError(f"coordinate index {index} outside 1..{n}")
+        index, value = _coordinate(spec, n)
         return lambda bits: bits[index - 1] == value
     if kind == "leaves":
-        masks = {int(m) for m in spec["bitmasks"]}
+        masks = _leaf_masks(spec, n)
+
         def event(bits):
             mask = 0
             for b in bits:
@@ -147,15 +188,55 @@ def _event_from_spec(spec: dict, n: int):
     raise ScenarioError(f"unknown event type {kind!r}")
 
 
+def _leaves_state(spec: dict, n: int) -> EventState:
+    # The prefix with a leading 1 bit (so its length is part of it) while it
+    # starts a listed leaf, else the dead state 0.
+    live = {(mask | 1 << n) >> (n - length)
+            for mask in _leaf_masks(spec, n) for length in range(1, n + 1)}
+
+    def step(s, k, bit):
+        t = (s << 1) | bit
+        return t if t in live else 0
+    return 1, step
+
+
+def _coordinate_state(spec: dict, n: int) -> EventState:
+    # None until the chosen round, then the bit played in it.
+    at = _coordinate(spec, n)[0] - 1
+    return None, lambda s, k, bit: bit if k == at else s
+
+
+def _constant_state(spec: dict, n: int) -> EventState:
+    return None, lambda s, k, bit: None
+
+
+# A sufficient state per event kind, for a spec `_event_from_spec` accepted:
+# the head count, the chosen bit once played, the trie of listed leaves, or
+# one constant state.
+_EVENT_STATES = {
+    "threshold": lambda spec, n: (0, lambda s, k, bit: s + bit),
+    "coordinate": _coordinate_state,
+    "leaves": _leaves_state,
+    "all": _constant_state,
+    "empty": _constant_state,
+}
+
+
 def cmd_price(path: Path) -> Tuple[float, float]:
     doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-    if "p_script" not in doc or "event" not in doc:
+    if not isinstance(doc, dict) or "p_script" not in doc or "event" not in doc:
         raise ScenarioError("pricing file needs p_script and event")
-    p_script = [float(p) for p in doc["p_script"]]
-    event = _event_from_spec(doc["event"], len(p_script))
+    try:
+        p_script = [float(p) for p in _as_list(doc["p_script"])]
+    except (TypeError, ValueError):
+        raise ScenarioError(
+            f"p_script must be a list of prices, got {doc['p_script']!r}") from None
+    spec, n = doc["event"], len(p_script)
+    event = _event_from_spec(spec, n)
+    state = _EVENT_STATES[spec["type"]](spec, n)
     return (
-        upper_probability_coin(p_script, event),
-        lower_probability_coin(p_script, event),
+        upper_probability_coin(p_script, event, state),
+        lower_probability_coin(p_script, event, state),
     )
 
 

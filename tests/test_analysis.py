@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gtpsim import (
@@ -27,6 +27,7 @@ from gtpsim import (
     validate_hedge,
 )
 from gtpsim.analysis import MAX_PRICING_HORIZON
+from gtpsim.hedges import _REL_TOL, SQUARE_HEDGE
 from gtpsim.engine import RoundRecord, Trace
 from gtpsim.reality import ConstantReality
 
@@ -127,6 +128,33 @@ def test_hedge_validation_rejects_odd_function():
 def test_hedge_validation_rejects_nonzero_at_origin():
     with pytest.raises(HedgeValidationError):
         validate_hedge(Hedge(forward=lambda x: x * x + 1.0, name="shifted"))
+
+
+# Random points on top of the validator's dyadic grid: every hedge the
+# scenarios build, at 0 < x < y in [2^-10, 2^10].
+HEDGES = st.one_of(st.floats(1.0, 2.0).map(power_hedge), st.just(SQUARE_HEDGE))
+POINTS = st.floats(2.0 ** -10, 2.0 ** 10)
+
+
+@settings(max_examples=300)
+@given(HEDGES, POINTS, POINTS)
+def test_hedge_conditions_hold_at_random_points(hedge, x, y):
+    x, y = sorted((x, y))
+    assume(x < y)
+    h = hedge.forward
+    for t in (x, y):
+        assert abs(h(-t) - h(t)) <= _REL_TOL * max(1.0, h(t))
+    assert h(x) / x <= h(y) / y * (1.0 + _REL_TOL) + _REL_TOL
+    assert h(x) / x ** 2 >= h(y) / y ** 2 * (1.0 - _REL_TOL) - _REL_TOL
+
+
+@settings(max_examples=300)
+@given(HEDGES, POINTS)
+def test_hedge_inverse_round_trips_at_random_points(hedge, x):
+    blind = Hedge(forward=hedge.forward, inverse=None, name="bisection")
+    y = hedge.forward(x)
+    for inverse in (hedge, blind):
+        assert abs(hedge.forward(hedge_inverse(inverse, y)) - y) <= _REL_TOL * max(1.0, y)
 
 
 def test_growth_validation():

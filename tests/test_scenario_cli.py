@@ -338,6 +338,43 @@ event: {type: all}
     assert "upper: 1.000000000000" in out and "lower: 1.000000000000" in out
 
 
+def _price_error(tmp_path, capsys, text):
+    """Run `gtpsim price` on a bad file: exit 2 with one `error:` line."""
+    pricing = _write(tmp_path / "bad_price.yaml", text)
+    assert main(["price", str(pricing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+def test_cli_price_rejects_an_event_that_is_not_a_mapping(tmp_path, capsys):
+    err = _price_error(tmp_path, capsys, "p_script: [0.5]\nevent: 5\n")
+    assert "event" in err
+
+
+def test_cli_price_rejects_a_threshold_without_value(tmp_path, capsys):
+    err = _price_error(tmp_path, capsys, "p_script: [0.5]\nevent: {type: threshold}\n")
+    assert "value" in err
+
+
+def test_cli_price_rejects_a_p_script_that_is_not_a_list(tmp_path, capsys):
+    err = _price_error(tmp_path, capsys, "p_script: 0.5\nevent: {type: all}\n")
+    assert "p_script" in err
+
+
+@pytest.mark.parametrize("p_script, event, field", [
+    ("[0.5, 0.5]", "{type: coordinate, index: 1, value: 2}", "value"),
+    ("[0.5, 0.5, 0.5]", "{type: leaves, bitmasks: [3, -1]}", "-1"),
+    ("[0.5, 0.5, 0.5]", "{type: leaves, bitmasks: [9]}", "9"),
+    ("[0.5, 0.5]", "{type: threshold, value: .nan}", "finite"),
+], ids=["coordinate-value-2", "leaves-negative", "leaves-9-at-n3", "threshold-nan"])
+def test_cli_price_rejects_events_that_would_price_as_empty(tmp_path, capsys,
+                                                            p_script, event, field):
+    err = _price_error(tmp_path, capsys, f"p_script: {p_script}\nevent: {event}\n")
+    assert field in err
+
+
 def test_cmd_verify_report_shape():
     scenarios = [parse_scenario(MINIMAL + "labels: {expected_event: strong_comply}\n")]
     failures, lines = cmd_verify(scenarios, horizon=100)
