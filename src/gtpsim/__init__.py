@@ -38,6 +38,7 @@ from .skeptic import (
     ConvergentBcSkeptic,
     DivergentBcSkeptic,
     FictionalBcSkeptic,
+    SingleBetSkeptic,
     bc_convergent_bet,
     bc_divergent_bet,
     bc_fictional_bet,
@@ -66,6 +67,7 @@ from .randomized import (
 )
 from .analysis import (
     Verdict,
+    coin_price_bounds,
     epsilon_sequence_step,
     lower_probability_coin,
     strong_compliance_verdict,

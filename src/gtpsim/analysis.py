@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .engine import Trace
 
@@ -37,6 +37,12 @@ EventPredicate = Callable[[Tuple[int, ...]], bool]
 EventState = Tuple[Hashable, Callable[[Hashable, int, int], Hashable]]
 
 
+def _check_prices(p_script: Sequence[float]) -> None:
+    for p in p_script:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"price {p} outside [0, 1]")
+
+
 def upper_probability_coin(p_script: Sequence[float], event: EventPredicate,
                            state: Optional[EventState] = None) -> float:
     """Minimal initial capital superreplicating the event indicator in the
@@ -52,11 +58,10 @@ def upper_probability_coin(p_script: Sequence[float], event: EventPredicate,
     n = len(p_script)
     if state is None and n > MAX_PRICING_HORIZON:
         raise ValueError(f"horizon {n} exceeds {MAX_PRICING_HORIZON}")
-    for p in p_script:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"price {p} outside [0, 1]")
+    _check_prices(p_script)
     if state is not None:
-        return _upper_by_state(p_script, event, *state)
+        rows, leaves = _state_graph(p_script, event, *state)
+        return _sweep(p_script, rows, leaves, state[0])
 
     def node(k: int, prefix: Tuple[int, ...]) -> float:
         if k == n:
@@ -67,11 +72,38 @@ def upper_probability_coin(p_script: Sequence[float], event: EventPredicate,
     return node(0, ())
 
 
-def _upper_by_state(p_script: Sequence[float], event: EventPredicate,
-                    start: Hashable, step: Callable[[Hashable, int, int], Hashable]) -> float:
-    # Forward: each round's states with their two successors, and for each
-    # state of the next round the (state, bit) it was first reached from.
-    rows: List[List[Tuple[Hashable, Hashable, Hashable]]] = []
+def lower_probability_coin(p_script: Sequence[float], event: EventPredicate,
+                           state: Optional[EventState] = None) -> float:
+    """1 - upper probability of the complement, which has the same state."""
+    return 1.0 - upper_probability_coin(p_script, lambda bits: not event(bits), state)
+
+
+def coin_price_bounds(p_script: Sequence[float], event: EventPredicate,
+                      state: EventState) -> Tuple[float, float]:
+    """(upper, lower) probability of the event from one (round, state) graph
+    and one call of `event` per final state: one backward sweep over the
+    leaf values v, one over 1 - v for the complement.  v is 0.0 or 1.0, so
+    1 - v is exact and both prices equal `upper_probability_coin` and
+    `lower_probability_coin` called with the same state."""
+    _check_prices(p_script)
+    start = state[0]
+    rows, leaves = _state_graph(p_script, event, *state)
+    upper = _sweep(p_script, rows, leaves, start)
+    complement = {s: 1.0 - v for s, v in leaves.items()}
+    return upper, 1.0 - _sweep(p_script, rows, complement, start)
+
+
+StateRows = List[List[Tuple[Hashable, Hashable, Hashable]]]
+
+
+def _state_graph(p_script: Sequence[float], event: EventPredicate, start: Hashable,
+                 step: Callable[[Hashable, int, int], Hashable]
+                 ) -> Tuple[StateRows, Dict[Hashable, float]]:
+    """Each round's states with their two successors, and the event's value
+    (0.0 or 1.0) at each final state, on one prefix that reaches it."""
+    # Forward: for each state of the next round, the (state, bit) it was
+    # first reached from.
+    rows: StateRows = []
     parents: List[dict] = []
     frontier: dict = {start: None}
     pairs = 1
@@ -89,24 +121,23 @@ def _upper_by_state(p_script: Sequence[float], event: EventPredicate,
         rows.append(row)
         parents.append(reached)
         frontier = reached
-    # Leaves: the event on one prefix per final state.
-    values = {}
+    leaves = {}
     for s in frontier:
         bits, t = [], s
         for reached in reversed(parents):
             t, bit = reached[t]
             bits.append(bit)
-        values[s] = 1.0 if event(tuple(reversed(bits))) else 0.0
+        leaves[s] = 1.0 if event(tuple(reversed(bits))) else 0.0
+    return rows, leaves
+
+
+def _sweep(p_script: Sequence[float], rows: StateRows,
+           values: Dict[Hashable, float], start: Hashable) -> float:
+    """Backward induction from the final states' values to the start's."""
     for p, row in zip(reversed(p_script), reversed(rows)):
         q = 1.0 - p
         values = {s: p * values[up] + q * values[down] for s, up, down in row}
     return values[start]
-
-
-def lower_probability_coin(p_script: Sequence[float], event: EventPredicate,
-                           state: Optional[EventState] = None) -> float:
-    """1 - upper probability of the complement, which has the same state."""
-    return 1.0 - upper_probability_coin(p_script, lambda bits: not event(bits), state)
 
 
 @dataclass

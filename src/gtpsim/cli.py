@@ -17,21 +17,20 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Set, Tuple
 
-import yaml
-
 from .analysis import (
     EventPredicate,
     EventState,
-    lower_probability_coin,
+    coin_price_bounds,
     strong_compliance_verdict,
-    upper_probability_coin,
 )
 from .engine import Trace
 from .scenario import (
     STOCK_POOLS,
     Scenario,
     ScenarioError,
+    as_integer,
     event_proxy_for,
+    load_yaml,
     parse_scenario_file,
     run_scenario,
     scenario_passes,
@@ -67,7 +66,7 @@ def load_manifest(path: Path, horizon: Optional[int] = None,
     `scenarios:` path list, or a YAML file naming a built-in `pool:`."""
     if path.is_dir():
         return [parse_scenario_file(p) for p in sorted(path.glob("*.yaml"))]
-    doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    doc = load_yaml(path) or {}
     if not isinstance(doc, dict):
         raise ScenarioError("manifest must be a mapping or a directory")
     if "pool" in doc:
@@ -78,11 +77,11 @@ def load_manifest(path: Path, horizon: Optional[int] = None,
         if horizon is not None:
             kwargs["horizon"] = horizon
         elif "horizon" in doc:
-            kwargs["horizon"] = int(doc["horizon"])
+            kwargs["horizon"] = as_integer(doc["horizon"], "manifest horizon")
         if seed is not None:
             kwargs["seed"] = seed
         elif "seed" in doc:
-            kwargs["seed"] = int(doc["seed"])
+            kwargs["seed"] = as_integer(doc["seed"], "manifest seed")
         return STOCK_POOLS[pool](**kwargs)
     paths = doc.get("scenarios", [])
     return [parse_scenario_file(path.parent / p) for p in paths]
@@ -129,6 +128,10 @@ def _field(spec: dict, key: str, convert):
         raise ScenarioError(f"{kind} event {key} {spec[key]!r} is not valid") from None
 
 
+def _integer(raw) -> int:
+    return as_integer(raw, "pricing field")
+
+
 def _as_list(raw) -> list:
     if not isinstance(raw, list):
         raise TypeError(f"{raw!r} is not a list")
@@ -137,8 +140,8 @@ def _as_list(raw) -> list:
 
 def _coordinate(spec: dict, n: int) -> Tuple[int, int]:
     """The 1-based index and the required bit of a coordinate event."""
-    index = _field(spec, "index", int)
-    value = _field(spec, "value", int) if "value" in spec else 1
+    index = _field(spec, "index", _integer)
+    value = _field(spec, "value", _integer) if "value" in spec else 1
     if not 1 <= index <= n:
         raise ScenarioError(f"coordinate index {index} outside 1..{n}")
     if value not in (0, 1):
@@ -148,7 +151,7 @@ def _coordinate(spec: dict, n: int) -> Tuple[int, int]:
 
 def _leaf_masks(spec: dict, n: int) -> Set[int]:
     """The listed leaves, first round in the top bit of an N-bit mask."""
-    masks = _field(spec, "bitmasks", lambda raw: {int(m) for m in _as_list(raw)})
+    masks = _field(spec, "bitmasks", lambda raw: {_integer(m) for m in _as_list(raw)})
     for mask in masks:
         if not 0 <= mask < 1 << n:
             raise ScenarioError(f"leaves bitmask {mask} outside [0, 2^{n})")
@@ -223,7 +226,9 @@ _EVENT_STATES = {
 
 
 def cmd_price(path: Path) -> Tuple[float, float]:
-    doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    """Upper and lower price of a pricing file's event, from one
+    (round, state) graph."""
+    doc = load_yaml(path) or {}
     if not isinstance(doc, dict) or "p_script" not in doc or "event" not in doc:
         raise ScenarioError("pricing file needs p_script and event")
     try:
@@ -233,11 +238,7 @@ def cmd_price(path: Path) -> Tuple[float, float]:
             f"p_script must be a list of prices, got {doc['p_script']!r}") from None
     spec, n = doc["event"], len(p_script)
     event = _event_from_spec(spec, n)
-    state = _EVENT_STATES[spec["type"]](spec, n)
-    return (
-        upper_probability_coin(p_script, event, state),
-        lower_probability_coin(p_script, event, state),
-    )
+    return coin_price_bounds(p_script, event, _EVENT_STATES[spec["type"]](spec, n))
 
 
 # ---------------------------------------------------------------------------

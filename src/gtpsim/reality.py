@@ -37,24 +37,30 @@ class PhaseTag(Enum):
 
 @dataclass(frozen=True)
 class ComplyPhase:
+    """The phase, and on entering Mixing the round n0, the mixing weight
+    -delta (delta < 0 the first strict capital change), epsilon = -delta/K_0
+    for reporting, and K_{n0}.
+
+    The weight is epsilon * K_{n0} / (1 - epsilon) = K_0 - K_{n0} = -delta
+    in real arithmetic.  It is stored as -delta, not recomputed from
+    1 - K_{n0}/K_0: a loss below half an ulp of K_0 leaves K_{n0} == K_0 in
+    floats, and the difference would give the fictional bet no weight."""
+
     tag: PhaseTag = PhaseTag.WAITING
     n0: Optional[int] = None
+    mix_coeff: Optional[float] = None
     epsilon: Optional[float] = None
     k_n0: Optional[float] = None
 
-    @property
-    def mix_coeff(self) -> float:
-        """epsilon * K_{n0} / (1 - epsilon), i.e. K_0 - K_{n0}."""
-        return self.epsilon * self.k_n0 / (1.0 - self.epsilon)
 
-
-def _qualify(phase: ComplyPhase, n: int, k_new: float, k0: float) -> ComplyPhase:
-    """Transition out of Waiting after the first strict capital decrease."""
+def _qualify(n: int, delta: float, k_prev: float, k0: float) -> ComplyPhase:
+    """Transition out of Waiting after the first strict capital change
+    delta < 0, from the capital k_prev = K_0 held while waiting."""
+    k_new = k_prev + delta
     if k_new == 0.0:
         return ComplyPhase(tag=PhaseTag.DEGENERATE, n0=n)
-    return ComplyPhase(
-        tag=PhaseTag.MIXING, n0=n, epsilon=1.0 - k_new / k0, k_n0=k_new
-    )
+    return ComplyPhase(tag=PhaseTag.MIXING, n0=n, mix_coeff=-delta,
+                       epsilon=-delta / k0, k_n0=k_new)
 
 
 def _threshold(phase: ComplyPhase, b: int, c: int) -> float:
@@ -88,7 +94,7 @@ def bc_comply_step(
             x = 1.0 if M < 0.0 else 0.0
             delta = M * (x - p)
             if delta < 0.0:
-                phase = _qualify(phase, n, k_prev + delta, k0)
+                phase = _qualify(n, delta, k_prev, k0)
             # else: degenerate price (p = 1 with M < 0, p = 0 with M > 0);
             # the answer is capital-neutral and the wait continues.
     elif phase.tag is PhaseTag.DEGENERATE:
@@ -180,7 +186,10 @@ def mv_comply_step(
             else:
                 xt = 0.0
                 delta = V * (hedge.forward(0.0) - v)
-            phase = _qualify(phase, n, k_prev + delta, k0)
+            if delta < 0.0:
+                phase = _qualify(n, delta, k_prev, k0)
+            # else: V * v underflowed to 0; the answer is capital-neutral
+            # and the wait continues.
     elif phase.tag is PhaseTag.DEGENERATE:
         xt = hedge_inverse(hedge, scale) if c_changed else 0.0
     else:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Union
 
 import yaml
 
@@ -41,6 +42,35 @@ from .skeptic import BcCounters, ceiling_index_update
 
 class ScenarioError(ValueError):
     """Malformed or out-of-range scenario content."""
+
+
+# libyaml's parser when PyYAML was built with it, else the pure-Python one;
+# both build the same documents through the same safe constructor.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(source: Union[str, Path]) -> Any:
+    """The YAML document of a file (a Path, read as UTF-8) or of a text (a
+    str).  A file that cannot be read and text that is not YAML are
+    ScenarioErrors."""
+    where = f"{source}: " if isinstance(source, Path) else ""
+    try:
+        if isinstance(source, Path):
+            source = source.read_text(encoding="utf-8")
+        return yaml.load(source, Loader=_YAML_LOADER)
+    except OSError as exc:
+        raise ScenarioError(f"{where}cannot read: {exc.strerror or exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"{where}not valid YAML: {exc}") from exc
+
+
+def as_integer(raw: Any, what: str) -> int:
+    """`raw` as an int: an int or an integral float.  A bool, a string or a
+    non-integral number is a ScenarioError naming `what`."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or (
+            isinstance(raw, float) and not raw.is_integer()):
+        raise ScenarioError(f"{what} must be an integer, got {raw!r}")
+    return int(raw)
 
 
 # Expected event -> name of its finite-horizon proxy in this module (None:
@@ -187,6 +217,9 @@ _SKEPTICS: Dict[str, Callable[[Scenario, Dict], Skeptic]] = {
         amplitude=float(spec.get("amplitude", 1.0)),
         v_amplitude=float(spec.get("v_amplitude", 1.0)),
     ),
+    "single_bet": lambda sc, spec: skeptic.SingleBetSkeptic(
+        M=float(spec.get("M", 0.0)), V=float(spec.get("V", 0.0))
+    ),
 }
 
 _REALITIES: Dict[str, Callable[[Scenario, Dict], Reality]] = {
@@ -227,11 +260,9 @@ def build_reality(scenario: Scenario) -> Reality:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def parse_scenario(text: str, name: str = "scenario") -> Scenario:
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"not valid YAML: {exc}") from exc
+def parse_scenario(source: Union[str, Path], name: str = "scenario") -> Scenario:
+    """The scenario in a YAML text, or in a file when `source` is a Path."""
+    doc = load_yaml(source)
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
     _check_keys(
@@ -257,7 +288,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         hedge=hedge,
         initial_capital=float(proto_doc.get("initial_capital", 1.0)),
     )
-    horizon = int(doc.get("horizon", 100))
+    horizon = as_integer(doc.get("horizon", 100), "horizon")
     if horizon < 1:
         raise ScenarioError(f"horizon must be >= 1, got {horizon}")
     labels = doc.get("labels", {}) or {}
@@ -276,7 +307,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         skeptic_spec=dict(doc["skeptic"]),
         reality_spec=dict(doc["reality"]),
         growth=growth,
-        seed=None if doc.get("seed") is None else int(doc["seed"]),
+        seed=None if doc.get("seed") is None else as_integer(doc["seed"], "seed"),
         series_divergent=labels.get("series_divergent"),
         expected_event=expected,
     )
@@ -292,10 +323,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
 
 
 def parse_scenario_file(path) -> Scenario:
-    from pathlib import Path
-
     path = Path(path)
-    return parse_scenario(path.read_text(encoding="utf-8"), name=path.stem)
+    return parse_scenario(path, name=path.stem)
 
 
 # ---------------------------------------------------------------------------

@@ -135,3 +135,16 @@ class BangBangSkeptic(Skeptic):
         if self.with_v:
             return SkepticBet(M=m, V=self.v_amplitude if n % 2 == 0 else 0.0)
         return SkepticBet(M=m)
+
+
+class SingleBetSkeptic(Skeptic):
+    """Bets (M, V) in round 1 and nothing after: the smallest Skeptic that
+    moves the compliance machines out of their waiting phase."""
+
+    def __init__(self, M: float = 0.0, V: float = 0.0):
+        self.M = M
+        self.V = V
+
+    def bet(self, n: int, forecast: ForecastMove, k_prev: float) -> SkepticBet:
+        M, V = (self.M, self.V) if n == 1 else (0.0, 0.0)
+        return SkepticBet(M=M, V=V if self.with_v else None)

@@ -45,3 +45,40 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+YAML_LOADS = {"load", "safe_load", "full_load", "unsafe_load",
+              "load_all", "safe_load_all", "full_load_all", "unsafe_load_all"}
+
+
+def yaml_load_callers(source: str):
+    """Names of the functions in `source` that call yaml.<a load function>;
+    a call outside any function is reported as "<module>"."""
+    callers = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in YAML_LOADS
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "yaml"):
+            callers.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+def test_yaml_load_callers_finds_every_call():
+    source = "import yaml\nyaml.safe_load('')\ndef f():\n    return yaml.load('', Loader=L)\n"
+    assert yaml_load_callers(source) == ["<module>", "f"]
+
+
+def test_only_the_scenario_helper_parses_yaml():
+    found = {
+        path.name: yaml_load_callers(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "gtpsim").glob("*.py"))
+    }
+    assert {name: callers for name, callers in found.items() if callers} == \
+        {"scenario.py": ["load_yaml"]}

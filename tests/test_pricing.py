@@ -12,8 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtpsim import analysis
-from gtpsim.analysis import lower_probability_coin, upper_probability_coin
-from gtpsim.cli import _event_from_spec, cmd_price
+from gtpsim.analysis import (
+    coin_price_bounds,
+    lower_probability_coin,
+    upper_probability_coin,
+)
+from gtpsim.cli import _EVENT_STATES, _event_from_spec, cmd_price
 
 PRICE = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 
@@ -52,6 +56,12 @@ def pricing_docs(draw, max_n=12):
 def test_induction_prices_equal_the_tree_bit_for_bit(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "induction.yaml"
     assert _price_file(path, doc) == _tree_prices(doc)
+    p_script, spec = doc["p_script"], doc["event"]
+    event = _event_from_spec(spec, len(p_script))
+    state = _EVENT_STATES[spec["type"]](spec, len(p_script))
+    assert coin_price_bounds(p_script, event, state) == (
+        upper_probability_coin(p_script, event, state),
+        lower_probability_coin(p_script, event, state))
 
 
 FIXED_EVENTS = {
@@ -105,6 +115,11 @@ def test_state_pricing_calls_the_event_once_per_final_state():
         calls.append(bits)
         return sum(bits) >= 20
 
-    value = upper_probability_coin([0.5] * 40, event, (0, lambda s, k, bit: s + bit))
+    head_count = (0, lambda s, k, bit: s + bit)
+    value = upper_probability_coin([0.5] * 40, event, head_count)
     assert len(calls) == 41 and sorted(map(sum, calls)) == list(range(41))
     assert math.isclose(value, 0.5 + 0.5 * math.comb(40, 20) / 2 ** 40, rel_tol=1e-12)
+    calls.clear()
+    upper, lower = coin_price_bounds([0.5] * 40, event, head_count)
+    assert len(calls) == 41 and sorted(map(sum, calls)) == list(range(41))
+    assert upper == lower == value

@@ -14,6 +14,8 @@ from gtpsim import (
     GameKind,
     PhaseTag,
     Protocol,
+    ScriptForecaster,
+    SingleBetSkeptic,
     SkepticBet,
     bc_comply_step,
     run_game,
@@ -27,17 +29,19 @@ from gtpsim.reality import (
     FirstRoundComplyReality,
     MvComplyReality,
     MvComplyState,
+    _qualify,
     mv_comply_step,
 )
 from gtpsim.skeptic import BcCounters, FictionalBcSkeptic, ceiling_index_update
 from gtpsim.engine import Skeptic
 
-from _support import price_forecaster
+from _support import mv_forecaster, price_forecaster
 
 COIN = Protocol(kind=GameKind.COIN_TOSSING)
 BOUNDED = Protocol(kind=GameKind.BOUNDED_FORECASTING, initial_capital=0.5)
 
-MIXING_HALF = ComplyPhase(tag=PhaseTag.MIXING, n0=1, epsilon=0.5, k_n0=0.5)
+MIXING_HALF = ComplyPhase(tag=PhaseTag.MIXING, n0=1, mix_coeff=0.5, epsilon=0.5,
+                          k_n0=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +49,8 @@ MIXING_HALF = ComplyPhase(tag=PhaseTag.MIXING, n0=1, epsilon=0.5, k_n0=0.5)
 # ---------------------------------------------------------------------------
 
 def test_mix_coeff_equals_capital_drop():
-    # epsilon = 1 - k_n0 / K_0 makes the coefficient equal K_0 - k_n0.
-    phase = ComplyPhase(tag=PhaseTag.MIXING, n0=3, epsilon=0.15, k_n0=0.85)
+    # A first loss of 0.15 from K_0 = 1 makes the coefficient K_0 - k_n0.
+    phase = _qualify(3, -0.15, 1.0, 1.0)
     assert math.isclose(phase.mix_coeff, 0.15, rel_tol=0.0, abs_tol=1e-15)
 
 
@@ -333,3 +337,48 @@ def test_coin_compliance_bound_against_fractional_bets(ps, fractions):
     )
     assert max(trace.capitals) <= 1.0 + 1e-9
     assert min(trace.capitals) >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# A first loss below half an ulp of K_0
+# ---------------------------------------------------------------------------
+
+# M = 1e-17 in round 1 loses less than half an ulp of K_0 = 1, so K_{n0}
+# rounds to K_0.  The mixing weight is that loss, not K_0 - K_{n0} = 0.
+TINY = SingleBetSkeptic(M=1e-17)
+
+
+def _moves(trace):
+    return sum(1 for r in trace.rounds if r.x != r.forecast.m)
+
+
+def test_sub_ulp_first_loss_still_steers_the_coin_game():
+    trace = run_game(COIN, ScriptForecaster(lambda n: ForecastMove(p=min(1.0, 1.0 / n**2))),
+                     TINY, BcComplyReality(), 2000)
+    assert trace.capitals[0] == 1.0 and trace.rounds[0].x == 0.0
+    assert sum(r.x for r in trace.rounds) == 3
+
+
+def test_sub_ulp_first_loss_still_steers_the_unbounded_game():
+    trace = run_game(Protocol(kind=GameKind.UNBOUNDED_FORECASTING),
+                     mv_forecaster([0.0], [1.0]), TINY, MvComplyReality(), 10_000)
+    assert trace.capitals[0] == 1.0
+    assert _moves(trace) == 3
+
+
+def test_sub_ulp_first_loss_still_steers_the_general_hedge_game():
+    trace = run_game(Protocol(kind=GameKind.GENERAL_HEDGE, hedge=SQUARE_HEDGE),
+                     mv_forecaster([0.0], [1.0]), TINY,
+                     MvComplyReality(growth=identity_growth()), 10_000)
+    assert trace.capitals[0] == 1.0
+    assert _moves(trace) == 4
+
+
+def test_underflowing_variance_loss_keeps_waiting():
+    # V * v = 1e-340 rounds to -0.0: no loss at all, so no mixing phase.
+    reality = MvComplyReality()
+    trace = run_game(Protocol(kind=GameKind.UNBOUNDED_FORECASTING),
+                     mv_forecaster([0.0], [1e-170]), SingleBetSkeptic(V=1e-170),
+                     reality, 1000)
+    assert reality.state.phase.tag is PhaseTag.WAITING
+    assert _moves(trace) == 0

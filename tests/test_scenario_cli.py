@@ -170,6 +170,20 @@ def test_example_manifest_lists_four_scenarios():
     assert len(scenarios) == 4
 
 
+def test_shipped_yaml_parses_alike_with_and_without_libyaml():
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    for path in sorted(SCENARIOS.glob("*.yaml")):
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == \
+            yaml.load(text, Loader=yaml.SafeLoader), path.name
+
+
+def test_cli_verify_regression_manifest(capsys):
+    assert main(["verify", str(SCENARIOS / "regression_manifest.yaml")]) == 0
+    assert "2/2 scenarios passed" in capsys.readouterr().out
+
+
 def test_pool_manifest_horizon_handling():
     pool_file = SCENARIOS / "coin_comply_pool.yaml"
     from_file = load_manifest(pool_file)
@@ -338,14 +352,18 @@ event: {type: all}
     assert "upper: 1.000000000000" in out and "lower: 1.000000000000" in out
 
 
-def _price_error(tmp_path, capsys, text):
-    """Run `gtpsim price` on a bad file: exit 2 with one `error:` line."""
-    pricing = _write(tmp_path / "bad_price.yaml", text)
-    assert main(["price", str(pricing)]) == 2
+def _cli_error(argv, capsys):
+    """Run the CLI: exit 2 with one `error:` line and no traceback."""
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
     assert "Traceback" not in captured.err
     return captured.err
+
+
+def _price_error(tmp_path, capsys, text):
+    """Run `gtpsim price` on a bad file: exit 2 with one `error:` line."""
+    return _cli_error(["price", str(_write(tmp_path / "bad_price.yaml", text))], capsys)
 
 
 def test_cli_price_rejects_an_event_that_is_not_a_mapping(tmp_path, capsys):
@@ -368,11 +386,68 @@ def test_cli_price_rejects_a_p_script_that_is_not_a_list(tmp_path, capsys):
     ("[0.5, 0.5, 0.5]", "{type: leaves, bitmasks: [3, -1]}", "-1"),
     ("[0.5, 0.5, 0.5]", "{type: leaves, bitmasks: [9]}", "9"),
     ("[0.5, 0.5]", "{type: threshold, value: .nan}", "finite"),
-], ids=["coordinate-value-2", "leaves-negative", "leaves-9-at-n3", "threshold-nan"])
+    ("[0.3, 0.8]", "{type: coordinate, index: 2.7}", "2.7"),
+    ("[0.3, 0.8]", "{type: coordinate, index: true}", "True"),
+    ("[0.3, 0.8]", "{type: coordinate, index: '1'}", "'1'"),
+    ("[0.3, 0.8]", "{type: coordinate, index: 1, value: true}", "True"),
+    ("[0.5, 0.5, 0.5]", "{type: leaves, bitmasks: [2.5]}", "2.5"),
+], ids=["coordinate-value-2", "leaves-negative", "leaves-9-at-n3", "threshold-nan",
+        "index-2.7", "index-true", "index-string", "value-true", "bitmask-2.5"])
 def test_cli_price_rejects_events_that_would_price_as_empty(tmp_path, capsys,
                                                             p_script, event, field):
     err = _price_error(tmp_path, capsys, f"p_script: {p_script}\nevent: {event}\n")
     assert field in err
+
+
+def test_cli_price_accepts_an_integral_float_index(tmp_path, capsys):
+    pricing = _write(tmp_path / "price.yaml",
+                     "p_script: [0.3, 0.8]\nevent: {type: coordinate, index: 2.0}\n")
+    assert main(["price", str(pricing)]) == 0
+    assert "upper: 0.800000000000" in capsys.readouterr().out
+
+
+def test_cli_price_rejects_an_unterminated_flow_list(tmp_path, capsys):
+    err = _price_error(tmp_path, capsys, "p_script: [0.5, 0.5\nevent: {type: all}\n")
+    assert "bad_price.yaml" in err and "YAML" in err
+
+
+def test_cli_verify_rejects_a_manifest_with_an_unterminated_flow_list(tmp_path, capsys):
+    manifest = _write(tmp_path / "manifest.yaml", "scenarios: [one.yaml\n")
+    err = _cli_error(["verify", str(manifest)], capsys)
+    assert "manifest.yaml" in err and "YAML" in err
+
+
+@pytest.mark.parametrize("command", ["price", "verify-entry"])
+def test_cli_reports_a_missing_file(tmp_path, capsys, command):
+    missing = tmp_path / "missing.yaml"
+    if command == "price":
+        argv = ["price", str(missing)]
+    else:
+        argv = ["verify", str(_write(tmp_path / "manifest.yaml",
+                                     "scenarios: [missing.yaml]\n"))]
+    err = _cli_error(argv, capsys)
+    assert "missing.yaml" in err
+
+
+@pytest.mark.parametrize("where, text, field", [
+    ("scenario", MINIMAL.replace("horizon: 50", "horizon: 20.7"), "horizon"),
+    ("scenario", MINIMAL.replace("horizon: 50", "horizon: true"), "horizon"),
+    ("scenario", MINIMAL + "seed: '5'\n", "seed"),
+    ("scenario", MINIMAL + "seed: 5.5\n", "seed"),
+    ("manifest", "pool: coin_comply\nhorizon: 20.7\n", "horizon"),
+    ("manifest", "pool: coin_comply\nseed: false\n", "seed"),
+], ids=["horizon-20.7", "horizon-true", "seed-string", "seed-5.5",
+        "manifest-horizon-20.7", "manifest-seed-false"])
+def test_cli_rejects_a_non_integral_count(tmp_path, capsys, where, text, field):
+    path = _write(tmp_path / f"{where}.yaml", text)
+    err = _cli_error(["run" if where == "scenario" else "verify", str(path)], capsys)
+    assert field in err and "integer" in err
+
+
+def test_integral_float_counts_are_accepted():
+    scenario = parse_scenario(MINIMAL.replace("horizon: 50", "horizon: 50.0") + "seed: 3.0\n")
+    assert (scenario.horizon, scenario.seed) == (50, 3)
+    assert type(scenario.horizon) is int and type(scenario.seed) is int
 
 
 def test_cmd_verify_report_shape():
