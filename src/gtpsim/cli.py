@@ -194,8 +194,8 @@ def _event_from_spec(spec: dict, n: int) -> EventPredicate:
 def _leaves_state(spec: dict, n: int) -> EventState:
     # The prefix with a leading 1 bit (so its length is part of it) while it
     # starts a listed leaf, else the dead state 0.
-    live = {(mask | 1 << n) >> (n - length)
-            for mask in _leaf_masks(spec, n) for length in range(1, n + 1)}
+    leaves = [int(mask) | 1 << n for mask in spec["bitmasks"]]
+    live = {leaf >> shift for shift in range(n) for leaf in leaves}
 
     def step(s, k, bit):
         t = (s << 1) | bit
@@ -205,7 +205,7 @@ def _leaves_state(spec: dict, n: int) -> EventState:
 
 def _coordinate_state(spec: dict, n: int) -> EventState:
     # None until the chosen round, then the bit played in it.
-    at = _coordinate(spec, n)[0] - 1
+    at = int(spec["index"]) - 1
     return None, lambda s, k, bit: bit if k == at else s
 
 
@@ -213,9 +213,10 @@ def _constant_state(spec: dict, n: int) -> EventState:
     return None, lambda s, k, bit: None
 
 
-# A sufficient state per event kind, for a spec `_event_from_spec` accepted:
-# the head count, the chosen bit once played, the trie of listed leaves, or
-# one constant state.
+# A sufficient state per event kind, for a spec `_event_from_spec` accepted
+# (it reads the checked fields without checking them again): the head count,
+# the chosen bit once played, the trie of listed leaves, or one constant
+# state.
 _EVENT_STATES = {
     "threshold": lambda spec, n: (0, lambda s, k, bit: s + bit),
     "coordinate": _coordinate_state,

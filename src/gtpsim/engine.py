@@ -51,7 +51,13 @@ class Protocol:
             raise ValueError(f"{self.kind.value} protocol carries no hedge")
 
 
-@dataclass(frozen=True, slots=True)
+# The trace records (ForecastMove, SkepticBet, RoundRecord) are slotted
+# dataclasses but not frozen: a frozen __init__ sets each field through
+# object.__setattr__, several times the cost of a slot store, and every
+# round builds three records.  Nothing writes a record after run_game
+# appends it (the pinned trace digests catch a strategy that does).  Without
+# `frozen`, __hash__ is None: records are unhashable by design.
+@dataclass(slots=True)
 class ForecastMove:
     """Forecaster's announcement: p for coin/bounded games, (m, v) otherwise."""
 
@@ -60,7 +66,7 @@ class ForecastMove:
     v: Optional[float] = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SkepticBet:
     """Skeptic's announcement: M always, V only in mean-variance games."""
 
@@ -74,7 +80,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RoundRecord:
     n: int
     forecast: ForecastMove
@@ -255,7 +261,7 @@ class ZeroSkeptic(Skeptic):
     """Never bets; capital stays at its initial value."""
 
     def bet(self, n, forecast, k_prev) -> SkepticBet:
-        return SkepticBet(M=0.0, V=0.0 if self.with_v else None)
+        return SkepticBet(0.0, 0.0 if self.with_v else None)
 
 
 class CombinedSkeptic(Skeptic):
@@ -285,8 +291,8 @@ class CombinedSkeptic(Skeptic):
         m = sum(w * b.M for w, b in zip(self.weights, bets))
         if self.with_v:
             v = sum(w * (b.V or 0.0) for w, b in zip(self.weights, bets))
-            return SkepticBet(M=m, V=v)
-        return SkepticBet(M=m)
+            return SkepticBet(m, v)
+        return SkepticBet(m)
 
     def observe(self, record: RoundRecord) -> None:
         for p in self.policies:

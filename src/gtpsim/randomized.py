@@ -146,5 +146,5 @@ class RandomBoundedSkeptic(Skeptic):
     def bet(self, n, forecast, k_prev) -> SkepticBet:
         m = self.bound * (2.0 * self.rng.uniform() - 1.0)
         if self.with_v:
-            return SkepticBet(M=m, V=self.bound * self.rng.uniform())
-        return SkepticBet(M=m)
+            return SkepticBet(m, self.bound * self.rng.uniform())
+        return SkepticBet(m)

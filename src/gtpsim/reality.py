@@ -9,7 +9,6 @@ value forever while steering the path into the target event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Tuple
 
@@ -35,8 +34,7 @@ class PhaseTag(Enum):
     MIXING = "mixing"
 
 
-@dataclass(frozen=True)
-class ComplyPhase:
+class ComplyPhase(NamedTuple):
     """The phase, and on entering Mixing the round n0, the mixing weight
     -delta (delta < 0 the first strict capital change), epsilon = -delta/K_0
     for reporting, and K_{n0}.
@@ -71,8 +69,10 @@ def _threshold(phase: ComplyPhase, b: int, c: int) -> float:
 # Coin-tossing game
 # ---------------------------------------------------------------------------
 
-# The step states are NamedTuples: each round builds a new one, and a tuple
-# is cheaper to build than a frozen dataclass.
+# The step states, and the phase and counters they hold, are NamedTuples.
+# They are immutable, so the step functions are pure: a caller may keep a
+# state and step it again.  Each round builds a new state, positionally; a
+# tuple also costs less to build than a frozen dataclass.
 class BcComplyState(NamedTuple):
     phase: ComplyPhase = ComplyPhase()
     counters: BcCounters = BcCounters()

@@ -157,7 +157,15 @@ def _price_script(name: str, params: Dict) -> Callable[[int], float]:
             raise ScenarioError(f"geometric ratio {ratio} outside (0, 1)")
         return lambda n: min(1.0, a * ratio ** n)
     if name == "explicit":
-        values = [float(v) for v in params["values"]]
+        raw = params.get("values")
+        if not isinstance(raw, list) or not raw:
+            raise ScenarioError(
+                f"explicit forecaster needs a non-empty values list, got {raw!r}")
+        try:
+            values = [float(v) for v in raw]
+        except (TypeError, ValueError):
+            raise ScenarioError(
+                f"explicit forecaster values must be numbers, got {raw!r}") from None
         return lambda n: values[(n - 1) % len(values)]
     raise ScenarioError(f"unknown price forecaster {name!r}")
 
@@ -182,7 +190,7 @@ def _mv_script(params: Dict) -> Callable[[int], ForecastMove]:
         m_fn = lambda n: amplitude * math.sin(float(n))
     else:
         raise ScenarioError(f"unknown mean script {m_name!r}")
-    return lambda n: ForecastMove(m=m_fn(n), v=v_fn(n))
+    return lambda n: ForecastMove(None, m_fn(n), v_fn(n))
 
 
 def build_forecaster(scenario: Scenario) -> Forecaster:
@@ -190,7 +198,7 @@ def build_forecaster(scenario: Scenario) -> Forecaster:
     name = spec.pop("name")
     if scenario.protocol.kind.uses_price:
         script = _price_script(name, spec)
-        return ScriptForecaster(lambda n: ForecastMove(p=script(n)))
+        return ScriptForecaster(lambda n: ForecastMove(script(n)))
     if name != "mv":
         raise ScenarioError(f"forecaster {name!r} needs a coin/bounded protocol")
     return ScriptForecaster(_mv_script(spec))
@@ -297,7 +305,11 @@ def parse_scenario(source: Union[str, Path], name: str = "scenario") -> Scenario
     if expected not in EXPECTED_EVENTS:
         raise ScenarioError(f"unknown expected_event {expected!r}")
     for role in ("forecaster", "skeptic", "reality"):
-        if role not in doc or "name" not in (doc[role] or {}):
+        spec = doc.get(role)
+        if spec is not None and not isinstance(spec, dict):
+            raise ScenarioError(
+                f"{role} must be a mapping with a name, got {spec!r}")
+        if not spec or "name" not in spec:
             raise ScenarioError(f"scenario must name a {role}")
     scenario = Scenario(
         name=str(doc.get("name", name)),

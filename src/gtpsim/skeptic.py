@@ -11,8 +11,8 @@ own responses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .engine import (
     PRICE_GAMES,
@@ -25,8 +25,7 @@ from .engine import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class BcCounters:
+class BcCounters(NamedTuple):
     """Running head count b, price partial sum, and its ceiling index c.
 
     c is the unique integer with c - 1 <= partial_sum < c; an exactly
@@ -38,6 +37,8 @@ class BcCounters:
     Exactness keeps c honest on scripts like p_n = 2^-n, whose float partial
     sums would round up to an integer they never actually reach.
     `partial_sum` reads the sum back as a Fraction.
+
+    A NamedTuple, like the step states that hold it (see `reality`).
     """
 
     b: int = 0
@@ -99,7 +100,7 @@ class _CounterSkeptic(Skeptic):
 
     def bet(self, n: int, forecast: ForecastMove, k_prev: float) -> SkepticBet:
         self.counters = ceiling_index_update(self.counters, forecast.p)
-        return SkepticBet(M=self._formula(self.counters))
+        return SkepticBet(self._formula(self.counters))
 
     def observe(self, record: RoundRecord) -> None:
         self.counters = heads_count_update(self.counters, record.x == 1.0)
@@ -133,8 +134,8 @@ class BangBangSkeptic(Skeptic):
     def bet(self, n: int, forecast: ForecastMove, k_prev: float) -> SkepticBet:
         m = self.amplitude if n % 2 else -self.amplitude
         if self.with_v:
-            return SkepticBet(M=m, V=self.v_amplitude if n % 2 == 0 else 0.0)
-        return SkepticBet(M=m)
+            return SkepticBet(m, self.v_amplitude if n % 2 == 0 else 0.0)
+        return SkepticBet(m)
 
 
 class SingleBetSkeptic(Skeptic):
@@ -147,4 +148,4 @@ class SingleBetSkeptic(Skeptic):
 
     def bet(self, n: int, forecast: ForecastMove, k_prev: float) -> SkepticBet:
         M, V = (self.M, self.V) if n == 1 else (0.0, 0.0)
-        return SkepticBet(M=M, V=V if self.with_v else None)
+        return SkepticBet(M, V if self.with_v else None)

@@ -65,18 +65,12 @@ def trace_from_csv_text(text: str, protocol: Protocol,
             continue
         n, p_or_m, v, m_bet, v_bet, x, k = row
         if uses_price:
-            forecast = ForecastMove(p=float(p_or_m))
-            bet = SkepticBet(M=float(m_bet))
+            forecast = ForecastMove(float(p_or_m))
+            bet = SkepticBet(float(m_bet))
         else:
-            forecast = ForecastMove(m=float(p_or_m), v=float(v))
-            bet = SkepticBet(M=float(m_bet), V=float(v_bet))
-        rounds.append(RoundRecord(
-            n=int(n),
-            forecast=forecast,
-            bet=bet,
-            x=float(x),
-            capital_after=float(k),
-        ))
+            forecast = ForecastMove(None, float(p_or_m), float(v))
+            bet = SkepticBet(float(m_bet), float(v_bet))
+        rounds.append(RoundRecord(int(n), forecast, bet, float(x), float(k)))
     return Trace(protocol=protocol, rounds=rounds, seed=seed)
 
 

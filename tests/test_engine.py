@@ -1,5 +1,6 @@
 """Protocol validation, capital updates, game runs, replay, combination."""
 
+import dataclasses
 import math
 
 import pytest
@@ -365,3 +366,25 @@ def test_zero_bet_neutrality(rounds):
         COIN, price_forecaster(ps), ZeroSkeptic(), ScriptReality(xs), len(rounds)
     )
     assert all(k == 1.0 for k in trace.capitals)
+
+
+# ---------------------------------------------------------------------------
+# Trace records
+# ---------------------------------------------------------------------------
+
+def test_trace_records_are_slotted_unhashable_dataclasses():
+    f, s = ForecastMove(0.5), SkepticBet(-1.0)
+    for record in (f, s, RoundRecord(1, f, s, 1.0, 0.5)):
+        assert dataclasses.is_dataclass(record)
+        assert not hasattr(record, "__dict__")
+        assert type(record).__slots__ == tuple(
+            field.name for field in dataclasses.fields(record))
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+def test_round_record_supports_dataclasses_replace():
+    record = RoundRecord(3, ForecastMove(0.5), SkepticBet(-1.0), 1.0, 0.5)
+    moved = dataclasses.replace(record, capital_after=-0.5)
+    assert moved == RoundRecord(3, record.forecast, record.bet, 1.0, -0.5)
+    assert record.capital_after == 0.5

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtpsim import analysis
+from gtpsim import analysis, cli
 from gtpsim.analysis import (
     coin_price_bounds,
     lower_probability_coin,
@@ -123,3 +123,19 @@ def test_state_pricing_calls_the_event_once_per_final_state():
     upper, lower = coin_price_bounds([0.5] * 40, event, head_count)
     assert len(calls) == 41 and sorted(map(sum, calls)) == list(range(41))
     assert upper == lower == value
+
+
+def test_cmd_price_checks_the_leaf_masks_once(tmp_path, monkeypatch):
+    calls = []
+    leaf_masks = cli._leaf_masks
+
+    def counted(spec, n):
+        calls.append(n)
+        return leaf_masks(spec, n)
+
+    monkeypatch.setattr(cli, "_leaf_masks", counted)
+    doc = {"p_script": [0.3, 0.0, 1.0, 0.6],
+           "event": {"type": "leaves", "bitmasks": [3, 9.0, 12, 9, 15]}}
+    prices = _price_file(tmp_path / "leaves.yaml", doc)
+    assert calls == [4]
+    assert prices == _tree_prices(doc)

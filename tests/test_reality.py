@@ -1,5 +1,6 @@
 """Deterministic compliance strategies: phase machine, thresholds, examples."""
 
+import copy
 import math
 
 import pytest
@@ -18,6 +19,7 @@ from gtpsim import (
     SingleBetSkeptic,
     SkepticBet,
     bc_comply_step,
+    capital_update,
     run_game,
 )
 from gtpsim.hedges import SQUARE_HEDGE, hedge_inverse, identity_growth, power_hedge
@@ -39,6 +41,7 @@ from _support import mv_forecaster, price_forecaster
 
 COIN = Protocol(kind=GameKind.COIN_TOSSING)
 BOUNDED = Protocol(kind=GameKind.BOUNDED_FORECASTING, initial_capital=0.5)
+UNBOUNDED = Protocol(kind=GameKind.UNBOUNDED_FORECASTING)
 
 MIXING_HALF = ComplyPhase(tag=PhaseTag.MIXING, n0=1, mix_coeff=0.5, epsilon=0.5,
                           k_n0=0.5)
@@ -382,3 +385,46 @@ def test_underflowing_variance_loss_keeps_waiting():
                      reality, 1000)
     assert reality.state.phase.tag is PhaseTag.WAITING
     assert _moves(trace) == 0
+
+
+# ---------------------------------------------------------------------------
+# Step values are immutable, so the step functions are pure
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("value, field", [
+    (BcCounters(), "b"),
+    (MIXING_HALF, "mix_coeff"),
+    (BcComplyState(), "counters"),
+    (MvComplyState(), "eps"),
+], ids=["counters", "phase", "coin-state", "mv-state"])
+def test_step_values_reject_assignment(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+
+
+def test_bc_comply_step_leaves_its_input_state_unchanged():
+    # waiting (zero bet, then a qualifying bet), then mixing on both sides
+    state, k = BcComplyState(), 1.0
+    for p, M in [(0.6, 0.0), (0.6, 0.0), (0.5, -1.0), (0.3, 2.0), (0.3, -2.0), (0.9, 0.0)]:
+        saved = copy.deepcopy(state)
+        x, after = bc_comply_step(state, p, M, k, 1.0)
+        assert state == saved
+        assert bc_comply_step(saved, p, M, k, 1.0) == (x, after)
+        state, k = after, k + M * (x - p)
+    assert state.phase.tag is PhaseTag.MIXING and state.counters.b > 0
+
+
+@pytest.mark.parametrize("growth", [None, IDENTITY], ids=["unbounded", "general-hedge"])
+def test_mv_comply_step_leaves_its_input_state_unchanged(growth):
+    state, k = MvComplyState(), 1.0
+    moves = [(0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 5.0, 1.0), (0.0, 2.0, -0.5, 0.0),
+             (0.5, 1.0, 1.0, 0.1), (0.0, 9.0, -1.0, 0.0)]
+    for m, v, M, V in moves:
+        f, s = ForecastMove(None, m, v), SkepticBet(M, V)
+        saved = copy.deepcopy(state)
+        x, after = mv_comply_step(state, f, s, SQUARE, growth, k, 1.0)
+        assert state == saved
+        assert mv_comply_step(saved, f, s, SQUARE, growth, k, 1.0) == (x, after)
+        state = after
+        k = capital_update(UNBOUNDED, k, f, s, x)
+    assert state.phase.tag is PhaseTag.MIXING and state.n == len(moves)

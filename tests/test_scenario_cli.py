@@ -319,6 +319,32 @@ def test_cli_rejects_a_strategy_in_the_wrong_game(tmp_path, capsys):
     assert "error:" in err and "FictionalBcSkeptic" in err
 
 
+@pytest.mark.parametrize("forecaster, shown", [
+    ("{name: explicit}", "None"),
+    ("{name: explicit, values: []}", "[]"),
+    ("{name: explicit, values: 0.5}", "0.5"),
+    ("{name: explicit, values: abc}", "'abc'"),
+    ("{name: explicit, values: [[0.5]]}", "[[0.5]]"),
+], ids=["missing", "empty", "scalar", "string", "nested"])
+def test_cli_rejects_a_malformed_explicit_forecaster(tmp_path, capsys, forecaster, shown):
+    text = MINIMAL.replace("{name: harmonic}", forecaster)
+    err = _cli_error(["run", str(_write(tmp_path / "explicit.yaml", text))], capsys)
+    assert "explicit forecaster" in err and "values" in err and shown in err
+
+
+@pytest.mark.parametrize("role, spec", [
+    ("forecaster", "name"),
+    ("skeptic", "bc_fictional"),
+    ("reality", "[bc_comply]"),
+])
+def test_cli_rejects_a_role_that_is_not_a_mapping(tmp_path, capsys, role, spec):
+    lines = [f"{role}: {spec}" if line.startswith(f"{role}:") else line
+             for line in MINIMAL.splitlines()]
+    path = _write(tmp_path / "role.yaml", "\n".join(lines) + "\n")
+    err = _cli_error(["run", str(path)], capsys)
+    assert f"{role} must be a mapping" in err
+
+
 def test_cli_price_coordinate_event(tmp_path, capsys):
     pricing = _write(tmp_path / "price.yaml", """\
 p_script: [0.3]
