@@ -71,7 +71,7 @@ def load_manifest(path: Path, horizon: Optional[int] = None,
         raise ScenarioError("manifest must be a mapping or a directory")
     if "pool" in doc:
         pool = doc["pool"]
-        if pool not in STOCK_POOLS:
+        if not isinstance(pool, str) or pool not in STOCK_POOLS:
             raise ScenarioError(f"unknown pool {pool!r}")
         kwargs = {}
         if horizon is not None:
@@ -84,6 +84,9 @@ def load_manifest(path: Path, horizon: Optional[int] = None,
             kwargs["seed"] = as_integer(doc["seed"], "manifest seed")
         return STOCK_POOLS[pool](**kwargs)
     paths = doc.get("scenarios", [])
+    if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
+        raise ScenarioError(
+            f"manifest scenarios must be a list of paths, got {paths!r}")
     return [parse_scenario_file(path.parent / p) for p in paths]
 
 

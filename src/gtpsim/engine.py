@@ -186,7 +186,12 @@ def capital_update(
     An invalid move raises InvalidMoveError naming its role; the round index
     is 0 since this function does not know it (`run_game` and
     `replay_verify` report the round)."""
-    violation = validate_moves(protocol, f, s, x)
+    # validate_moves, spelled out: one frame fewer per round.
+    violation = (
+        validate_forecast(protocol, f)
+        or validate_bet(protocol, s)
+        or validate_outcome(protocol, x)
+    )
     if violation is not None:
         raise InvalidMoveError(0, _ROLE_OF_FIELD[violation.field], violation)
     if protocol.kind.uses_price:

@@ -25,7 +25,7 @@ from .engine import (
     require_game,
 )
 from .hedges import SQUARE_HEDGE, Growth, Hedge, hedge_inverse
-from .skeptic import BcCounters, ceiling_index_update, heads_count_update
+from .skeptic import BcCounters, _tuple_new, ceiling_index_update
 
 
 class PhaseTag(Enum):
@@ -61,18 +61,19 @@ def _qualify(n: int, delta: float, k_prev: float, k0: float) -> ComplyPhase:
                        epsilon=-delta / k0, k_n0=k_new)
 
 
-def _threshold(phase: ComplyPhase, b: int, c: int) -> float:
-    return phase.mix_coeff * (2.0 ** (-b - 2) - 2.0 ** (-c - 2))
-
-
 # ---------------------------------------------------------------------------
 # Coin-tossing game
 # ---------------------------------------------------------------------------
 
 # The step states, and the phase and counters they hold, are NamedTuples.
 # They are immutable, so the step functions are pure: a caller may keep a
-# state and step it again.  Each round builds a new state, positionally; a
-# tuple also costs less to build than a frozen dataclass.
+# state and step it again.  Each round builds a new state and counters with
+# `_tuple_new` (no Python __new__ frame).  The step functions inline their
+# one-line helpers: the mixing threshold
+#     mix_coeff * (2^(-b-2) - 2^(-c-2))
+# with b the head count before the round and c the refreshed ceiling index
+# (the fictional bet's negative, scaled by the mixing weight), and the head
+# count update after the answer.
 class BcComplyState(NamedTuple):
     phase: ComplyPhase = ComplyPhase()
     counters: BcCounters = BcCounters()
@@ -83,11 +84,14 @@ def bc_comply_step(
     state: BcComplyState, p: float, M: float, k_prev: float, k0: float
 ) -> Tuple[float, BcComplyState]:
     """One round of the coin-game compliance strategy."""
-    n = state.n + 1
-    counters = ceiling_index_update(state.counters, p)
-    c_changed = counters.c != state.counters.c
-    phase = state.phase
-    if phase.tag is PhaseTag.WAITING:
+    phase, counters, n = state
+    b, c_prev = counters.b, counters.c
+    n += 1
+    counters = ceiling_index_update(counters, p)
+    c = counters.c
+    c_changed = c != c_prev
+    tag = phase.tag
+    if tag is PhaseTag.WAITING:
         if M == 0.0:
             x = 1.0 if c_changed else 0.0
         else:
@@ -97,13 +101,13 @@ def bc_comply_step(
                 phase = _qualify(n, delta, k_prev, k0)
             # else: degenerate price (p = 1 with M < 0, p = 0 with M > 0);
             # the answer is capital-neutral and the wait continues.
-    elif phase.tag is PhaseTag.DEGENERATE:
+    elif tag is PhaseTag.DEGENERATE:
         x = 1.0 if c_changed else 0.0
     else:
-        d = _threshold(phase, state.counters.b, counters.c)
-        x = 1.0 if M <= d else 0.0
-    counters = heads_count_update(counters, x == 1.0)
-    return x, BcComplyState(phase, counters, n)
+        x = 1.0 if M <= phase.mix_coeff * (2.0 ** (-b - 2) - 2.0 ** (-c - 2)) else 0.0
+    if x == 1.0:
+        counters = _tuple_new(BcCounters, (b + 1, counters.acc, c))
+    return x, _tuple_new(BcComplyState, (phase, counters, n))
 
 
 class BcComplyReality(Reality):
@@ -158,25 +162,29 @@ def mv_comply_step(
     eps_n from `epsilon_sequence_step`.  Rounds with v = 0 answer x = m,
     leave the counters untouched, and never end the waiting phase.
     """
-    n = state.n + 1
+    phase, counters, n, a_total, eps_running, eps = state
+    n += 1
     m, v = f.m, f.v
     M, V = s.M, s.V
     if v == 0.0:
-        return m, state._replace(n=n)
-    a_total = state.a_total + v
+        return m, _tuple_new(MvComplyState,
+                             (phase, counters, n, a_total, eps_running, eps))
+    a_total += v
     if growth is None:
         # an int, so that eps * v < g_a compares exactly as v < n^2
-        eps, eps_running, g_a = 1.0, state.eps_running, n * n
+        eps, g_a = 1.0, n * n
     else:
         g_a = growth.eval(a_total)
         if g_a <= 0.0:
             raise ValueError(f"growth must stay positive, g({a_total}) = {g_a}")
-        eps, eps_running = epsilon_sequence_step(state.eps_running, v / g_a)
-    counters = ceiling_index_update(state.counters, eps * v / g_a)
-    c_changed = counters.c != state.counters.c
-    phase = state.phase
+        eps, eps_running = epsilon_sequence_step(eps_running, v / g_a)
+    b, c_prev = counters.b, counters.c
+    counters = ceiling_index_update(counters, eps * v / g_a)
+    c = counters.c
+    c_changed = c != c_prev
     scale = g_a / eps
-    if phase.tag is PhaseTag.WAITING:
+    tag = phase.tag
+    if tag is PhaseTag.WAITING:
         if M == 0.0 and V == 0.0:
             xt = hedge_inverse(hedge, scale) if c_changed else 0.0
         else:
@@ -190,10 +198,10 @@ def mv_comply_step(
                 phase = _qualify(n, delta, k_prev, k0)
             # else: V * v underflowed to 0; the answer is capital-neutral
             # and the wait continues.
-    elif phase.tag is PhaseTag.DEGENERATE:
+    elif tag is PhaseTag.DEGENERATE:
         xt = hedge_inverse(hedge, scale) if c_changed else 0.0
     else:
-        d = _threshold(phase, state.counters.b, counters.c) / scale
+        d = phase.mix_coeff * (2.0 ** (-b - 2) - 2.0 ** (-c - 2)) / scale
         if eps * v < g_a:
             if V <= d:
                 e = hedge_inverse(hedge, scale)
@@ -203,9 +211,10 @@ def mv_comply_step(
         else:
             root = hedge_inverse(hedge, v)
             xt = root if M < 0.0 else -root
-    counters = heads_count_update(counters, xt != 0.0)
-    return m + xt, MvComplyState(
-        phase, counters, n, a_total, eps_running, eps
+    if xt != 0.0:
+        counters = _tuple_new(BcCounters, (b + 1, counters.acc, c))
+    return m + xt, _tuple_new(
+        MvComplyState, (phase, counters, n, a_total, eps_running, eps)
     )
 
 

@@ -73,6 +73,29 @@ def as_integer(raw: Any, what: str) -> int:
     return int(raw)
 
 
+def as_float(raw: Any, what: str) -> float:
+    """`raw` as a float: an int, a float, or a string that spells a number
+    (YAML 1.1 reads `1e-4`, with no dot, as a string).  A bool, any other
+    string or any other type is a ScenarioError naming `what`."""
+    if not isinstance(raw, bool) and isinstance(raw, (int, float, str)):
+        try:
+            return float(raw)
+        except (ValueError, OverflowError):
+            pass
+    raise ScenarioError(f"{what} must be a number, got {raw!r}")
+
+
+def _number(spec: Dict, key: str, default: float, owner: str) -> float:
+    """spec[key] (or the default) as a float; see `as_float`."""
+    return as_float(spec.get(key, default), f"{owner} {key}")
+
+
+def _mapping(raw: Any, what: str) -> Dict:
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{what} must be a mapping, got {raw!r}")
+    return raw
+
+
 # Expected event -> name of its finite-horizon proxy in this module (None:
 # no proxy).  `event_proxy_for` looks the name up when called, so a rebound
 # proxy_* function is the one that runs.
@@ -110,7 +133,7 @@ class Scenario:
 
 def parse_hedge(spec: str) -> Hedge:
     if spec.startswith("power:r="):
-        hedge = power_hedge(float(spec[len("power:r="):]))
+        hedge = power_hedge(as_float(spec[len("power:r="):], "hedge power r"))
     else:
         raise ScenarioError(f"unknown hedge {spec!r}")
     validate_hedge(hedge)
@@ -121,7 +144,7 @@ def parse_growth(spec: str) -> Growth:
     if spec == "identity":
         growth = identity_growth()
     elif spec.startswith("power:r="):
-        growth = power_growth(float(spec[len("power:r="):]))
+        growth = power_growth(as_float(spec[len("power:r="):], "growth power r"))
     else:
         raise ScenarioError(f"unknown growth {spec!r}")
     validate_growth(growth)
@@ -138,47 +161,51 @@ def _check_keys(mapping: Dict, allowed, where: str) -> None:
 # Forecaster generators
 # ---------------------------------------------------------------------------
 
-def _price_script(name: str, params: Dict) -> Callable[[int], float]:
+def _price_script(name: str, params: Dict) -> Callable[[int], ForecastMove]:
+    """Round n -> ForecastMove(p_n) for a named price series.  The script
+    builds the move itself, with no wrapper frame between it and
+    `ScriptForecaster.forecast`."""
     if name == "harmonic":
-        a = float(params.get("a", 1.0))
-        return lambda n: min(1.0, a / n)
+        a = _number(params, "a", 1.0, name)
+        return lambda n: ForecastMove(min(1.0, a / n))
     if name == "inverse_square":
-        a = float(params.get("a", 1.0))
-        return lambda n: min(1.0, a / (n * n))
+        a = _number(params, "a", 1.0, name)
+        return lambda n: ForecastMove(min(1.0, a / (n * n)))
     if name == "constant":
-        value = float(params.get("value", 0.5))
+        value = _number(params, "value", 0.5, name)
         if not 0.0 <= value <= 1.0:
             raise ScenarioError(f"constant price {value} outside [0, 1]")
-        return lambda n: value
+        return lambda n: ForecastMove(value)
     if name == "geometric":
-        ratio = float(params.get("ratio", 0.5))
-        a = float(params.get("a", 1.0))
+        ratio = _number(params, "ratio", 0.5, name)
+        a = _number(params, "a", 1.0, name)
         if not 0.0 < ratio < 1.0:
             raise ScenarioError(f"geometric ratio {ratio} outside (0, 1)")
-        return lambda n: min(1.0, a * ratio ** n)
+        return lambda n: ForecastMove(min(1.0, a * ratio ** n))
     if name == "explicit":
         raw = params.get("values")
         if not isinstance(raw, list) or not raw:
             raise ScenarioError(
                 f"explicit forecaster needs a non-empty values list, got {raw!r}")
         try:
-            values = [float(v) for v in raw]
-        except (TypeError, ValueError):
+            values = [as_float(v, "value") for v in raw]
+        except ScenarioError:
             raise ScenarioError(
                 f"explicit forecaster values must be numbers, got {raw!r}") from None
-        return lambda n: values[(n - 1) % len(values)]
+        return lambda n: ForecastMove(values[(n - 1) % len(values)])
     raise ScenarioError(f"unknown price forecaster {name!r}")
 
 
 def _mv_script(params: Dict) -> Callable[[int], ForecastMove]:
-    v_spec = params.get("v", {"name": "constant", "value": 1.0})
-    m_spec = params.get("m", {"name": "zero"})
+    v_spec = _mapping(params.get("v", {"name": "constant", "value": 1.0}),
+                      "forecaster v")
+    m_spec = _mapping(params.get("m", {"name": "zero"}), "forecaster m")
     v_name = v_spec.get("name")
     if v_name == "constant":
-        value = float(v_spec.get("value", 1.0))
+        value = _number(v_spec, "value", 1.0, "constant variance")
         v_fn = lambda n: value
     elif v_name == "power":
-        exponent = float(v_spec.get("exponent", 1.0))
+        exponent = _number(v_spec, "exponent", 1.0, "power variance")
         v_fn = lambda n: float(n) ** exponent
     else:
         raise ScenarioError(f"unknown variance script {v_name!r}")
@@ -186,7 +213,7 @@ def _mv_script(params: Dict) -> Callable[[int], ForecastMove]:
     if m_name == "zero":
         m_fn = lambda n: 0.0
     elif m_name == "sin":
-        amplitude = float(m_spec.get("amplitude", 1.0))
+        amplitude = _number(m_spec, "amplitude", 1.0, "sin mean")
         m_fn = lambda n: amplitude * math.sin(float(n))
     else:
         raise ScenarioError(f"unknown mean script {m_name!r}")
@@ -197,8 +224,7 @@ def build_forecaster(scenario: Scenario) -> Forecaster:
     spec = dict(scenario.forecaster_spec)
     name = spec.pop("name")
     if scenario.protocol.kind.uses_price:
-        script = _price_script(name, spec)
-        return ScriptForecaster(lambda n: ForecastMove(script(n)))
+        return ScriptForecaster(_price_script(name, spec))
     if name != "mv":
         raise ScenarioError(f"forecaster {name!r} needs a coin/bounded protocol")
     return ScriptForecaster(_mv_script(spec))
@@ -219,14 +245,15 @@ _SKEPTICS: Dict[str, Callable[[Scenario, Dict], Skeptic]] = {
     "bc_convergent": lambda sc, spec: skeptic.ConvergentBcSkeptic(),
     "bc_fictional": lambda sc, spec: skeptic.FictionalBcSkeptic(),
     "random_bounded": lambda sc, spec: randomized.RandomBoundedSkeptic(
-        seed=_seed(sc), bound=float(spec.get("bound", 10.0))
+        seed=_seed(sc), bound=_number(spec, "bound", 10.0, "random_bounded")
     ),
     "bang_bang": lambda sc, spec: skeptic.BangBangSkeptic(
-        amplitude=float(spec.get("amplitude", 1.0)),
-        v_amplitude=float(spec.get("v_amplitude", 1.0)),
+        amplitude=_number(spec, "amplitude", 1.0, "bang_bang"),
+        v_amplitude=_number(spec, "v_amplitude", 1.0, "bang_bang"),
     ),
     "single_bet": lambda sc, spec: skeptic.SingleBetSkeptic(
-        M=float(spec.get("M", 0.0)), V=float(spec.get("V", 0.0))
+        M=_number(spec, "M", 0.0, "single_bet"),
+        V=_number(spec, "V", 0.0, "single_bet"),
     ),
 }
 
@@ -241,17 +268,19 @@ _REALITIES: Dict[str, Callable[[Scenario, Dict], Reality]] = {
     ),
     "first_round": lambda sc, spec: reality.FirstRoundComplyReality(),
     "avoid_match": lambda sc, spec: reality.BoundedAvoidMatchReality(
-        float(spec.get("q", 0.9))
+        _number(spec, "q", 0.9, "avoid_match")
     ),
     "bernoulli": lambda sc, spec: randomized.BernoulliReality(seed=_seed(sc)),
     "kolmogorov": lambda sc, spec: randomized.KolmogorovReality(seed=_seed(sc)),
-    "constant": lambda sc, spec: reality.ConstantReality(float(spec.get("x", 0.0))),
+    "constant": lambda sc, spec: reality.ConstantReality(
+        _number(spec, "x", 0.0, "constant")
+    ),
 }
 
 
 def _build(registry: Dict, role: str, scenario: Scenario, spec: Dict):
     name = spec["name"]
-    if name not in registry:
+    if not isinstance(name, str) or name not in registry:
         raise ScenarioError(f"unknown {role} {name!r}")
     return registry[name](scenario, spec)
 
@@ -279,7 +308,7 @@ def parse_scenario(source: Union[str, Path], name: str = "scenario") -> Scenario
          "seed", "labels"),
         "scenario",
     )
-    proto_doc = doc.get("protocol", {})
+    proto_doc = _mapping(doc.get("protocol", {}), "protocol")
     _check_keys(proto_doc, ("kind", "initial_capital", "hedge", "growth"), "protocol")
     try:
         kind = GameKind(proto_doc.get("kind", "coin_tossing"))
@@ -294,12 +323,12 @@ def parse_scenario(source: Union[str, Path], name: str = "scenario") -> Scenario
     protocol = Protocol(
         kind=kind,
         hedge=hedge,
-        initial_capital=float(proto_doc.get("initial_capital", 1.0)),
+        initial_capital=_number(proto_doc, "initial_capital", 1.0, "protocol"),
     )
     horizon = as_integer(doc.get("horizon", 100), "horizon")
     if horizon < 1:
         raise ScenarioError(f"horizon must be >= 1, got {horizon}")
-    labels = doc.get("labels", {}) or {}
+    labels = _mapping(doc.get("labels", {}) or {}, "labels")
     _check_keys(labels, ("series_divergent", "expected_event"), "labels")
     expected = labels.get("expected_event", "none")
     if expected not in EXPECTED_EVENTS:
@@ -414,7 +443,7 @@ def event_proxy_for(scenario: Scenario) -> Optional[Callable[[Trace], bool]]:
         return None
     proxy = globals()[name]
     if expected == "avoid_match":
-        q = float(scenario.reality_spec.get("q", 0.9))
+        q = _number(scenario.reality_spec, "q", 0.9, "avoid_match")
         return lambda trace: proxy(trace, q)
     return proxy
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .engine import (
     PRICE_GAMES,
@@ -38,7 +38,8 @@ class BcCounters(NamedTuple):
     sums would round up to an integer they never actually reach.
     `partial_sum` reads the sum back as a Fraction.
 
-    A NamedTuple, like the step states that hold it (see `reality`).
+    A NamedTuple, like the step states that hold it (see `reality`).  Hot
+    paths build it with `_tuple_new(BcCounters, (b, acc, c))`.
     """
 
     b: int = 0
@@ -50,10 +51,17 @@ class BcCounters(NamedTuple):
         return Fraction(self.acc, 1 << 1074)
 
 
+# Builds a NamedTuple in one C call: the same instance as `Cls(*values)`
+# without the frame of the generated Python __new__.  Used once or more per
+# round, here and in `reality`.
+_tuple_new = tuple.__new__
+
+
 def heads_count_update(counters: BcCounters, head: bool) -> BcCounters:
     if not head:
         return counters
-    return BcCounters(counters.b + 1, counters.acc, counters.c)
+    b, acc, c = counters
+    return _tuple_new(BcCounters, (b + 1, acc, c))
 
 
 def ceiling_index_update(counters: BcCounters, p: float) -> BcCounters:
@@ -62,7 +70,7 @@ def ceiling_index_update(counters: BcCounters, p: float) -> BcCounters:
         raise ValueError(f"price increment must be finite and >= 0, got {p}")
     num, den = p.as_integer_ratio()  # den = 2^k with k <= 1074
     acc = counters.acc + (num << (1075 - den.bit_length()))  # num * 2^(1074 - k)
-    return BcCounters(counters.b, acc, (acc >> 1074) + 1)
+    return _tuple_new(BcCounters, (counters.b, acc, (acc >> 1074) + 1))
 
 
 def bc_divergent_bet(counters: BcCounters) -> float:
@@ -85,7 +93,11 @@ class _CounterSkeptic(Skeptic):
 
     The ceiling index is refreshed with the current price before betting
     (Forecaster moves first); the head count only after Reality's move.
+    Each subclass names its bet as `formula = staticmethod(bc_*_bet)`, so a
+    bet calls the formula with no method frame in between.
     """
+
+    formula: Callable[[BcCounters], float]
 
     def __init__(self):
         self.counters = BcCounters()
@@ -95,30 +107,27 @@ class _CounterSkeptic(Skeptic):
         super().reset(protocol)
         self.counters = BcCounters()
 
-    def _formula(self, counters: BcCounters) -> float:
-        raise NotImplementedError
-
     def bet(self, n: int, forecast: ForecastMove, k_prev: float) -> SkepticBet:
-        self.counters = ceiling_index_update(self.counters, forecast.p)
-        return SkepticBet(self._formula(self.counters))
+        self.counters = counters = ceiling_index_update(self.counters, forecast.p)
+        return SkepticBet(self.formula(counters))
 
     def observe(self, record: RoundRecord) -> None:
-        self.counters = heads_count_update(self.counters, record.x == 1.0)
+        # heads_count_update, inlined
+        if record.x == 1.0:
+            b, acc, c = self.counters
+            self.counters = _tuple_new(BcCounters, (b + 1, acc, c))
 
 
 class DivergentBcSkeptic(_CounterSkeptic):
-    def _formula(self, counters: BcCounters) -> float:
-        return bc_divergent_bet(counters)
+    formula = staticmethod(bc_divergent_bet)
 
 
 class ConvergentBcSkeptic(_CounterSkeptic):
-    def _formula(self, counters: BcCounters) -> float:
-        return bc_convergent_bet(counters)
+    formula = staticmethod(bc_convergent_bet)
 
 
 class FictionalBcSkeptic(_CounterSkeptic):
-    def _formula(self, counters: BcCounters) -> float:
-        return bc_fictional_bet(counters)
+    formula = staticmethod(bc_fictional_bet)
 
 
 class BangBangSkeptic(Skeptic):

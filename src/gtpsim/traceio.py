@@ -26,26 +26,28 @@ from .engine import (
 CSV_HEADER = ["n", "p_or_m", "v", "M", "V", "x", "K"]
 
 
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else format(value, ".17g")
-
-
 def trace_to_csv_text(trace: Trace) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    """The trace as CSV text, one line per round.
+
+    Each row is one f-string: the bytes `csv.writer` would write, since no
+    field can hold a comma, a quote or a line break.  p_or_m, v and V may be
+    absent (written empty); M, x and K are numbers in every trace, since
+    `run_game` validates them and the reader parses them as floats."""
+    lines = [",".join(CSV_HEADER) + "\n"]
+    append = lines.append
     for r in trace.rounds:
-        f = r.forecast
-        writer.writerow([
-            r.n,
-            _fmt(f.p if f.p is not None else f.m),
-            _fmt(f.v),
-            _fmt(r.bet.M),
-            _fmt(r.bet.V),
-            _fmt(r.x),
-            _fmt(r.capital_after),
-        ])
-    return out.getvalue()
+        f, bet = r.forecast, r.bet
+        p_or_m = f.p if f.p is not None else f.m
+        v, V = f.v, bet.V
+        append(
+            f"{r.n},"
+            f"{'' if p_or_m is None else format(p_or_m, '.17g')},"
+            f"{'' if v is None else format(v, '.17g')},"
+            f"{bet.M:.17g},"
+            f"{'' if V is None else format(V, '.17g')},"
+            f"{r.x:.17g},{r.capital_after:.17g}\n"
+        )
+    return "".join(lines)
 
 
 def write_trace_csv(trace: Trace, path) -> None:

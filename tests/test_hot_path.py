@@ -1,0 +1,118 @@
+"""The per-round hot path, pinned by count rather than by time.
+
+Each round of `run_game` makes a fixed number of Python-level calls (frames:
+policy methods, scripts, step functions, validators, dataclass __init__s).
+`sys.setprofile` counts them exactly and the count repeats run to run, so a
+one-line helper frame that creeps back into every round fails here even on
+a host too noisy to time it.  The step values built on that path must keep
+their NamedTuple types.
+"""
+
+import gc
+import sys
+
+import pytest
+
+from gtpsim import (
+    BcComplyState,
+    BcCounters,
+    ForecastMove,
+    MvComplyState,
+    SkepticBet,
+    bc_comply_step,
+    ceiling_index_update,
+    heads_count_update,
+    mv_comply_step,
+    run_game,
+)
+from gtpsim.engine import RoundRecord
+from gtpsim.hedges import SQUARE_HEDGE
+from gtpsim.reality import ComplyPhase, PhaseTag
+from gtpsim.scenario import (
+    build_forecaster,
+    build_reality,
+    build_skeptic,
+    coin_comply_pool,
+    ufg_pool,
+)
+from gtpsim.skeptic import FictionalBcSkeptic
+
+HORIZON = 2000
+# Calls outside the rounds: run_game itself and the three resets.
+SETUP_CALLS = 50
+
+# Python calls per round, at most.
+CALLS_PER_ROUND = {
+    "coin[harmonic/bc_fictional]": 21,
+    "coin[constant_0.3/zero]": 19,
+    "ufg[v=1/m=0/zero]": 21,
+}
+
+
+def _calls(scenario) -> tuple:
+    """(Python call events of one run_game, rounds played).  The cyclic
+    collector is emptied first and paused while counting, so finalizers of
+    garbage left by other tests add no calls."""
+    players = (build_forecaster(scenario), build_skeptic(scenario),
+               build_reality(scenario))
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            count += 1
+
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        trace = run_game(scenario.protocol, *players, HORIZON)
+    finally:
+        sys.setprofile(previous)
+        if was_enabled:
+            gc.enable()
+    return count, len(trace.rounds)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS_PER_ROUND))
+def test_python_calls_per_round_stay_pinned(name):
+    pool = {s.name: s for s in coin_comply_pool(HORIZON) + ufg_pool(HORIZON)}
+    calls, rounds = _calls(pool[name])
+    assert rounds == HORIZON
+    assert _calls(pool[name]) == (calls, rounds)   # the count repeats exactly
+    assert calls <= CALLS_PER_ROUND[name] * rounds + SETUP_CALLS, calls / rounds
+
+
+def test_counter_updates_keep_the_namedtuple_type():
+    counters = ceiling_index_update(BcCounters(), 0.75)
+    assert type(counters) is BcCounters and counters == (0, 3 << 1072, 1)
+    assert counters._fields == ("b", "acc", "c")
+    head = heads_count_update(counters, True)
+    assert type(head) is BcCounters and head.b == 1
+    assert head._replace(c=9) == BcCounters(1, counters.acc, 9)
+
+    skeptic = FictionalBcSkeptic()
+    skeptic.bet(1, ForecastMove(1.5), 1.0)
+    skeptic.observe(RoundRecord(1, ForecastMove(1.5), SkepticBet(0.0), 1.0, 1.0))
+    assert type(skeptic.counters) is BcCounters
+    assert skeptic.counters == BcCounters(1, 3 << 1073, 2)
+
+
+def test_step_states_keep_their_namedtuple_types():
+    state = BcComplyState()
+    for p, M in ((0.5, 0.0), (0.75, -0.25), (0.5, 0.125), (0.4, -1.0)):
+        x, state = bc_comply_step(state, p, M, 1.0, 1.0)
+        assert type(state) is BcComplyState and type(state.counters) is BcCounters
+    assert state.phase.tag is PhaseTag.MIXING and state.n == 4
+    assert state._replace(n=0).n == 0 and state._fields == ("phase", "counters", "n")
+
+    mv = MvComplyState()
+    for v, M, V in ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.5, 0.0), (2.0, 0.1, 0.1)):
+        x, mv = mv_comply_step(mv, ForecastMove(None, 0.0, v), SkepticBet(M, V),
+                               SQUARE_HEDGE, None, 1.0, 1.0)
+        assert type(mv) is MvComplyState and type(mv.counters) is BcCounters
+    assert mv.n == 4 and mv.a_total == 4.0
+    assert type(mv.phase) is ComplyPhase and mv.phase.tag is PhaseTag.MIXING
+    assert mv._replace(eps=0.5).eps == 0.5

@@ -17,6 +17,7 @@ from gtpsim.scenario import (
     _SKEPTICS,
     STOCK_POOLS,
     ScenarioError,
+    as_float,
     event_proxy_for,
     parse_scenario,
     parse_scenario_file,
@@ -481,3 +482,59 @@ def test_cmd_verify_report_shape():
     failures, lines = cmd_verify(scenarios, horizon=100)
     assert failures == 0
     assert len(lines) == 2 and lines[0].startswith("pass")
+
+
+MV_MINIMAL = MINIMAL.replace("coin_tossing", "unbounded_forecasting").replace(
+    "{name: harmonic}", "{name: mv}").replace("bc_fictional", "zero").replace(
+    "bc_comply", "ufg_comply")
+
+
+@pytest.mark.parametrize("text, shown", [
+    (MINIMAL.replace("{name: harmonic}", "{name: harmonic, a: [1]}"), "harmonic a"),
+    (MINIMAL.replace("{name: bc_fictional}", "{name: random_bounded, bound: {x: 1}}"),
+     "random_bounded bound"),
+    (MV_MINIMAL.replace("{name: mv}", "{name: mv, v: 5}"), "forecaster v"),
+    (MV_MINIMAL.replace("{name: mv}", "{name: mv, m: [zero]}"), "forecaster m"),
+    (MV_MINIMAL.replace("{name: mv}", "{name: mv, m: {name: sin, amplitude: true}}"),
+     "sin mean amplitude"),
+    (MINIMAL.replace("protocol:\n  kind: coin_tossing", "protocol: 5"), "protocol"),
+    (MINIMAL.replace("  kind: coin_tossing", "  kind: coin_tossing\n  initial_capital: [1]"),
+     "initial_capital"),
+    (MINIMAL.replace("coin_tossing", "bounded_forecasting").replace(
+        "bc_fictional", "zero").replace("{name: bc_comply}", "{name: avoid_match, q: [1]}"),
+     "avoid_match q"),
+    (MINIMAL.replace("{name: bc_fictional}", "{name: [1]}"), "unknown skeptic"),
+    (MINIMAL + "labels: 5\n", "labels"),
+], ids=["harmonic-a-list", "bound-mapping", "mv-v-number", "mv-m-list",
+        "amplitude-bool", "protocol-number", "initial-capital-list", "avoid-match-q-list",
+        "skeptic-name-list", "labels-number"])
+def test_cli_rejects_a_parameter_of_the_wrong_type(tmp_path, capsys, text, shown):
+    err = _cli_error(["run", str(_write(tmp_path / "typed.yaml", text))], capsys)
+    assert shown in err
+
+
+@pytest.mark.parametrize("manifest, shown", [
+    ("scenarios: 5\n", "scenarios"),
+    ("scenarios: [[1]]\n", "scenarios"),
+    ("pool: [1]\n", "pool"),
+], ids=["scenarios-number", "scenarios-nested", "pool-list"])
+def test_cli_rejects_a_manifest_of_the_wrong_shape(tmp_path, capsys, manifest, shown):
+    err = _cli_error(["verify", str(_write(tmp_path / "manifest.yaml", manifest))], capsys)
+    assert shown in err
+
+
+def test_as_float_takes_numbers_and_numeric_strings_only():
+    assert as_float(2, "a") == 2.0 and type(as_float(2, "a")) is float
+    assert as_float(0.25, "a") == 0.25
+    assert as_float("1e-4", "a") == 1e-4   # YAML 1.1 reads 1e-4 as a string
+    for raw in (True, None, [1], {"x": 1}, "abc", 10**400):
+        with pytest.raises(ScenarioError, match="bound must be a number"):
+            as_float(raw, "bound")
+
+
+def test_an_exponent_without_a_dot_still_parses_as_a_number():
+    scenario = parse_scenario(MINIMAL.replace("{name: bc_fictional}",
+                                              "{name: random_bounded, bound: 1e-4}"))
+    assert scenario.skeptic_spec["bound"] == "1e-4"
+    bets = [r.bet.M for r in run_scenario(scenario, horizon=20).rounds]
+    assert max(abs(m) for m in bets) <= 1e-4 and any(bets)
