@@ -28,6 +28,7 @@ from .scenario import (
     STOCK_POOLS,
     Scenario,
     ScenarioError,
+    as_float,
     as_integer,
     event_proxy_for,
     load_yaml,
@@ -236,8 +237,8 @@ def cmd_price(path: Path) -> Tuple[float, float]:
     if not isinstance(doc, dict) or "p_script" not in doc or "event" not in doc:
         raise ScenarioError("pricing file needs p_script and event")
     try:
-        p_script = [float(p) for p in _as_list(doc["p_script"])]
-    except (TypeError, ValueError):
+        p_script = [as_float(p, "price") for p in _as_list(doc["p_script"])]
+    except (TypeError, ScenarioError):
         raise ScenarioError(
             f"p_script must be a list of prices, got {doc['p_script']!r}") from None
     spec, n = doc["event"], len(p_script)

@@ -9,11 +9,13 @@ produced here, and any trace can be replayed against the update rule.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from .hedges import Hedge
 
@@ -304,6 +306,29 @@ class CombinedSkeptic(Skeptic):
             p.observe(record)
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause automatic cyclic garbage collection for the block.
+
+    A loop that builds a trace allocates three records per round and keeps
+    them all, so the collector would rescan a growing heap that holds no
+    cycle.  The collector is disabled only if it is enabled on entry, and is
+    enabled again on exit, also on an exception; a nested pause, or a caller
+    that runs with the collector off, leaves it as it found it.  Nothing is
+    collected here and no threshold changes: cycles made inside the block
+    (by a user strategy, say) are collected by the first automatic
+    collection after it.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def run_game(
     protocol: Protocol,
     forecaster: Forecaster,
@@ -331,27 +356,30 @@ def run_game(
     k = protocol.initial_capital
     rounds: List[RoundRecord] = []
     append = rounds.append
-    for n in range(1, horizon + 1):
-        f = forecast(n)
-        violation = validate_forecast(protocol, f)
-        if violation is not None:
-            raise InvalidMoveError(n, "forecaster", violation)
-        s = bet(n, f, k)
-        violation = validate_bet(protocol, s)
-        if violation is not None:
-            raise InvalidMoveError(n, "skeptic", violation)
-        x = outcome(n, f, s, k)
-        violation = validate_outcome(protocol, x)
-        if violation is not None:
-            raise InvalidMoveError(n, "reality", violation)
-        k = capital_update(protocol, k, f, s, x)
-        record = RoundRecord(n, f, s, x, k)
-        append(record)
-        observe_f(record)
-        observe_s(record)
-        observe_r(record)
-        if stop_on_skeptic_fault and not k >= floor:
-            break
+    # The records, moves and floats the loop keeps hold no cycle: see
+    # gc_paused.
+    with gc_paused():
+        for n in range(1, horizon + 1):
+            f = forecast(n)
+            violation = validate_forecast(protocol, f)
+            if violation is not None:
+                raise InvalidMoveError(n, "forecaster", violation)
+            s = bet(n, f, k)
+            violation = validate_bet(protocol, s)
+            if violation is not None:
+                raise InvalidMoveError(n, "skeptic", violation)
+            x = outcome(n, f, s, k)
+            violation = validate_outcome(protocol, x)
+            if violation is not None:
+                raise InvalidMoveError(n, "reality", violation)
+            k = capital_update(protocol, k, f, s, x)
+            record = RoundRecord(n, f, s, x, k)
+            append(record)
+            observe_f(record)
+            observe_s(record)
+            observe_r(record)
+            if stop_on_skeptic_fault and not k >= floor:
+                break
     return Trace(protocol=protocol, rounds=rounds, seed=seed)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import yaml
 
@@ -197,32 +197,54 @@ def _price_script(name: str, params: Dict) -> Callable[[int], ForecastMove]:
 
 
 def _mv_script(params: Dict) -> Callable[[int], ForecastMove]:
+    """Round n -> ForecastMove(None, m_n, v_n): one closure per (v, m) kind,
+    so a forecast costs one script frame."""
     v_spec = _mapping(params.get("v", {"name": "constant", "value": 1.0}),
                       "forecaster v")
     m_spec = _mapping(params.get("m", {"name": "zero"}), "forecaster m")
-    v_name = v_spec.get("name")
+    v_name, m_name = v_spec.get("name"), m_spec.get("name")
     if v_name == "constant":
+        _check_keys(v_spec, ("name", "value"), "constant variance")
         value = _number(v_spec, "value", 1.0, "constant variance")
-        v_fn = lambda n: value
     elif v_name == "power":
+        _check_keys(v_spec, ("name", "exponent"), "power variance")
         exponent = _number(v_spec, "exponent", 1.0, "power variance")
-        v_fn = lambda n: float(n) ** exponent
     else:
         raise ScenarioError(f"unknown variance script {v_name!r}")
-    m_name = m_spec.get("name")
     if m_name == "zero":
-        m_fn = lambda n: 0.0
+        _check_keys(m_spec, ("name",), "zero mean")
     elif m_name == "sin":
+        _check_keys(m_spec, ("name", "amplitude"), "sin mean")
         amplitude = _number(m_spec, "amplitude", 1.0, "sin mean")
-        m_fn = lambda n: amplitude * math.sin(float(n))
+        sin = math.sin
     else:
         raise ScenarioError(f"unknown mean script {m_name!r}")
-    return lambda n: ForecastMove(None, m_fn(n), v_fn(n))
+    if v_name == "constant":
+        if m_name == "zero":
+            return lambda n: ForecastMove(None, 0.0, value)
+        return lambda n: ForecastMove(None, amplitude * sin(float(n)), value)
+    if m_name == "zero":
+        return lambda n: ForecastMove(None, 0.0, float(n) ** exponent)
+    return lambda n: ForecastMove(
+        None, amplitude * sin(float(n)), float(n) ** exponent)
+
+
+# Forecaster name -> the parameter keys its spec may hold besides `name`.
+_FORECASTER_KEYS: Dict[str, Tuple[str, ...]] = {
+    "harmonic": ("a",),
+    "inverse_square": ("a",),
+    "constant": ("value",),
+    "geometric": ("ratio", "a"),
+    "explicit": ("values",),
+    "mv": ("v", "m"),
+}
 
 
 def build_forecaster(scenario: Scenario) -> Forecaster:
     spec = dict(scenario.forecaster_spec)
     name = spec.pop("name")
+    if isinstance(name, str) and name in _FORECASTER_KEYS:
+        _check_keys(spec, _FORECASTER_KEYS[name], f"forecaster {name!r}")
     if scenario.protocol.kind.uses_price:
         return ScriptForecaster(_price_script(name, spec))
     if name != "mv":
@@ -238,51 +260,60 @@ def _seed(scenario: Scenario) -> int:
     return scenario.seed if scenario.seed is not None else 0
 
 
-# name -> constructor from (scenario, its strategy spec)
-_SKEPTICS: Dict[str, Callable[[Scenario, Dict], Skeptic]] = {
-    "zero": lambda sc, spec: ZeroSkeptic(),
-    "bc_divergent": lambda sc, spec: skeptic.DivergentBcSkeptic(),
-    "bc_convergent": lambda sc, spec: skeptic.ConvergentBcSkeptic(),
-    "bc_fictional": lambda sc, spec: skeptic.FictionalBcSkeptic(),
-    "random_bounded": lambda sc, spec: randomized.RandomBoundedSkeptic(
+# name -> (the parameter keys its spec may hold besides `name`, constructor
+# from (scenario, its strategy spec)).  Any other key is a ScenarioError, so a
+# misspelt parameter cannot fall back to its default.
+_Registry = Dict[str, Tuple[Tuple[str, ...], Callable[[Scenario, Dict], Any]]]
+
+_SKEPTICS: _Registry = {
+    "zero": ((), lambda sc, spec: ZeroSkeptic()),
+    "bc_divergent": ((), lambda sc, spec: skeptic.DivergentBcSkeptic()),
+    "bc_convergent": ((), lambda sc, spec: skeptic.ConvergentBcSkeptic()),
+    "bc_fictional": ((), lambda sc, spec: skeptic.FictionalBcSkeptic()),
+    "random_bounded": (("bound",), lambda sc, spec: randomized.RandomBoundedSkeptic(
         seed=_seed(sc), bound=_number(spec, "bound", 10.0, "random_bounded")
+    )),
+    "bang_bang": (
+        ("amplitude", "v_amplitude"),
+        lambda sc, spec: skeptic.BangBangSkeptic(
+            amplitude=_number(spec, "amplitude", 1.0, "bang_bang"),
+            v_amplitude=_number(spec, "v_amplitude", 1.0, "bang_bang"),
+        ),
     ),
-    "bang_bang": lambda sc, spec: skeptic.BangBangSkeptic(
-        amplitude=_number(spec, "amplitude", 1.0, "bang_bang"),
-        v_amplitude=_number(spec, "v_amplitude", 1.0, "bang_bang"),
-    ),
-    "single_bet": lambda sc, spec: skeptic.SingleBetSkeptic(
+    "single_bet": (("M", "V"), lambda sc, spec: skeptic.SingleBetSkeptic(
         M=_number(spec, "M", 0.0, "single_bet"),
         V=_number(spec, "V", 0.0, "single_bet"),
-    ),
+    )),
 }
 
-_REALITIES: Dict[str, Callable[[Scenario, Dict], Reality]] = {
-    "bc_comply": lambda sc, spec: reality.BcComplyReality(),
-    "ufg_comply": lambda sc, spec: reality.MvComplyReality(),
-    "ufgh_comply": lambda sc, spec: reality.MvComplyReality(
+_REALITIES: _Registry = {
+    "bc_comply": ((), lambda sc, spec: reality.BcComplyReality()),
+    "ufg_comply": ((), lambda sc, spec: reality.MvComplyReality()),
+    "ufgh_comply": ((), lambda sc, spec: reality.MvComplyReality(
         growth=sc.growth or identity_growth()
-    ),
-    "derandomized_fictional": lambda sc, spec: reality.DerandomizedCoinReality(
+    )),
+    "derandomized_fictional": ((), lambda sc, spec: reality.DerandomizedCoinReality(
         skeptic.FictionalBcSkeptic()
-    ),
-    "first_round": lambda sc, spec: reality.FirstRoundComplyReality(),
-    "avoid_match": lambda sc, spec: reality.BoundedAvoidMatchReality(
+    )),
+    "first_round": ((), lambda sc, spec: reality.FirstRoundComplyReality()),
+    "avoid_match": (("q",), lambda sc, spec: reality.BoundedAvoidMatchReality(
         _number(spec, "q", 0.9, "avoid_match")
-    ),
-    "bernoulli": lambda sc, spec: randomized.BernoulliReality(seed=_seed(sc)),
-    "kolmogorov": lambda sc, spec: randomized.KolmogorovReality(seed=_seed(sc)),
-    "constant": lambda sc, spec: reality.ConstantReality(
+    )),
+    "bernoulli": ((), lambda sc, spec: randomized.BernoulliReality(seed=_seed(sc))),
+    "kolmogorov": ((), lambda sc, spec: randomized.KolmogorovReality(seed=_seed(sc))),
+    "constant": (("x",), lambda sc, spec: reality.ConstantReality(
         _number(spec, "x", 0.0, "constant")
-    ),
+    )),
 }
 
 
-def _build(registry: Dict, role: str, scenario: Scenario, spec: Dict):
+def _build(registry: _Registry, role: str, scenario: Scenario, spec: Dict):
     name = spec["name"]
     if not isinstance(name, str) or name not in registry:
         raise ScenarioError(f"unknown {role} {name!r}")
-    return registry[name](scenario, spec)
+    keys, make = registry[name]
+    _check_keys(spec, ("name",) + keys, f"{role} {name!r}")
+    return make(scenario, spec)
 
 
 def build_skeptic(scenario: Scenario) -> Skeptic:

@@ -21,6 +21,7 @@ from .engine import (
     RoundRecord,
     SkepticBet,
     Trace,
+    gc_paused,
 )
 
 CSV_HEADER = ["n", "p_or_m", "v", "M", "V", "x", "K"]
@@ -62,17 +63,20 @@ def trace_from_csv_text(text: str, protocol: Protocol,
         raise ValueError(f"unexpected CSV header {header!r}")
     uses_price = protocol.kind.uses_price
     rounds = []
-    for row in reader:
-        if not row:
-            continue
-        n, p_or_m, v, m_bet, v_bet, x, k = row
-        if uses_price:
-            forecast = ForecastMove(float(p_or_m))
-            bet = SkepticBet(float(m_bet))
-        else:
-            forecast = ForecastMove(None, float(p_or_m), float(v))
-            bet = SkepticBet(float(m_bet), float(v_bet))
-        rounds.append(RoundRecord(int(n), forecast, bet, float(x), float(k)))
+    # The rows become acyclic records, kept until the trace is built: see
+    # gc_paused.
+    with gc_paused():
+        for row in reader:
+            if not row:
+                continue
+            n, p_or_m, v, m_bet, v_bet, x, k = row
+            if uses_price:
+                forecast = ForecastMove(float(p_or_m))
+                bet = SkepticBet(float(m_bet))
+            else:
+                forecast = ForecastMove(None, float(p_or_m), float(v))
+                bet = SkepticBet(float(m_bet), float(v_bet))
+            rounds.append(RoundRecord(int(n), forecast, bet, float(x), float(k)))
     return Trace(protocol=protocol, rounds=rounds, seed=seed)
 
 

@@ -25,7 +25,7 @@ from gtpsim import (
     mv_comply_step,
     run_game,
 )
-from gtpsim.engine import RoundRecord
+from gtpsim.engine import RoundRecord, gc_paused
 from gtpsim.hedges import SQUARE_HEDGE
 from gtpsim.reality import ComplyPhase, PhaseTag
 from gtpsim.scenario import (
@@ -45,7 +45,7 @@ SETUP_CALLS = 50
 CALLS_PER_ROUND = {
     "coin[harmonic/bc_fictional]": 21,
     "coin[constant_0.3/zero]": 19,
-    "ufg[v=1/m=0/zero]": 21,
+    "ufg[v=1/m=0/zero]": 19,
 }
 
 
@@ -63,16 +63,13 @@ def _calls(scenario) -> tuple:
             count += 1
 
     gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        trace = run_game(scenario.protocol, *players, HORIZON)
-    finally:
-        sys.setprofile(previous)
-        if was_enabled:
-            gc.enable()
+    with gc_paused():
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            trace = run_game(scenario.protocol, *players, HORIZON)
+        finally:
+            sys.setprofile(previous)
     return count, len(trace.rounds)
 
 

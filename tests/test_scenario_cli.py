@@ -13,6 +13,7 @@ from gtpsim.engine import Protocol
 from gtpsim.hedges import HedgeValidationError
 from gtpsim.randomized import KolmogorovReality
 from gtpsim.scenario import (
+    _FORECASTER_KEYS,
     _REALITIES,
     _SKEPTICS,
     STOCK_POOLS,
@@ -128,7 +129,7 @@ def _plays(kind: GameKind, name: str) -> bool:
     return _ONE_GAME.get(name, kind.value) == kind.value
 
 
-def _pair_scenario(kind: GameKind, role: str, name: str) -> str:
+def _pair_scenario(kind: GameKind, role: str, spec: dict) -> str:
     protocol = {"kind": kind.value, "initial_capital": 0.5}
     if kind is GameKind.GENERAL_HEDGE:
         protocol["hedge"] = "power:r=1.5"
@@ -140,7 +141,7 @@ def _pair_scenario(kind: GameKind, role: str, name: str) -> str:
         "reality": {"name": "constant"},
         "seed": 3,
     }
-    doc[role] = {"name": name}
+    doc[role] = spec
     return yaml.safe_dump(doc)
 
 
@@ -148,7 +149,7 @@ def _pair_scenario(kind: GameKind, role: str, name: str) -> str:
 @pytest.mark.parametrize("role, name", [("skeptic", n) for n in _SKEPTICS]
                          + [("reality", n) for n in _REALITIES])
 def test_every_strategy_runs_or_is_rejected_at_parse(kind, role, name):
-    text = _pair_scenario(kind, role, name)
+    text = _pair_scenario(kind, role, {"name": name})
     if not _plays(kind, name):
         with pytest.raises(ScenarioError, match=kind.value):
             parse_scenario(text)
@@ -346,6 +347,51 @@ def test_cli_rejects_a_role_that_is_not_a_mapping(tmp_path, capsys, role, spec):
     assert f"{role} must be a mapping" in err
 
 
+@pytest.mark.parametrize("kind, role, spec, key", [
+    ("coin_tossing", "forecaster", "{name: harmonic, aa: 5}", "aa"),
+    ("coin_tossing", "forecaster", "{name: geometric, ratio: 0.5, b: 1}", "b"),
+    ("unbounded_forecasting", "forecaster", "{name: mv, vv: {name: power}}", "vv"),
+    ("unbounded_forecasting", "forecaster",
+     "{name: mv, v: {name: constant, valeu: 2}}", "valeu"),
+    ("unbounded_forecasting", "forecaster",
+     "{name: mv, v: {name: power, exponent: 1, value: 2}}", "value"),
+    ("unbounded_forecasting", "forecaster", "{name: mv, m: {name: zero, a: 1}}", "a"),
+    ("unbounded_forecasting", "forecaster",
+     "{name: mv, m: {name: sin, amplitud: 2}}", "amplitud"),
+    ("coin_tossing", "skeptic", "{name: random_bounded, bund: 0.001}", "bund"),
+    ("coin_tossing", "skeptic", "{name: bc_fictional, bound: 1}", "bound"),
+    ("unbounded_forecasting", "skeptic", "{name: bang_bang, v_amp: 2}", "v_amp"),
+    ("coin_tossing", "reality", "{name: bc_comply, q: 0.9}", "q"),
+    ("bounded_forecasting", "reality", "{name: avoid_match, qq: 0.9}", "qq"),
+    ("coin_tossing", "reality", "{name: constant, value: 1}", "value"),
+])
+def test_cli_rejects_an_unknown_strategy_key(tmp_path, capsys, kind, role, spec, key):
+    text = _pair_scenario(GameKind(kind), role, yaml.safe_load(spec))
+    path = _write(tmp_path / "key.yaml", text)
+    err = _cli_error(["run", str(path)], capsys)
+    assert "unknown key" in err and repr(key) in err
+
+
+def _declared_keys():
+    """(game, role, strategy name, key) for every parameter key a strategy
+    table allows."""
+    for name, keys in _FORECASTER_KEYS.items():
+        kind = "unbounded_forecasting" if name == "mv" else "coin_tossing"
+        yield from ((kind, "forecaster", name, key) for key in keys)
+    for role, registry in (("skeptic", _SKEPTICS), ("reality", _REALITIES)):
+        for name, (keys, _) in registry.items():
+            yield from (("coin_tossing", role, name, key) for key in keys)
+
+
+@pytest.mark.parametrize("kind, role, name, key", list(_declared_keys()))
+def test_every_allowed_strategy_key_is_read(kind, role, name, key):
+    # A key the table allows but the strategy never read would be a silent
+    # default again: a wrong-typed value must be rejected by name.
+    text = _pair_scenario(GameKind(kind), role, {"name": name, key: True})
+    with pytest.raises(ScenarioError, match=rf" {key} (must be|list)"):
+        parse_scenario(text)
+
+
 def test_cli_price_coordinate_event(tmp_path, capsys):
     pricing = _write(tmp_path / "price.yaml", """\
 p_script: [0.3]
@@ -405,6 +451,13 @@ def test_cli_price_rejects_a_threshold_without_value(tmp_path, capsys):
 
 def test_cli_price_rejects_a_p_script_that_is_not_a_list(tmp_path, capsys):
     err = _price_error(tmp_path, capsys, "p_script: 0.5\nevent: {type: all}\n")
+    assert "p_script" in err
+
+
+@pytest.mark.parametrize("p_script", ["[true, 0.5]", "[0.5, false]", "[0.5, [1]]",
+                                      "[0.5, half]"])
+def test_cli_price_rejects_a_price_that_is_not_a_number(tmp_path, capsys, p_script):
+    err = _price_error(tmp_path, capsys, f"p_script: {p_script}\nevent: {{type: all}}\n")
     assert "p_script" in err
 
 
