@@ -50,7 +50,6 @@ from .reality import (
     BcComplyState,
     BoundedAvoidMatchReality,
     ComplyPhase,
-    DerandomizedCoinReality,
     FirstRoundComplyReality,
     MvComplyReality,
     MvComplyState,
@@ -70,6 +69,7 @@ from .analysis import (
     coin_price_bounds,
     epsilon_sequence_step,
     lower_probability_coin,
+    mixture_capitals,
     strong_compliance_verdict,
     term_bound_check,
     upper_probability_coin,

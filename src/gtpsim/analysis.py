@@ -1,5 +1,6 @@
 """Verification utilities: damping weights, finite-horizon pricing of coin
-events, capital-bound verdicts on traces, and a tail-term bound check."""
+events, capital-bound verdicts on traces, the mixture-capital certificate,
+and a tail-term bound check."""
 
 from __future__ import annotations
 
@@ -7,9 +8,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .engine import Trace
+from .engine import Skeptic, Trace, capital_update
 
-MAX_PRICING_HORIZON = 25          # the 2^N tree, for predicates without a state
+MAX_PRICING_HORIZON = 25          # the 2^N tree
 MAX_PRICING_STATES = 1 << 19      # (round, state) pairs of the induction
 BOUND_SLACK = 1e-9  # relative to the initial capital
 
@@ -43,25 +44,19 @@ def _check_prices(p_script: Sequence[float]) -> None:
             raise ValueError(f"price {p} outside [0, 1]")
 
 
-def upper_probability_coin(p_script: Sequence[float], event: EventPredicate,
-                           state: Optional[EventState] = None) -> float:
+def upper_probability_coin(p_script: Sequence[float], event: EventPredicate) -> float:
     """Minimal initial capital superreplicating the event indicator in the
-    coin game with the given price script, by backward induction.
+    coin game with the given price script, by backward induction over every
+    prefix (2^N leaves, N <= 25).
 
     The one-round market on {0, 1} with one linear instrument is complete,
-    so the node value is p * up + (1 - p) * down exactly.  Without `state`
-    the recursion runs over every prefix (2^N leaves, N <= 25).  With it, it
-    runs over the reachable (round, state) pairs, at most
-    MAX_PRICING_STATES of them, and calls `event` once per final state; the
-    prices are the same floats, since nodes with one state have one value.
+    so the node value is p * up + (1 - p) * down exactly.  This tree is the
+    oracle of `coin_price_bounds`.
     """
     n = len(p_script)
-    if state is None and n > MAX_PRICING_HORIZON:
+    if n > MAX_PRICING_HORIZON:
         raise ValueError(f"horizon {n} exceeds {MAX_PRICING_HORIZON}")
     _check_prices(p_script)
-    if state is not None:
-        rows, leaves = _state_graph(p_script, event, *state)
-        return _sweep(p_script, rows, leaves, state[0])
 
     def node(k: int, prefix: Tuple[int, ...]) -> float:
         if k == n:
@@ -72,19 +67,20 @@ def upper_probability_coin(p_script: Sequence[float], event: EventPredicate,
     return node(0, ())
 
 
-def lower_probability_coin(p_script: Sequence[float], event: EventPredicate,
-                           state: Optional[EventState] = None) -> float:
-    """1 - upper probability of the complement, which has the same state."""
-    return 1.0 - upper_probability_coin(p_script, lambda bits: not event(bits), state)
+def lower_probability_coin(p_script: Sequence[float], event: EventPredicate) -> float:
+    """1 - upper probability of the complement."""
+    return 1.0 - upper_probability_coin(p_script, lambda bits: not event(bits))
 
 
 def coin_price_bounds(p_script: Sequence[float], event: EventPredicate,
                       state: EventState) -> Tuple[float, float]:
-    """(upper, lower) probability of the event from one (round, state) graph
-    and one call of `event` per final state: one backward sweep over the
-    leaf values v, one over 1 - v for the complement.  v is 0.0 or 1.0, so
-    1 - v is exact and both prices equal `upper_probability_coin` and
-    `lower_probability_coin` called with the same state."""
+    """(upper, lower) probability of the event by backward induction over the
+    reachable (round, state) pairs, at most MAX_PRICING_STATES of them, with
+    one call of `event` per final state: one backward sweep over the leaf
+    values v, one over 1 - v for the complement.  Nodes with one state have
+    one value, and v is 0.0 or 1.0, so 1 - v is exact and both prices are
+    the same floats as `upper_probability_coin` and `lower_probability_coin`
+    on the 2^N tree."""
     _check_prices(p_script)
     start = state[0]
     rows, leaves = _state_graph(p_script, event, *state)
@@ -193,6 +189,32 @@ def strong_compliance_verdict(
         event_proxy_ok=proxy_ok,
         notes=notes,
     )
+
+
+def mixture_capitals(trace: Trace, fictional: Skeptic, weight: float,
+                     n0: int = 0) -> List[float]:
+    """K_n + weight * (F_n - F_{n0}) for n = n0, ..., N: the capital the
+    compliance proof says never increases from round n0 on.
+
+    K is the recorded capital.  F is the capital of the fictional Skeptic,
+    replayed over the recorded rounds (reset, then bet and observe each
+    round) from F_0 = K_0.  For `derandomized_fictional` the certificate is
+    `FictionalBcSkeptic` with n0 = 0 and weight 1; for `bc_comply` it is the
+    same Skeptic with the n0 and the weight -delta (`mix_coeff`) of the
+    machine's Mixing phase."""
+    protocol = trace.protocol
+    fictional.reset(protocol)
+    f = f_n0 = protocol.initial_capital
+    mixture = [f] if n0 == 0 else []
+    for record in trace.rounds:
+        bet = fictional.bet(record.n, record.forecast, f)
+        f = capital_update(protocol, f, record.forecast, bet, record.x)
+        fictional.observe(record)
+        if record.n == n0:
+            f_n0 = f
+        if record.n >= n0:
+            mixture.append(record.capital_after + weight * (f - f_n0))
+    return mixture
 
 
 def term_bound_check(

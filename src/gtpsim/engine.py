@@ -44,8 +44,9 @@ class Protocol:
     initial_capital: float = 1.0
 
     def __post_init__(self):
-        if not self.initial_capital > 0.0:
-            raise ValueError("initial_capital must be positive")
+        if not 0.0 < self.initial_capital < math.inf:
+            raise ValueError(
+                f"initial_capital must be positive and finite, got {self.initial_capital}")
         if self.kind is GameKind.GENERAL_HEDGE:
             if self.hedge is None:
                 raise ValueError("general-hedge protocol requires a hedge")

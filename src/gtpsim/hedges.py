@@ -59,26 +59,28 @@ def power_growth(r: float) -> Growth:
     return Growth(eval=lambda x: x ** r, name=f"power:r={r:g}")
 
 
+# The checks below are written so that a NaN value fails them: each raises
+# unless its comparison holds.
 def validate_hedge(hedge: Hedge) -> None:
     """Check the hedge conditions on the sampled grid; raise on failure."""
     h = hedge.forward
-    if abs(h(0.0)) > _REL_TOL:
+    if not abs(h(0.0)) <= _REL_TOL:
         raise HedgeValidationError(f"{hedge.name}: h(0) = {h(0.0)!r}, expected 0")
     for x in _GRID:
         hx = h(x)
-        if hx < 0.0:
-            raise HedgeValidationError(f"{hedge.name}: h({x}) = {hx} < 0")
-        if abs(hx - h(-x)) > _REL_TOL * max(1.0, abs(hx)):
+        if not hx >= 0.0:
+            raise HedgeValidationError(f"{hedge.name}: h({x}) = {hx}, expected >= 0")
+        if not abs(hx - h(-x)) <= _REL_TOL * max(1.0, abs(hx)):
             raise HedgeValidationError(f"{hedge.name}: h not even at x = {x}")
     slack = _REL_TOL
     for lo, hi in zip(_GRID, _GRID[1:]):
         r_lo, r_hi = h(lo) / lo, h(hi) / hi
-        if r_hi < r_lo * (1.0 - slack) - slack:
+        if not r_hi >= r_lo * (1.0 - slack) - slack:
             raise HedgeValidationError(
                 f"{hedge.name}: h(x)/x decreases between {lo} and {hi}"
             )
         q_lo, q_hi = h(lo) / lo ** 2, h(hi) / hi ** 2
-        if q_hi > q_lo * (1.0 + slack) + slack:
+        if not q_hi <= q_lo * (1.0 + slack) + slack:
             raise HedgeValidationError(
                 f"{hedge.name}: h(x)/x^2 increases between {lo} and {hi}"
             )
@@ -86,7 +88,7 @@ def validate_hedge(hedge: Hedge) -> None:
         for x in _GRID:
             y = h(x)
             back = h(hedge.inverse(y))
-            if abs(back - y) > _REL_TOL * max(1.0, abs(y)):
+            if not abs(back - y) <= _REL_TOL * max(1.0, abs(y)):
                 raise HedgeValidationError(
                     f"{hedge.name}: inverse round-trip failed at x = {x}"
                 )
@@ -98,10 +100,10 @@ def validate_growth(growth: Growth, grid=None) -> None:
     grid = list(_GRID if grid is None else grid)
     values = [g(x) for x in grid]
     for x, gx in zip(grid, values):
-        if gx <= 0.0:
-            raise HedgeValidationError(f"{growth.name}: g({x}) = {gx} <= 0")
+        if not gx > 0.0:
+            raise HedgeValidationError(f"{growth.name}: g({x}) = {gx}, expected > 0")
     for (x, lo), hi in zip(zip(grid, values), values[1:]):
-        if hi < lo * (1.0 - _REL_TOL):
+        if not hi >= lo * (1.0 - _REL_TOL):
             raise HedgeValidationError(f"{growth.name}: g decreases after x = {x}")
 
 

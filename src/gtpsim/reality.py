@@ -19,8 +19,6 @@ from .engine import (
     GameKind,
     Protocol,
     Reality,
-    RoundRecord,
-    Skeptic,
     SkepticBet,
     require_game,
 )
@@ -111,15 +109,23 @@ def bc_comply_step(
 
 
 class BcComplyReality(Reality):
-    """Policy wrapper around bc_comply_step."""
+    """Policy wrapper around bc_comply_step, started in `phase`.
 
-    def __init__(self):
-        self.state = BcComplyState()
+    The default waits for a first strict loss.  Started in Mixing with
+    n0 = 0 and weight 1, it is the paper's derandomization of the
+    Bernoulli(p) Reality with no wait: x = 1 exactly when M + m_f <= 0, m_f
+    the fictional bet `bc_fictional_bet`, so the 1/2-1/2 mixture of the real
+    and the fictional capital never increases (`analysis.mixture_capitals`).
+    """
+
+    def __init__(self, phase: ComplyPhase = ComplyPhase()):
+        self.phase = phase
+        self.state = BcComplyState(phase)
         self.k0 = 1.0
 
     def reset(self, protocol: Protocol) -> None:
         require_game(protocol, self, *PRICE_GAMES)
-        self.state = BcComplyState()
+        self.state = BcComplyState(self.phase)
         self.k0 = protocol.initial_capital
 
     def outcome(self, n, forecast, bet, k_prev) -> float:
@@ -240,44 +246,6 @@ class MvComplyReality(Reality):
             self.state, forecast, bet, self.hedge, self.growth, k_prev, self.k0
         )
         return x
-
-
-# ---------------------------------------------------------------------------
-# Derandomized coin-game Reality from a fictional Skeptic
-# ---------------------------------------------------------------------------
-
-class DerandomizedCoinReality(Reality):
-    """Reality policy built from a capital-non-negative fictional Skeptic.
-
-    Each round she averages the real bet with the fictional bet and plays
-    heads exactly when the average is <= 0, which makes the averaged
-    ("mixture") capital non-increasing.  The per-round mixture capitals are
-    kept on the instance for auditing.
-    """
-
-    def __init__(self, fictional: Skeptic):
-        self.fictional = fictional
-        self.mixture_capitals = [1.0]
-        self.fictional_capitals = [1.0]
-
-    def reset(self, protocol: Protocol) -> None:
-        require_game(protocol, self, *PRICE_GAMES)
-        self.fictional.reset(protocol)
-        k0 = protocol.initial_capital
-        self.mixture_capitals = [k0]
-        self.fictional_capitals = [k0]
-
-    def outcome(self, n, forecast, bet, k_prev) -> float:
-        p = forecast.p
-        m_f = self.fictional.bet(n, forecast, self.fictional_capitals[-1]).M
-        m_o = 0.5 * (bet.M + m_f)
-        x = 1.0 if m_o <= 0.0 else 0.0
-        self.mixture_capitals.append(self.mixture_capitals[-1] + m_o * (x - p))
-        self.fictional_capitals.append(self.fictional_capitals[-1] + m_f * (x - p))
-        return x
-
-    def observe(self, record: RoundRecord) -> None:
-        self.fictional.observe(record)
 
 
 # ---------------------------------------------------------------------------

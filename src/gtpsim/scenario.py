@@ -292,8 +292,9 @@ _REALITIES: _Registry = {
     "ufgh_comply": ((), lambda sc, spec: reality.MvComplyReality(
         growth=sc.growth or identity_growth()
     )),
-    "derandomized_fictional": ((), lambda sc, spec: reality.DerandomizedCoinReality(
-        skeptic.FictionalBcSkeptic()
+    # The paper's derandomization with no wait: Mixing from round 1, weight 1.
+    "derandomized_fictional": ((), lambda sc, spec: reality.BcComplyReality(
+        reality.ComplyPhase(reality.PhaseTag.MIXING, n0=0, mix_coeff=1.0)
     )),
     "first_round": ((), lambda sc, spec: reality.FirstRoundComplyReality()),
     "avoid_match": (("q",), lambda sc, spec: reality.BoundedAvoidMatchReality(

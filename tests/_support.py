@@ -6,11 +6,14 @@ from typing import Sequence
 
 from gtpsim import (
     ForecastMove,
+    GameKind,
+    Protocol,
     Reality,
     ScriptForecaster,
     Skeptic,
     SkepticBet,
 )
+from gtpsim.scenario import Scenario, build_reality
 
 
 class ScriptReality(Reality):
@@ -36,6 +39,15 @@ class ScriptBetSkeptic(Skeptic):
             v = self.vs[(n - 1) % len(self.vs)] if self.vs else 0.0
             return SkepticBet(M=m, V=v)
         return SkepticBet(M=m)
+
+
+def derandomizer() -> Reality:
+    """A new Reality from the `derandomized_fictional` registry entry."""
+    return build_reality(Scenario(
+        name="derandomized", protocol=Protocol(kind=GameKind.COIN_TOSSING),
+        horizon=1, forecaster_spec={}, skeptic_spec={},
+        reality_spec={"name": "derandomized_fictional"},
+    ))
 
 
 def price_forecaster(ps: Sequence[float]) -> ScriptForecaster:

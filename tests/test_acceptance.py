@@ -17,6 +17,7 @@ from gtpsim import (
     RandomStream,
     epsilon_sequence_step,
     lower_probability_coin,
+    mixture_capitals,
     run_game,
     uniform_block,
     upper_probability_coin,
@@ -28,7 +29,6 @@ from gtpsim.randomized import KolmogorovReality, RandomBoundedSkeptic
 from gtpsim.reality import (
     BoundedAvoidMatchReality,
     ConstantReality,
-    DerandomizedCoinReality,
     FirstRoundComplyReality,
 )
 from gtpsim.scenario import (
@@ -49,7 +49,7 @@ from gtpsim.skeptic import (
 from gtpsim.engine import ZeroSkeptic
 
 import _acceptance_log
-from _support import ScriptBetSkeptic, price_forecaster
+from _support import ScriptBetSkeptic, derandomizer, price_forecaster
 
 COIN = Protocol(kind=GameKind.COIN_TOSSING)
 BOUND_SLACK = 1e-9
@@ -361,12 +361,11 @@ def test_criterion_9_derandomizer_and_linearity():
     forecaster_ps = [min(1.0, 1.0 / n) for n in range(1, 61)]
     monotone = True
     for seed in range(1000):
-        reality = DerandomizedCoinReality(FictionalBcSkeptic())
-        run_game(
+        trace = run_game(
             COIN, price_forecaster(forecaster_ps),
-            RandomBoundedSkeptic(seed=seed), reality, 60,
+            RandomBoundedSkeptic(seed=seed), derandomizer(), 60,
         )
-        caps = reality.mixture_capitals
+        caps = mixture_capitals(trace, FictionalBcSkeptic(), 1.0)
         if any(b > a + 1e-12 for a, b in zip(caps, caps[1:])):
             monotone = False
             break

@@ -130,6 +130,29 @@ def test_hedge_validation_rejects_nonzero_at_origin():
         validate_hedge(Hedge(forward=lambda x: x * x + 1.0, name="shifted"))
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize("hedge", [
+    power_hedge(NAN),
+    Hedge(forward=lambda x: NAN if x == 4.0 else x * x, name="nan_at_4"),
+    Hedge(forward=lambda x: NAN if x == -4.0 else x * x, name="nan_at_minus_4"),
+    Hedge(forward=lambda x: x * x, inverse=lambda y: NAN, name="nan_inverse"),
+])
+def test_hedge_validation_rejects_nan(hedge):
+    with pytest.raises(HedgeValidationError, match=hedge.name):
+        validate_hedge(hedge)
+
+
+@pytest.mark.parametrize("growth", [
+    power_growth(NAN),
+    Growth(eval=lambda x: NAN if x == 4.0 else x, name="nan_at_4"),
+])
+def test_growth_validation_rejects_nan(growth):
+    with pytest.raises(HedgeValidationError, match=growth.name):
+        validate_growth(growth)
+
+
 # Random points on top of the validator's dyadic grid: every hedge the
 # scenarios build, at 0 < x < y in [2^-10, 2^10].
 HEDGES = st.one_of(st.floats(1.0, 2.0).map(power_hedge), st.just(SQUARE_HEDGE))

@@ -46,9 +46,10 @@ def test_non_hedge_kinds_reject_hedge():
         Protocol(kind=GameKind.COIN_TOSSING, hedge=power_hedge(2.0))
 
 
-def test_initial_capital_must_be_positive():
-    with pytest.raises(ValueError):
-        Protocol(kind=GameKind.COIN_TOSSING, initial_capital=0.0)
+@pytest.mark.parametrize("k0", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_initial_capital_must_be_positive(k0):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Protocol(kind=GameKind.COIN_TOSSING, initial_capital=k0)
 
 
 # ---------------------------------------------------------------------------

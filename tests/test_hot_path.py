@@ -8,6 +8,7 @@ a host too noisy to time it.  The step values built on that path must keep
 their NamedTuple types.
 """
 
+import dataclasses
 import gc
 import sys
 
@@ -46,7 +47,20 @@ CALLS_PER_ROUND = {
     "coin[harmonic/bc_fictional]": 21,
     "coin[constant_0.3/zero]": 19,
     "ufg[v=1/m=0/zero]": 19,
+    "derandomized[harmonic/bc_fictional]": 21,
+    "derandomized[constant_0.3/zero]": 19,
 }
+
+
+def _pool() -> dict:
+    """The pinned scenarios by name: the stock pools, and two coin-pool
+    scenarios played by `derandomized_fictional`."""
+    pool = {s.name: s for s in coin_comply_pool(HORIZON) + ufg_pool(HORIZON)}
+    for name in ("harmonic/bc_fictional", "constant_0.3/zero"):
+        pool[f"derandomized[{name}]"] = dataclasses.replace(
+            pool[f"coin[{name}]"], name=f"derandomized[{name}]",
+            reality_spec={"name": "derandomized_fictional"})
+    return pool
 
 
 def _calls(scenario) -> tuple:
@@ -75,7 +89,7 @@ def _calls(scenario) -> tuple:
 
 @pytest.mark.parametrize("name", sorted(CALLS_PER_ROUND))
 def test_python_calls_per_round_stay_pinned(name):
-    pool = {s.name: s for s in coin_comply_pool(HORIZON) + ufg_pool(HORIZON)}
+    pool = _pool()
     calls, rounds = _calls(pool[name])
     assert rounds == HORIZON
     assert _calls(pool[name]) == (calls, rounds)   # the count repeats exactly

@@ -59,9 +59,7 @@ def test_induction_prices_equal_the_tree_bit_for_bit(tmp_path_factory, doc):
     p_script, spec = doc["p_script"], doc["event"]
     event = _event_from_spec(spec, len(p_script))
     state = _EVENT_STATES[spec["type"]](spec, len(p_script))
-    assert coin_price_bounds(p_script, event, state) == (
-        upper_probability_coin(p_script, event, state),
-        lower_probability_coin(p_script, event, state))
+    assert coin_price_bounds(p_script, event, state) == _tree_prices(doc)
 
 
 FIXED_EVENTS = {
@@ -100,12 +98,16 @@ def test_threshold_event_prices_past_the_tree_horizon(tmp_path):
 
 
 def test_state_pricing_is_bounded_by_its_pair_count(monkeypatch):
+    def event(bits):
+        return sum(bits) >= 6
+
     head_count = (0, lambda s, k, bit: s + bit)
-    assert upper_probability_coin([0.5] * 12, lambda bits: sum(bits) >= 6, head_count) \
-        == upper_probability_coin([0.5] * 12, lambda bits: sum(bits) >= 6)
+    assert coin_price_bounds([0.5] * 12, event, head_count) == (
+        upper_probability_coin([0.5] * 12, event),
+        lower_probability_coin([0.5] * 12, event))
     monkeypatch.setattr(analysis, "MAX_PRICING_STATES", 90)   # 91 pairs at N = 12
     with pytest.raises(ValueError, match="round 12"):
-        upper_probability_coin([0.5] * 12, lambda bits: sum(bits) >= 6, head_count)
+        coin_price_bounds([0.5] * 12, event, head_count)
 
 
 def test_state_pricing_calls_the_event_once_per_final_state():
@@ -116,13 +118,10 @@ def test_state_pricing_calls_the_event_once_per_final_state():
         return sum(bits) >= 20
 
     head_count = (0, lambda s, k, bit: s + bit)
-    value = upper_probability_coin([0.5] * 40, event, head_count)
-    assert len(calls) == 41 and sorted(map(sum, calls)) == list(range(41))
-    assert math.isclose(value, 0.5 + 0.5 * math.comb(40, 20) / 2 ** 40, rel_tol=1e-12)
-    calls.clear()
     upper, lower = coin_price_bounds([0.5] * 40, event, head_count)
     assert len(calls) == 41 and sorted(map(sum, calls)) == list(range(41))
-    assert upper == lower == value
+    assert math.isclose(upper, 0.5 + 0.5 * math.comb(40, 20) / 2 ** 40, rel_tol=1e-12)
+    assert upper == lower
 
 
 def test_cmd_price_checks_the_leaf_masks_once(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from gtpsim import (
     SkepticBet,
     bc_comply_step,
     capital_update,
+    mixture_capitals,
     run_game,
 )
 from gtpsim.hedges import SQUARE_HEDGE, hedge_inverse, identity_growth, power_hedge
@@ -27,17 +28,28 @@ from gtpsim.randomized import RandomBoundedSkeptic
 from gtpsim.reality import (
     BoundedAvoidMatchReality,
     ConstantReality,
-    DerandomizedCoinReality,
     FirstRoundComplyReality,
     MvComplyReality,
     MvComplyState,
     _qualify,
     mv_comply_step,
 )
-from gtpsim.skeptic import BcCounters, FictionalBcSkeptic, ceiling_index_update
-from gtpsim.engine import Skeptic
+from gtpsim.scenario import (
+    build_forecaster,
+    build_reality,
+    build_skeptic,
+    coin_comply_pool,
+)
+from gtpsim.skeptic import (
+    BcCounters,
+    FictionalBcSkeptic,
+    bc_fictional_bet,
+    ceiling_index_update,
+    heads_count_update,
+)
+from gtpsim.engine import Skeptic, ZeroSkeptic
 
-from _support import mv_forecaster, price_forecaster
+from _support import derandomizer, mv_forecaster, price_forecaster
 
 COIN = Protocol(kind=GameKind.COIN_TOSSING)
 BOUNDED = Protocol(kind=GameKind.BOUNDED_FORECASTING, initial_capital=0.5)
@@ -251,7 +263,7 @@ def test_ufgh_zero_variance_round_answers_mean():
 def test_derandomizer_sign_rule():
     # Fictional bet at b=0, c=1 is -1/8; average with the real bet decides x.
     def first_outcome(m_real):
-        reality = DerandomizedCoinReality(FictionalBcSkeptic())
+        reality = derandomizer()
         reality.reset(COIN)
         return reality.outcome(
             1, ForecastMove(p=0.5), SkepticBet(M=m_real), 1.0
@@ -262,17 +274,57 @@ def test_derandomizer_sign_rule():
     assert first_outcome(0.5) == 0.0    # average 0.1875 > 0
 
 
+def test_derandomizer_is_the_compliance_machine_in_mixing():
+    reality = derandomizer()
+    reality.reset(COIN)
+    assert type(reality) is BcComplyReality
+    assert reality.state.phase == ComplyPhase(PhaseTag.MIXING, n0=0, mix_coeff=1.0)
+
+
 def test_derandomizer_mixture_capital_non_increasing():
-    reality = DerandomizedCoinReality(FictionalBcSkeptic())
-    run_game(
+    trace = run_game(
         COIN,
         price_forecaster([min(1.0, 1.0 / n) for n in range(1, 301)]),
         RandomBoundedSkeptic(seed=3),
-        reality,
+        derandomizer(),
         300,
     )
-    caps = reality.mixture_capitals
+    caps = mixture_capitals(trace, FictionalBcSkeptic(), 1.0)
+    assert len(caps) == 301
     assert all(b <= a + 1e-12 for a, b in zip(caps, caps[1:]))
+
+
+def test_derandomizer_keeps_its_sign_rule_where_half_the_sum_underflows():
+    # On these prices the fictional bet's two terms meet near the smallest
+    # subnormal.  Halving M + m_f there rounds it to 0, which would play
+    # heads at a positive sum (first at round 2,379).
+    trace = run_game(COIN, price_forecaster([0.0, 1.0, 0.5, 0.3]), ZeroSkeptic(),
+                     derandomizer(), 2400)
+    counters, halved_to_zero = BcCounters(), 0
+    for record in trace.rounds:
+        counters = ceiling_index_update(counters, record.forecast.p)
+        total = record.bet.M + bc_fictional_bet(counters)
+        assert (record.x == 1.0) == (total <= 0.0), record.n
+        halved_to_zero += total > 0.0 and 0.5 * total == 0.0
+        counters = heads_count_update(counters, record.x == 1.0)
+    assert halved_to_zero >= 1
+
+
+def test_bc_comply_mixture_capital_never_increases_on_the_coin_pool():
+    mixing = 0
+    for scenario in coin_comply_pool():
+        reality = build_reality(scenario)
+        trace = run_game(scenario.protocol, build_forecaster(scenario),
+                         build_skeptic(scenario), reality, scenario.horizon,
+                         stop_on_skeptic_fault=True)
+        phase = reality.state.phase
+        if phase.tag is not PhaseTag.MIXING:
+            continue
+        mixing += 1
+        caps = mixture_capitals(trace, FictionalBcSkeptic(), phase.mix_coeff, phase.n0)
+        assert len(caps) == len(trace.rounds) - phase.n0 + 1
+        assert all(b <= a + 1e-12 for a, b in zip(caps, caps[1:])), scenario.name
+    assert mixing >= 1
 
 
 # ---------------------------------------------------------------------------

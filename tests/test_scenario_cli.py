@@ -439,6 +439,25 @@ def _price_error(tmp_path, capsys, text):
     return _cli_error(["price", str(_write(tmp_path / "bad_price.yaml", text))], capsys)
 
 
+def test_cli_verify_rejects_an_infinite_initial_capital(tmp_path, capsys):
+    _write(tmp_path / "inf.yaml",
+           MINIMAL.replace("  kind: coin_tossing\n",
+                           "  kind: coin_tossing\n  initial_capital: .inf\n"))
+    err = _cli_error(["verify", str(tmp_path)], capsys)
+    assert "initial_capital" in err
+
+
+@pytest.mark.parametrize("functions", [
+    "hedge: 'power:r=nan'", "hedge: 'power:r=2'\n  growth: 'power:r=nan'"])
+def test_cli_rejects_a_nan_power_at_parse(tmp_path, capsys, functions):
+    text = MINIMAL.replace("kind: coin_tossing",
+                           f"kind: general_hedge\n  {functions}").replace(
+        "harmonic", "mv").replace("bc_fictional", "zero").replace(
+        "bc_comply", "ufgh_comply")
+    err = _cli_error(["run", str(_write(tmp_path / "nan.yaml", text))], capsys)
+    assert "power:r=nan" in err
+
+
 def test_cli_price_rejects_an_event_that_is_not_a_mapping(tmp_path, capsys):
     err = _price_error(tmp_path, capsys, "p_script: [0.5]\nevent: 5\n")
     assert "event" in err
