@@ -71,7 +71,6 @@ from .analysis import (
     lower_probability_coin,
     mixture_capitals,
     strong_compliance_verdict,
-    term_bound_check,
     upper_probability_coin,
 )
 

@@ -1,6 +1,6 @@
 """Verification utilities: damping weights, finite-horizon pricing of coin
-events, capital-bound verdicts on traces, the mixture-capital certificate,
-and a tail-term bound check."""
+events, capital-bound verdicts on traces, and the mixture-capital
+certificate."""
 
 from __future__ import annotations
 
@@ -216,23 +216,3 @@ def mixture_capitals(trace: Trace, fictional: Skeptic, weight: float,
             mixture.append(record.capital_after + weight * (f - f_n0))
     return mixture
 
-
-def term_bound_check(
-    y: Sequence[float], g: Sequence[float], d: float, tail_start: int
-) -> bool:
-    """True iff |y_n / g_n| <= |d| + 1 for every n >= tail_start (1-based).
-
-    g must be positive and nondecreasing; this is the checkable consequence
-    of "partial sums over g converge to d"."""
-    if len(y) != len(g):
-        raise ValueError(f"length mismatch: {len(y)} vs {len(g)}")
-    prev = 0.0
-    for gn in g:
-        if gn <= 0.0 or gn < prev:
-            raise ValueError("g must be positive and nondecreasing")
-        prev = gn
-    bound = abs(d) + 1.0
-    return all(
-        abs(yn / gn) <= bound for n, (yn, gn) in enumerate(zip(y, g), start=1)
-        if n >= tail_start
-    )

@@ -10,12 +10,11 @@ or price a finite-horizon coin event.
 
 from __future__ import annotations
 
-import argparse
 import math
 import operator
 import sys
 from pathlib import Path
-from typing import List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 from .analysis import (
     EventPredicate,
@@ -37,6 +36,9 @@ from .scenario import (
     scenario_passes,
 )
 from .traceio import summary_dict, write_summary_json, write_trace_csv
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _safe_name(name: str) -> str:
@@ -251,6 +253,8 @@ def cmd_price(path: Path) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gtpsim",
         description="Betting-game strategy runner and verifier",

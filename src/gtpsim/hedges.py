@@ -38,9 +38,20 @@ class Growth:
 
 
 def power_hedge(r: float) -> Hedge:
-    """h(x) = |x|^r.  Valid for 1 <= r <= 2."""
+    """h(x) = |x|^r.  Valid for 1 <= r <= 2.
+
+    A value past the float range is +inf, as x * x gives for the square
+    hedge, so a finite move never makes `capital_update` raise; float `**`
+    would raise OverflowError instead."""
+
+    def forward(x: float) -> float:
+        try:
+            return abs(x) ** r
+        except OverflowError:
+            return math.inf
+
     return Hedge(
-        forward=lambda x: abs(x) ** r,
+        forward=forward,
         inverse=lambda y: y ** (1.0 / r),
         name=f"power:r={r:g}",
     )
@@ -59,17 +70,32 @@ def power_growth(r: float) -> Growth:
     return Growth(eval=lambda x: x ** r, name=f"power:r={r:g}")
 
 
+def _no_overflow(fn: Callable[[float], float], name: str,
+                 label: str) -> Callable[[float], float]:
+    """fn, with an OverflowError turned into a HedgeValidationError that
+    names the function and x."""
+
+    def checked(x: float) -> float:
+        try:
+            return fn(x)
+        except OverflowError:
+            raise HedgeValidationError(f"{name}: {label}({x!r}) overflows") from None
+
+    return checked
+
+
 # The checks below are written so that a NaN value fails them: each raises
-# unless its comparison holds.
+# unless its comparison holds.  A value that overflows fails them too.
 def validate_hedge(hedge: Hedge) -> None:
     """Check the hedge conditions on the sampled grid; raise on failure."""
-    h = hedge.forward
+    h = _no_overflow(hedge.forward, hedge.name, "h")
     if not abs(h(0.0)) <= _REL_TOL:
         raise HedgeValidationError(f"{hedge.name}: h(0) = {h(0.0)!r}, expected 0")
     for x in _GRID:
         hx = h(x)
-        if not hx >= 0.0:
-            raise HedgeValidationError(f"{hedge.name}: h({x}) = {hx}, expected >= 0")
+        if not 0.0 <= hx < math.inf:
+            raise HedgeValidationError(
+                f"{hedge.name}: h({x}) = {hx}, expected finite and >= 0")
         if not abs(hx - h(-x)) <= _REL_TOL * max(1.0, abs(hx)):
             raise HedgeValidationError(f"{hedge.name}: h not even at x = {x}")
     slack = _REL_TOL
@@ -85,9 +111,10 @@ def validate_hedge(hedge: Hedge) -> None:
                 f"{hedge.name}: h(x)/x^2 increases between {lo} and {hi}"
             )
     if hedge.inverse is not None:
+        inverse = _no_overflow(hedge.inverse, hedge.name, "h^-1")
         for x in _GRID:
             y = h(x)
-            back = h(hedge.inverse(y))
+            back = h(inverse(y))
             if not abs(back - y) <= _REL_TOL * max(1.0, abs(y)):
                 raise HedgeValidationError(
                     f"{hedge.name}: inverse round-trip failed at x = {x}"
@@ -96,12 +123,13 @@ def validate_hedge(hedge: Hedge) -> None:
 
 def validate_growth(growth: Growth, grid=None) -> None:
     """Check positivity and monotonicity on the sampled grid; raise on failure."""
-    g = growth.eval
+    g = _no_overflow(growth.eval, growth.name, "g")
     grid = list(_GRID if grid is None else grid)
     values = [g(x) for x in grid]
     for x, gx in zip(grid, values):
-        if not gx > 0.0:
-            raise HedgeValidationError(f"{growth.name}: g({x}) = {gx}, expected > 0")
+        if not 0.0 < gx < math.inf:
+            raise HedgeValidationError(
+                f"{growth.name}: g({x}) = {gx}, expected finite and > 0")
     for (x, lo), hi in zip(zip(grid, values), values[1:]):
         if not hi >= lo * (1.0 - _REL_TOL):
             raise HedgeValidationError(f"{growth.name}: g decreases after x = {x}")

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-import yaml
-
 from . import randomized, reality, skeptic
 from .analysis import BOUND_SLACK, Verdict
 from .engine import (
@@ -44,20 +42,23 @@ class ScenarioError(ValueError):
     """Malformed or out-of-range scenario content."""
 
 
-# libyaml's parser when PyYAML was built with it, else the pure-Python one;
-# both build the same documents through the same safe constructor.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 def load_yaml(source: Union[str, Path]) -> Any:
     """The YAML document of a file (a Path, read as UTF-8) or of a text (a
     str).  A file that cannot be read and text that is not YAML are
-    ScenarioErrors."""
+    ScenarioErrors.
+
+    PyYAML is imported here, not at module level, so code that builds
+    scenarios in Python never loads it."""
+    import yaml
+
+    # libyaml's parser when PyYAML was built with it, else the pure-Python
+    # one; both build the same documents through the same safe constructor.
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     where = f"{source}: " if isinstance(source, Path) else ""
     try:
         if isinstance(source, Path):
             source = source.read_text(encoding="utf-8")
-        return yaml.load(source, Loader=_YAML_LOADER)
+        return yaml.load(source, Loader=loader)
     except OSError as exc:
         raise ScenarioError(f"{where}cannot read: {exc.strerror or exc}") from exc
     except yaml.YAMLError as exc:

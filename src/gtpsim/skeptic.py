@@ -11,8 +11,7 @@ own responses.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .engine import (
     PRICE_GAMES,
@@ -23,6 +22,9 @@ from .engine import (
     SkepticBet,
     require_game,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class BcCounters(NamedTuple):
@@ -48,6 +50,10 @@ class BcCounters(NamedTuple):
 
     @property
     def partial_sum(self) -> Fraction:
+        # Imported here: only tests and callers that read the sum back use
+        # fractions, and no hot path does.
+        from fractions import Fraction
+
         return Fraction(self.acc, 1 << 1074)
 
 

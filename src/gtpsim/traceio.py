@@ -7,8 +7,6 @@ reloaded trace replays bit-for-bit.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from pathlib import Path
@@ -57,6 +55,9 @@ def write_trace_csv(trace: Trace, path) -> None:
 
 def trace_from_csv_text(text: str, protocol: Protocol,
                         seed: Optional[int] = None) -> Trace:
+    import csv
+    import io
+
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     if header != CSV_HEADER:

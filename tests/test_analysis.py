@@ -1,4 +1,4 @@
-"""Damping sequence, hedge machinery, pricing, verdicts, term bound."""
+"""Damping sequence, hedge machinery, pricing, verdicts."""
 
 import math
 
@@ -21,7 +21,6 @@ from gtpsim import (
     power_hedge,
     run_game,
     strong_compliance_verdict,
-    term_bound_check,
     upper_probability_coin,
     validate_growth,
     validate_hedge,
@@ -151,6 +150,39 @@ def test_hedge_validation_rejects_nan(hedge):
 def test_growth_validation_rejects_nan(growth):
     with pytest.raises(HedgeValidationError, match=growth.name):
         validate_growth(growth)
+
+
+def _exp_square(x):
+    return math.exp(x * x) - 1.0      # math.exp raises OverflowError past ~709
+
+
+@pytest.mark.parametrize("hedge, shown", [
+    (Hedge(forward=_exp_square, name="exp_square"), r"exp_square: h\(32\.0\) overflows"),
+    (Hedge(forward=lambda x: x * x,
+           inverse=lambda y: math.sqrt(y) if y < 1e6 else math.exp(y), name="exp_inverse"),
+     r"exp_inverse: h\^-1\(1048576\.0\) overflows"),
+])
+def test_hedge_validation_names_a_function_that_overflows(hedge, shown):
+    with pytest.raises(HedgeValidationError, match=shown):
+        validate_hedge(hedge)
+
+
+@pytest.mark.parametrize("growth, shown", [
+    (power_growth(500.0), r"power:r=500: g\(8\.0\) overflows"),
+    (Growth(eval=lambda x: math.inf if x > 1.0 else 1.0, name="inf"),
+     r"inf: g\(2\.0\) = inf, expected finite"),
+])
+def test_growth_validation_rejects_an_overflow(growth, shown):
+    with pytest.raises(HedgeValidationError, match=shown):
+        validate_growth(growth)
+
+
+def test_power_hedge_is_infinite_past_the_float_range():
+    h = power_hedge(1.5).forward
+    assert h(1e300) == h(-1e300) == math.inf
+    assert math.isfinite(h(1e200))
+    with pytest.raises(HedgeValidationError, match=r"power:r=500: h\(8\.0\) = inf"):
+        validate_hedge(power_hedge(500.0))
 
 
 # Random points on top of the validator's dyadic grid: every hedge the
@@ -306,29 +338,3 @@ def test_verdict_event_proxy_is_evaluated():
         trace, lambda t: all(r.x == 1.0 for r in t.rounds)
     )
     assert verdict.event_proxy_ok is True
-
-
-# ---------------------------------------------------------------------------
-# Term bound
-# ---------------------------------------------------------------------------
-
-def test_term_bound_zero_sequence():
-    assert term_bound_check([0.0] * 5, [1.0] * 5, 0.0, 1)
-
-
-def test_term_bound_detects_large_tail_term():
-    assert not term_bound_check([0.0, 0.0, 10.0], [1.0, 1.0, 1.0], 0.0, 3)
-
-
-def test_term_bound_harmonic_ratios():
-    n = 50
-    assert term_bound_check([1.0] * n, [float(k) for k in range(1, n + 1)], 0.0, 1)
-
-
-def test_term_bound_input_validation():
-    with pytest.raises(ValueError):
-        term_bound_check([1.0], [1.0, 2.0], 0.0, 1)
-    with pytest.raises(ValueError):
-        term_bound_check([1.0, 1.0], [2.0, 1.0], 0.0, 1)
-    with pytest.raises(ValueError):
-        term_bound_check([1.0], [0.0], 0.0, 1)

@@ -136,6 +136,34 @@ def test_validate_rejects_non_finite_moves(protocol, f, s, x, field):
     assert v is not None and v.field == field
 
 
+# capital_update spells out validate_moves (one frame fewer per round); the
+# exported function must still give the same answer on any move.
+ROLE_OF_FIELD = {"p": "forecaster", "m": "forecaster", "v": "forecaster",
+                 "M": "skeptic", "V": "skeptic", "x": "reality"}
+ALL_GAMES = [COIN, Protocol(kind=GameKind.BOUNDED_FORECASTING), UFG,
+             Protocol(kind=GameKind.GENERAL_HEDGE, hedge=power_hedge(1.5))]
+# In-domain values often, and any float (NaN, infinities and huge values
+# included) otherwise.
+ANY_FLOAT = st.one_of(st.sampled_from([0.0, 0.5, 1.0, -1.0]), st.floats())
+ANY_FIELD = st.one_of(st.none(), ANY_FLOAT)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(ALL_GAMES), ANY_FIELD, ANY_FIELD, ANY_FIELD, ANY_FLOAT,
+       ANY_FIELD, ANY_FLOAT)
+def test_validate_moves_agrees_with_capital_update(protocol, p, m, v, M, V, x):
+    f, s = ForecastMove(p, m, v), SkepticBet(M, V)
+    violation = validate_moves(protocol, f, s, x)
+    try:
+        capital_update(protocol, 1.0, f, s, x)
+    except InvalidMoveError as exc:
+        assert violation is not None
+        assert exc.violation == violation
+        assert exc.role == ROLE_OF_FIELD[violation.field]
+    else:
+        assert violation is None
+
+
 def test_validate_bounded_outcome_interval():
     bounded = Protocol(kind=GameKind.BOUNDED_FORECASTING)
     assert validate_moves(

@@ -1,7 +1,8 @@
-"""Import hygiene: loading the package does not load numpy, and no module
-imports a name it never uses."""
+"""Import hygiene: loading the package loads none of the imports that only
+some functions use, and no module imports a name it never uses."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -10,14 +11,71 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_importing_the_package_does_not_load_numpy():
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports gtpsim from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = "import sys, gtpsim.cli, gtpsim.scenario; print('numpy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, timeout=60)
+
+
+def test_importing_the_package_does_not_load_numpy():
+    code = "import sys, gtpsim.cli, gtpsim.scenario; print('numpy' in sys.modules)"
+    done = _fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+# Imported only inside the functions that use them (decimal comes with
+# fractions), so code that builds and plays scenarios never loads them.
+DEFERRED = ("yaml", "fractions", "decimal", "argparse", "csv", "numpy")
+
+
+def test_importing_the_package_loads_no_deferred_module():
+    code = ("import sys, json, gtpsim, gtpsim.cli, gtpsim.scenario, gtpsim.traceio\n"
+            f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))")
+    done = _fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
+# Each deferred path works, and loads its module only when it runs.
+DEFERRED_PATHS = """
+import json, sys
+from gtpsim import GameKind, Protocol, cli, scenario, skeptic, traceio
+
+def call(module, run):
+    before = module in sys.modules
+    result = run()
+    return [before, module in sys.modules, result]
+
+csv_text = "n,p_or_m,v,M,V,x,K\\n1,0.5,,0.5,,1,1.25\\n2,0.5,,0,,0,1.25\\n"
+print(json.dumps({
+    "yaml": call("yaml", lambda: scenario.load_yaml("a: 1")),
+    "fractions": call("fractions", lambda: skeptic.BcCounters().partial_sum == 0),
+    "argparse": call("argparse", lambda: vars(cli.build_parser().parse_args(
+        ["price", "f.yaml"])) == {"command": "price", "file": cli.Path("f.yaml")}),
+    "csv": call("csv", lambda: [(r.n, r.x, r.capital_after) for r in
+        traceio.trace_from_csv_text(csv_text, Protocol(GameKind.COIN_TOSSING)).rounds]),
+}))
+"""
+
+
+def test_each_deferred_import_loads_when_its_function_runs():
+    done = _fresh_python("-c", DEFERRED_PATHS)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "yaml": [False, True, {"a": 1}],
+        "fractions": [False, True, True],
+        "argparse": [False, True, True],
+        "csv": [False, True, [[1, 1.0, 1.25], [2, 0.0, 1.25]]],
+    }
+
+
+def test_cli_help_exits_zero():
+    done = _fresh_python("-m", "gtpsim.cli", "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: gtpsim")
 
 
 def unused_imports(source: str):

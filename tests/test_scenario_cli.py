@@ -447,15 +447,32 @@ def test_cli_verify_rejects_an_infinite_initial_capital(tmp_path, capsys):
     assert "initial_capital" in err
 
 
-@pytest.mark.parametrize("functions", [
-    "hedge: 'power:r=nan'", "hedge: 'power:r=2'\n  growth: 'power:r=nan'"])
-def test_cli_rejects_a_nan_power_at_parse(tmp_path, capsys, functions):
-    text = MINIMAL.replace("kind: coin_tossing",
+def _general_hedge_scenario(functions: str) -> str:
+    """MINIMAL as a general-hedge game with the given hedge/growth lines."""
+    return MINIMAL.replace("kind: coin_tossing",
                            f"kind: general_hedge\n  {functions}").replace(
         "harmonic", "mv").replace("bc_fictional", "zero").replace(
         "bc_comply", "ufgh_comply")
+
+
+@pytest.mark.parametrize("functions", [
+    "hedge: 'power:r=nan'", "hedge: 'power:r=2'\n  growth: 'power:r=nan'"])
+def test_cli_rejects_a_nan_power_at_parse(tmp_path, capsys, functions):
+    text = _general_hedge_scenario(functions)
     err = _cli_error(["run", str(_write(tmp_path / "nan.yaml", text))], capsys)
     assert "power:r=nan" in err
+
+
+# 8.0 ** 500 = 2^1500 is the first grid value past the float range (4.0 ** 500
+# = 2^1000 is not): the hedge reads it as inf, the growth raises OverflowError.
+@pytest.mark.parametrize("functions, shown", [
+    ("hedge: 'power:r=500'", "power:r=500: h(8.0) = inf"),
+    ("hedge: 'power:r=2'\n  growth: 'power:r=500'", "power:r=500: g(8.0) overflows"),
+])
+def test_cli_rejects_a_power_that_overflows_at_parse(tmp_path, capsys, functions, shown):
+    text = _general_hedge_scenario(functions)
+    err = _cli_error(["run", str(_write(tmp_path / "overflow.yaml", text))], capsys)
+    assert shown in err
 
 
 def test_cli_price_rejects_an_event_that_is_not_a_mapping(tmp_path, capsys):

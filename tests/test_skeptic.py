@@ -1,6 +1,7 @@
 """Counter updates and the two Borel–Cantelli bets plus their combination."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,9 @@ from gtpsim import (
     ForecastMove,
     GameKind,
     Protocol,
+    RoundRecord,
+    SkepticBet,
+    bc_comply_step,
     bc_convergent_bet,
     bc_divergent_bet,
     bc_fictional_bet,
@@ -19,7 +23,7 @@ from gtpsim import (
     heads_count_update,
     run_game,
 )
-from gtpsim.reality import ConstantReality
+from gtpsim.reality import BcComplyState, ConstantReality
 from gtpsim.skeptic import (
     BangBangSkeptic,
     ConvergentBcSkeptic,
@@ -55,6 +59,28 @@ def test_heads_count_five_tails():
     for _ in range(5):
         c = heads_count_update(c, False)
     assert c.b == 0
+
+
+def test_inlined_head_count_updates_agree_with_heads_count_update():
+    # _CounterSkeptic.observe and bc_comply_step inline heads_count_update;
+    # on a random coin run all three give the same counters in every round.
+    rng = random.Random(20260418)
+    skeptic = FictionalBcSkeptic()
+    skeptic.reset(COIN)
+    state, k, expected = BcComplyState(), 1.0, BcCounters()
+    heads = 0
+    for n in range(1, 2001):
+        forecast = ForecastMove(rng.choice([0.0, 1.0, rng.random()]))
+        skeptic.bet(n, forecast, k)
+        M = rng.uniform(-1.0, 1.0)
+        x, state = bc_comply_step(state, forecast.p, M, k, 1.0)
+        k += M * (x - forecast.p)
+        skeptic.observe(RoundRecord(n, forecast, SkepticBet(M), x, k))
+        expected = heads_count_update(ceiling_index_update(expected, forecast.p), x == 1.0)
+        assert skeptic.counters == expected, n
+        assert state.counters == expected, n
+        heads += x == 1.0
+    assert 0 < heads < 2000
 
 
 def test_ceiling_index_basic_steps():
