@@ -60,6 +60,13 @@ class Protocol:
 # round builds three records.  Nothing writes a record after run_game
 # appends it (the pinned trace digests catch a strategy that does).  Without
 # `frozen`, __hash__ is None: records are unhashable by design.
+#
+# Nothing writes a move after it is announced either.  A strategy whose
+# announcement does not depend on the round builds its move once and returns
+# that same object every round (ZeroSkeptic here; the constant, explicit and
+# constant-mean-variance scripts in `scenario`; SingleBetSkeptic and
+# BangBangSkeptic in `skeptic`), so the trace holds one object for many
+# rounds, and a write to it would change every round that shares it.
 @dataclass(slots=True)
 class ForecastMove:
     """Forecaster's announcement: p for coin/bounded games, (m, v) otherwise."""
@@ -266,10 +273,17 @@ class ScriptForecaster(Forecaster):
 
 
 class ZeroSkeptic(Skeptic):
-    """Never bets; capital stays at its initial value."""
+    """Never bets; capital stays at its initial value.  Every round
+    announces the one zero bet built by `reset` (a coin-game one before)."""
+
+    zero_bet = SkepticBet(0.0, None)
+
+    def reset(self, protocol: Protocol) -> None:
+        super().reset(protocol)
+        self.zero_bet = SkepticBet(0.0, 0.0 if self.with_v else None)
 
     def bet(self, n, forecast, k_prev) -> SkepticBet:
-        return SkepticBet(0.0, 0.0 if self.with_v else None)
+        return self.zero_bet
 
 
 class CombinedSkeptic(Skeptic):

@@ -180,7 +180,11 @@ def mv_comply_step(
         # an int, so that eps * v < g_a compares exactly as v < n^2
         eps, g_a = 1.0, n * n
     else:
-        g_a = growth.eval(a_total)
+        try:
+            g_a = growth.eval(a_total)
+        except OverflowError:
+            raise ValueError(f"round {n}: growth {growth.name} overflows at"
+                             f" A_n = {a_total!r}") from None
         if g_a <= 0.0:
             raise ValueError(f"growth must stay positive, g({a_total}) = {g_a}")
         eps, eps_running = epsilon_sequence_step(eps_running, v / g_a)

@@ -165,7 +165,9 @@ def _check_keys(mapping: Dict, allowed, where: str) -> None:
 def _price_script(name: str, params: Dict) -> Callable[[int], ForecastMove]:
     """Round n -> ForecastMove(p_n) for a named price series.  The script
     builds the move itself, with no wrapper frame between it and
-    `ScriptForecaster.forecast`."""
+    `ScriptForecaster.forecast`; `constant` and `explicit` build theirs once
+    and announce the same objects again (see `engine`: no one writes a
+    move)."""
     if name == "harmonic":
         a = _number(params, "a", 1.0, name)
         return lambda n: ForecastMove(min(1.0, a / n))
@@ -176,7 +178,8 @@ def _price_script(name: str, params: Dict) -> Callable[[int], ForecastMove]:
         value = _number(params, "value", 0.5, name)
         if not 0.0 <= value <= 1.0:
             raise ScenarioError(f"constant price {value} outside [0, 1]")
-        return lambda n: ForecastMove(value)
+        move = ForecastMove(value)
+        return lambda n: move
     if name == "geometric":
         ratio = _number(params, "ratio", 0.5, name)
         a = _number(params, "a", 1.0, name)
@@ -193,13 +196,15 @@ def _price_script(name: str, params: Dict) -> Callable[[int], ForecastMove]:
         except ScenarioError:
             raise ScenarioError(
                 f"explicit forecaster values must be numbers, got {raw!r}") from None
-        return lambda n: ForecastMove(values[(n - 1) % len(values)])
+        moves = [ForecastMove(value) for value in values]
+        return lambda n: moves[(n - 1) % len(moves)]
     raise ScenarioError(f"unknown price forecaster {name!r}")
 
 
 def _mv_script(params: Dict) -> Callable[[int], ForecastMove]:
     """Round n -> ForecastMove(None, m_n, v_n): one closure per (v, m) kind,
-    so a forecast costs one script frame."""
+    so a forecast costs one script frame.  Constant v with zero m announces
+    one move built here."""
     v_spec = _mapping(params.get("v", {"name": "constant", "value": 1.0}),
                       "forecaster v")
     m_spec = _mapping(params.get("m", {"name": "zero"}), "forecaster m")
@@ -222,7 +227,8 @@ def _mv_script(params: Dict) -> Callable[[int], ForecastMove]:
         raise ScenarioError(f"unknown mean script {m_name!r}")
     if v_name == "constant":
         if m_name == "zero":
-            return lambda n: ForecastMove(None, 0.0, value)
+            move = ForecastMove(None, 0.0, value)
+            return lambda n: move
         return lambda n: ForecastMove(None, amplitude * sin(float(n)), value)
     if m_name == "zero":
         return lambda n: ForecastMove(None, 0.0, float(n) ** exponent)

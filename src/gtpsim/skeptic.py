@@ -145,12 +145,21 @@ class BangBangSkeptic(Skeptic):
     def __init__(self, amplitude: float = 1.0, v_amplitude: float = 1.0):
         self.amplitude = amplitude
         self.v_amplitude = v_amplitude
+        self._build_bets()
+
+    def reset(self, protocol: Protocol) -> None:
+        super().reset(protocol)
+        self._build_bets()
+
+    def _build_bets(self) -> None:
+        # One bet per parity, announced every odd or even round.
+        with_v = self.with_v
+        self.odd_bet = SkepticBet(self.amplitude, 0.0 if with_v else None)
+        self.even_bet = SkepticBet(-self.amplitude,
+                                   self.v_amplitude if with_v else None)
 
     def bet(self, n: int, forecast: ForecastMove, k_prev: float) -> SkepticBet:
-        m = self.amplitude if n % 2 else -self.amplitude
-        if self.with_v:
-            return SkepticBet(m, self.v_amplitude if n % 2 == 0 else 0.0)
-        return SkepticBet(m)
+        return self.odd_bet if n % 2 else self.even_bet
 
 
 class SingleBetSkeptic(Skeptic):
@@ -160,7 +169,17 @@ class SingleBetSkeptic(Skeptic):
     def __init__(self, M: float = 0.0, V: float = 0.0):
         self.M = M
         self.V = V
+        self._build_bets()
+
+    def reset(self, protocol: Protocol) -> None:
+        super().reset(protocol)
+        self._build_bets()
+
+    def _build_bets(self) -> None:
+        # The round-1 bet and the zero bet announced in every later round.
+        with_v = self.with_v
+        self.first_bet = SkepticBet(self.M, self.V if with_v else None)
+        self.zero_bet = SkepticBet(0.0, 0.0 if with_v else None)
 
     def bet(self, n: int, forecast: ForecastMove, k_prev: float) -> SkepticBet:
-        M, V = (self.M, self.V) if n == 1 else (0.0, 0.0)
-        return SkepticBet(M, V if self.with_v else None)
+        return self.first_bet if n == 1 else self.zero_bet

@@ -35,6 +35,7 @@ from gtpsim.scenario import (
     build_skeptic,
     coin_comply_pool,
     ufg_pool,
+    ufgh_pool,
 )
 from gtpsim.skeptic import FictionalBcSkeptic
 
@@ -42,20 +43,25 @@ HORIZON = 2000
 # Calls outside the rounds: run_game itself and the three resets.
 SETUP_CALLS = 50
 
-# Python calls per round, at most.
+# Python calls per round, at most.  A constant price or mean-variance script
+# and the zero and bang-bang Skeptics announce prebuilt moves, so their
+# rounds build no ForecastMove or SkepticBet.
 CALLS_PER_ROUND = {
     "coin[harmonic/bc_fictional]": 21,
-    "coin[constant_0.3/zero]": 19,
-    "ufg[v=1/m=0/zero]": 19,
+    "coin[constant_0.3/zero]": 17,
+    "coin[inverse_square/bang_bang]": 18,
+    "ufg[v=1/m=0/zero]": 17,
+    "ufgh[r=2/identity/zero]": 19,
     "derandomized[harmonic/bc_fictional]": 21,
-    "derandomized[constant_0.3/zero]": 19,
+    "derandomized[constant_0.3/zero]": 17,
 }
 
 
 def _pool() -> dict:
     """The pinned scenarios by name: the stock pools, and two coin-pool
     scenarios played by `derandomized_fictional`."""
-    pool = {s.name: s for s in coin_comply_pool(HORIZON) + ufg_pool(HORIZON)}
+    pool = {s.name: s for s in
+            coin_comply_pool(HORIZON) + ufg_pool(HORIZON) + ufgh_pool(HORIZON)}
     for name in ("harmonic/bc_fictional", "constant_0.3/zero"):
         pool[f"derandomized[{name}]"] = dataclasses.replace(
             pool[f"coin[{name}]"], name=f"derandomized[{name}]",

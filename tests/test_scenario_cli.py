@@ -475,6 +475,18 @@ def test_cli_rejects_a_power_that_overflows_at_parse(tmp_path, capsys, functions
     assert shown in err
 
 
+# power:r=100 passes its grid (1024 ** 100 = 2^1000), but with v = 1 the sum
+# A_n = n does not: g(A_n) overflows at n = 1210, the first n with
+# n ** 100 >= 2^1024.
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cli_stops_a_growth_that_overflows_during_play(tmp_path, capsys, command):
+    text = _general_hedge_scenario("hedge: 'power:r=2'\n  growth: 'power:r=100'")
+    path = _write(tmp_path / "overflow.yaml", text)
+    err = _cli_error([command, str(path if command == "run" else tmp_path),
+                      "--horizon", "3000"], capsys)
+    assert "round 1210: growth power:r=100 overflows at A_n = 1210.0" in err
+
+
 def test_cli_price_rejects_an_event_that_is_not_a_mapping(tmp_path, capsys):
     err = _price_error(tmp_path, capsys, "p_script: [0.5]\nevent: 5\n")
     assert "event" in err
