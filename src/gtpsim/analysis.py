@@ -8,11 +8,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .engine import Skeptic, Trace, capital_update
+from .engine import BOUND_SLACK, Skeptic, Trace, capital_update
 
 MAX_PRICING_HORIZON = 25          # the 2^N tree
 MAX_PRICING_STATES = 1 << 19      # (round, state) pairs of the induction
-BOUND_SLACK = 1e-9  # relative to the initial capital
 
 
 def epsilon_sequence_step(running_sum: float, a: float) -> Tuple[float, float]:
@@ -164,11 +163,17 @@ def strong_compliance_verdict(
     k0 = trace.protocol.initial_capital
     slack = BOUND_SLACK * k0
     capitals = trace.capitals
-    sup_capital = max(capitals, default=k0)
-    duty_ok = all(k >= -slack for k in capitals)
-    bound_ok = all(k <= k0 + slack for k in capitals)
     notes = []
-    if not all(map(math.isfinite, capitals)):
+    if all(map(math.isfinite, capitals)):
+        # Finite capitals are totally ordered, so the lowest and the highest
+        # decide both duties: one C-level pass each, no generator frames.
+        sup_capital = max(capitals, default=k0)
+        duty_ok = min(capitals, default=k0) >= -slack
+        bound_ok = sup_capital <= k0 + slack
+    else:
+        sup_capital = max(capitals)
+        duty_ok = all(k >= -slack for k in capitals)
+        bound_ok = all(k <= k0 + slack for k in capitals)
         first = _first_round(capitals, lambda k: not math.isfinite(k))
         notes.append(f"capital is not finite ({capitals[first - 1]}) at round {first}")
         if any(map(math.isnan, capitals)):

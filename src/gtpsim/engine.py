@@ -19,6 +19,12 @@ from typing import Callable, Iterator, List, Optional, Sequence
 
 from .hedges import Hedge
 
+# The slack, relative to the initial capital, by which a capital may pass
+# below 0 (Skeptic's collateral duty) or above K_0 (the strong-compliance
+# bound) and still count as kept: `run_game` stops a faulty Skeptic, and
+# `analysis.strong_compliance_verdict` judges the duties, with the same one.
+BOUND_SLACK = 1e-9
+
 
 class GameKind(Enum):
     COIN_TOSSING = "coin_tossing"
@@ -27,9 +33,16 @@ class GameKind(Enum):
     GENERAL_HEDGE = "general_hedge"
 
     def __init__(self, value: str):
-        # Coin/bounded games announce a single price p in [0, 1].  Set once
-        # per member, since the engine reads it for every move.
+        # Set once per member, since the engine reads them for every move: a
+        # flag attribute costs a tenth of a `GameKind.X` lookup.
+        # Coin/bounded games announce a single price p in [0, 1].
         self.uses_price = value in ("coin_tossing", "bounded_forecasting")
+        # Reality's domain: {0, 1} in the coin game, [0, 1] in the bounded
+        # one, every finite float in the mean-variance games.
+        self.binary_outcome = value == "coin_tossing"
+        self.unit_outcome = value == "bounded_forecasting"
+        # The unbounded game hedges with x^2, and carries no Hedge object.
+        self.square_hedge = value == "unbounded_forecasting"
 
 
 # The games announcing a price p, and those announcing a pair (m, v).
@@ -158,10 +171,10 @@ def validate_bet(protocol: Protocol, s: SkepticBet) -> Optional[Violation]:
 
 def validate_outcome(protocol: Protocol, x: float) -> Optional[Violation]:
     kind = protocol.kind
-    if kind is GameKind.COIN_TOSSING:
+    if kind.binary_outcome:
         if x not in (0.0, 1.0):
             return Violation("x", f"x = {x} outside {{0, 1}}")
-    elif kind is GameKind.BOUNDED_FORECASTING:
+    elif kind.unit_outcome:
         if not 0.0 <= x <= 1.0:
             return Violation("x", f"x = {x} outside [0, 1]")
     elif not isfinite(x):
@@ -211,7 +224,7 @@ def capital_update(
     if s.V == 0.0:
         # The V term would add only +-0, or NaN if the hedge term overflows.
         return k
-    if protocol.kind is GameKind.UNBOUNDED_FORECASTING:
+    if protocol.kind.square_hedge:
         return k + s.V * (centered * centered - f.v)
     return k + s.V * (protocol.hedge.forward(centered) - f.v)
 
@@ -228,7 +241,13 @@ def require_game(protocol: Protocol, player: object, *kinds: GameKind) -> None:
 
 class Policy:
     """A stateful player.  reset() is called once per run, observe() once
-    per completed round with the full record."""
+    per completed round with the full record.
+
+    `run_game` skips the inherited no-op: it calls a player's observe only
+    when the bound method is not `Policy.observe`, that is when a class
+    overrides it (also after the class is built, as a wrapper set on it) or
+    the instance holds its own.  It decides this once per run, after
+    reset()."""
 
     def reset(self, protocol: Protocol) -> None:
         pass
@@ -364,10 +383,12 @@ def run_game(
     for policy in (forecaster, skeptic, reality):
         policy.reset(protocol)
     forecast, bet, outcome = forecaster.forecast, skeptic.bet, reality.outcome
-    observe_f, observe_s, observe_r = (
-        forecaster.observe, skeptic.observe, reality.observe
+    # Only the observers that do something, in player order: see Policy.
+    observers = tuple(
+        observe for observe in (forecaster.observe, skeptic.observe, reality.observe)
+        if getattr(observe, "__func__", None) is not Policy.observe
     )
-    floor = -1e-9 * protocol.initial_capital
+    floor = -BOUND_SLACK * protocol.initial_capital
     k = protocol.initial_capital
     rounds: List[RoundRecord] = []
     append = rounds.append
@@ -390,9 +411,8 @@ def run_game(
             k = capital_update(protocol, k, f, s, x)
             record = RoundRecord(n, f, s, x, k)
             append(record)
-            observe_f(record)
-            observe_s(record)
-            observe_r(record)
+            for observe in observers:
+                observe(record)
             if stop_on_skeptic_fault and not k >= floor:
                 break
     return Trace(protocol=protocol, rounds=rounds, seed=seed)

@@ -32,6 +32,11 @@ class PhaseTag(Enum):
     MIXING = "mixing"
 
 
+# The members bound once as module globals: the step functions compare
+# against them every round, and a global costs a tenth of `PhaseTag.X`.
+_WAITING, _DEGENERATE, _MIXING = PhaseTag.WAITING, PhaseTag.DEGENERATE, PhaseTag.MIXING
+
+
 class ComplyPhase(NamedTuple):
     """The phase, and on entering Mixing the round n0, the mixing weight
     -delta (delta < 0 the first strict capital change), epsilon = -delta/K_0
@@ -54,8 +59,8 @@ def _qualify(n: int, delta: float, k_prev: float, k0: float) -> ComplyPhase:
     delta < 0, from the capital k_prev = K_0 held while waiting."""
     k_new = k_prev + delta
     if k_new == 0.0:
-        return ComplyPhase(tag=PhaseTag.DEGENERATE, n0=n)
-    return ComplyPhase(tag=PhaseTag.MIXING, n0=n, mix_coeff=-delta,
+        return ComplyPhase(tag=_DEGENERATE, n0=n)
+    return ComplyPhase(tag=_MIXING, n0=n, mix_coeff=-delta,
                        epsilon=-delta / k0, k_n0=k_new)
 
 
@@ -89,7 +94,7 @@ def bc_comply_step(
     c = counters.c
     c_changed = c != c_prev
     tag = phase.tag
-    if tag is PhaseTag.WAITING:
+    if tag is _WAITING:
         if M == 0.0:
             x = 1.0 if c_changed else 0.0
         else:
@@ -99,7 +104,7 @@ def bc_comply_step(
                 phase = _qualify(n, delta, k_prev, k0)
             # else: degenerate price (p = 1 with M < 0, p = 0 with M > 0);
             # the answer is capital-neutral and the wait continues.
-    elif tag is PhaseTag.DEGENERATE:
+    elif tag is _DEGENERATE:
         x = 1.0 if c_changed else 0.0
     else:
         x = 1.0 if M <= phase.mix_coeff * (2.0 ** (-b - 2) - 2.0 ** (-c - 2)) else 0.0
@@ -194,7 +199,7 @@ def mv_comply_step(
     c_changed = c != c_prev
     scale = g_a / eps
     tag = phase.tag
-    if tag is PhaseTag.WAITING:
+    if tag is _WAITING:
         if M == 0.0 and V == 0.0:
             xt = hedge_inverse(hedge, scale) if c_changed else 0.0
         else:
@@ -208,7 +213,7 @@ def mv_comply_step(
                 phase = _qualify(n, delta, k_prev, k0)
             # else: V * v underflowed to 0; the answer is capital-neutral
             # and the wait continues.
-    elif tag is PhaseTag.DEGENERATE:
+    elif tag is _DEGENERATE:
         xt = hedge_inverse(hedge, scale) if c_changed else 0.0
     else:
         d = phase.mix_coeff * (2.0 ** (-b - 2) - 2.0 ** (-c - 2)) / scale

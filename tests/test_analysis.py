@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gtpsim import (
@@ -25,9 +25,9 @@ from gtpsim import (
     validate_growth,
     validate_hedge,
 )
-from gtpsim.analysis import MAX_PRICING_HORIZON
+from gtpsim.analysis import BOUND_SLACK, MAX_PRICING_HORIZON, Verdict, _first_round
 from gtpsim.hedges import _REL_TOL, SQUARE_HEDGE
-from gtpsim.engine import RoundRecord, Trace
+from gtpsim.engine import ForecastMove, RoundRecord, SkepticBet, Trace
 from gtpsim.reality import ConstantReality
 
 from _support import price_forecaster
@@ -338,3 +338,61 @@ def test_verdict_event_proxy_is_evaluated():
         trace, lambda t: all(r.x == 1.0 for r in t.rounds)
     )
     assert verdict.event_proxy_ok is True
+
+
+def _verdict_oracle(trace, event_proxy=None):
+    """strong_compliance_verdict as it was before the finite trace took one
+    min and one max: the reference the current one must agree with."""
+    k0 = trace.protocol.initial_capital
+    slack = BOUND_SLACK * k0
+    capitals = trace.capitals
+    sup_capital = max(capitals, default=k0)
+    duty_ok = all(k >= -slack for k in capitals)
+    bound_ok = all(k <= k0 + slack for k in capitals)
+    notes = []
+    if not all(map(math.isfinite, capitals)):
+        first = _first_round(capitals, lambda k: not math.isfinite(k))
+        notes.append(f"capital is not finite ({capitals[first - 1]}) at round {first}")
+        if any(map(math.isnan, capitals)):
+            sup_capital = math.nan
+    if not duty_ok:
+        first = _first_round(capitals, lambda k: k < -slack)
+        if first is not None:
+            notes.append(f"skeptic capital went negative at round {first}")
+    if not bound_ok:
+        first = _first_round(capitals, lambda k: k > k0 + slack)
+        if first is not None:
+            notes.append(f"capital exceeded the initial value at round {first}")
+    proxy_ok = None if event_proxy is None else bool(event_proxy(trace))
+    return Verdict(duty_ok, bound_ok, sup_capital, proxy_ok, notes)
+
+
+# Ordinary capitals, NaN, +-inf, negatives, values above K_0, and (for
+# K_0 = 1) the floats at and next to both duty edges.
+_EDGES = [-BOUND_SLACK, math.nextafter(-BOUND_SLACK, -math.inf), 1.0 + BOUND_SLACK,
+          math.nextafter(1.0 + BOUND_SLACK, math.inf), 0.0, -0.0, 1.0]
+_CAPITALS = st.lists(st.one_of(
+    st.floats(-2.0, 2.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(_EDGES + [math.nan, math.inf, -math.inf]),
+), max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CAPITALS, st.sampled_from([1.0, 0.25, 3.0]), st.booleans())
+@example([], 1.0, False)
+@example([0.5, math.nan, 2.0], 1.0, False)
+@example([math.inf, -math.inf], 1.0, True)
+@example([0.5, -0.5, -BOUND_SLACK], 1.0, False)
+@example([1.5, 0.5, 1.0 + BOUND_SLACK], 1.0, False)
+def test_verdict_agrees_with_the_two_pass_oracle(capitals, k0, with_proxy):
+    protocol = Protocol(kind=GameKind.COIN_TOSSING, initial_capital=k0)
+    move, bet = ForecastMove(0.5), SkepticBet(0.0)
+    trace = Trace(protocol=protocol, rounds=[
+        RoundRecord(n, move, bet, 0.0, k) for n, k in enumerate(capitals, 1)])
+    proxy = (lambda t: len(t.rounds) > 3) if with_proxy else None
+    got, want = strong_compliance_verdict(trace, proxy), _verdict_oracle(trace, proxy)
+    assert (got.skeptic_duty_ok, got.strong_bound_ok, got.event_proxy_ok, got.notes) == (
+        want.skeptic_duty_ok, want.strong_bound_ok, want.event_proxy_ok, want.notes)
+    # repr tells NaN and -0.0 apart, as == would not
+    assert repr(got.sup_capital) == repr(want.sup_capital)

@@ -19,9 +19,11 @@ from gtpsim import (
     capital_update,
     replay_verify,
     run_game,
+    strong_compliance_verdict,
     validate_moves,
 )
-from gtpsim.engine import RoundRecord, Trace
+from gtpsim import analysis
+from gtpsim.engine import BOUND_SLACK, RoundRecord, Trace
 from gtpsim.hedges import power_hedge
 from gtpsim.reality import ConstantReality
 from gtpsim.skeptic import ConvergentBcSkeptic, DivergentBcSkeptic
@@ -255,6 +257,26 @@ def test_stop_on_skeptic_fault_truncates():
     )
     assert len(stopped.rounds) == 1
     assert stopped.capitals[0] < 0.0
+
+
+@pytest.mark.parametrize("k0", [1.0, 3.0])
+def test_run_and_verdict_share_the_duty_slack_edge(k0):
+    # Round 1 loses all of K_0 (M = 2 K_0 at p = 1/2, tails); round 2 bets
+    # M = 1 on tails at price t, so K_2 = -t exactly.  t = slack * K_0 keeps
+    # the duty and the run plays on; the next float above t breaks it.
+    assert analysis.BOUND_SLACK is BOUND_SLACK
+    edge = BOUND_SLACK * k0
+    protocol = Protocol(kind=GameKind.COIN_TOSSING, initial_capital=k0)
+    skeptic = ScriptBetSkeptic([2.0 * k0, 1.0, 0.0])
+    for t, kept in ((edge, True), (math.nextafter(edge, 1.0), False)):
+        trace = run_game(protocol, price_forecaster([0.5, t, 0.5]), skeptic,
+                         ConstantReality(0.0), 3, stop_on_skeptic_fault=True)
+        assert trace.capitals[:2] == [0.0, -t]
+        assert len(trace.rounds) == (3 if kept else 2)
+        verdict = strong_compliance_verdict(trace)
+        assert verdict.skeptic_duty_ok is kept
+        assert verdict.notes == ([] if kept else
+                                 ["skeptic capital went negative at round 2"])
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,15 @@ policy methods, scripts, step functions, validators, dataclass __init__s).
 `sys.setprofile` counts them exactly and the count repeats run to run, so a
 one-line helper frame that creeps back into every round fails here even on
 a host too noisy to time it.  The step values built on that path must keep
-their NamedTuple types.
+their NamedTuple types, and the functions on it must not look up an Enum
+member (`GameKind.X`, `PhaseTag.X`), which costs ten times a flag attribute
+or a module global.
 """
 
 import dataclasses
+import dis
 import gc
+import inspect
 import sys
 
 import pytest
@@ -26,6 +30,7 @@ from gtpsim import (
     mv_comply_step,
     run_game,
 )
+from gtpsim import engine, reality, skeptic
 from gtpsim.engine import RoundRecord, gc_paused
 from gtpsim.hedges import SQUARE_HEDGE
 from gtpsim.reality import ComplyPhase, PhaseTag
@@ -45,16 +50,29 @@ SETUP_CALLS = 50
 
 # Python calls per round, at most.  A constant price or mean-variance script
 # and the zero and bang-bang Skeptics announce prebuilt moves, so their
-# rounds build no ForecastMove or SkepticBet.
+# rounds build no ForecastMove or SkepticBet; and only the counter Skeptics
+# override observe, so only they are observed.
 CALLS_PER_ROUND = {
-    "coin[harmonic/bc_fictional]": 21,
-    "coin[constant_0.3/zero]": 17,
-    "coin[inverse_square/bang_bang]": 18,
-    "ufg[v=1/m=0/zero]": 17,
-    "ufgh[r=2/identity/zero]": 19,
-    "derandomized[harmonic/bc_fictional]": 21,
-    "derandomized[constant_0.3/zero]": 17,
+    "coin[harmonic/bc_fictional]": 19,
+    "coin[constant_0.3/zero]": 14,
+    "coin[inverse_square/bang_bang]": 15,
+    "ufg[v=1/m=0/zero]": 14,
+    "ufgh[r=2/identity/zero]": 16,
+    "derandomized[harmonic/bc_fictional]": 19,
+    "derandomized[constant_0.3/zero]": 14,
 }
+
+# The functions a round runs: the step functions when a compliance Reality plays.
+ROUND_PATH = (
+    engine.run_game,
+    engine.validate_forecast,
+    engine.validate_bet,
+    engine.validate_outcome,
+    engine.capital_update,
+    reality.bc_comply_step,
+    reality.mv_comply_step,
+    skeptic.ceiling_index_update,
+)
 
 
 def _pool() -> dict:
@@ -100,6 +118,21 @@ def test_python_calls_per_round_stay_pinned(name):
     assert rounds == HORIZON
     assert _calls(pool[name]) == (calls, rounds)   # the count repeats exactly
     assert calls <= CALLS_PER_ROUND[name] * rounds + SETUP_CALLS, calls / rounds
+
+
+def _global_names(code) -> set:
+    """Names of the globals the code loads, its nested code included."""
+    names = {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"}
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= _global_names(const)
+    return names
+
+
+@pytest.mark.parametrize("fn", ROUND_PATH, ids=lambda fn: fn.__name__)
+def test_round_path_looks_up_no_enum_member(fn):
+    code = inspect.unwrap(fn).__code__
+    assert not _global_names(code) & {"GameKind", "PhaseTag"}
 
 
 def test_counter_updates_keep_the_namedtuple_type():
