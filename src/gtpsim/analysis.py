@@ -163,21 +163,19 @@ def strong_compliance_verdict(
     k0 = trace.protocol.initial_capital
     slack = BOUND_SLACK * k0
     capitals = trace.capitals
+    # Capitals without NaN are totally ordered (+-inf included), so the
+    # lowest and the highest decide both duties: one C-level pass each.  A
+    # NaN breaks the order; it fails both duties, set below.
+    sup_capital = max(capitals, default=k0)
+    duty_ok = min(capitals, default=k0) >= -slack
+    bound_ok = sup_capital <= k0 + slack
     notes = []
-    if all(map(math.isfinite, capitals)):
-        # Finite capitals are totally ordered, so the lowest and the highest
-        # decide both duties: one C-level pass each, no generator frames.
-        sup_capital = max(capitals, default=k0)
-        duty_ok = min(capitals, default=k0) >= -slack
-        bound_ok = sup_capital <= k0 + slack
-    else:
-        sup_capital = max(capitals)
-        duty_ok = all(k >= -slack for k in capitals)
-        bound_ok = all(k <= k0 + slack for k in capitals)
+    if not all(map(math.isfinite, capitals)):
         first = _first_round(capitals, lambda k: not math.isfinite(k))
         notes.append(f"capital is not finite ({capitals[first - 1]}) at round {first}")
         if any(map(math.isnan, capitals)):
             sup_capital = math.nan
+            duty_ok = bound_ok = False
     if not duty_ok:
         first = _first_round(capitals, lambda k: k < -slack)
         if first is not None:

@@ -33,17 +33,14 @@ class GameKind(Enum):
     GENERAL_HEDGE = "general_hedge"
 
     def __init__(self, value: str):
-        # Set once per member, since the engine reads them for every move: a
-        # flag attribute costs a tenth of a `GameKind.X` lookup.
-        # Coin/bounded games announce a single price p in [0, 1].
+        # Coin/bounded games announce a single price p in [0, 1].  Set once
+        # per member, since the engine reads it for every move.
         self.uses_price = value in ("coin_tossing", "bounded_forecasting")
-        # Reality's domain: {0, 1} in the coin game, [0, 1] in the bounded
-        # one, every finite float in the mean-variance games.
-        self.binary_outcome = value == "coin_tossing"
-        self.unit_outcome = value == "bounded_forecasting"
-        # The unbounded game hedges with x^2, and carries no Hedge object.
-        self.square_hedge = value == "unbounded_forecasting"
 
+
+# Per-round comparisons use these globals (README, Hot-path rule).
+_COIN, _BOUNDED, _UNBOUNDED = (
+    GameKind.COIN_TOSSING, GameKind.BOUNDED_FORECASTING, GameKind.UNBOUNDED_FORECASTING)
 
 # The games announcing a price p, and those announcing a pair (m, v).
 PRICE_GAMES = tuple(kind for kind in GameKind if kind.uses_price)
@@ -171,10 +168,10 @@ def validate_bet(protocol: Protocol, s: SkepticBet) -> Optional[Violation]:
 
 def validate_outcome(protocol: Protocol, x: float) -> Optional[Violation]:
     kind = protocol.kind
-    if kind.binary_outcome:
+    if kind is _COIN:
         if x not in (0.0, 1.0):
             return Violation("x", f"x = {x} outside {{0, 1}}")
-    elif kind.unit_outcome:
+    elif kind is _BOUNDED:
         if not 0.0 <= x <= 1.0:
             return Violation("x", f"x = {x} outside [0, 1]")
     elif not isfinite(x):
@@ -224,7 +221,7 @@ def capital_update(
     if s.V == 0.0:
         # The V term would add only +-0, or NaN if the hedge term overflows.
         return k
-    if protocol.kind.square_hedge:
+    if protocol.kind is _UNBOUNDED:
         return k + s.V * (centered * centered - f.v)
     return k + s.V * (protocol.hedge.forward(centered) - f.v)
 

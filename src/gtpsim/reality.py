@@ -32,9 +32,8 @@ class PhaseTag(Enum):
     MIXING = "mixing"
 
 
-# The members bound once as module globals: the step functions compare
-# against them every round, and a global costs a tenth of `PhaseTag.X`.
-_WAITING, _DEGENERATE, _MIXING = PhaseTag.WAITING, PhaseTag.DEGENERATE, PhaseTag.MIXING
+# Per-round comparisons use these globals (README, Hot-path rule).
+_WAITING, _DEGENERATE = PhaseTag.WAITING, PhaseTag.DEGENERATE
 
 
 class ComplyPhase(NamedTuple):
@@ -59,8 +58,8 @@ def _qualify(n: int, delta: float, k_prev: float, k0: float) -> ComplyPhase:
     delta < 0, from the capital k_prev = K_0 held while waiting."""
     k_new = k_prev + delta
     if k_new == 0.0:
-        return ComplyPhase(tag=_DEGENERATE, n0=n)
-    return ComplyPhase(tag=_MIXING, n0=n, mix_coeff=-delta,
+        return ComplyPhase(tag=PhaseTag.DEGENERATE, n0=n)
+    return ComplyPhase(tag=PhaseTag.MIXING, n0=n, mix_coeff=-delta,
                        epsilon=-delta / k0, k_n0=k_new)
 
 

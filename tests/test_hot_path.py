@@ -6,8 +6,7 @@ policy methods, scripts, step functions, validators, dataclass __init__s).
 one-line helper frame that creeps back into every round fails here even on
 a host too noisy to time it.  The step values built on that path must keep
 their NamedTuple types, and the functions on it must not look up an Enum
-member (`GameKind.X`, `PhaseTag.X`), which costs ten times a flag attribute
-or a module global.
+member (`GameKind.X`, `PhaseTag.X`), which costs ten times a module global.
 """
 
 import dataclasses
