@@ -30,11 +30,13 @@ def epsilon_sequence_step(running_sum: float, a: float) -> Tuple[float, float]:
 
 
 EventPredicate = Callable[[Tuple[int, ...]], bool]
-# A sufficient state of an event: a start state and step(state, k, bit), the
-# state after `bit` is played in round k (0-based).  Two prefixes of the same
-# length that reach the same state must have the same indicator on every
-# common extension, so one node per (round, state) stands for all of them.
-EventState = Tuple[Hashable, Callable[[Hashable, int, int], Hashable]]
+# An event by a sufficient state: a start state, step(state, k, bit), the
+# state after `bit` is played in round k (0-based), and accept(state), the
+# event's indicator at a final state.  Two prefixes of the same length that
+# reach the same state must have the same indicator on every common
+# extension, so one node per (round, state) stands for all of them.
+EventState = Tuple[Hashable, Callable[[Hashable, int, int], Hashable],
+                   Callable[[Hashable], bool]]
 
 
 def _check_prices(p_script: Sequence[float]) -> None:
@@ -71,18 +73,18 @@ def lower_probability_coin(p_script: Sequence[float], event: EventPredicate) -> 
     return 1.0 - upper_probability_coin(p_script, lambda bits: not event(bits))
 
 
-def coin_price_bounds(p_script: Sequence[float], event: EventPredicate,
-                      state: EventState) -> Tuple[float, float]:
+def coin_price_bounds(p_script: Sequence[float], event: EventState) -> Tuple[float, float]:
     """(upper, lower) probability of the event by backward induction over the
     reachable (round, state) pairs, at most MAX_PRICING_STATES of them, with
-    one call of `event` per final state: one backward sweep over the leaf
+    one call of `accept` per final state: one backward sweep over the leaf
     values v, one over 1 - v for the complement.  Nodes with one state have
     one value, and v is 0.0 or 1.0, so 1 - v is exact and both prices are
     the same floats as `upper_probability_coin` and `lower_probability_coin`
     on the 2^N tree."""
     _check_prices(p_script)
-    start = state[0]
-    rows, leaves = _state_graph(p_script, event, *state)
+    start, step, accept = event
+    rows, finals = _state_graph(p_script, start, step)
+    leaves = {s: 1.0 if accept(s) else 0.0 for s in finals}
     upper = _sweep(p_script, rows, leaves, start)
     complement = {s: 1.0 - v for s, v in leaves.items()}
     return upper, 1.0 - _sweep(p_script, rows, complement, start)
@@ -91,39 +93,26 @@ def coin_price_bounds(p_script: Sequence[float], event: EventPredicate,
 StateRows = List[List[Tuple[Hashable, Hashable, Hashable]]]
 
 
-def _state_graph(p_script: Sequence[float], event: EventPredicate, start: Hashable,
+def _state_graph(p_script: Sequence[float], start: Hashable,
                  step: Callable[[Hashable, int, int], Hashable]
-                 ) -> Tuple[StateRows, Dict[Hashable, float]]:
-    """Each round's states with their two successors, and the event's value
-    (0.0 or 1.0) at each final state, on one prefix that reaches it."""
-    # Forward: for each state of the next round, the (state, bit) it was
-    # first reached from.
+                 ) -> Tuple[StateRows, dict]:
+    """Each round's states with their two successors, and the final states."""
     rows: StateRows = []
-    parents: List[dict] = []
     frontier: dict = {start: None}
     pairs = 1
     for k in range(len(p_script)):
         row, reached = [], {}
         for s in frontier:
             up, down = step(s, k, 1), step(s, k, 0)
-            reached.setdefault(up, (s, 1))
-            reached.setdefault(down, (s, 0))
+            reached[up] = reached[down] = None
             row.append((s, up, down))
         pairs += len(reached)
         if pairs > MAX_PRICING_STATES:
             raise ValueError(f"event needs more than {MAX_PRICING_STATES} "
                              f"(round, state) pairs by round {k + 1}")
         rows.append(row)
-        parents.append(reached)
         frontier = reached
-    leaves = {}
-    for s in frontier:
-        bits, t = [], s
-        for reached in reversed(parents):
-            t, bit = reached[t]
-            bits.append(bit)
-        leaves[s] = 1.0 if event(tuple(reversed(bits))) else 0.0
-    return rows, leaves
+    return rows, frontier
 
 
 def _sweep(p_script: Sequence[float], rows: StateRows,

@@ -27,6 +27,7 @@ from .scenario import (
     STOCK_POOLS,
     Scenario,
     ScenarioError,
+    _check_keys,
     as_float,
     as_integer,
     event_proxy_for,
@@ -144,15 +145,28 @@ def _as_list(raw) -> list:
     return raw
 
 
-def _coordinate(spec: dict, n: int) -> Tuple[int, int]:
-    """The 1-based index and the required bit of a coordinate event."""
+def _threshold(spec: dict, n: int) -> EventState:
+    """The head count, compared with `value` by `op`."""
+    op = spec.get("op", "ge")
+    if op not in ("ge", "le", "eq"):
+        raise ScenarioError(f"unknown threshold op {op!r}")
+    compare = getattr(operator, op)
+    value = _field(spec, "value", lambda raw: as_float(raw, "threshold value"))
+    if not math.isfinite(value):
+        raise ScenarioError(f"threshold value {value} is not finite")
+    return 0, lambda s, k, bit: s + bit, lambda s: compare(s, value)
+
+
+def _coordinate(spec: dict, n: int) -> EventState:
+    """None until the chosen round, then the bit played in it."""
     index = _field(spec, "index", _integer)
     value = _field(spec, "value", _integer) if "value" in spec else 1
     if not 1 <= index <= n:
         raise ScenarioError(f"coordinate index {index} outside 1..{n}")
     if value not in (0, 1):
         raise ScenarioError(f"coordinate value {value} is not 0 or 1")
-    return index, value
+    at = index - 1
+    return None, lambda s, k, bit: bit if k == at else s, lambda s: s == value
 
 
 def _leaf_masks(spec: dict, n: int) -> Set[int]:
@@ -164,72 +178,52 @@ def _leaf_masks(spec: dict, n: int) -> Set[int]:
     return masks
 
 
-def _event_from_spec(spec: dict, n: int) -> EventPredicate:
-    """The predicate on N-bit tuples that a pricing file's `event` names."""
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"event must be a mapping with a type, got {spec!r}")
-    kind = spec.get("type")
-    if kind == "threshold":
-        op = spec.get("op", "ge")
-        if op not in ("ge", "le", "eq"):
-            raise ScenarioError(f"unknown threshold op {op!r}")
-        compare = getattr(operator, op)
-        value = _field(spec, "value", float)
-        if not math.isfinite(value):
-            raise ScenarioError(f"threshold value {value} is not finite")
-        return lambda bits: compare(sum(bits), value)
-    if kind == "coordinate":
-        index, value = _coordinate(spec, n)
-        return lambda bits: bits[index - 1] == value
-    if kind == "leaves":
-        masks = _leaf_masks(spec, n)
-
-        def event(bits):
-            mask = 0
-            for b in bits:
-                mask = (mask << 1) | b
-            return mask in masks
-        return event
-    if kind == "all":
-        return lambda bits: True
-    if kind == "empty":
-        return lambda bits: False
-    raise ScenarioError(f"unknown event type {kind!r}")
-
-
-def _leaves_state(spec: dict, n: int) -> EventState:
-    # The prefix with a leading 1 bit (so its length is part of it) while it
-    # starts a listed leaf, else the dead state 0.
-    leaves = [int(mask) | 1 << n for mask in spec["bitmasks"]]
+def _leaves(spec: dict, n: int) -> EventState:
+    """The prefix with a leading 1 bit (so its length is part of it) while it
+    starts a listed leaf, else the dead state 0."""
+    leaves = {mask | 1 << n for mask in _leaf_masks(spec, n)}
     live = {leaf >> shift for shift in range(n) for leaf in leaves}
 
     def step(s, k, bit):
         t = (s << 1) | bit
         return t if t in live else 0
-    return 1, step
+    return 1, step, leaves.__contains__
 
 
-def _coordinate_state(spec: dict, n: int) -> EventState:
-    # None until the chosen round, then the bit played in it.
-    at = int(spec["index"]) - 1
-    return None, lambda s, k, bit: bit if k == at else s
-
-
-def _constant_state(spec: dict, n: int) -> EventState:
-    return None, lambda s, k, bit: None
-
-
-# A sufficient state per event kind, for a spec `_event_from_spec` accepted
-# (it reads the checked fields without checking them again): the head count,
-# the chosen bit once played, the trie of listed leaves, or one constant
-# state.
-_EVENT_STATES = {
-    "threshold": lambda spec, n: (0, lambda s, k, bit: s + bit),
-    "coordinate": _coordinate_state,
-    "leaves": _leaves_state,
-    "all": _constant_state,
-    "empty": _constant_state,
+# Each event kind: the keys its spec may hold besides `type`, and a builder
+# of its (start, step, accept) that checks them.
+_EVENTS = {
+    "threshold": (("op", "value"), _threshold),
+    "coordinate": (("index", "value"), _coordinate),
+    "leaves": (("bitmasks",), _leaves),
+    "all": ((), lambda spec, n: (None, lambda s, k, bit: s, lambda s: True)),
+    "empty": ((), lambda spec, n: (None, lambda s, k, bit: s, lambda s: False)),
 }
+
+
+def _event_state(spec, n: int) -> EventState:
+    """The (start, step, accept) of the event a pricing file's `event` names."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"event must be a mapping with a type, got {spec!r}")
+    kind = spec.get("type")
+    if not isinstance(kind, str) or kind not in _EVENTS:
+        raise ScenarioError(f"unknown event type {kind!r}")
+    keys, build = _EVENTS[kind]
+    _check_keys(spec, ("type",) + keys, f"{kind} event")
+    return build(spec, n)
+
+
+def _event_from_spec(spec: dict, n: int) -> EventPredicate:
+    """The predicate on N-bit tuples that a pricing file's `event` names:
+    `accept` of the state that `step` reaches over the bits."""
+    start, step, accept = _event_state(spec, n)
+
+    def event(bits):
+        s = start
+        for k, bit in enumerate(bits):
+            s = step(s, k, bit)
+        return accept(s)
+    return event
 
 
 def cmd_price(path: Path) -> Tuple[float, float]:
@@ -238,14 +232,13 @@ def cmd_price(path: Path) -> Tuple[float, float]:
     doc = load_yaml(path) or {}
     if not isinstance(doc, dict) or "p_script" not in doc or "event" not in doc:
         raise ScenarioError("pricing file needs p_script and event")
+    _check_keys(doc, ("p_script", "event"), "pricing file")
     try:
         p_script = [as_float(p, "price") for p in _as_list(doc["p_script"])]
     except (TypeError, ScenarioError):
         raise ScenarioError(
             f"p_script must be a list of prices, got {doc['p_script']!r}") from None
-    spec, n = doc["event"], len(p_script)
-    event = _event_from_spec(spec, n)
-    return coin_price_bounds(p_script, event, _EVENT_STATES[spec["type"]](spec, n))
+    return coin_price_bounds(p_script, _event_state(doc["event"], len(p_script)))
 
 
 # ---------------------------------------------------------------------------

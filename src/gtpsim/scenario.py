@@ -358,6 +358,8 @@ def parse_scenario(source: Union[str, Path], name: str = "scenario") -> Scenario
     if "hedge" in proto_doc:
         hedge = parse_hedge(str(proto_doc["hedge"]))
     if "growth" in proto_doc:
+        if kind is not GameKind.GENERAL_HEDGE:
+            raise ScenarioError(f"{kind.value} protocol carries no growth")
         growth = parse_growth(str(proto_doc["growth"]))
     protocol = Protocol(
         kind=kind,

@@ -1,9 +1,12 @@
 """`gtpsim price` by backward induction over (round, state), checked bit for
-bit against the 2^N tree and, past the tree's horizon, against an exact
+bit against the 2^N tree on a predicate written here apart from the CLI's
+(start, step, accept) events and, past the tree's horizon, against an exact
 head-count law."""
 
+import hashlib
 import json
 import math
+import operator
 import random
 import time
 
@@ -17,14 +20,28 @@ from gtpsim.analysis import (
     lower_probability_coin,
     upper_probability_coin,
 )
-from gtpsim.cli import _EVENT_STATES, _event_from_spec, cmd_price
+from gtpsim.cli import _event_from_spec, _event_state, cmd_price
 
 PRICE = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 
 
-def _tree_prices(doc):
+def _predicate(spec):
+    """The event of a well-formed spec as a predicate on the whole path."""
+    kind = spec["type"]
+    if kind == "threshold":
+        compare = getattr(operator, spec.get("op", "ge"))
+        return lambda bits: compare(sum(bits), spec["value"])
+    if kind == "coordinate":
+        return lambda bits: bits[spec["index"] - 1] == spec.get("value", 1)
+    if kind == "leaves":
+        masks = set(spec["bitmasks"])
+        return lambda bits: sum(b << i for i, b in enumerate(reversed(bits))) in masks
+    return lambda bits: kind == "all"
+
+
+def _tree_prices(doc, event=None):
     """Upper and lower price of the document's event by leaf enumeration."""
-    event = _event_from_spec(doc["event"], len(doc["p_script"]))
+    event = event or _predicate(doc["event"])
     return (upper_probability_coin(doc["p_script"], event),
             lower_probability_coin(doc["p_script"], event))
 
@@ -55,11 +72,11 @@ def pricing_docs(draw, max_n=12):
 @given(pricing_docs())
 def test_induction_prices_equal_the_tree_bit_for_bit(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "induction.yaml"
-    assert _price_file(path, doc) == _tree_prices(doc)
+    expected = _tree_prices(doc)
+    assert _price_file(path, doc) == expected
     p_script, spec = doc["p_script"], doc["event"]
-    event = _event_from_spec(spec, len(p_script))
-    state = _EVENT_STATES[spec["type"]](spec, len(p_script))
-    assert coin_price_bounds(p_script, event, state) == _tree_prices(doc)
+    assert coin_price_bounds(p_script, _event_state(spec, len(p_script))) == expected
+    assert _tree_prices(doc, _event_from_spec(spec, len(p_script))) == expected
 
 
 FIXED_EVENTS = {
@@ -101,25 +118,24 @@ def test_state_pricing_is_bounded_by_its_pair_count(monkeypatch):
     def event(bits):
         return sum(bits) >= 6
 
-    head_count = (0, lambda s, k, bit: s + bit)
-    assert coin_price_bounds([0.5] * 12, event, head_count) == (
+    head_count = (0, lambda s, k, bit: s + bit, lambda s: s >= 6)
+    assert coin_price_bounds([0.5] * 12, head_count) == (
         upper_probability_coin([0.5] * 12, event),
         lower_probability_coin([0.5] * 12, event))
     monkeypatch.setattr(analysis, "MAX_PRICING_STATES", 90)   # 91 pairs at N = 12
     with pytest.raises(ValueError, match="round 12"):
-        coin_price_bounds([0.5] * 12, event, head_count)
+        coin_price_bounds([0.5] * 12, head_count)
 
 
 def test_state_pricing_calls_the_event_once_per_final_state():
     calls = []
 
-    def event(bits):
-        calls.append(bits)
-        return sum(bits) >= 20
+    def accept(heads):
+        calls.append(heads)
+        return heads >= 20
 
-    head_count = (0, lambda s, k, bit: s + bit)
-    upper, lower = coin_price_bounds([0.5] * 40, event, head_count)
-    assert len(calls) == 41 and sorted(map(sum, calls)) == list(range(41))
+    upper, lower = coin_price_bounds([0.5] * 40, (0, lambda s, k, bit: s + bit, accept))
+    assert len(calls) == 41 and sorted(calls) == list(range(41))
     assert math.isclose(upper, 0.5 + 0.5 * math.comb(40, 20) / 2 ** 40, rel_tol=1e-12)
     assert upper == lower
 
@@ -138,3 +154,45 @@ def test_cmd_price_checks_the_leaf_masks_once(tmp_path, monkeypatch):
     prices = _price_file(tmp_path / "leaves.yaml", doc)
     assert calls == [4]
     assert prices == _tree_prices(doc)
+
+
+def _digest_docs():
+    """A fixed, seeded set of pricing documents: every kind, every threshold
+    op with integer and fractional values, N up to 18, and price scripts
+    that hold both 0 and 1."""
+    rng = random.Random(5513)
+    docs = []
+    for n in (2, 4, 7, 11, 15, 18):
+        for variant in range(14):
+            script = [rng.random() for _ in range(n)]
+            zero, one = rng.sample(range(n), 2)
+            script[zero], script[one] = 0.0, 1.0
+            if variant < 6:
+                value = (rng.randint(-1, n + 1) if variant % 2 == 0
+                         else rng.uniform(-1.0, n + 1.0))
+                event = {"type": "threshold", "op": ("ge", "le", "eq")[variant // 2],
+                         "value": value}
+            elif variant < 8:
+                event = {"type": "coordinate", "index": rng.randint(1, n),
+                         "value": variant - 6}
+            elif variant < 12:
+                event = {"type": "leaves", "bitmasks": rng.sample(
+                    range(1 << n), min(1 << n, rng.randint(0, 40)))}
+            else:
+                event = {"type": ("all", "empty")[variant - 12]}
+            docs.append({"p_script": script, "event": event})
+    return docs
+
+
+# SHA-256 of the hex upper and lower price of each `_digest_docs` document,
+# recorded before events were described as (start, step, accept).
+PRICE_DIGEST = (84, "9766fcee79b284be44b711e1eb3517a0009cedbf2e4ad9cc1fc5fa42d7a49107")
+
+
+def test_prices_are_bit_identical(tmp_path):
+    lines = []
+    for doc in _digest_docs():
+        upper, lower = _price_file(tmp_path / "digest.yaml", doc)
+        lines.append(f"{upper.hex()} {lower.hex()}\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == PRICE_DIGEST

@@ -463,6 +463,20 @@ def test_cli_rejects_a_nan_power_at_parse(tmp_path, capsys, functions):
     assert "power:r=nan" in err
 
 
+@pytest.mark.parametrize("kind, growth, players", [
+    ("coin_tossing", "'power:r=2'", "harmonic/bc_fictional/bc_comply"),
+    ("unbounded_forecasting", "identity", "mv/zero/ufg_comply"),
+], ids=["coin", "ufg"])
+def test_cli_rejects_a_growth_outside_general_hedge(tmp_path, capsys, kind, growth,
+                                                    players):
+    forecaster, skeptic, reality = players.split("/")
+    text = (f"protocol: {{kind: {kind}, growth: {growth}}}\nhorizon: 5\n"
+            f"forecaster: {{name: {forecaster}}}\nskeptic: {{name: {skeptic}}}\n"
+            f"reality: {{name: {reality}}}\n")
+    err = _cli_error(["run", str(_write(tmp_path / "growth.yaml", text))], capsys)
+    assert "growth" in err
+
+
 # 8.0 ** 500 = 2^1500 is the first grid value past the float range (4.0 ** 500
 # = 2^1000 is not): the hedge reads it as inf, the growth raises OverflowError.
 @pytest.mark.parametrize("functions, shown", [
@@ -519,8 +533,13 @@ def test_cli_price_rejects_a_price_that_is_not_a_number(tmp_path, capsys, p_scri
     ("[0.3, 0.8]", "{type: coordinate, index: '1'}", "'1'"),
     ("[0.3, 0.8]", "{type: coordinate, index: 1, value: true}", "True"),
     ("[0.5, 0.5, 0.5]", "{type: leaves, bitmasks: [2.5]}", "2.5"),
+    ("[0.5, 0.5]", "{type: threshold, opp: le, value: 1}", "opp"),
+    ("[0.5, 0.5]", "{type: all, bitmasks: [1]}", "bitmasks"),
+    ("[0.5, 0.5]", "{type: all}\nextra: 1", "extra"),
+    ("[0.5, 0.5]", "{type: threshold, value: true}", "True"),
 ], ids=["coordinate-value-2", "leaves-negative", "leaves-9-at-n3", "threshold-nan",
-        "index-2.7", "index-true", "index-string", "value-true", "bitmask-2.5"])
+        "index-2.7", "index-true", "index-string", "value-true", "bitmask-2.5",
+        "threshold-opp", "all-bitmasks", "top-level-extra", "threshold-value-true"])
 def test_cli_price_rejects_events_that_would_price_as_empty(tmp_path, capsys,
                                                             p_script, event, field):
     err = _price_error(tmp_path, capsys, f"p_script: {p_script}\nevent: {event}\n")
