@@ -9,6 +9,7 @@ to the last bit, changes them.  A deliberate behaviour change must update
 them and say why.
 """
 
+import dataclasses
 import hashlib
 import struct
 
@@ -16,7 +17,13 @@ import pytest
 
 from gtpsim.engine import GameKind, Protocol
 from gtpsim.hedges import power_hedge
-from gtpsim.scenario import STOCK_POOLS, Scenario, parse_growth, run_scenario
+from gtpsim.scenario import (
+    STOCK_POOLS,
+    Scenario,
+    coin_comply_pool,
+    parse_growth,
+    run_scenario,
+)
 from gtpsim.traceio import trace_to_csv_text
 
 HORIZON = 500
@@ -155,3 +162,36 @@ def _csv_digest(scenarios):
 
 def test_every_reality_outside_the_pools_replays_the_same_trace():
     assert _csv_digest(reality_scenarios()) == REALITIES_RECORDED
+
+
+# The geometric price script p_n = 2^-n underflows to 0 at n = 1075 and
+# stays 0; the pool digests above stop at round 500, before that.  This one
+# plays the six geometric pool scenarios past it, and a seventh with a = -0.0
+# (so p_n = -0.0 in every round), and hashes the bits of p as well as x and
+# K.  Recorded before the underflowed price became one shared move.
+GEOMETRIC_TAIL_HORIZON = 1500
+GEOMETRIC_TAIL_RECORDED = (
+    7503, "d0dd0a62e4adbf03f58b059653d91cccfc8361a48512afbce858adadc9ad34a9"
+)
+
+
+def geometric_tail_scenarios():
+    scenarios = [s for s in coin_comply_pool(GEOMETRIC_TAIL_HORIZON)
+                 if s.name.startswith("coin[geometric/")]
+    fictional = next(s for s in scenarios if s.name == "coin[geometric/bc_fictional]")
+    return scenarios + [dataclasses.replace(
+        fictional, name="coin[geometric_a=-0/bc_fictional]",
+        forecaster_spec={"name": "geometric", "a": -0.0})]
+
+
+def test_geometric_tail_traces_are_bit_identical():
+    scenarios = geometric_tail_scenarios()
+    assert len(scenarios) == 7
+    digest = hashlib.sha256()
+    rounds = 0
+    for scenario in scenarios:
+        for record in run_scenario(scenario).rounds:
+            digest.update(struct.pack(
+                ">ddd", record.forecast.p, record.x, record.capital_after))
+            rounds += 1
+    assert (rounds, digest.hexdigest()) == GEOMETRIC_TAIL_RECORDED
