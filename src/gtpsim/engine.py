@@ -71,12 +71,12 @@ class Protocol:
 # appends it (the pinned trace digests catch a strategy that does).  Without
 # `frozen`, __hash__ is None: records are unhashable by design.
 #
-# Nothing writes a move after it is announced either.  A strategy whose
-# announcement does not depend on the round builds its move once and returns
-# that same object every round (ZeroSkeptic here; the constant, explicit and
-# constant-mean-variance scripts in `scenario`; SingleBetSkeptic and
-# BangBangSkeptic in `skeptic`), so the trace holds one object for many
-# rounds, and a write to it would change every round that shares it.
+# Nothing writes a move after it is announced either.  A strategy returns
+# the object it announced before while its move has not changed (ZeroSkeptic
+# here; the constant, explicit, constant-mean-variance and underflowed
+# geometric scripts in `scenario`; all Skeptics in `skeptic`), so the trace
+# holds one object for many rounds, and a write to it would change every
+# round that shares it.  A zero bet likewise keeps the capital object.
 @dataclass(slots=True)
 class ForecastMove:
     """Forecaster's announcement: p for coin/bounded games, (m, v) otherwise."""
@@ -214,13 +214,17 @@ def capital_update(
     )
     if violation is not None:
         raise InvalidMoveError(0, _ROLE_OF_FIELD[violation.field], violation)
+    # A zero bet keeps the capital object: K is never -0.0, so k_prev + +-0.0
+    # would have its bits.
+    M = s.M
     if protocol.kind.uses_price:
-        return k_prev + s.M * (x - f.p)
-    centered = x - f.m
-    k = k_prev + s.M * centered
+        return k_prev + M * (x - f.p) if M else k_prev
     if s.V == 0.0:
-        # The V term would add only +-0, or NaN if the hedge term overflows.
-        return k
+        # The V term would add only +-0, or NaN if the hedge term overflows;
+        # so would a zero M times an overflowed x - m.
+        return k_prev + M * (x - f.m) if M else k_prev
+    centered = x - f.m
+    k = k_prev + M * centered
     if protocol.kind is _UNBOUNDED:
         return k + s.V * (centered * centered - f.v)
     return k + s.V * (protocol.hedge.forward(centered) - f.v)
@@ -312,9 +316,10 @@ class CombinedSkeptic(Skeptic):
     def __init__(self, weights: Sequence[float], policies: Sequence[Skeptic]):
         if len(weights) != len(policies) or not policies:
             raise ValueError("weights and policies must have equal length >= 1")
-        if any(w < 0.0 for w in weights):
+        # Written as `not (...)` so that a NaN weight fails both checks.
+        if not all(w >= 0.0 for w in weights):
             raise ValueError("weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > 1e-12:
+        if not abs(sum(weights) - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {sum(weights)!r}, expected 1")
         self.weights = list(weights)
         self.policies = list(policies)

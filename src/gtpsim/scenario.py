@@ -166,13 +166,15 @@ def _price_script(name: str, params: Dict) -> Callable[[int], ForecastMove]:
     """Round n -> ForecastMove(p_n) for a named price series.  The script
     builds the move itself, with no wrapper frame between it and
     `ScriptForecaster.forecast`; `constant` and `explicit` build theirs once
-    and announce the same objects again (see `engine`: no one writes a
-    move)."""
-    if name == "harmonic":
+    and announce the same objects again, and so does `geometric` once its
+    price underflows (see `engine`: no one writes a move)."""
+    if name in ("harmonic", "inverse_square", "geometric"):
         a = _number(params, "a", 1.0, name)
+        if not math.isfinite(a):
+            raise ScenarioError(f"{name} a must be finite, got {a}")
+    if name == "harmonic":
         return lambda n: ForecastMove(min(1.0, a / n))
     if name == "inverse_square":
-        a = _number(params, "a", 1.0, name)
         return lambda n: ForecastMove(min(1.0, a / (n * n)))
     if name == "constant":
         value = _number(params, "value", 0.5, name)
@@ -182,10 +184,16 @@ def _price_script(name: str, params: Dict) -> Callable[[int], ForecastMove]:
         return lambda n: move
     if name == "geometric":
         ratio = _number(params, "ratio", 0.5, name)
-        a = _number(params, "a", 1.0, name)
         if not 0.0 < ratio < 1.0:
             raise ScenarioError(f"geometric ratio {ratio} outside (0, 1)")
-        return lambda n: ForecastMove(min(1.0, a * ratio ** n))
+        # Announced once a * ratio^n underflows (from n = 1075 at a = 1,
+        # ratio = 0.5); a * 0.0 has the sign of that price.
+        zero = ForecastMove(a * 0.0)
+
+        def geometric(n: int) -> ForecastMove:
+            p = a * ratio ** n
+            return ForecastMove(min(1.0, p)) if p else zero
+        return geometric
     if name == "explicit":
         raw = params.get("values")
         if not isinstance(raw, list) or not raw:

@@ -100,28 +100,37 @@ class _CounterSkeptic(Skeptic):
     The ceiling index is refreshed with the current price before betting
     (Forecaster moves first); the head count only after Reality's move.
     Each subclass names its bet as `formula = staticmethod(bc_*_bet)`, so a
-    bet calls the formula with no method frame in between.
+    bet calls the formula with no method frame in between.  The formula
+    reads only b and c, so the bet last announced is announced again until
+    c moves or a head clears it.
     """
 
     formula: Callable[[BcCounters], float]
 
     def __init__(self):
         self.counters = BcCounters()
+        self.announced = None
 
     def reset(self, protocol: Protocol) -> None:
         require_game(protocol, self, *PRICE_GAMES)
         super().reset(protocol)
         self.counters = BcCounters()
+        self.announced = None
 
     def bet(self, n: int, forecast: ForecastMove, k_prev: float) -> SkepticBet:
+        c = self.counters.c
         self.counters = counters = ceiling_index_update(self.counters, forecast.p)
-        return SkepticBet(self.formula(counters))
+        announced = self.announced
+        if announced is None or counters.c != c:
+            self.announced = announced = SkepticBet(self.formula(counters))
+        return announced
 
     def observe(self, record: RoundRecord) -> None:
         # heads_count_update, inlined
         if record.x == 1.0:
             b, acc, c = self.counters
             self.counters = _tuple_new(BcCounters, (b + 1, acc, c))
+            self.announced = None
 
 
 class DivergentBcSkeptic(_CounterSkeptic):

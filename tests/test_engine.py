@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,72 @@ def test_validate_moves_agrees_with_capital_update(protocol, p, m, v, M, V, x):
         assert exc.role == ROLE_OF_FIELD[violation.field]
     else:
         assert violation is None
+
+
+def _update_before_zero_bets_kept_k(protocol, k_prev, f, s, x):
+    """capital_update's formula before a zero bet returned k_prev itself:
+    the oracle of the two tests below."""
+    if protocol.kind.uses_price:
+        return k_prev + s.M * (x - f.p)
+    centered = x - f.m
+    k = k_prev + s.M * centered
+    if s.V == 0.0:
+        return k
+    if protocol.kind is GameKind.UNBOUNDED_FORECASTING:
+        return k + s.V * (centered * centered - f.v)
+    return k + s.V * (protocol.hedge.forward(centered) - f.v)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _valid_rounds(draw):
+    """(protocol, f, s, x): moves every validator accepts, in one of the four
+    games, with a zero M (and V) often."""
+    protocol = draw(st.sampled_from(ALL_GAMES))
+    M = draw(st.one_of(_ZERO, _FINITE))
+    if protocol.kind.uses_price:
+        f = ForecastMove(draw(st.floats(0.0, 1.0)))
+        outcomes = (st.sampled_from([0.0, 1.0]) if protocol.kind is GameKind.COIN_TOSSING
+                    else st.floats(0.0, 1.0))
+        return protocol, f, SkepticBet(M), draw(outcomes)
+    f = ForecastMove(None, draw(_FINITE), draw(_NONNEGATIVE))
+    return protocol, f, SkepticBet(M, draw(st.one_of(_ZERO, _NONNEGATIVE))), draw(_FINITE)
+
+
+def _bits(k: float) -> bytes:
+    return struct.pack(">d", k)
+
+
+# K_0 > 0 and a sum that is exactly 0 is +0.0, so no capital is -0.0.
+_CAPITALS = st.floats().filter(lambda k: k != 0.0 or math.copysign(1.0, k) > 0.0)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_valid_rounds(), _CAPITALS)
+def test_a_zero_bet_keeps_the_capital_object(round_, k_prev):
+    protocol, f, s, x = round_
+    oracle = _update_before_zero_bets_kept_k(protocol, k_prev, f, s, x)
+    k = capital_update(protocol, k_prev, f, s, x)
+    if s.M == 0.0 and (s.V is None or s.V == 0.0):
+        assert k is k_prev
+    if math.isnan(oracle):
+        assert math.isnan(k) or k is k_prev
+    else:
+        assert _bits(k) == _bits(oracle)
+
+
+@pytest.mark.parametrize("protocol", ALL_GAMES[2:], ids=["ufg", "hedge"])
+def test_a_zero_bet_keeps_k_where_x_minus_m_overflows(protocol):
+    # x - m = inf, so the old update added 0 * inf = NaN; a zero M and V
+    # now keep K, as a zero V already kept K + M * (x - m).
+    f, s = ForecastMove(None, -1e308, 1.0), SkepticBet(0.0, 0.0)
+    assert math.isnan(_update_before_zero_bets_kept_k(protocol, 1.0, f, s, 1e308))
+    k_prev = 0.75
+    assert capital_update(protocol, k_prev, f, s, 1e308) is k_prev
 
 
 def test_validate_bounded_outcome_interval():
@@ -356,6 +423,12 @@ def test_combine_rejects_bad_weights():
         CombinedSkeptic([-0.5, 1.5], [ZeroSkeptic(), ZeroSkeptic()])
     with pytest.raises(ValueError):
         CombinedSkeptic([], [])
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 1.0], [1.0, math.nan], [math.nan] * 2])
+def test_combine_rejects_a_nan_weight(weights):
+    with pytest.raises(ValueError):
+        CombinedSkeptic(weights, [ZeroSkeptic(), ZeroSkeptic()])
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,15 @@ def test_cli_rejects_a_nan_power_at_parse(tmp_path, capsys, functions):
     assert "power:r=nan" in err
 
 
+# A NaN or +inf a used to play p = 1 every round (min(1.0, nan) is 1.0).
+@pytest.mark.parametrize("a", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize("script", ["harmonic", "inverse_square", "geometric"])
+def test_cli_rejects_a_non_finite_price_script_parameter(tmp_path, capsys, script, a):
+    text = MINIMAL.replace("{name: harmonic}", f"{{name: {script}, a: {a}}}")
+    err = _cli_error(["run", str(_write(tmp_path / "a.yaml", text))], capsys)
+    assert f"{script} a must be finite" in err
+
+
 @pytest.mark.parametrize("kind, growth, players", [
     ("coin_tossing", "'power:r=2'", "harmonic/bc_fictional/bc_comply"),
     ("unbounded_forecasting", "identity", "mv/zero/ufg_comply"),

@@ -1,8 +1,12 @@
-"""Prebuilt moves: a strategy whose announcement does not depend on the round
-builds its move once and announces that object every round.
+"""Shared moves: a round builds no new object for a value that did not
+change.  A strategy whose announcement does not depend on the round builds
+its move once and announces that object every round; a counter Skeptic
+announces its last bet again until its counters move; the geometric price
+script announces one move once its price underflows; and a zero bet keeps
+the capital object.
 
-The trace then holds one move object for many rounds, which is what keeps
-its memory down; the bytes a trace keeps per round are pinned here by
+The trace then holds one object for many rounds, which is what keeps its
+memory down; the bytes a trace keeps per round are pinned here by
 tracemalloc.  Sharing is safe only because nothing writes a move after it
 is announced, so the tests also check that the shared objects still hold
 the values they were built with after a run.
@@ -10,11 +14,15 @@ the values they were built with after a run.
 
 import dataclasses
 import gc
+import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from gtpsim import (
+    BcCounters,
+    CombinedSkeptic,
     ForecastMove,
     GameKind,
     Protocol,
@@ -22,6 +30,7 @@ from gtpsim import (
     ZeroSkeptic,
     run_game,
 )
+from gtpsim.analysis import mixture_capitals
 from gtpsim.scenario import (
     build_forecaster,
     build_reality,
@@ -30,6 +39,7 @@ from gtpsim.scenario import (
     run_scenario,
     ufg_pool,
 )
+from gtpsim.skeptic import ConvergentBcSkeptic, DivergentBcSkeptic, FictionalBcSkeptic
 
 HORIZON = 2000
 COIN = Protocol(kind=GameKind.COIN_TOSSING)
@@ -47,11 +57,15 @@ def _with(scenario, **specs):
 
 
 # Bytes a trace keeps per round at HORIZON, at most.  Each round still
-# keeps its RoundRecord and outcome and capital floats; the shared moves
-# cost nothing per round (with fresh moves: 260.5 and 236.5).
+# keeps its RoundRecord and outcome float, and a new capital float when the
+# bet is not zero; the shared moves cost nothing per round.  Measured: 213,
+# 152, 109 and 133 B, where a fresh capital every round kept 133 and 157,
+# and also a fresh counter bet and geometric price 285 and 213.
 TRACE_BYTES_PER_ROUND = {
-    "ufg[v=1/m=0/zero]": 200.0,
-    "coin[constant_0.3/zero]": 180.0,
+    "coin[harmonic/bc_fictional]": 225.0,
+    "coin[geometric/zero]": 170.0,
+    "coin[constant_0.3/zero]": 120.0,
+    "ufg[v=1/m=0/zero]": 145.0,
 }
 
 
@@ -104,6 +118,8 @@ def test_the_zero_skeptic_announces_one_bet_per_run(pool_name):
                      build_reality(scenario), 60)
     assert _objects(r.bet for r in trace.rounds) == 1
     assert trace.rounds[0].bet is skeptic.zero_bet
+    # the capital object K_0 is kept too
+    assert all(r.capital_after is protocol.initial_capital for r in trace.rounds)
     v = None if protocol.kind.uses_price else 0.0
     assert skeptic.zero_bet == SkepticBet(0.0, v)
 
@@ -153,3 +169,101 @@ def test_single_bet_announces_its_bet_then_one_zero_bet(pool_name):
     # a fresh Skeptic, reset for the game, builds the same two bets
     skeptic.reset(scenario.protocol)
     assert (skeptic.first_bet, skeptic.zero_bet) == (first, rest[0])
+
+
+# p_n = 2^-n is 0 from n = 1075 on, and the geometric script announces one
+# move for all those rounds, +0.0, or -0.0 when a = -0.0.
+@pytest.mark.parametrize("a, sign", [(1.0, 1.0), (-0.0, -1.0)])
+def test_an_underflowed_geometric_price_is_one_move(a, sign):
+    script = build_forecaster(_with(_pool()["coin[geometric/zero]"], forecaster={
+        "name": "geometric", "a": a})).forecast
+    moves = [script(n) for n in range(1, 1500)]
+    tail = moves[1074:]
+    assert _objects(tail) == 1 and tail[0].p == 0.0
+    assert math.copysign(1.0, tail[0].p) == sign
+    if a:
+        assert moves[1073].p == 2.0 ** -1074 and moves[1073] is not tail[0]
+    assert _objects(moves[:1074]) == (1074 if a else 1)
+
+
+# The counter Skeptics' bets read only the head count b and the ceiling
+# index c, so each announces the bet it last announced until b or c moves.
+COUNTER_SKEPTICS = {"bc_divergent": DivergentBcSkeptic,
+                    "bc_convergent": ConvergentBcSkeptic,
+                    "bc_fictional": FictionalBcSkeptic}
+
+
+def _counters_by_round(trace) -> list:
+    """The BcCounters each round's bet sees, recomputed from the trace with
+    a Fraction sum: heads in the earlier rounds, and c - 1 <= sum of the
+    prices up to this one < c."""
+    counters, heads, total = [], 0, Fraction(0)
+    for record in trace.rounds:
+        total += Fraction(record.forecast.p)
+        acc = total * (1 << 1074)
+        assert acc.denominator == 1
+        counters.append(BcCounters(heads, int(acc), math.floor(total) + 1))
+        heads += record.x == 1.0
+    return counters
+
+
+def _check_announcements(cls, bets, counters):
+    """Every bet is `cls.formula` of its counters, and a bet is the previous
+    round's object exactly when b and c are unchanged."""
+    assert len(bets) == len(counters) > 0
+    moved = {"b": 0, "c": 0}
+    for n, (bet, now) in enumerate(zip(bets, counters)):
+        assert bet.M == cls.formula(now) and bet.V is None
+        if n:
+            before = counters[n - 1]
+            moved["b"] += now.b != before.b
+            moved["c"] += now.c != before.c
+            assert (bet is bets[n - 1]) == ((now.b, now.c) == (before.b, before.c))
+    assert moved["b"] and moved["c"]   # both kinds of change are exercised
+    assert _objects(bets) < len(bets) / 10
+
+
+def _recorded_bets(skeptic) -> list:
+    """The list the skeptic's bets go to, round by round, from now on."""
+    bets, bet = [], skeptic.bet
+
+    def recorded(n, forecast, k_prev):
+        bets.append(bet(n, forecast, k_prev))
+        return bets[-1]
+    skeptic.bet = recorded
+    return bets
+
+
+@pytest.mark.parametrize("name", sorted(COUNTER_SKEPTICS))
+def test_a_counter_skeptic_announces_a_new_bet_only_when_b_or_c_moves(name):
+    trace = run_scenario(_pool(400)[f"coin[harmonic/{name}]"])
+    assert len(trace.rounds) == 400
+    _check_announcements(COUNTER_SKEPTICS[name], [r.bet for r in trace.rounds],
+                         _counters_by_round(trace))
+
+
+def test_counter_skeptics_inside_a_combination_announce_their_own_bets():
+    scenario = _pool(400)["coin[harmonic/zero]"]
+    parts = [cls() for cls in COUNTER_SKEPTICS.values()]
+    bets = [_recorded_bets(part) for part in parts]
+    trace = run_game(scenario.protocol, build_forecaster(scenario),
+                     CombinedSkeptic([0.5, 0.25, 0.25], parts),
+                     build_reality(scenario), 400)
+    counters = _counters_by_round(trace)
+    for cls, part_bets in zip(COUNTER_SKEPTICS.values(), bets):
+        _check_announcements(cls, part_bets, counters)
+
+
+@pytest.mark.parametrize("cls", COUNTER_SKEPTICS.values(), ids=lambda cls: cls.__name__)
+def test_a_counter_skeptic_replayed_by_mixture_capitals_reannounces_its_bet(cls):
+    scenario = _with(_pool(400)["coin[harmonic/zero]"],
+                     reality={"name": "derandomized_fictional"})
+    trace = run_scenario(scenario)
+    skeptic = cls()
+    bets = _recorded_bets(skeptic)
+    mixture_capitals(trace, skeptic, 1.0)
+    _check_announcements(cls, bets, _counters_by_round(trace))
+    # a reset clears the bet: a second replay starts from b = 0, c = 1 again
+    mixture_capitals(trace, skeptic, 1.0)
+    assert bets[len(trace.rounds)] is not bets[len(trace.rounds) - 1]
+    assert bets[len(trace.rounds):] == bets[:len(trace.rounds)]
