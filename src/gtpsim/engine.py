@@ -71,12 +71,10 @@ class Protocol:
 # appends it (the pinned trace digests catch a strategy that does).  Without
 # `frozen`, __hash__ is None: records are unhashable by design.
 #
-# Nothing writes a move after it is announced either.  A strategy returns
-# the object it announced before while its move has not changed (ZeroSkeptic
-# here; the constant, explicit, constant-mean-variance and underflowed
-# geometric scripts in `scenario`; all Skeptics in `skeptic`), so the trace
-# holds one object for many rounds, and a write to it would change every
-# round that shares it.  A zero bet likewise keeps the capital object.
+# Nothing writes a move after it is announced either.  A strategy announces
+# the same object again while its move is unchanged (ZeroSkeptic; scripts
+# and Skeptics in `scenario` and `skeptic`: see README, Shared moves), so a
+# write to it would change every round that shares it.
 @dataclass(slots=True)
 class ForecastMove:
     """Forecaster's announcement: p for coin/bounded games, (m, v) otherwise."""
@@ -214,14 +212,12 @@ def capital_update(
     )
     if violation is not None:
         raise InvalidMoveError(0, _ROLE_OF_FIELD[violation.field], violation)
-    # A zero bet keeps the capital object: K is never -0.0, so k_prev + +-0.0
-    # would have its bits.
+    # A zero bet keeps k_prev itself: K is never -0.0, so the bits agree.
     M = s.M
     if protocol.kind.uses_price:
         return k_prev + M * (x - f.p) if M else k_prev
     if s.V == 0.0:
-        # The V term would add only +-0, or NaN if the hedge term overflows;
-        # so would a zero M times an overflowed x - m.
+        # The V term (and a zero M) would add only +-0, or NaN on overflow.
         return k_prev + M * (x - f.m) if M else k_prev
     centered = x - f.m
     k = k_prev + M * centered
@@ -316,7 +312,7 @@ class CombinedSkeptic(Skeptic):
     def __init__(self, weights: Sequence[float], policies: Sequence[Skeptic]):
         if len(weights) != len(policies) or not policies:
             raise ValueError("weights and policies must have equal length >= 1")
-        # Written as `not (...)` so that a NaN weight fails both checks.
+        # Negated, so that a NaN weight fails both checks.
         if not all(w >= 0.0 for w in weights):
             raise ValueError("weights must be nonnegative")
         if not abs(sum(weights) - 1.0) <= 1e-12:

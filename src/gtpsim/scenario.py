@@ -165,9 +165,8 @@ def _check_keys(mapping: Dict, allowed, where: str) -> None:
 def _price_script(name: str, params: Dict) -> Callable[[int], ForecastMove]:
     """Round n -> ForecastMove(p_n) for a named price series.  The script
     builds the move itself, with no wrapper frame between it and
-    `ScriptForecaster.forecast`; `constant` and `explicit` build theirs once
-    and announce the same objects again, and so does `geometric` once its
-    price underflows (see `engine`: no one writes a move)."""
+    `ScriptForecaster.forecast`; `constant`, `explicit` and an underflowed
+    `geometric` announce prebuilt moves (see `engine`)."""
     if name in ("harmonic", "inverse_square", "geometric"):
         a = _number(params, "a", 1.0, name)
         if not math.isfinite(a):
@@ -186,8 +185,7 @@ def _price_script(name: str, params: Dict) -> Callable[[int], ForecastMove]:
         ratio = _number(params, "ratio", 0.5, name)
         if not 0.0 < ratio < 1.0:
             raise ScenarioError(f"geometric ratio {ratio} outside (0, 1)")
-        # Announced once a * ratio^n underflows (from n = 1075 at a = 1,
-        # ratio = 0.5); a * 0.0 has the sign of that price.
+        # Announced once a * ratio^n underflows; a * 0.0 keeps the sign of a.
         zero = ForecastMove(a * 0.0)
 
         def geometric(n: int) -> ForecastMove:

@@ -101,8 +101,7 @@ class _CounterSkeptic(Skeptic):
     (Forecaster moves first); the head count only after Reality's move.
     Each subclass names its bet as `formula = staticmethod(bc_*_bet)`, so a
     bet calls the formula with no method frame in between.  The formula
-    reads only b and c, so the bet last announced is announced again until
-    c moves or a head clears it.
+    reads only b and c, so a bet is announced again until either moves.
     """
 
     formula: Callable[[BcCounters], float]
