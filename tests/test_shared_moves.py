@@ -256,14 +256,15 @@ def test_counter_skeptics_inside_a_combination_announce_their_own_bets():
 
 @pytest.mark.parametrize("cls", COUNTER_SKEPTICS.values(), ids=lambda cls: cls.__name__)
 def test_a_counter_skeptic_replayed_by_mixture_capitals_reannounces_its_bet(cls):
+    # p_1 = 0.5 leaves c = 1, so round 1 of a replay rebuilds the bet only
+    # because reset cleared it
     scenario = _with(_pool(400)["coin[harmonic/zero]"],
+                     forecaster={"name": "harmonic", "a": 0.5},
                      reality={"name": "derandomized_fictional"})
     trace = run_scenario(scenario)
     skeptic = cls()
     bets = _recorded_bets(skeptic)
-    mixture_capitals(trace, skeptic, 1.0)
-    _check_announcements(cls, bets, _counters_by_round(trace))
-    # a reset clears the bet: a second replay starts from b = 0, c = 1 again
-    mixture_capitals(trace, skeptic, 1.0)
+    for _ in range(2):
+        mixture_capitals(trace, skeptic, 1.0)
+        _check_announcements(cls, bets[-len(trace.rounds):], _counters_by_round(trace))
     assert bets[len(trace.rounds)] is not bets[len(trace.rounds) - 1]
-    assert bets[len(trace.rounds):] == bets[:len(trace.rounds)]
