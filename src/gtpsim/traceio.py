@@ -7,10 +7,11 @@ reloaded trace replays bit-for-bit.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from .analysis import Verdict
 from .engine import (
@@ -31,21 +32,29 @@ def trace_to_csv_text(trace: Trace) -> str:
     Each row is one f-string: the bytes `csv.writer` would write, since no
     field can hold a comma, a quote or a line break.  p_or_m, v and V may be
     absent (written empty); M, x and K are numbers in every trace, since
-    `run_game` validates them and the reader parses them as floats."""
+    `run_game` validates them and the reader parses them as floats.  A
+    forecast, bet, x or K that is the previous row's object again (a shared
+    move, a kept capital) reuses its text.  The test is `is`, never `==`:
+    0.0 == -0.0, and NaN equals nothing."""
     lines = [",".join(CSV_HEADER) + "\n"]
     append = lines.append
+    f = bet = x = k = object()    # no field is this object
     for r in trace.rounds:
-        f, bet = r.forecast, r.bet
-        p_or_m = f.p if f.p is not None else f.m
-        v, V = f.v, bet.V
-        append(
-            f"{r.n},"
-            f"{'' if p_or_m is None else format(p_or_m, '.17g')},"
-            f"{'' if v is None else format(v, '.17g')},"
-            f"{bet.M:.17g},"
-            f"{'' if V is None else format(V, '.17g')},"
-            f"{r.x:.17g},{r.capital_after:.17g}\n"
-        )
+        if r.forecast is not f:
+            f = r.forecast
+            p_or_m, v = f.p if f.p is not None else f.m, f.v
+            f_text = (f"{'' if p_or_m is None else format(p_or_m, '.17g')},"
+                      f"{'' if v is None else format(v, '.17g')}")
+        if r.bet is not bet:
+            bet = r.bet
+            bet_text = f"{bet.M:.17g},{'' if bet.V is None else format(bet.V, '.17g')}"
+        if r.x is not x:
+            x = r.x
+            x_text = format(x, ".17g")
+        if r.capital_after is not k:
+            k = r.capital_after
+            k_text = format(k, ".17g")
+        append(f"{r.n},{f_text},{bet_text},{x_text},{k_text}\n")
     return "".join(lines)
 
 
@@ -53,36 +62,59 @@ def write_trace_csv(trace: Trace, path) -> None:
     Path(path).write_text(trace_to_csv_text(trace), encoding="utf-8")
 
 
-def trace_from_csv_text(text: str, protocol: Protocol,
-                        seed: Optional[int] = None) -> Trace:
+def _read_rows(lines: Iterable[str], protocol: Protocol,
+               seed: Optional[int]) -> Trace:
+    """Parse CSV lines into a trace, one row at a time.  A forecast, bet, x
+    or K whose text repeats the previous row's is that row's object again,
+    as in the trace that was written.  Only the previous row is compared: a
+    memo over every distinct price would cost more than it saves."""
     import csv
-    import io
 
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    reader = csv.reader(lines)
+    header = next(reader, None)
     if header != CSV_HEADER:
         raise ValueError(f"unexpected CSV header {header!r}")
     uses_price = protocol.kind.uses_price
     rounds = []
+    append = rounds.append
+    # The previous row's texts; None matches no field, so row 1 parses all.
+    p_text = v_text = m_text = vb_text = x_text = k_text = None
     # The rows become acyclic records, kept until the trace is built: see
     # gc_paused.
     with gc_paused():
         for row in reader:
             if not row:
                 continue
-            n, p_or_m, v, m_bet, v_bet, x, k = row
+            n, p_or_m, v, m_bet, v_bet, xs, ks = row
             if uses_price:
-                forecast = ForecastMove(float(p_or_m))
-                bet = SkepticBet(float(m_bet))
+                if p_or_m != p_text:
+                    p_text, forecast = p_or_m, ForecastMove(float(p_or_m))
+                if m_bet != m_text:
+                    m_text, bet = m_bet, SkepticBet(float(m_bet))
             else:
-                forecast = ForecastMove(None, float(p_or_m), float(v))
-                bet = SkepticBet(float(m_bet), float(v_bet))
-            rounds.append(RoundRecord(int(n), forecast, bet, float(x), float(k)))
+                if p_or_m != p_text or v != v_text:
+                    p_text, v_text = p_or_m, v
+                    forecast = ForecastMove(None, float(p_or_m), float(v))
+                if m_bet != m_text or v_bet != vb_text:
+                    m_text, vb_text = m_bet, v_bet
+                    bet = SkepticBet(float(m_bet), float(v_bet))
+            if xs != x_text:
+                x_text, x = xs, float(xs)
+            if ks != k_text:
+                k_text, k = ks, float(ks)
+            append(RoundRecord(int(n), forecast, bet, x, k))
     return Trace(protocol=protocol, rounds=rounds, seed=seed)
 
 
+def trace_from_csv_text(text: str, protocol: Protocol,
+                        seed: Optional[int] = None) -> Trace:
+    return _read_rows(io.StringIO(text), protocol, seed)
+
+
 def read_trace_csv(path, protocol: Protocol, seed: Optional[int] = None) -> Trace:
-    return trace_from_csv_text(Path(path).read_text(encoding="utf-8"), protocol, seed)
+    """Read the trace row by row from the open file, never the whole text."""
+    with open(path, encoding="utf-8", newline="") as lines:
+        return _read_rows(lines, protocol, seed)
 
 
 def summary_dict(name: str, trace: Trace, verdict: Verdict) -> Dict:

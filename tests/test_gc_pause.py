@@ -1,7 +1,7 @@
 """The cyclic collector is paused while a trace is built in bulk.
 
-`run_game` (its round loop) and `trace_from_csv_text` (its row loop) run
-inside `engine.gc_paused`, since those loops keep only acyclic records.
+`run_game` (its round loop) and the CSV reader (its row loop) run inside
+`engine.gc_paused`, since those loops keep only acyclic records.
 The pause is pinned by state, not by time: a probe Reality reads
 `gc.isenabled()` in every round, and `gc.callbacks` counts collections.
 Both are exact on a host too noisy to time the saving.
@@ -9,6 +9,7 @@ Both are exact on a host too noisy to time the saving.
 
 import ast
 import gc
+import io
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from gtpsim.scenario import (
     parse_scenario,
     run_scenario,
 )
-from gtpsim.traceio import trace_from_csv_text, trace_to_csv_text
+from gtpsim.traceio import read_trace_csv, trace_from_csv_text, trace_to_csv_text
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gtpsim"
 COIN = Protocol(GameKind.COIN_TOSSING)
@@ -124,6 +125,20 @@ def test_a_bad_csv_row_restores_the_collector():
         with pytest.raises(ValueError):
             trace_from_csv_text(text, COIN)
         assert gc.isenabled()
+
+
+def test_a_bad_row_in_a_file_closes_it_and_restores_the_collector(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(trace_to_csv_text(_play(ProbeReality(), 5)) + "6,0.5,,0,,x,1\n",
+                    encoding="utf-8")
+    with collector(True):
+        with pytest.raises(ValueError) as raised:
+            read_trace_csv(path, COIN)
+        assert gc.isenabled()
+    # The open file is a local of a frame the error passed through.
+    files = [value for entry in raised.traceback for value in entry.frame.f_locals.values()
+             if isinstance(value, io.IOBase)]
+    assert files and all(f.closed for f in files)
 
 
 def test_a_nested_run_game_leaves_the_outer_pause_in_place():

@@ -1,8 +1,13 @@
-"""Trace CSV text: byte identity with a csv.writer reference, and round trips."""
+"""Trace CSV text: byte identity with a csv.writer reference, round trips,
+and the objects that the writer and the reader share between rows."""
 
 import csv
+import gc
+import hashlib
 import io
 import math
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +20,18 @@ from gtpsim import (
     Trace,
     replay_verify,
 )
+from gtpsim.cli import main
 from gtpsim.hedges import power_hedge
 from gtpsim.scenario import parse_scenario, run_scenario
-from gtpsim.traceio import CSV_HEADER, trace_from_csv_text, trace_to_csv_text
+from gtpsim.traceio import (
+    CSV_HEADER,
+    read_trace_csv,
+    trace_from_csv_text,
+    trace_to_csv_text,
+    write_trace_csv,
+)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _reference_csv(trace: Trace) -> str:
@@ -128,3 +142,126 @@ def test_csv_text_of_absent_fields_and_hand_built_values():
 def test_empty_trace_is_the_header_alone():
     trace = Trace(protocol=Protocol(kind=GameKind.COIN_TOSSING))
     assert trace_to_csv_text(trace) == "n,p_or_m,v,M,V,x,K\n" == _reference_csv(trace)
+
+
+def test_empty_text_has_no_header():
+    with pytest.raises(ValueError, match="unexpected CSV header None"):
+        trace_from_csv_text("", Protocol(kind=GameKind.COIN_TOSSING))
+
+
+# sha256 of each CSV that `gtpsim verify scenarios/examples_manifest.yaml
+# --out DIR` writes, recorded before the writer reused the text of shared
+# objects.
+EXAMPLE_CSV_SHA256 = {
+    "avoid_match.csv":
+        "a4fa4f4f2d9e865dee72cad910be77426fb7f61f9fc98ef15f4e34b64363a263",
+    "coin_broken_reality.csv":
+        "8ee76337034ff40d6e5d6d7729c4826b5982568e0cd9547a640898e2daa8081d",
+    "coin_harmonic_fictional.csv":
+        "530272803464d373ccb4d2cf9ecc0abff95c7b6b0e6aed221d1c672baf62d50d",
+    "first_round.csv":
+        "55c6b850e5a895ef257273a75d44a62ca7760aae2981757ff2a465ce93836f63",
+}
+
+
+def test_example_manifest_csv_bytes_are_unchanged(tmp_path, capsys):
+    assert main(["verify", str(SCENARIOS / "examples_manifest.yaml"),
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.glob("*.csv")} == EXAMPLE_CSV_SHA256
+
+
+# Adjacent values that compare equal but print apart (0.0 and -0.0), and
+# values that print alike but never compare equal (NaN).  K runs three rows
+# behind x, so the fields repeat in different rows.
+SIGNED = [0.0, -0.0, -0.0, 0.0, math.nan, math.nan, 1.0, 1.0, -math.inf, 0.25, 0.25]
+PROTOCOLS = {"coin": Protocol(kind=GameKind.COIN_TOSSING),
+             "general_hedge": Protocol(kind=GameKind.GENERAL_HEDGE, hedge=power_hedge(1.5))}
+
+
+def _signed_trace(protocol: Protocol, shared: bool) -> Trace:
+    """A trace of SIGNED values.  Shared: a field holds the previous row's
+    object wherever its value repeats bit for bit, as `run_game` shares a
+    move or a capital.  Distinct: every field is a new object."""
+    mv = not protocol.kind.uses_price
+    rounds, prev = [], None
+
+    def same(value, previous):
+        if shared and prev is not None and previous.hex() == value.hex():
+            return previous
+        return float.fromhex(value.hex())
+
+    for n, (value, capital) in enumerate(zip(SIGNED, SIGNED[-3:] + SIGNED), 1):
+        x = same(value, prev and prev.x)
+        k = same(capital, prev and prev.capital_after)
+        if prev is not None and x is prev.x:
+            forecast, bet = prev.forecast, prev.bet
+        else:
+            forecast = ForecastMove(None, x, x) if mv else ForecastMove(x)
+            bet = SkepticBet(-x, x) if mv else SkepticBet(-x)
+        prev = RoundRecord(n, forecast, bet, x, k)
+        rounds.append(prev)
+    return Trace(protocol=protocol, rounds=rounds)
+
+
+@pytest.mark.parametrize("kind", sorted(PROTOCOLS))
+def test_shared_and_distinct_objects_give_the_same_text(kind):
+    shared = _signed_trace(PROTOCOLS[kind], shared=True)
+    distinct = _signed_trace(PROTOCOLS[kind], shared=False)
+    assert shared.rounds[2].x is shared.rounds[1].x
+    assert shared.rounds[2].forecast is shared.rounds[1].forecast
+    assert distinct.rounds[2].x is not distinct.rounds[1].x
+    text = trace_to_csv_text(shared)
+    assert text == trace_to_csv_text(distinct) == _reference_csv(shared)
+    lines = text.splitlines()
+    assert [line.split(",")[5] for line in lines[1:7]] == \
+        ["0", "-0", "-0", "0", "nan", "nan"]
+    assert [line.split(",")[6] for line in lines[4:10]] == \
+        ["0", "-0", "-0", "0", "nan", "nan"]
+
+
+def _field_columns(protocol: Protocol):
+    """The CSV columns each object of a round is read from."""
+    if protocol.kind.uses_price:
+        return {"forecast": (1,), "bet": (3,), "x": (5,), "capital_after": (6,)}
+    return {"forecast": (1, 2), "bet": (3, 4), "x": (5,), "capital_after": (6,)}
+
+
+@pytest.mark.parametrize("kind, shared", [(kind, None) for kind in sorted(PLAYED)] + [
+    (kind, shared) for kind in sorted(PROTOCOLS) for shared in (True, False)])
+def test_reader_shares_an_object_exactly_where_its_text_repeats(kind, shared):
+    # shared is None for a played trace, else which SIGNED trace to write.
+    trace = _played(kind) if shared is None else _signed_trace(PROTOCOLS[kind], shared)
+    text = trace_to_csv_text(trace)
+    back = trace_from_csv_text(text, trace.protocol)
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    for i in range(1, len(rows)):
+        for name, columns in _field_columns(trace.protocol).items():
+            repeats = all(rows[i][c] == rows[i - 1][c] for c in columns)
+            is_same = getattr(back.rounds[i], name) is getattr(back.rounds[i - 1], name)
+            assert is_same == repeats, (i, name)
+    assert trace_to_csv_text(back) == text
+
+
+def test_reading_a_long_file_holds_little_beyond_the_trace(tmp_path):
+    rounds = 100_000
+    trace = run_scenario(parse_scenario(
+        f"protocol: {{kind: coin_tossing}}\nhorizon: {rounds}\n"
+        "forecaster: {name: harmonic}\nskeptic: {name: bc_fictional}\n"
+        "reality: {name: bc_comply}\n"))
+    path = tmp_path / "long.csv"
+    write_trace_csv(trace, path)
+    protocol = trace.protocol
+    del trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        back = read_trace_csv(path, protocol)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back.rounds) == rounds
+    # The file alone is about 6.5 MB; the parse holds a few rows of it.
+    assert path.stat().st_size > 6_000_000
+    assert peak < retained + 2 ** 20, (retained, peak)
