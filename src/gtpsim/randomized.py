@@ -52,10 +52,6 @@ class RandomStream:
     def uniform(self) -> float:
         return self.next_u64() / _TWO64
 
-    def spawn(self, key: int) -> "RandomStream":
-        """Independent child stream; distinct keys never overlap."""
-        return RandomStream(seed=mix64(self.seed ^ mix64(key + 1)))
-
 
 def uniform_block(seed: int, n_draws: int, first_counter: int = 1) -> "numpy.ndarray":
     """Vectorized uniforms equal to draws first_counter..first_counter+n-1

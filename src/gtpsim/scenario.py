@@ -169,8 +169,8 @@ def _price_script(name: str, params: Dict) -> Callable[[int], ForecastMove]:
     `geometric` announce prebuilt moves (see `engine`)."""
     if name in ("harmonic", "inverse_square", "geometric"):
         a = _number(params, "a", 1.0, name)
-        if not math.isfinite(a):
-            raise ScenarioError(f"{name} a must be finite, got {a}")
+        if not 0.0 <= a < math.inf:  # -0.0 passes: it plays p = -0.0
+            raise ScenarioError(f"{name} a must be finite and >= 0, got {a}")
     if name == "harmonic":
         return lambda n: ForecastMove(min(1.0, a / n))
     if name == "inverse_square":

@@ -74,6 +74,8 @@ def ceiling_index_update(counters: BcCounters, p: float) -> BcCounters:
     """Add the float increment p >= 0 to the exact sum and refresh c."""
     if not 0.0 <= p < math.inf:
         raise ValueError(f"price increment must be finite and >= 0, got {p}")
+    if p == 0.0:  # also -0.0: the sum and c stay, as in a geometric tail
+        return counters
     num, den = p.as_integer_ratio()  # den = 2^k with k <= 1074
     acc = counters.acc + (num << (1075 - den.bit_length()))  # num * 2^(1074 - k)
     return _tuple_new(BcCounters, (counters.b, acc, (acc >> 1074) + 1))

@@ -57,13 +57,6 @@ def test_uniform_block_offset_continues_the_stream():
     assert np.array_equal(whole[10:], tail)
 
 
-def test_spawned_streams_are_distinct():
-    parent = RandomStream(seed=5)
-    children = [parent.spawn(k) for k in range(4)]
-    firsts = [c.next_u64() for c in children]
-    assert len(set(firsts)) == len(firsts)
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli sampling
 # ---------------------------------------------------------------------------

@@ -472,6 +472,14 @@ def test_cli_rejects_a_non_finite_price_script_parameter(tmp_path, capsys, scrip
     assert f"{script} a must be finite" in err
 
 
+# A negative a used to parse, then fail at round 1 with p = -1.0 outside [0, 1].
+@pytest.mark.parametrize("script", ["harmonic", "inverse_square", "geometric"])
+def test_cli_rejects_a_negative_price_script_parameter(tmp_path, capsys, script):
+    text = MINIMAL.replace("{name: harmonic}", f"{{name: {script}, a: -1}}")
+    err = _cli_error(["run", str(_write(tmp_path / "a.yaml", text))], capsys)
+    assert f"{script} a must be finite and >= 0, got -1.0" in err
+
+
 @pytest.mark.parametrize("kind, growth, players", [
     ("coin_tossing", "'power:r=2'", "harmonic/bc_fictional/bc_comply"),
     ("unbounded_forecasting", "identity", "mv/zero/ufg_comply"),

@@ -95,6 +95,12 @@ def test_ceiling_index_exact_integer_rounds_up():
     assert c.c == 2
 
 
+@pytest.mark.parametrize("p", [0.0, -0.0])
+def test_ceiling_index_zero_increment_returns_the_same_counters(p):
+    counters = ceiling_index_update(BcCounters(b=3), 1.5)
+    assert ceiling_index_update(counters, p) is counters
+
+
 def test_ceiling_index_rejects_negative_increment():
     with pytest.raises(ValueError):
         ceiling_index_update(BcCounters(), -0.1)
