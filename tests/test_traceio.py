@@ -188,13 +188,13 @@ def _signed_trace(protocol: Protocol, shared: bool) -> Trace:
     rounds, prev = [], None
 
     def same(value, previous):
-        if shared and prev is not None and previous.hex() == value.hex():
+        if shared and previous is not None and previous.hex() == value.hex():
             return previous
         return float.fromhex(value.hex())
 
     for n, (value, capital) in enumerate(zip(SIGNED, SIGNED[-3:] + SIGNED), 1):
-        x = same(value, prev and prev.x)
-        k = same(capital, prev and prev.capital_after)
+        x = same(value, prev.x if prev else None)
+        k = same(capital, prev.capital_after if prev else None)
         if prev is not None and x is prev.x:
             forecast, bet = prev.forecast, prev.bet
         else:
@@ -262,6 +262,6 @@ def test_reading_a_long_file_holds_little_beyond_the_trace(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(back.rounds) == rounds
-    # The file alone is about 6.5 MB; the parse holds a few rows of it.
+    # The file alone is about 6.9 MB; the parse holds a few rows of it.
     assert path.stat().st_size > 6_000_000
     assert peak < retained + 2 ** 20, (retained, peak)
