@@ -53,7 +53,6 @@ from .reality import (
     FirstRoundComplyReality,
     MvComplyReality,
     MvComplyState,
-    PhaseTag,
     bc_comply_step,
     mv_comply_step,
 )

@@ -121,16 +121,15 @@ def validate_hedge(hedge: Hedge) -> None:
                 )
 
 
-def validate_growth(growth: Growth, grid=None) -> None:
+def validate_growth(growth: Growth) -> None:
     """Check positivity and monotonicity on the sampled grid; raise on failure."""
     g = _no_overflow(growth.eval, growth.name, "g")
-    grid = list(_GRID if grid is None else grid)
-    values = [g(x) for x in grid]
-    for x, gx in zip(grid, values):
+    values = [g(x) for x in _GRID]
+    for x, gx in zip(_GRID, values):
         if not 0.0 < gx < math.inf:
             raise HedgeValidationError(
                 f"{growth.name}: g({x}) = {gx}, expected finite and > 0")
-    for (x, lo), hi in zip(zip(grid, values), values[1:]):
+    for (x, lo), hi in zip(zip(_GRID, values), values[1:]):
         if not hi >= lo * (1.0 - _REL_TOL):
             raise HedgeValidationError(f"{growth.name}: g decreases after x = {x}")
 

@@ -9,7 +9,6 @@ value forever while steering the path into the target event.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple, Optional, Tuple
 
 from .analysis import epsilon_sequence_step
@@ -26,41 +25,27 @@ from .hedges import SQUARE_HEDGE, Growth, Hedge, hedge_inverse
 from .skeptic import BcCounters, _tuple_new, ceiling_index_update
 
 
-class PhaseTag(Enum):
-    WAITING = "waiting"
-    DEGENERATE = "degenerate"
-    MIXING = "mixing"
-
-
-# Per-round comparisons use these globals (README, Hot-path rule).
-_WAITING, _DEGENERATE = PhaseTag.WAITING, PhaseTag.DEGENERATE
-
-
 class ComplyPhase(NamedTuple):
-    """The phase, and on entering Mixing the round n0, the mixing weight
-    -delta (delta < 0 the first strict capital change), epsilon = -delta/K_0
-    for reporting, and K_{n0}.
+    """The phase is two numbers.  Waiting: n0 is None.  Skeptic's first
+    strict capital change delta < 0, in round n0, ends the wait: Mixing
+    with the fictional bet's weight mix_coeff = -delta, or Degenerate
+    (mix_coeff None) when that loss took the capital to exactly 0.
 
-    The weight is epsilon * K_{n0} / (1 - epsilon) = K_0 - K_{n0} = -delta
-    in real arithmetic.  It is stored as -delta, not recomputed from
-    1 - K_{n0}/K_0: a loss below half an ulp of K_0 leaves K_{n0} == K_0 in
-    floats, and the difference would give the fictional bet no weight."""
+    The paper's epsilon is mix_coeff / K_0, and K_{n0} is the capital
+    recorded in round n0.  The weight is epsilon * K_{n0} / (1 - epsilon)
+    = K_0 - K_{n0} = -delta in real arithmetic.  It is stored as -delta, not
+    recomputed from 1 - K_{n0}/K_0: a loss below half an ulp of K_0 leaves
+    K_{n0} == K_0 in floats, and the difference would give the fictional bet
+    no weight."""
 
-    tag: PhaseTag = PhaseTag.WAITING
     n0: Optional[int] = None
     mix_coeff: Optional[float] = None
-    epsilon: Optional[float] = None
-    k_n0: Optional[float] = None
 
 
-def _qualify(n: int, delta: float, k_prev: float, k0: float) -> ComplyPhase:
-    """Transition out of Waiting after the first strict capital change
-    delta < 0, from the capital k_prev = K_0 held while waiting."""
-    k_new = k_prev + delta
-    if k_new == 0.0:
-        return ComplyPhase(tag=PhaseTag.DEGENERATE, n0=n)
-    return ComplyPhase(tag=PhaseTag.MIXING, n0=n, mix_coeff=-delta,
-                       epsilon=-delta / k0, k_n0=k_new)
+def _qualify(n: int, delta: float, k_prev: float) -> ComplyPhase:
+    """The phase after the first strict capital change delta < 0, in round
+    n, from the capital k_prev = K_0 held while waiting."""
+    return ComplyPhase(n, None if k_prev + delta == 0.0 else -delta)
 
 
 # ---------------------------------------------------------------------------
@@ -75,41 +60,37 @@ def _qualify(n: int, delta: float, k_prev: float, k0: float) -> ComplyPhase:
 #     mix_coeff * (2^(-b-2) - 2^(-c-2))
 # with b the head count before the round and c the refreshed ceiling index
 # (the fictional bet's negative, scaled by the mixing weight), and the head
-# count update after the answer.
+# count update after the answer.  Each step tests Mixing first, the phase
+# of most rounds; a zero bet while waiting gets the Degenerate answer, the
+# far point if c moved and the neutral point otherwise.
 class BcComplyState(NamedTuple):
     phase: ComplyPhase = ComplyPhase()
     counters: BcCounters = BcCounters()
-    n: int = 0
 
 
 def bc_comply_step(
-    state: BcComplyState, p: float, M: float, k_prev: float, k0: float
+    state: BcComplyState, n: int, p: float, M: float, k_prev: float
 ) -> Tuple[float, BcComplyState]:
-    """One round of the coin-game compliance strategy."""
-    phase, counters, n = state
+    """Round n of the coin-game compliance strategy."""
+    phase, counters = state
     b, c_prev = counters.b, counters.c
-    n += 1
     counters = ceiling_index_update(counters, p)
     c = counters.c
-    c_changed = c != c_prev
-    tag = phase.tag
-    if tag is _WAITING:
-        if M == 0.0:
-            x = 1.0 if c_changed else 0.0
-        else:
-            x = 1.0 if M < 0.0 else 0.0
-            delta = M * (x - p)
-            if delta < 0.0:
-                phase = _qualify(n, delta, k_prev, k0)
-            # else: degenerate price (p = 1 with M < 0, p = 0 with M > 0);
-            # the answer is capital-neutral and the wait continues.
-    elif tag is _DEGENERATE:
-        x = 1.0 if c_changed else 0.0
+    mix_coeff = phase.mix_coeff
+    if mix_coeff is not None:
+        x = 1.0 if M <= mix_coeff * (2.0 ** (-b - 2) - 2.0 ** (-c - 2)) else 0.0
+    elif M == 0.0 or phase.n0 is not None:
+        x = 1.0 if c != c_prev else 0.0
     else:
-        x = 1.0 if M <= phase.mix_coeff * (2.0 ** (-b - 2) - 2.0 ** (-c - 2)) else 0.0
+        x = 1.0 if M < 0.0 else 0.0
+        delta = M * (x - p)
+        if delta < 0.0:
+            phase = _qualify(n, delta, k_prev)
+        # else: degenerate price (p = 1 with M < 0, p = 0 with M > 0);
+        # the answer is capital-neutral and the wait continues.
     if x == 1.0:
         counters = _tuple_new(BcCounters, (b + 1, counters.acc, c))
-    return x, _tuple_new(BcComplyState, (phase, counters, n))
+    return x, _tuple_new(BcComplyState, (phase, counters))
 
 
 class BcComplyReality(Reality):
@@ -125,17 +106,13 @@ class BcComplyReality(Reality):
     def __init__(self, phase: ComplyPhase = ComplyPhase()):
         self.phase = phase
         self.state = BcComplyState(phase)
-        self.k0 = 1.0
 
     def reset(self, protocol: Protocol) -> None:
         require_game(protocol, self, *PRICE_GAMES)
         self.state = BcComplyState(self.phase)
-        self.k0 = protocol.initial_capital
 
     def outcome(self, n, forecast, bet, k_prev) -> float:
-        x, self.state = bc_comply_step(
-            self.state, forecast.p, bet.M, k_prev, self.k0
-        )
+        x, self.state = bc_comply_step(self.state, n, forecast.p, bet.M, k_prev)
         return x
 
 
@@ -150,35 +127,31 @@ class MvComplyState(NamedTuple):
 
     phase: ComplyPhase = ComplyPhase()
     counters: BcCounters = BcCounters()
-    n: int = 0
     a_total: float = 0.0        # A_n = sum of v_k so far
     eps_running: float = 0.0    # sum of a_k = v_k / g(A_k) so far
-    eps: float = 1.0            # current damping weight
 
 
 def mv_comply_step(
     state: MvComplyState,
+    n: int,
     f: ForecastMove,
     s: SkepticBet,
     hedge: Hedge,
     growth: Optional[Growth],
     k_prev: float,
-    k0: float,
 ) -> Tuple[float, MvComplyState]:
-    """One round of the mean-variance compliance strategy.
+    """Round n of the mean-variance compliance strategy.
 
     Without a growth this is the unbounded game (hedge x^2): the schedule is
     v_n / n^2 with no damping.  With a growth g it is eps_n * v_n / g(A_n),
-    eps_n from `epsilon_sequence_step`.  Rounds with v = 0 answer x = m,
-    leave the counters untouched, and never end the waiting phase.
+    eps_n = 1 / (1 + eps_running) from `epsilon_sequence_step`.  Rounds with
+    v = 0 answer x = m and return the state unchanged.
     """
-    phase, counters, n, a_total, eps_running, eps = state
-    n += 1
     m, v = f.m, f.v
-    M, V = s.M, s.V
     if v == 0.0:
-        return m, _tuple_new(MvComplyState,
-                             (phase, counters, n, a_total, eps_running, eps))
+        return m, state
+    phase, counters, a_total, eps_running = state
+    M, V = s.M, s.V
     a_total += v
     if growth is None:
         # an int, so that eps * v < g_a compares exactly as v < n^2
@@ -195,27 +168,10 @@ def mv_comply_step(
     b, c_prev = counters.b, counters.c
     counters = ceiling_index_update(counters, eps * v / g_a)
     c = counters.c
-    c_changed = c != c_prev
     scale = g_a / eps
-    tag = phase.tag
-    if tag is _WAITING:
-        if M == 0.0 and V == 0.0:
-            xt = hedge_inverse(hedge, scale) if c_changed else 0.0
-        else:
-            if V == 0.0:
-                xt = 1.0 if M < 0.0 else -1.0
-                delta = M * xt
-            else:
-                xt = 0.0
-                delta = V * (hedge.forward(0.0) - v)
-            if delta < 0.0:
-                phase = _qualify(n, delta, k_prev, k0)
-            # else: V * v underflowed to 0; the answer is capital-neutral
-            # and the wait continues.
-    elif tag is _DEGENERATE:
-        xt = hedge_inverse(hedge, scale) if c_changed else 0.0
-    else:
-        d = phase.mix_coeff * (2.0 ** (-b - 2) - 2.0 ** (-c - 2)) / scale
+    mix_coeff = phase.mix_coeff
+    if mix_coeff is not None:
+        d = mix_coeff * (2.0 ** (-b - 2) - 2.0 ** (-c - 2)) / scale
         if eps * v < g_a:
             if V <= d:
                 e = hedge_inverse(hedge, scale)
@@ -225,11 +181,22 @@ def mv_comply_step(
         else:
             root = hedge_inverse(hedge, v)
             xt = root if M < 0.0 else -root
+    elif (M == 0.0 and V == 0.0) or phase.n0 is not None:
+        xt = hedge_inverse(hedge, scale) if c != c_prev else 0.0
+    else:
+        if V == 0.0:
+            xt = 1.0 if M < 0.0 else -1.0
+            delta = M * xt
+        else:
+            xt = 0.0
+            delta = V * (hedge.forward(0.0) - v)
+        if delta < 0.0:
+            phase = _qualify(n, delta, k_prev)
+        # else: V * v underflowed to 0; the answer is capital-neutral and
+        # the wait continues.
     if xt != 0.0:
         counters = _tuple_new(BcCounters, (b + 1, counters.acc, c))
-    return m + xt, _tuple_new(
-        MvComplyState, (phase, counters, n, a_total, eps_running, eps)
-    )
+    return m + xt, _tuple_new(MvComplyState, (phase, counters, a_total, eps_running))
 
 
 class MvComplyReality(Reality):
@@ -239,19 +206,17 @@ class MvComplyReality(Reality):
     def __init__(self, growth: Optional[Growth] = None):
         self.growth = growth
         self.state = MvComplyState()
-        self.k0 = 1.0
         self.hedge = SQUARE_HEDGE
 
     def reset(self, protocol: Protocol) -> None:
         require_game(protocol, self, GameKind.UNBOUNDED_FORECASTING
                      if self.growth is None else GameKind.GENERAL_HEDGE)
         self.state = MvComplyState()
-        self.k0 = protocol.initial_capital
         self.hedge = protocol.hedge or SQUARE_HEDGE
 
     def outcome(self, n, forecast, bet, k_prev) -> float:
         x, self.state = mv_comply_step(
-            self.state, forecast, bet, self.hedge, self.growth, k_prev, self.k0
+            self.state, n, forecast, bet, self.hedge, self.growth, k_prev
         )
         return x
 

@@ -15,6 +15,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from . import randomized, reality, skeptic
 from .analysis import BOUND_SLACK, Verdict
 from .engine import (
+    MEAN_VARIANCE_GAMES,
+    PRICE_GAMES,
     Forecaster,
     ForecastMove,
     GameKind,
@@ -163,7 +165,8 @@ def _check_keys(mapping: Dict, allowed, where: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _price_script(name: str, params: Dict) -> Callable[[int], ForecastMove]:
-    """Round n -> ForecastMove(p_n) for a named price series.  The script
+    """Round n -> ForecastMove(p_n) for a named price series, a key of
+    `_FORECASTER_KEYS` other than `mv`.  The script
     builds the move itself, with no wrapper frame between it and
     `ScriptForecaster.forecast`; `constant`, `explicit` and an underflowed
     `geometric` announce prebuilt moves (see `engine`)."""
@@ -192,19 +195,18 @@ def _price_script(name: str, params: Dict) -> Callable[[int], ForecastMove]:
             p = a * ratio ** n
             return ForecastMove(min(1.0, p)) if p else zero
         return geometric
-    if name == "explicit":
-        raw = params.get("values")
-        if not isinstance(raw, list) or not raw:
-            raise ScenarioError(
-                f"explicit forecaster needs a non-empty values list, got {raw!r}")
-        try:
-            values = [as_float(v, "value") for v in raw]
-        except ScenarioError:
-            raise ScenarioError(
-                f"explicit forecaster values must be numbers, got {raw!r}") from None
-        moves = [ForecastMove(value) for value in values]
-        return lambda n: moves[(n - 1) % len(moves)]
-    raise ScenarioError(f"unknown price forecaster {name!r}")
+    # explicit
+    raw = params.get("values")
+    if not isinstance(raw, list) or not raw:
+        raise ScenarioError(
+            f"explicit forecaster needs a non-empty values list, got {raw!r}")
+    try:
+        values = [as_float(v, "value") for v in raw]
+    except ScenarioError:
+        raise ScenarioError(
+            f"explicit forecaster values must be numbers, got {raw!r}") from None
+    moves = [ForecastMove(value) for value in values]
+    return lambda n: moves[(n - 1) % len(moves)]
 
 
 def _mv_script(params: Dict) -> Callable[[int], ForecastMove]:
@@ -256,13 +258,18 @@ _FORECASTER_KEYS: Dict[str, Tuple[str, ...]] = {
 def build_forecaster(scenario: Scenario) -> Forecaster:
     spec = dict(scenario.forecaster_spec)
     name = spec.pop("name")
-    if isinstance(name, str) and name in _FORECASTER_KEYS:
-        _check_keys(spec, _FORECASTER_KEYS[name], f"forecaster {name!r}")
-    if scenario.protocol.kind.uses_price:
-        return ScriptForecaster(_price_script(name, spec))
-    if name != "mv":
-        raise ScenarioError(f"forecaster {name!r} needs a coin/bounded protocol")
-    return ScriptForecaster(_mv_script(spec))
+    if not isinstance(name, str) or name not in _FORECASTER_KEYS:
+        raise ScenarioError(f"unknown forecaster {name!r}")
+    _check_keys(spec, _FORECASTER_KEYS[name], f"forecaster {name!r}")
+    kind = scenario.protocol.kind
+    if (name == "mv") == kind.uses_price:
+        games = MEAN_VARIANCE_GAMES if name == "mv" else PRICE_GAMES
+        raise ScenarioError(f"forecaster {name!r} requires the"
+                            f" {' or '.join(k.value for k in games)} game,"
+                            f" got {kind.value}")
+    if name == "mv":
+        return ScriptForecaster(_mv_script(spec))
+    return ScriptForecaster(_price_script(name, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +314,7 @@ _REALITIES: _Registry = {
     )),
     # The paper's derandomization with no wait: Mixing from round 1, weight 1.
     "derandomized_fictional": ((), lambda sc, spec: reality.BcComplyReality(
-        reality.ComplyPhase(reality.PhaseTag.MIXING, n0=0, mix_coeff=1.0)
+        reality.ComplyPhase(n0=0, mix_coeff=1.0)
     )),
     "first_round": ((), lambda sc, spec: reality.FirstRoundComplyReality()),
     "avoid_match": (("q",), lambda sc, spec: reality.BoundedAvoidMatchReality(
@@ -444,25 +451,26 @@ def proxy_heads_at_c_increments(trace: Trace) -> bool:
     return expected == actual
 
 
-def proxy_slln_hold(trace: Trace, threshold: float = 0.01) -> bool:
-    """Final centered mean is small."""
+def proxy_slln_hold(trace: Trace) -> bool:
+    """Final centered mean |S_N| / N is at most 0.01."""
     total = sum(r.x - r.forecast.m for r in trace.rounds)
-    return abs(total) / len(trace.rounds) <= threshold
+    return abs(total) / len(trace.rounds) <= 0.01
 
 
-def proxy_slln_fail(trace: Trace, threshold: float = 0.5, first_round: int = 10) -> bool:
-    """|S_n| / n stays large at every crossing round n >= first_round."""
-    increments = [r.forecast.v / (r.n * r.n) for r in trace.rounds]
-    crossings = [n for n in _c_increment_rounds(increments) if n >= first_round]
-    total = 0.0
-    checks = []
-    by_round = {}
+def proxy_slln_fail(trace: Trace) -> bool:
+    """|S_n| / n >= 0.5 at every round n >= 10 where the partial sum of
+    v_n / n^2 crosses an integer, and there is such a round."""
+    counters, total, crossed = BcCounters(), 0.0, False
     for r in trace.rounds:
+        n = r.n
         total += r.x - r.forecast.m
-        by_round[r.n] = total
-    for n in crossings:
-        checks.append(abs(by_round[n]) / n >= threshold)
-    return bool(checks) and all(checks)
+        updated = ceiling_index_update(counters, r.forecast.v / (n * n))
+        if updated.c != counters.c and n >= 10:
+            if not abs(total) / n >= 0.5:
+                return False
+            crossed = True
+        counters = updated
+    return crossed
 
 
 def proxy_first_round(trace: Trace) -> bool:

@@ -6,11 +6,12 @@ policy methods, scripts, step functions, validators, dataclass __init__s).
 one-line helper frame that creeps back into every round fails here even on
 a host too noisy to time it.  The step values built on that path must keep
 their NamedTuple types, and the functions on it must not look up an Enum
-member (`GameKind.X`, `PhaseTag.X`), which costs ten times a module global.
+member (`GameKind.X`), which costs ten times a module global.
 """
 
 import dataclasses
 import dis
+import enum
 import gc
 import inspect
 import sys
@@ -32,7 +33,7 @@ from gtpsim import (
 from gtpsim import engine, reality, skeptic
 from gtpsim.engine import RoundRecord, gc_paused
 from gtpsim.hedges import SQUARE_HEDGE
-from gtpsim.reality import ComplyPhase, PhaseTag
+from gtpsim.reality import ComplyPhase
 from gtpsim.scenario import (
     build_forecaster,
     build_reality,
@@ -132,8 +133,10 @@ def _global_names(code) -> set:
 
 @pytest.mark.parametrize("fn", ROUND_PATH, ids=lambda fn: fn.__name__)
 def test_round_path_looks_up_no_enum_member(fn):
-    code = inspect.unwrap(fn).__code__
-    assert not _global_names(code) & {"GameKind", "PhaseTag"}
+    fn = inspect.unwrap(fn)
+    enums = {name for name in _global_names(fn.__code__)
+             if isinstance(fn.__globals__.get(name), enum.EnumMeta)}
+    assert not enums
 
 
 def test_counter_updates_keep_the_namedtuple_type():
@@ -153,17 +156,21 @@ def test_counter_updates_keep_the_namedtuple_type():
 
 def test_step_states_keep_their_namedtuple_types():
     state = BcComplyState()
-    for p, M in ((0.5, 0.0), (0.75, -0.25), (0.5, 0.125), (0.4, -1.0)):
-        x, state = bc_comply_step(state, p, M, 1.0, 1.0)
+    for n, (p, M) in enumerate(((0.5, 0.0), (0.75, -0.25), (0.5, 0.125), (0.4, -1.0)), 1):
+        x, state = bc_comply_step(state, n, p, M, 1.0)
         assert type(state) is BcComplyState and type(state.counters) is BcCounters
-    assert state.phase.tag is PhaseTag.MIXING and state.n == 4
-    assert state._replace(n=0).n == 0 and state._fields == ("phase", "counters", "n")
+    assert state.phase.n0 == 2 and state.phase.mix_coeff is not None
+    assert state._replace(counters=BcCounters()).counters == BcCounters()
+    assert state._fields == ("phase", "counters")
+    assert ComplyPhase._fields == ("n0", "mix_coeff")
 
     mv = MvComplyState()
-    for v, M, V in ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.5, 0.0), (2.0, 0.1, 0.1)):
-        x, mv = mv_comply_step(mv, ForecastMove(None, 0.0, v), SkepticBet(M, V),
-                               SQUARE_HEDGE, None, 1.0, 1.0)
+    for n, (v, M, V) in enumerate(
+            ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.5, 0.0), (2.0, 0.1, 0.1)), 1):
+        x, mv = mv_comply_step(mv, n, ForecastMove(None, 0.0, v), SkepticBet(M, V),
+                               SQUARE_HEDGE, None, 1.0)
         assert type(mv) is MvComplyState and type(mv.counters) is BcCounters
-    assert mv.n == 4 and mv.a_total == 4.0
-    assert type(mv.phase) is ComplyPhase and mv.phase.tag is PhaseTag.MIXING
-    assert mv._replace(eps=0.5).eps == 0.5
+    assert mv.a_total == 4.0
+    assert type(mv.phase) is ComplyPhase and mv.phase.mix_coeff is not None
+    assert mv._replace(eps_running=0.5).eps_running == 0.5
+    assert mv._fields == ("phase", "counters", "a_total", "eps_running")

@@ -13,7 +13,6 @@ from gtpsim import (
     ComplyPhase,
     ForecastMove,
     GameKind,
-    PhaseTag,
     Protocol,
     ScriptForecaster,
     SingleBetSkeptic,
@@ -55,8 +54,7 @@ COIN = Protocol(kind=GameKind.COIN_TOSSING)
 BOUNDED = Protocol(kind=GameKind.BOUNDED_FORECASTING, initial_capital=0.5)
 UNBOUNDED = Protocol(kind=GameKind.UNBOUNDED_FORECASTING)
 
-MIXING_HALF = ComplyPhase(tag=PhaseTag.MIXING, n0=1, mix_coeff=0.5, epsilon=0.5,
-                          k_n0=0.5)
+MIXING_HALF = ComplyPhase(n0=1, mix_coeff=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -64,40 +62,43 @@ MIXING_HALF = ComplyPhase(tag=PhaseTag.MIXING, n0=1, mix_coeff=0.5, epsilon=0.5,
 # ---------------------------------------------------------------------------
 
 def test_mix_coeff_equals_capital_drop():
-    # A first loss of 0.15 from K_0 = 1 makes the coefficient K_0 - k_n0.
-    phase = _qualify(3, -0.15, 1.0, 1.0)
+    # A first loss of 0.15 from K_0 = 1 makes the coefficient K_0 - K_{n0}.
+    phase = _qualify(3, -0.15, 1.0)
     assert math.isclose(phase.mix_coeff, 0.15, rel_tol=0.0, abs_tol=1e-15)
 
 
 def test_waiting_zero_bet_no_crossing_plays_tail():
-    x, state = bc_comply_step(BcComplyState(), 0.6, 0.0, 1.0, 1.0)
+    x, state = bc_comply_step(BcComplyState(), 1, 0.6, 0.0, 1.0)
     assert x == 0.0
-    assert state.phase.tag is PhaseTag.WAITING
+    assert state.phase == ComplyPhase()
     assert state.counters.c == 1 and state.counters.b == 0
 
 
 def test_waiting_zero_bet_crossing_plays_head():
-    _, state = bc_comply_step(BcComplyState(), 0.6, 0.0, 1.0, 1.0)
-    x, state = bc_comply_step(state, 0.6, 0.0, 1.0, 1.0)
+    _, state = bc_comply_step(BcComplyState(), 1, 0.6, 0.0, 1.0)
+    x, state = bc_comply_step(state, 2, 0.6, 0.0, 1.0)
     assert x == 1.0                # partial sum 1.2 crosses 1
     assert state.counters.c == 2 and state.counters.b == 1
 
 
 def test_qualifying_round_enters_mixing():
-    x, state = bc_comply_step(BcComplyState(), 0.5, -0.3, 1.0, 1.0)
+    f, s = ForecastMove(p=0.5), SkepticBet(M=-0.3)
+    x, state = bc_comply_step(BcComplyState(), 1, f.p, s.M, 1.0)
     assert x == 1.0
     phase = state.phase
-    assert phase.tag is PhaseTag.MIXING and phase.n0 == 1
-    assert math.isclose(phase.epsilon, 0.15, rel_tol=0.0, abs_tol=1e-12)
-    assert math.isclose(phase.k_n0, 0.85, rel_tol=0.0, abs_tol=1e-12)
+    assert phase.mix_coeff is not None and phase.n0 == 1
+    # epsilon = mix_coeff / K_0, and K_{n0} is the capital after round n0
+    assert math.isclose(phase.mix_coeff / 1.0, 0.15, rel_tol=0.0, abs_tol=1e-12)
+    k_n0 = capital_update(COIN, 1.0, f, s, x)
+    assert math.isclose(k_n0, 0.85, rel_tol=0.0, abs_tol=1e-12)
 
 
 def test_degenerate_price_rounds_keep_waiting():
     # p = 1 with M < 0 and p = 0 with M > 0 are capital-neutral.
-    x, state = bc_comply_step(BcComplyState(), 1.0, -0.3, 1.0, 1.0)
-    assert x == 1.0 and state.phase.tag is PhaseTag.WAITING
-    x, state = bc_comply_step(BcComplyState(), 0.0, 0.3, 1.0, 1.0)
-    assert x == 0.0 and state.phase.tag is PhaseTag.WAITING
+    x, state = bc_comply_step(BcComplyState(), 1, 1.0, -0.3, 1.0)
+    assert x == 1.0 and state.phase == ComplyPhase()
+    x, state = bc_comply_step(BcComplyState(), 1, 0.0, 0.3, 1.0)
+    assert x == 0.0 and state.phase == ComplyPhase()
 
 
 def test_mixing_threshold_rule():
@@ -105,20 +106,20 @@ def test_mixing_threshold_rule():
     def state():
         counters = ceiling_index_update(BcCounters(b=0), 1.2)
         assert (counters.partial_sum, counters.c) == (1.2, 2)
-        return BcComplyState(phase=MIXING_HALF, counters=counters, n=1)
+        return BcComplyState(phase=MIXING_HALF, counters=counters)
 
-    x, _ = bc_comply_step(state(), 0.0, 0.05, 0.5, 1.0)
+    x, _ = bc_comply_step(state(), 2, 0.0, 0.05, 0.5)
     assert x == 1.0
-    x, _ = bc_comply_step(state(), 0.0, 0.2, 0.5, 1.0)
+    x, _ = bc_comply_step(state(), 2, 0.0, 0.2, 0.5)
     assert x == 0.0
 
 
 def test_capital_hitting_zero_enters_degenerate():
-    x, state = bc_comply_step(BcComplyState(), 0.5, 2.0, 1.0, 1.0)
+    x, state = bc_comply_step(BcComplyState(), 1, 0.5, 2.0, 1.0)
     assert x == 0.0                # losing side of M > 0
-    assert state.phase.tag is PhaseTag.DEGENERATE
+    assert state.phase == ComplyPhase(n0=1)     # Degenerate: no mixing weight
     # Degenerate phase follows the crossing rule: next p pushes the sum to 1.1.
-    x, state = bc_comply_step(state, 0.6, 5.0, 0.0, 1.0)
+    x, state = bc_comply_step(state, 2, 0.6, 5.0, 0.0)
     assert x == 1.0
 
 
@@ -128,37 +129,36 @@ def test_capital_hitting_zero_enters_degenerate():
 
 def test_ufg_zero_variance_round_answers_mean():
     x, state = mv_comply_step(
-        MvComplyState(), ForecastMove(m=3.0, v=0.0), SkepticBet(M=5.0, V=1.0),
-        SQUARE_HEDGE, None, 1.0, 1.0,
+        MvComplyState(), 1, ForecastMove(m=3.0, v=0.0), SkepticBet(M=5.0, V=1.0),
+        SQUARE_HEDGE, None, 1.0,
     )
     assert x == 3.0
-    assert state.n == 1 and state.counters == BcCounters()
-    assert state.phase.tag is PhaseTag.WAITING
+    assert state == MvComplyState()    # counters, accumulators and phase unchanged
 
 
 def test_ufg_qualifying_round_with_positive_v_bet():
     x, state = mv_comply_step(
-        MvComplyState(), ForecastMove(m=0.0, v=2.0), SkepticBet(M=1.0, V=0.5),
-        SQUARE_HEDGE, None, 1.0, 1.0,
+        MvComplyState(), 1, ForecastMove(m=0.0, v=2.0), SkepticBet(M=1.0, V=0.5),
+        SQUARE_HEDGE, None, 1.0,
     )
     assert x == 0.0                # capital change 0.5 * (0 - 2) = -1, hits 0
-    assert state.phase.tag is PhaseTag.DEGENERATE and state.phase.n0 == 1
+    assert state.phase == ComplyPhase(n0=1)     # Degenerate
 
 
 def test_ufg_qualifying_round_with_pure_m_bet():
     x, state = mv_comply_step(
-        MvComplyState(), ForecastMove(m=0.0, v=1.0), SkepticBet(M=-0.5, V=0.0),
-        SQUARE_HEDGE, None, 1.0, 1.0,
+        MvComplyState(), 1, ForecastMove(m=0.0, v=1.0), SkepticBet(M=-0.5, V=0.0),
+        SQUARE_HEDGE, None, 1.0,
     )
     assert x == 1.0                # sign of M picks the losing side
-    assert state.phase.tag is PhaseTag.MIXING
-    assert math.isclose(state.phase.epsilon, 0.5, rel_tol=0.0, abs_tol=1e-12)
+    assert state.phase.mix_coeff is not None
+    assert math.isclose(state.phase.mix_coeff / 1.0, 0.5, rel_tol=0.0, abs_tol=1e-12)
 
 
 def test_ufg_waiting_crossing_plays_n():
     x, state = mv_comply_step(
-        MvComplyState(), ForecastMove(m=2.0, v=2.0), SkepticBet(M=0.0, V=0.0),
-        SQUARE_HEDGE, None, 1.0, 1.0,
+        MvComplyState(), 1, ForecastMove(m=2.0, v=2.0), SkepticBet(M=0.0, V=0.0),
+        SQUARE_HEDGE, None, 1.0,
     )
     assert x == 3.0                # v/n^2 = 2 crosses an integer, centered move n=1
     assert state.counters.b == 1
@@ -166,20 +166,20 @@ def test_ufg_waiting_crossing_plays_n():
 
 def test_ufg_mixing_large_v_bet_zeroes_the_move():
     # n = 5, v = 1 < 25: d = 0.5 * (2^-2 - 2^-3) / 25 = 0.0025 < V.
-    state = MvComplyState(phase=MIXING_HALF, counters=BcCounters(), n=4)
+    state = MvComplyState(phase=MIXING_HALF, counters=BcCounters())
     x, _ = mv_comply_step(
-        state, ForecastMove(m=7.0, v=1.0), SkepticBet(M=1.0, V=0.1),
-        SQUARE_HEDGE, None, 0.5, 1.0,
+        state, 5, ForecastMove(m=7.0, v=1.0), SkepticBet(M=1.0, V=0.1),
+        SQUARE_HEDGE, None, 0.5,
     )
     assert x == 7.0
 
 
 def test_ufg_mixing_big_variance_plays_root():
     # n = 2, v = 9 >= 4, M < 0: centered move +sqrt(9).
-    state = MvComplyState(phase=MIXING_HALF, counters=BcCounters(), n=1)
+    state = MvComplyState(phase=MIXING_HALF, counters=BcCounters())
     x, _ = mv_comply_step(
-        state, ForecastMove(m=0.0, v=9.0), SkepticBet(M=-1.0, V=0.0),
-        SQUARE_HEDGE, None, 0.5, 1.0,
+        state, 2, ForecastMove(m=0.0, v=9.0), SkepticBet(M=-1.0, V=0.0),
+        SQUARE_HEDGE, None, 0.5,
     )
     assert x == 3.0
 
@@ -210,50 +210,51 @@ def test_ufgh_damping_sequence_and_inverse_scale():
     state = MvComplyState()
     zero = SkepticBet(M=0.0, V=0.0)
     f = ForecastMove(m=0.0, v=1.0)
-    _, state = mv_comply_step(state, f, zero, SQUARE, IDENTITY, 1.0, 1.0)
-    assert math.isclose(state.eps, 0.5, rel_tol=0.0, abs_tol=1e-15)
-    _, state = mv_comply_step(state, f, zero, SQUARE, IDENTITY, 1.0, 1.0)
-    assert math.isclose(state.eps, 0.4, rel_tol=0.0, abs_tol=1e-15)
+    _, state = mv_comply_step(state, 1, f, zero, SQUARE, IDENTITY, 1.0)
+    assert math.isclose(1.0 / (1.0 + state.eps_running), 0.5, rel_tol=0.0, abs_tol=1e-15)
+    _, state = mv_comply_step(state, 2, f, zero, SQUARE, IDENTITY, 1.0)
+    eps = 1.0 / (1.0 + state.eps_running)
+    assert math.isclose(eps, 0.4, rel_tol=0.0, abs_tol=1e-15)
     assert state.a_total == 2.0
-    scale = IDENTITY.eval(state.a_total) / state.eps
+    scale = IDENTITY.eval(state.a_total) / eps
     assert math.isclose(scale, 5.0, rel_tol=0.0, abs_tol=1e-12)
     assert math.isclose(hedge_inverse(SQUARE, scale), math.sqrt(5.0), rel_tol=1e-12)
 
 
 def test_ufgh_qualifying_round_with_positive_v_bet():
     # Capital change V * (h(0) - v) = -2, strictly negative by h(0) = 0.
-    x, state = mv_comply_step(
-        MvComplyState(), ForecastMove(m=0.0, v=2.0), SkepticBet(M=0.0, V=1.0),
-        SQUARE, IDENTITY, 3.0, 3.0,
-    )
+    f, s = ForecastMove(m=0.0, v=2.0), SkepticBet(M=0.0, V=1.0)
+    x, state = mv_comply_step(MvComplyState(), 1, f, s, SQUARE, IDENTITY, 3.0)
     assert x == 0.0
-    assert state.phase.tag is PhaseTag.MIXING
-    assert math.isclose(state.phase.k_n0, 1.0, rel_tol=0.0, abs_tol=1e-12)
-    assert math.isclose(state.phase.epsilon, 2.0 / 3.0, rel_tol=1e-12)
+    assert state.phase.mix_coeff is not None
+    protocol = Protocol(kind=GameKind.GENERAL_HEDGE, hedge=SQUARE, initial_capital=3.0)
+    k_n0 = capital_update(protocol, 3.0, f, s, x)
+    assert math.isclose(k_n0, 1.0, rel_tol=0.0, abs_tol=1e-12)
+    assert math.isclose(state.phase.mix_coeff / 3.0, 2.0 / 3.0, rel_tol=1e-12)
 
 
 def test_ufgh_mixing_small_v_bet_plays_inverse_scale():
     # Fresh accumulators, v = 1: eps = 0.5, scale = 2, d = 0.5*(1/4-1/8)/2.
     def state():
-        return MvComplyState(phase=MIXING_HALF, counters=BcCounters(), n=1)
+        return MvComplyState(phase=MIXING_HALF, counters=BcCounters())
 
     f = ForecastMove(m=0.0, v=1.0)
     x, _ = mv_comply_step(
-        state(), f, SkepticBet(M=-1.0, V=0.0), SQUARE, IDENTITY, 0.5, 1.0
+        state(), 2, f, SkepticBet(M=-1.0, V=0.0), SQUARE, IDENTITY, 0.5
     )
     assert math.isclose(x, math.sqrt(2.0), rel_tol=1e-12)
     x, _ = mv_comply_step(
-        state(), f, SkepticBet(M=-1.0, V=0.1), SQUARE, IDENTITY, 0.5, 1.0
+        state(), 2, f, SkepticBet(M=-1.0, V=0.1), SQUARE, IDENTITY, 0.5
     )
     assert x == 0.0                # V above the threshold zeroes the move
 
 
 def test_ufgh_zero_variance_round_answers_mean():
     x, state = mv_comply_step(
-        MvComplyState(), ForecastMove(m=-2.0, v=0.0), SkepticBet(M=9.0, V=9.0),
-        SQUARE, IDENTITY, 1.0, 1.0,
+        MvComplyState(), 1, ForecastMove(m=-2.0, v=0.0), SkepticBet(M=9.0, V=9.0),
+        SQUARE, IDENTITY, 1.0,
     )
-    assert x == -2.0 and state.phase.tag is PhaseTag.WAITING
+    assert x == -2.0 and state.phase == ComplyPhase()
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +279,7 @@ def test_derandomizer_is_the_compliance_machine_in_mixing():
     reality = derandomizer()
     reality.reset(COIN)
     assert type(reality) is BcComplyReality
-    assert reality.state.phase == ComplyPhase(PhaseTag.MIXING, n0=0, mix_coeff=1.0)
+    assert reality.state.phase == ComplyPhase(n0=0, mix_coeff=1.0)
 
 
 def test_derandomizer_mixture_capital_non_increasing():
@@ -318,7 +319,7 @@ def test_bc_comply_mixture_capital_never_increases_on_the_coin_pool():
                          build_skeptic(scenario), reality, scenario.horizon,
                          stop_on_skeptic_fault=True)
         phase = reality.state.phase
-        if phase.tag is not PhaseTag.MIXING:
+        if phase.mix_coeff is None:
             continue
         mixing += 1
         caps = mixture_capitals(trace, FictionalBcSkeptic(), phase.mix_coeff, phase.n0)
@@ -435,7 +436,7 @@ def test_underflowing_variance_loss_keeps_waiting():
     trace = run_game(Protocol(kind=GameKind.UNBOUNDED_FORECASTING),
                      mv_forecaster([0.0], [1e-170]), SingleBetSkeptic(V=1e-170),
                      reality, 1000)
-    assert reality.state.phase.tag is PhaseTag.WAITING
+    assert reality.state.phase == ComplyPhase()
     assert _moves(trace) == 0
 
 
@@ -447,7 +448,7 @@ def test_underflowing_variance_loss_keeps_waiting():
     (BcCounters(), "b"),
     (MIXING_HALF, "mix_coeff"),
     (BcComplyState(), "counters"),
-    (MvComplyState(), "eps"),
+    (MvComplyState(), "eps_running"),
 ], ids=["counters", "phase", "coin-state", "mv-state"])
 def test_step_values_reject_assignment(value, field):
     with pytest.raises(AttributeError):
@@ -457,13 +458,14 @@ def test_step_values_reject_assignment(value, field):
 def test_bc_comply_step_leaves_its_input_state_unchanged():
     # waiting (zero bet, then a qualifying bet), then mixing on both sides
     state, k = BcComplyState(), 1.0
-    for p, M in [(0.6, 0.0), (0.6, 0.0), (0.5, -1.0), (0.3, 2.0), (0.3, -2.0), (0.9, 0.0)]:
+    moves = [(0.6, 0.0), (0.6, 0.0), (0.5, -1.0), (0.3, 2.0), (0.3, -2.0), (0.9, 0.0)]
+    for n, (p, M) in enumerate(moves, 1):
         saved = copy.deepcopy(state)
-        x, after = bc_comply_step(state, p, M, k, 1.0)
+        x, after = bc_comply_step(state, n, p, M, k)
         assert state == saved
-        assert bc_comply_step(saved, p, M, k, 1.0) == (x, after)
+        assert bc_comply_step(saved, n, p, M, k) == (x, after)
         state, k = after, k + M * (x - p)
-    assert state.phase.tag is PhaseTag.MIXING and state.counters.b > 0
+    assert state.phase.mix_coeff is not None and state.counters.b > 0
 
 
 @pytest.mark.parametrize("growth", [None, IDENTITY], ids=["unbounded", "general-hedge"])
@@ -471,12 +473,13 @@ def test_mv_comply_step_leaves_its_input_state_unchanged(growth):
     state, k = MvComplyState(), 1.0
     moves = [(0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 5.0, 1.0), (0.0, 2.0, -0.5, 0.0),
              (0.5, 1.0, 1.0, 0.1), (0.0, 9.0, -1.0, 0.0)]
-    for m, v, M, V in moves:
+    for n, (m, v, M, V) in enumerate(moves, 1):
         f, s = ForecastMove(None, m, v), SkepticBet(M, V)
         saved = copy.deepcopy(state)
-        x, after = mv_comply_step(state, f, s, SQUARE, growth, k, 1.0)
+        x, after = mv_comply_step(state, n, f, s, SQUARE, growth, k)
         assert state == saved
-        assert mv_comply_step(saved, f, s, SQUARE, growth, k, 1.0) == (x, after)
+        assert mv_comply_step(saved, n, f, s, SQUARE, growth, k) == (x, after)
         state = after
         k = capital_update(UNBOUNDED, k, f, s, x)
-    assert state.phase.tag is PhaseTag.MIXING and state.n == len(moves)
+    assert state.phase.mix_coeff is not None
+    assert state.a_total == sum(v for _, v, _, _ in moves)

@@ -9,7 +9,7 @@ import yaml
 
 from gtpsim import GameKind, replay_verify, run_game
 from gtpsim.cli import cmd_verify, load_manifest, main
-from gtpsim.engine import Protocol
+from gtpsim.engine import Protocol, ZeroSkeptic
 from gtpsim.hedges import HedgeValidationError
 from gtpsim.randomized import KolmogorovReality
 from gtpsim.scenario import (
@@ -22,6 +22,7 @@ from gtpsim.scenario import (
     event_proxy_for,
     parse_scenario,
     parse_scenario_file,
+    proxy_slln_fail,
     run_scenario,
     scenario_passes,
 )
@@ -35,7 +36,7 @@ from gtpsim.traceio import (
 )
 from gtpsim.analysis import strong_compliance_verdict
 
-from _support import mv_forecaster
+from _support import ScriptReality, mv_forecaster
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -235,6 +236,29 @@ def test_summary_dict_fields():
     assert summary["heads"] == sum(r.x for r in trace.rounds)
 
 
+def _slln_trace(vs, xs):
+    """A 20-round unbounded-game trace with m = 0 and the given v and x."""
+    return run_game(Protocol(kind=GameKind.UNBOUNDED_FORECASTING),
+                    mv_forecaster([0.0], vs), ZeroSkeptic(), ScriptReality(xs), 20)
+
+
+def _crossing_at(*rounds):
+    # v_n = n^2 adds exactly 1 to the partial sum of v_n / n^2
+    return [float(n * n) if n in rounds else 0.0 for n in range(1, 21)]
+
+
+def test_slln_fail_proxy_needs_a_crossing_from_round_10():
+    heads = [1.0] * 20                                     # |S_n| / n = 1
+    assert proxy_slln_fail(_slln_trace(_crossing_at(12), heads))
+    assert not proxy_slln_fail(_slln_trace(_crossing_at(1, 9), heads))
+
+
+def test_slln_fail_proxy_fails_at_a_crossing_with_a_small_mean():
+    swing = [1.0] * 10 + [-1.0] * 10                      # S_10 = 10, S_20 = 0
+    assert proxy_slln_fail(_slln_trace(_crossing_at(10), swing))
+    assert not proxy_slln_fail(_slln_trace(_crossing_at(10, 20), swing))
+
+
 NAN_CAPITAL = """\
 name: nan_capital
 protocol: {kind: unbounded_forecasting}
@@ -370,6 +394,20 @@ def test_cli_rejects_an_unknown_strategy_key(tmp_path, capsys, kind, role, spec,
     path = _write(tmp_path / "key.yaml", text)
     err = _cli_error(["run", str(path)], capsys)
     assert "unknown key" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("kind, spec, shown", [
+    ("coin_tossing", "{name: mv}", "forecaster 'mv' requires the"
+     " unbounded_forecasting or general_hedge game, got coin_tossing"),
+    ("general_hedge", "{name: harmonic}", "forecaster 'harmonic' requires the"
+     " coin_tossing or bounded_forecasting game, got general_hedge"),
+    ("coin_tossing", "{name: foo}", "unknown forecaster 'foo'"),
+    ("unbounded_forecasting", "{name: foo}", "unknown forecaster 'foo'"),
+], ids=["mv-in-coin", "harmonic-in-hedge", "unknown-in-coin", "unknown-in-ufg"])
+def test_cli_names_an_unknown_or_misplaced_forecaster(tmp_path, capsys, kind, spec, shown):
+    text = _pair_scenario(GameKind(kind), "forecaster", yaml.safe_load(spec))
+    err = _cli_error(["run", str(_write(tmp_path / "forecaster.yaml", text))], capsys)
+    assert shown in err
 
 
 def _declared_keys():

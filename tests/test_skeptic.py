@@ -73,7 +73,7 @@ def test_inlined_head_count_updates_agree_with_heads_count_update():
         forecast = ForecastMove(rng.choice([0.0, 1.0, rng.random()]))
         skeptic.bet(n, forecast, k)
         M = rng.uniform(-1.0, 1.0)
-        x, state = bc_comply_step(state, forecast.p, M, k, 1.0)
+        x, state = bc_comply_step(state, n, forecast.p, M, k)
         k += M * (x - forecast.p)
         skeptic.observe(RoundRecord(n, forecast, SkepticBet(M), x, k))
         expected = heads_count_update(ceiling_index_update(expected, forecast.p), x == 1.0)
