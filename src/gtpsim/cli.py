@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
@@ -54,9 +55,8 @@ def _write_outputs(out_dir: Path, trace: Trace, summary: dict) -> None:
     write_summary_json(summary, out_dir / f"{stem}.json")
 
 
-def cmd_run(scenario: Scenario, horizon: Optional[int] = None,
-            seed: Optional[int] = None, out_dir: Optional[Path] = None) -> dict:
-    trace = run_scenario(scenario, horizon=horizon, seed=seed)
+def cmd_run(scenario: Scenario, out_dir: Optional[Path] = None) -> dict:
+    trace = run_scenario(scenario)
     verdict = strong_compliance_verdict(trace, event_proxy_for(scenario))
     summary = summary_dict(scenario.name, trace, verdict)
     if out_dir is not None:
@@ -64,29 +64,23 @@ def cmd_run(scenario: Scenario, horizon: Optional[int] = None,
     return summary
 
 
-def load_manifest(path: Path, horizon: Optional[int] = None,
-                  seed: Optional[int] = None) -> List[Scenario]:
+def load_manifest(path: Path) -> List[Scenario]:
     """A manifest is either a directory of scenario YAMLs, a YAML file with a
-    `scenarios:` path list, or a YAML file naming a built-in `pool:`."""
+    `scenarios:` path list, or a YAML file naming a built-in `pool:` with an
+    optional `horizon` and `seed`."""
     if path.is_dir():
         return [parse_scenario_file(p) for p in sorted(path.glob("*.yaml"))]
     doc = load_yaml(path) or {}
     if not isinstance(doc, dict):
         raise ScenarioError("manifest must be a mapping or a directory")
     if "pool" in doc:
+        _check_keys(doc, ("pool", "horizon", "seed"), "pool manifest")
         pool = doc["pool"]
         if not isinstance(pool, str) or pool not in STOCK_POOLS:
             raise ScenarioError(f"unknown pool {pool!r}")
-        kwargs = {}
-        if horizon is not None:
-            kwargs["horizon"] = horizon
-        elif "horizon" in doc:
-            kwargs["horizon"] = as_integer(doc["horizon"], "manifest horizon")
-        if seed is not None:
-            kwargs["seed"] = seed
-        elif "seed" in doc:
-            kwargs["seed"] = as_integer(doc["seed"], "manifest seed")
-        return STOCK_POOLS[pool](**kwargs)
+        return STOCK_POOLS[pool](**{key: as_integer(doc[key], f"manifest {key}")
+                                    for key in ("horizon", "seed") if key in doc})
+    _check_keys(doc, ("scenarios",), "scenario list manifest")
     paths = doc.get("scenarios", [])
     if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
         raise ScenarioError(
@@ -94,15 +88,14 @@ def load_manifest(path: Path, horizon: Optional[int] = None,
     return [parse_scenario_file(path.parent / p) for p in paths]
 
 
-def cmd_verify(scenarios: List[Scenario], horizon: Optional[int] = None,
-               seed: Optional[int] = None,
+def cmd_verify(scenarios: List[Scenario],
                out_dir: Optional[Path] = None) -> Tuple[int, List[str]]:
     """Run every scenario and cross-check its verdict against its labels.
     Returns (number of failures, report lines)."""
     lines = []
     failures = 0
     for scenario in scenarios:
-        trace = run_scenario(scenario, horizon=horizon, seed=seed)
+        trace = run_scenario(scenario)
         verdict = strong_compliance_verdict(trace, event_proxy_for(scenario))
         ok = scenario_passes(scenario, verdict)
         if not ok:
@@ -271,29 +264,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            scenario = parse_scenario_file(args.file)
-            summary = cmd_run(scenario, horizon=args.horizon, seed=args.seed,
-                              out_dir=args.out)
-            for key, value in summary.items():
-                print(f"{key}: {value}")
-            return 0
-        if args.command == "verify":
-            scenarios = load_manifest(args.file, horizon=args.horizon,
-                                      seed=args.seed)
-            failures, lines = cmd_verify(scenarios, horizon=args.horizon,
-                                         seed=args.seed, out_dir=args.out)
-            print("\n".join(lines))
-            return 1 if failures else 0
         if args.command == "price":
             upper, lower = cmd_price(args.file)
             print(f"upper: {upper:.12f}")
             print(f"lower: {lower:.12f}")
             return 0
+        loaded = (load_manifest(args.file) if args.command == "verify"
+                  else [parse_scenario_file(args.file)])
+        overrides = {key: getattr(args, key) for key in ("horizon", "seed")
+                     if getattr(args, key) is not None}
+        scenarios = [replace(scenario, **overrides) for scenario in loaded]
+        if args.command == "run":
+            for key, value in cmd_run(scenarios[0], out_dir=args.out).items():
+                print(f"{key}: {value}")
+            return 0
+        failures, lines = cmd_verify(scenarios, out_dir=args.out)
+        print("\n".join(lines))
+        return 1 if failures else 0
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -416,9 +416,10 @@ def run_game(
     return Trace(protocol=protocol, rounds=rounds, seed=seed)
 
 
-def replay_verify(trace: Trace, tol: float = 1e-12) -> Optional[int]:
-    """Recompute capitals from the initial value; return the first
-    mismatching round index, or None when the trace is consistent.
+def replay_verify(trace: Trace) -> Optional[int]:
+    """Recompute capitals from the initial value; return the first round
+    whose recorded capital is off by more than 1e-12, or None when the trace
+    is consistent.
 
     An invalid recorded move raises InvalidMoveError with its round and role.
     """
@@ -430,6 +431,6 @@ def replay_verify(trace: Trace, tol: float = 1e-12) -> Optional[int]:
             )
         except InvalidMoveError as err:
             raise InvalidMoveError(record.n, err.role, err.violation) from None
-        if not math.isclose(k, record.capital_after, rel_tol=0.0, abs_tol=tol):
+        if not math.isclose(k, record.capital_after, rel_tol=0.0, abs_tol=1e-12):
             return record.n
     return None

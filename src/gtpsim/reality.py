@@ -48,6 +48,10 @@ def _qualify(n: int, delta: float, k_prev: float) -> ComplyPhase:
     return ComplyPhase(n, None if k_prev + delta == 0.0 else -delta)
 
 
+# The paper's derandomization with no wait: Mixing from round 1, weight 1.
+DERANDOMIZED_PHASE = ComplyPhase(n0=0, mix_coeff=1.0)
+
+
 # ---------------------------------------------------------------------------
 # Coin-tossing game
 # ---------------------------------------------------------------------------
@@ -96,11 +100,12 @@ def bc_comply_step(
 class BcComplyReality(Reality):
     """Policy wrapper around bc_comply_step, started in `phase`.
 
-    The default waits for a first strict loss.  Started in Mixing with
-    n0 = 0 and weight 1, it is the paper's derandomization of the
-    Bernoulli(p) Reality with no wait: x = 1 exactly when M + m_f <= 0, m_f
-    the fictional bet `bc_fictional_bet`, so the 1/2-1/2 mixture of the real
-    and the fictional capital never increases (`analysis.mixture_capitals`).
+    The default waits for a first strict loss.  Started in
+    `DERANDOMIZED_PHASE`, Mixing with n0 = 0 and weight 1, it is the paper's
+    derandomization of the Bernoulli(p) Reality with no wait: x = 1 exactly
+    when M + m_f <= 0, m_f the fictional bet `bc_fictional_bet`, so the
+    1/2-1/2 mixture of the real and the fictional capital never increases
+    (`analysis.mixture_capitals`).
     """
 
     def __init__(self, phase: ComplyPhase = ComplyPhase()):
@@ -249,7 +254,7 @@ class BoundedAvoidMatchReality(Reality):
     at most half the remaining headroom (q - K)/2.
     """
 
-    def __init__(self, q: float):
+    def __init__(self, q: float = 0.9):
         self.q = q
 
     def reset(self, protocol: Protocol) -> None:
@@ -276,7 +281,7 @@ class ConstantReality(Reality):
     """Always announces the same outcome (e.g. all tails, or a broken
     always-heads player used to probe the Skeptic side)."""
 
-    def __init__(self, x: float):
+    def __init__(self, x: float = 0.0):
         self.x = x
 
     def outcome(self, n, forecast, bet, k_prev) -> float:

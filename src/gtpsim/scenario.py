@@ -238,10 +238,23 @@ def _mv_script(params: Dict) -> Callable[[int], ForecastMove]:
             move = ForecastMove(None, 0.0, value)
             return lambda n: move
         return lambda n: ForecastMove(None, amplitude * sin(float(n)), value)
+    # n ** exponent past the float range is v = inf, as `power_hedge` gives,
+    # for validation to report; float `**` would raise OverflowError.
     if m_name == "zero":
-        return lambda n: ForecastMove(None, 0.0, float(n) ** exponent)
-    return lambda n: ForecastMove(
-        None, amplitude * sin(float(n)), float(n) ** exponent)
+        def script(n: int) -> ForecastMove:
+            try:
+                return ForecastMove(None, 0.0, float(n) ** exponent)
+            except OverflowError:
+                return ForecastMove(None, 0.0, math.inf)
+        return script
+
+    def sin_script(n: int) -> ForecastMove:
+        m = amplitude * sin(float(n))
+        try:
+            return ForecastMove(None, m, float(n) ** exponent)
+        except OverflowError:
+            return ForecastMove(None, m, math.inf)
+    return sin_script
 
 
 # Forecaster name -> the parameter keys its spec may hold besides `name`.
@@ -280,51 +293,38 @@ def _seed(scenario: Scenario) -> int:
     return scenario.seed if scenario.seed is not None else 0
 
 
-# name -> (the parameter keys its spec may hold besides `name`, constructor
-# from (scenario, its strategy spec)).  Any other key is a ScenarioError, so a
-# misspelt parameter cannot fall back to its default.
-_Registry = Dict[str, Tuple[Tuple[str, ...], Callable[[Scenario, Dict], Any]]]
+# name -> (the numeric parameter keys its spec may hold besides `name`,
+# constructor from (scenario, **the keys the spec holds, as floats)).  Any
+# other key is a ScenarioError, so a misspelt parameter cannot fall back to
+# its default; a key the spec leaves out takes the constructor's default.
+_Registry = Dict[str, Tuple[Tuple[str, ...], Callable[..., Any]]]
 
 _SKEPTICS: _Registry = {
-    "zero": ((), lambda sc, spec: ZeroSkeptic()),
-    "bc_divergent": ((), lambda sc, spec: skeptic.DivergentBcSkeptic()),
-    "bc_convergent": ((), lambda sc, spec: skeptic.ConvergentBcSkeptic()),
-    "bc_fictional": ((), lambda sc, spec: skeptic.FictionalBcSkeptic()),
-    "random_bounded": (("bound",), lambda sc, spec: randomized.RandomBoundedSkeptic(
-        seed=_seed(sc), bound=_number(spec, "bound", 10.0, "random_bounded")
-    )),
-    "bang_bang": (
-        ("amplitude", "v_amplitude"),
-        lambda sc, spec: skeptic.BangBangSkeptic(
-            amplitude=_number(spec, "amplitude", 1.0, "bang_bang"),
-            v_amplitude=_number(spec, "v_amplitude", 1.0, "bang_bang"),
-        ),
-    ),
-    "single_bet": (("M", "V"), lambda sc, spec: skeptic.SingleBetSkeptic(
-        M=_number(spec, "M", 0.0, "single_bet"),
-        V=_number(spec, "V", 0.0, "single_bet"),
-    )),
+    "zero": ((), lambda sc: ZeroSkeptic()),
+    "bc_divergent": ((), lambda sc: skeptic.DivergentBcSkeptic()),
+    "bc_convergent": ((), lambda sc: skeptic.ConvergentBcSkeptic()),
+    "bc_fictional": ((), lambda sc: skeptic.FictionalBcSkeptic()),
+    "random_bounded": (("bound",), lambda sc, **kw: randomized.RandomBoundedSkeptic(
+        seed=_seed(sc), **kw)),
+    "bang_bang": (("amplitude", "v_amplitude"),
+                  lambda sc, **kw: skeptic.BangBangSkeptic(**kw)),
+    "single_bet": (("M", "V"), lambda sc, **kw: skeptic.SingleBetSkeptic(**kw)),
 }
 
 _REALITIES: _Registry = {
-    "bc_comply": ((), lambda sc, spec: reality.BcComplyReality()),
-    "ufg_comply": ((), lambda sc, spec: reality.MvComplyReality()),
-    "ufgh_comply": ((), lambda sc, spec: reality.MvComplyReality(
+    "bc_comply": ((), lambda sc: reality.BcComplyReality()),
+    "ufg_comply": ((), lambda sc: reality.MvComplyReality()),
+    "ufgh_comply": ((), lambda sc: reality.MvComplyReality(
         growth=sc.growth or identity_growth()
     )),
-    # The paper's derandomization with no wait: Mixing from round 1, weight 1.
-    "derandomized_fictional": ((), lambda sc, spec: reality.BcComplyReality(
-        reality.ComplyPhase(n0=0, mix_coeff=1.0)
+    "derandomized_fictional": ((), lambda sc: reality.BcComplyReality(
+        reality.DERANDOMIZED_PHASE
     )),
-    "first_round": ((), lambda sc, spec: reality.FirstRoundComplyReality()),
-    "avoid_match": (("q",), lambda sc, spec: reality.BoundedAvoidMatchReality(
-        _number(spec, "q", 0.9, "avoid_match")
-    )),
-    "bernoulli": ((), lambda sc, spec: randomized.BernoulliReality(seed=_seed(sc))),
-    "kolmogorov": ((), lambda sc, spec: randomized.KolmogorovReality(seed=_seed(sc))),
-    "constant": (("x",), lambda sc, spec: reality.ConstantReality(
-        _number(spec, "x", 0.0, "constant")
-    )),
+    "first_round": ((), lambda sc: reality.FirstRoundComplyReality()),
+    "avoid_match": (("q",), lambda sc, **kw: reality.BoundedAvoidMatchReality(**kw)),
+    "bernoulli": ((), lambda sc: randomized.BernoulliReality(seed=_seed(sc))),
+    "kolmogorov": ((), lambda sc: randomized.KolmogorovReality(seed=_seed(sc))),
+    "constant": (("x",), lambda sc, **kw: reality.ConstantReality(**kw)),
 }
 
 
@@ -334,7 +334,8 @@ def _build(registry: _Registry, role: str, scenario: Scenario, spec: Dict):
         raise ScenarioError(f"unknown {role} {name!r}")
     keys, make = registry[name]
     _check_keys(spec, ("name",) + keys, f"{role} {name!r}")
-    return make(scenario, spec)
+    return make(scenario, **{key: as_float(spec[key], f"{name} {key}")
+                             for key in keys if key in spec})
 
 
 def build_skeptic(scenario: Scenario) -> Skeptic:
@@ -426,17 +427,6 @@ def parse_scenario_file(path) -> Scenario:
 # Event proxies (finite-horizon stand-ins for the labelled tail events)
 # ---------------------------------------------------------------------------
 
-def _c_increment_rounds(increments: List[float]) -> List[int]:
-    counters = BcCounters()
-    rounds = []
-    for n, inc in enumerate(increments, start=1):
-        updated = ceiling_index_update(counters, inc)
-        if updated.c != counters.c:
-            rounds.append(n)
-        counters = updated
-    return rounds
-
-
 def proxy_no_late_heads(trace: Trace) -> bool:
     """No head in the final 90% of the run."""
     cutoff = max(1, len(trace.rounds) // 10)
@@ -445,10 +435,13 @@ def proxy_no_late_heads(trace: Trace) -> bool:
 
 def proxy_heads_at_c_increments(trace: Trace) -> bool:
     """Heads occur exactly where the price partial sum crosses an integer."""
-    increments = [r.forecast.p for r in trace.rounds]
-    expected = set(_c_increment_rounds(increments))
-    actual = {r.n for r in trace.rounds if r.x == 1.0}
-    return expected == actual
+    counters = BcCounters()
+    for r in trace.rounds:
+        updated = ceiling_index_update(counters, r.forecast.p)
+        if (updated.c != counters.c) != (r.x == 1.0):
+            return False
+        counters = updated
+    return True
 
 
 def proxy_slln_hold(trace: Trace) -> bool:
@@ -486,7 +479,7 @@ def proxy_avoid_match(trace: Trace, q: float) -> bool:
     """No outcome ever equals the price, and the capital stays below q."""
     if any(r.x == r.forecast.p for r in trace.rounds):
         return False
-    return max(trace.capitals) <= q + BOUND_SLACK
+    return max(trace.capitals) <= q + BOUND_SLACK * trace.protocol.initial_capital
 
 
 def event_proxy_for(scenario: Scenario) -> Optional[Callable[[Trace], bool]]:
@@ -498,7 +491,7 @@ def event_proxy_for(scenario: Scenario) -> Optional[Callable[[Trace], bool]]:
         return None
     proxy = globals()[name]
     if expected == "avoid_match":
-        q = _number(scenario.reality_spec, "q", 0.9, "avoid_match")
+        q = build_reality(scenario).q
         return lambda trace: proxy(trace, q)
     return proxy
 
@@ -507,20 +500,16 @@ def event_proxy_for(scenario: Scenario) -> Optional[Callable[[Trace], bool]]:
 # Execution and checking
 # ---------------------------------------------------------------------------
 
-def run_scenario(scenario: Scenario, horizon: Optional[int] = None,
-                 seed: Optional[int] = None) -> Trace:
-    if seed is not None:
-        scenario = Scenario(**{**scenario.__dict__, "seed": seed})
-    trace = run_game(
+def run_scenario(scenario: Scenario) -> Trace:
+    return run_game(
         scenario.protocol,
         build_forecaster(scenario),
         build_skeptic(scenario),
         build_reality(scenario),
-        horizon if horizon is not None else scenario.horizon,
+        scenario.horizon,
         seed=scenario.seed,
         stop_on_skeptic_fault=True,
     )
-    return trace
 
 
 def scenario_passes(scenario: Scenario, verdict: Verdict) -> bool:

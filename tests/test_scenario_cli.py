@@ -1,7 +1,9 @@
 """Scenario parsing, trace serialization, and the CLI verbs."""
 
+import inspect
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,14 @@ import yaml
 
 from gtpsim import GameKind, replay_verify, run_game
 from gtpsim.cli import cmd_verify, load_manifest, main
-from gtpsim.engine import Protocol, ZeroSkeptic
+from gtpsim.engine import (
+    ForecastMove,
+    Protocol,
+    RoundRecord,
+    SkepticBet,
+    Trace,
+    ZeroSkeptic,
+)
 from gtpsim.hedges import HedgeValidationError
 from gtpsim.randomized import KolmogorovReality
 from gtpsim.scenario import (
@@ -17,11 +26,16 @@ from gtpsim.scenario import (
     _REALITIES,
     _SKEPTICS,
     STOCK_POOLS,
+    Scenario,
     ScenarioError,
     as_float,
+    build_reality,
+    build_skeptic,
     event_proxy_for,
     parse_scenario,
     parse_scenario_file,
+    proxy_avoid_match,
+    proxy_heads_at_c_increments,
     proxy_slln_fail,
     run_scenario,
     scenario_passes,
@@ -36,7 +50,7 @@ from gtpsim.traceio import (
 )
 from gtpsim.analysis import strong_compliance_verdict
 
-from _support import ScriptReality, mv_forecaster
+from _support import ScriptReality, mv_forecaster, price_forecaster
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -163,7 +177,7 @@ def test_shipped_example_scenarios_parse():
     for stem in ("coin_harmonic_fictional", "coin_broken_reality",
                  "first_round", "avoid_match"):
         scenario = parse_scenario_file(SCENARIOS / f"{stem}.yaml")
-        trace = run_scenario(scenario, horizon=200)
+        trace = run_scenario(replace(scenario, horizon=200))
         verdict = strong_compliance_verdict(trace, event_proxy_for(scenario))
         assert scenario_passes(scenario, verdict), scenario.name
 
@@ -187,13 +201,31 @@ def test_cli_verify_regression_manifest(capsys):
     assert "2/2 scenarios passed" in capsys.readouterr().out
 
 
-def test_pool_manifest_horizon_handling():
+def test_pool_manifest_horizon_handling(tmp_path, capsys):
     pool_file = SCENARIOS / "coin_comply_pool.yaml"
     from_file = load_manifest(pool_file)
     assert from_file and all(s.horizon == 10_000 for s in from_file)
-    overridden = load_manifest(pool_file, horizon=50)
-    assert all(s.horizon == 50 for s in overridden)
     assert len(from_file) == len(STOCK_POOLS["coin_comply"]())
+    # --horizon and --seed reach every scenario of a pool manifest
+    assert main(["verify", str(SCENARIOS / "ufgh_pool.yaml"), "--horizon", "50",
+                 "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert "18/18 scenarios passed" in capsys.readouterr().out
+    csvs = sorted(tmp_path.glob("*.csv"))
+    assert len(csvs) == 18
+    for csv in csvs:
+        # a Skeptic fault ends the run early; the zero Skeptic never faults
+        rounds = len(csv.read_text().splitlines()) - 1
+        assert rounds == 50 if csv.stem.endswith("_zero_") else 1 <= rounds <= 50
+        assert json.loads(csv.with_suffix(".json").read_text())["seed"] == 3
+
+
+def test_cli_run_applies_horizon_and_seed(tmp_path, capsys):
+    scenario_file = _write(tmp_path / "mini.yaml", MINIMAL + "seed: 5\n")
+    assert main(["run", str(scenario_file), "--horizon", "7", "--seed", "9",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "seed: 9" in capsys.readouterr().out.splitlines()
+    assert len((tmp_path / "out" / "mini.csv").read_text().splitlines()) == 1 + 7
+    assert json.loads((tmp_path / "out" / "mini.json").read_text())["seed"] == 9
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +234,7 @@ def test_pool_manifest_horizon_handling():
 
 def test_csv_round_trip_coin():
     scenario = parse_scenario(MINIMAL)
-    trace = run_scenario(scenario, horizon=100)
+    trace = run_scenario(replace(scenario, horizon=100))
     text = trace_to_csv_text(trace)
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
     back = trace_from_csv_text(text, scenario.protocol)
@@ -226,7 +258,7 @@ def test_csv_round_trip_mean_variance():
 
 def test_summary_dict_fields():
     scenario = parse_scenario(MINIMAL)
-    trace = run_scenario(scenario, horizon=64, seed=9)
+    trace = run_scenario(replace(scenario, horizon=64, seed=9))
     summary = summary_dict(scenario.name, trace, strong_compliance_verdict(trace))
     assert set(summary) == {
         "scenario", "seed", "sup_capital", "skeptic_duty_ok", "strong_bound_ok",
@@ -257,6 +289,51 @@ def test_slln_fail_proxy_fails_at_a_crossing_with_a_small_mean():
     swing = [1.0] * 10 + [-1.0] * 10                      # S_10 = 10, S_20 = 0
     assert proxy_slln_fail(_slln_trace(_crossing_at(10), swing))
     assert not proxy_slln_fail(_slln_trace(_crossing_at(10, 20), swing))
+
+
+def _heads_trace(heads):
+    """Four rounds at p = 1/2, whose price partial sum crosses an integer in
+    rounds 2 and 4, with heads in the given rounds."""
+    xs = [1.0 if n in heads else 0.0 for n in range(1, 5)]
+    return run_game(Protocol(kind=GameKind.COIN_TOSSING), price_forecaster([0.5]),
+                    ZeroSkeptic(), ScriptReality(xs), 4)
+
+
+def test_heads_at_c_increments_proxy_wants_heads_exactly_at_crossings():
+    assert proxy_heads_at_c_increments(_heads_trace({2, 4}))
+    assert not proxy_heads_at_c_increments(_heads_trace({2, 3, 4}))  # head off one
+    assert not proxy_heads_at_c_increments(_heads_trace({2}))  # crossing, no head
+
+
+def _avoid_trace(p, x, capital, k0=0.5):
+    """A one-round bounded-game trace that records the given capital."""
+    record = RoundRecord(1, ForecastMove(p), SkepticBet(0.0), x, capital)
+    return Trace(Protocol(kind=GameKind.BOUNDED_FORECASTING, initial_capital=k0),
+                 [record])
+
+
+def test_avoid_match_proxy_scales_its_slack_by_the_initial_capital():
+    # BOUND_SLACK * K_0 = 0.5e-9 with K_0 = 0.5
+    assert proxy_avoid_match(_avoid_trace(0.5, 1.0, 0.9 + 0.25e-9), 0.9)
+    assert not proxy_avoid_match(_avoid_trace(0.5, 1.0, 0.9 + 0.75e-9), 0.9)
+
+
+def test_avoid_match_proxy_fails_where_the_outcome_equals_the_price():
+    assert not proxy_avoid_match(_avoid_trace(0.5, 0.5, 0.5), 0.9)
+
+
+def test_avoid_match_event_proxy_reads_the_q_reality_plays():
+    bare = parse_scenario("""\
+protocol: {kind: bounded_forecasting, initial_capital: 0.5}
+forecaster: {name: harmonic}
+skeptic: {name: zero}
+reality: {name: avoid_match}
+labels: {expected_event: avoid_match}
+""")
+    trace = _avoid_trace(0.5, 1.0, 0.93)
+    assert build_reality(bare).q == 0.9 and not event_proxy_for(bare)(trace)
+    wide = replace(bare, reality_spec={"name": "avoid_match", "q": 0.95})
+    assert event_proxy_for(wide)(trace)
 
 
 NAN_CAPITAL = """\
@@ -428,6 +505,19 @@ def test_every_allowed_strategy_key_is_read(kind, role, name, key):
     text = _pair_scenario(GameKind(kind), role, {"name": name, key: True})
     with pytest.raises(ScenarioError, match=rf" {key} (must be|list)"):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize("role, name", [("skeptic", n) for n in _SKEPTICS]
+                         + [("reality", n) for n in _REALITIES])
+def test_a_bare_strategy_spec_takes_its_constructor_defaults(role, name):
+    spec = {"name": name}
+    scenario = Scenario("bare", Protocol(kind=GameKind.COIN_TOSSING), 1, {}, spec, spec)
+    registry, build = ((_SKEPTICS, build_skeptic) if role == "skeptic"
+                       else (_REALITIES, build_reality))
+    player = build(scenario)
+    defaults = inspect.signature(type(player)).parameters
+    for key in registry[name][0]:
+        assert getattr(player, key) == defaults[key].default, key
 
 
 def test_cli_price_coordinate_event(tmp_path, capsys):
@@ -653,8 +743,8 @@ def test_integral_float_counts_are_accepted():
 
 
 def test_cmd_verify_report_shape():
-    scenarios = [parse_scenario(MINIMAL + "labels: {expected_event: strong_comply}\n")]
-    failures, lines = cmd_verify(scenarios, horizon=100)
+    scenario = parse_scenario(MINIMAL + "labels: {expected_event: strong_comply}\n")
+    failures, lines = cmd_verify([replace(scenario, horizon=100)])
     assert failures == 0
     assert len(lines) == 2 and lines[0].startswith("pass")
 
@@ -698,6 +788,24 @@ def test_cli_rejects_a_manifest_of_the_wrong_shape(tmp_path, capsys, manifest, s
     assert shown in err
 
 
+@pytest.mark.parametrize("manifest, key", [
+    ("pool: coin_comply\nhorizn: 5\n", "horizn"),
+    ("pool: coin_comply\nscenarios: []\n", "scenarios"),
+    ("scenarios: []\nhorizon: 5\n", "horizon"),
+    ("scenarios: []\nseed: 5\n", "seed"),
+], ids=["pool-misspelt", "pool-and-scenarios", "list-horizon", "list-seed"])
+def test_cli_rejects_an_unknown_manifest_key(tmp_path, capsys, manifest, key):
+    err = _cli_error(["verify", str(_write(tmp_path / "manifest.yaml", manifest))], capsys)
+    assert "unknown key" in err and repr(key) in err
+
+
+def test_cli_reports_a_variance_script_past_the_float_range(tmp_path, capsys):
+    # 6.0 ** 400 is the first n ** 400 past the float range
+    text = MV_MINIMAL.replace("{name: mv}", "{name: mv, v: {name: power, exponent: 400}}")
+    err = _cli_error(["run", str(_write(tmp_path / "v.yaml", text))], capsys)
+    assert "round 6: forecaster move invalid: v: v = inf is not finite" in err
+
+
 def test_as_float_takes_numbers_and_numeric_strings_only():
     assert as_float(2, "a") == 2.0 and type(as_float(2, "a")) is float
     assert as_float(0.25, "a") == 0.25
@@ -711,5 +819,5 @@ def test_an_exponent_without_a_dot_still_parses_as_a_number():
     scenario = parse_scenario(MINIMAL.replace("{name: bc_fictional}",
                                               "{name: random_bounded, bound: 1e-4}"))
     assert scenario.skeptic_spec["bound"] == "1e-4"
-    bets = [r.bet.M for r in run_scenario(scenario, horizon=20).rounds]
+    bets = [r.bet.M for r in run_scenario(replace(scenario, horizon=20)).rounds]
     assert max(abs(m) for m in bets) <= 1e-4 and any(bets)
