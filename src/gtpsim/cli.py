@@ -15,7 +15,7 @@ import operator
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from .analysis import (
     EventPredicate,
@@ -91,7 +91,17 @@ def load_manifest(path: Path) -> List[Scenario]:
 def cmd_verify(scenarios: List[Scenario],
                out_dir: Optional[Path] = None) -> Tuple[int, List[str]]:
     """Run every scenario and cross-check its verdict against its labels.
-    Returns (number of failures, report lines)."""
+    Returns (number of failures, report lines).  With `out_dir`, two
+    scenarios whose outputs would share a file name are a ScenarioError,
+    raised before any is played."""
+    if out_dir is not None:
+        stems: Dict[str, str] = {}
+        for scenario in scenarios:
+            stem = _safe_name(scenario.name)
+            if stem in stems:
+                raise ScenarioError(f"scenarios {stems[stem]!r} and {scenario.name!r}"
+                                    f" would both write {out_dir / stem}.csv/.json")
+            stems[stem] = scenario.name
     lines = []
     failures = 0
     for scenario in scenarios:
@@ -281,7 +291,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         failures, lines = cmd_verify(scenarios, out_dir=args.out)
         print("\n".join(lines))
         return 1 if failures else 0
-    except (ScenarioError, ValueError) as exc:
+    except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

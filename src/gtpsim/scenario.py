@@ -99,19 +99,21 @@ def _mapping(raw: Any, what: str) -> Dict:
     return raw
 
 
-# Expected event -> name of its finite-horizon proxy in this module (None:
-# no proxy).  `event_proxy_for` looks the name up when called, so a rebound
-# proxy_* function is the one that runs.
-_EVENT_PROXIES: Dict[str, Optional[str]] = {
-    "none": None,
-    "strong_comply": None,
-    "no_late_heads": "proxy_no_late_heads",
-    "heads_at_c_increments": "proxy_heads_at_c_increments",
-    "slln_hold": "proxy_slln_hold",
-    "slln_fail": "proxy_slln_fail",
-    "first_round": "proxy_first_round",
-    "avoid_match": "proxy_avoid_match",
-    "violation": None,
+# Expected event -> (name of its finite-horizon proxy in this module, or None
+# for no proxy; the games whose moves the event reads).  `event_proxy_for`
+# looks the name up when called, so a rebound proxy_* function is the one
+# that runs.
+_ALL_GAMES = tuple(GameKind)
+_EVENT_PROXIES: Dict[str, Tuple[Optional[str], Tuple[GameKind, ...]]] = {
+    "none": (None, _ALL_GAMES),
+    "strong_comply": (None, _ALL_GAMES),
+    "no_late_heads": ("proxy_no_late_heads", PRICE_GAMES),
+    "heads_at_c_increments": ("proxy_heads_at_c_increments", PRICE_GAMES),
+    "slln_hold": ("proxy_slln_hold", MEAN_VARIANCE_GAMES),
+    "slln_fail": ("proxy_slln_fail", MEAN_VARIANCE_GAMES),
+    "first_round": ("proxy_first_round", PRICE_GAMES),
+    "avoid_match": ("proxy_avoid_match", PRICE_GAMES),
+    "violation": (None, _ALL_GAMES),
 }
 EXPECTED_EVENTS = tuple(_EVENT_PROXIES)
 
@@ -152,6 +154,13 @@ def parse_growth(spec: str) -> Growth:
         raise ScenarioError(f"unknown growth {spec!r}")
     validate_growth(growth)
     return growth
+
+
+def _require_game(what: str, games: Tuple[GameKind, ...], kind: GameKind) -> None:
+    if kind not in games:
+        raise ScenarioError(f"{what} requires the"
+                            f" {' or '.join(k.value for k in games)} game,"
+                            f" got {kind.value}")
 
 
 def _check_keys(mapping: Dict, allowed, where: str) -> None:
@@ -274,12 +283,8 @@ def build_forecaster(scenario: Scenario) -> Forecaster:
     if not isinstance(name, str) or name not in _FORECASTER_KEYS:
         raise ScenarioError(f"unknown forecaster {name!r}")
     _check_keys(spec, _FORECASTER_KEYS[name], f"forecaster {name!r}")
-    kind = scenario.protocol.kind
-    if (name == "mv") == kind.uses_price:
-        games = MEAN_VARIANCE_GAMES if name == "mv" else PRICE_GAMES
-        raise ScenarioError(f"forecaster {name!r} requires the"
-                            f" {' or '.join(k.value for k in games)} game,"
-                            f" got {kind.value}")
+    _require_game(f"forecaster {name!r}", MEAN_VARIANCE_GAMES if name == "mv"
+                  else PRICE_GAMES, scenario.protocol.kind)
     if name == "mv":
         return ScriptForecaster(_mv_script(spec))
     return ScriptForecaster(_price_script(name, spec))
@@ -385,9 +390,10 @@ def parse_scenario(source: Union[str, Path], name: str = "scenario") -> Scenario
         raise ScenarioError(f"horizon must be >= 1, got {horizon}")
     labels = _mapping(doc.get("labels", {}) or {}, "labels")
     _check_keys(labels, ("series_divergent", "expected_event"), "labels")
-    expected = labels.get("expected_event", "none")
-    if expected not in EXPECTED_EVENTS:
-        raise ScenarioError(f"unknown expected_event {expected!r}")
+    divergent = labels.get("series_divergent")
+    if divergent is not None and not isinstance(divergent, bool):
+        raise ScenarioError(
+            f"labels series_divergent must be true, false or null, got {divergent!r}")
     for role in ("forecaster", "skeptic", "reality"):
         spec = doc.get(role)
         if spec is not None and not isinstance(spec, dict):
@@ -404,17 +410,19 @@ def parse_scenario(source: Union[str, Path], name: str = "scenario") -> Scenario
         reality_spec=dict(doc["reality"]),
         growth=growth,
         seed=None if doc.get("seed") is None else as_integer(doc["seed"], "seed"),
-        series_divergent=labels.get("series_divergent"),
-        expected_event=expected,
+        series_divergent=divergent,
+        expected_event=labels.get("expected_event", "none"),
     )
-    # fail fast on unknown strategy names, bad parameters, and strategies
-    # that cannot play this protocol (their reset raises ValueError)
+    # fail fast on unknown strategy names, bad parameters, strategies that
+    # cannot play this protocol (their reset raises ValueError), and labels
+    # the game cannot check
     for player in (build_forecaster(scenario), build_skeptic(scenario),
                    build_reality(scenario)):
         try:
             player.reset(protocol)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
+    event_proxy_for(scenario)
     return scenario
 
 
@@ -483,14 +491,21 @@ def proxy_avoid_match(trace: Trace, q: float) -> bool:
 
 
 def event_proxy_for(scenario: Scenario) -> Optional[Callable[[Trace], bool]]:
+    """The proxy of the scenario's expected event, or None.  A label the
+    scenario's game cannot check, or `avoid_match` without the avoid_match
+    Reality whose q it reads, is a ScenarioError."""
     expected = scenario.expected_event
-    if expected not in _EVENT_PROXIES:
+    if expected not in EXPECTED_EVENTS:
         raise ScenarioError(f"unknown expected_event {expected!r}")
-    name = _EVENT_PROXIES[expected]
+    name, games = _EVENT_PROXIES[expected]
+    _require_game(f"expected_event {expected!r}", games, scenario.protocol.kind)
     if name is None:
         return None
     proxy = globals()[name]
     if expected == "avoid_match":
+        if scenario.reality_spec["name"] != "avoid_match":
+            raise ScenarioError("expected_event 'avoid_match' requires the avoid_match"
+                                f" reality, got {scenario.reality_spec['name']!r}")
         q = build_reality(scenario).q
         return lambda trace: proxy(trace, q)
     return proxy
@@ -537,13 +552,6 @@ def scenario_passes(scenario: Scenario, verdict: Verdict) -> bool:
 # Stock pools
 # ---------------------------------------------------------------------------
 
-_POOL_FORECASTERS = {
-    "harmonic": ({"name": "harmonic"}, True),
-    "inverse_square": ({"name": "inverse_square"}, False),
-    "constant_0.3": ({"name": "constant", "value": 0.3}, True),
-    "geometric": ({"name": "geometric"}, False),
-}
-
 _POOL_SKEPTICS = (
     {"name": "zero"},
     {"name": "bc_divergent"},
@@ -554,95 +562,74 @@ _POOL_SKEPTICS = (
 )
 
 
+def _pool(reality_name: str, cells: List[Tuple], horizon: int,
+          seed: int) -> List[Scenario]:
+    """Each cell (name prefix, protocol, forecaster spec, growth,
+    series_divergent, expected event against the zero Skeptic, expected event
+    against the others) crossed with every pool Skeptic that plays its game,
+    against the named Reality.  The `bc_*` Skeptics read the price, so they
+    play only the price games."""
+    return [
+        Scenario(
+            name=f"{prefix}/{s_spec['name']}]",
+            protocol=protocol,
+            horizon=horizon,
+            forecaster_spec=dict(f_spec),
+            skeptic_spec=dict(s_spec),
+            reality_spec={"name": reality_name},
+            growth=growth,
+            seed=seed,
+            series_divergent=divergent,
+            expected_event=vs_zero if s_spec["name"] == "zero" else vs_others,
+        )
+        for prefix, protocol, f_spec, growth, divergent, vs_zero, vs_others in cells
+        for s_spec in _POOL_SKEPTICS
+        if protocol.kind.uses_price or not s_spec["name"].startswith("bc_")
+    ]
+
+
 def coin_comply_pool(horizon: int = 10_000, seed: int = 7) -> List[Scenario]:
     """Coin-game compliance pool: every forecaster script crossed with every
     Skeptic adversary, against the deterministic complying Reality."""
-    scenarios = []
-    for f_label, (f_spec, divergent) in _POOL_FORECASTERS.items():
-        for s_spec in _POOL_SKEPTICS:
-            expected = "strong_comply"
-            if not divergent:
-                expected = "no_late_heads"
-            elif s_spec["name"] == "zero":
-                expected = "heads_at_c_increments"
-            scenarios.append(
-                Scenario(
-                    name=f"coin[{f_label}/{s_spec['name']}]",
-                    protocol=Protocol(kind=GameKind.COIN_TOSSING),
-                    horizon=horizon,
-                    forecaster_spec=dict(f_spec),
-                    skeptic_spec=dict(s_spec),
-                    reality_spec={"name": "bc_comply"},
-                    seed=seed,
-                    series_divergent=divergent,
-                    expected_event=expected,
-                )
-            )
-    return scenarios
+    coin = Protocol(kind=GameKind.COIN_TOSSING)
+    return _pool("bc_comply", [
+        ("coin[harmonic", coin, {"name": "harmonic"}, None, True,
+         "heads_at_c_increments", "strong_comply"),
+        ("coin[inverse_square", coin, {"name": "inverse_square"}, None, False,
+         "no_late_heads", "no_late_heads"),
+        ("coin[constant_0.3", coin, {"name": "constant", "value": 0.3}, None, True,
+         "heads_at_c_increments", "strong_comply"),
+        ("coin[geometric", coin, {"name": "geometric"}, None, False,
+         "no_late_heads", "no_late_heads"),
+    ], horizon, seed)
 
 
 def ufg_pool(horizon: int = 10_000, seed: int = 7) -> List[Scenario]:
     """Unbounded-game compliance pool over convergent/divergent variance
     scripts and bounded mean scripts."""
-    scenarios = []
-    v_scripts = {
-        "v=1": ({"name": "constant", "value": 1.0}, False),
-        "v=n": ({"name": "power", "exponent": 1.0}, True),
-    }
-    m_scripts = {"m=0": {"name": "zero"}, "m=sin": {"name": "sin"}}
-    for v_label, (v_spec, divergent) in v_scripts.items():
-        for m_label, m_spec in m_scripts.items():
-            for s_spec in _POOL_SKEPTICS:
-                if s_spec["name"].startswith("bc_"):
-                    continue  # coin-only bets
-                expected = "strong_comply"
-                if not divergent and m_label == "m=0":
-                    expected = "slln_hold"
-                elif divergent and s_spec["name"] == "zero" and m_label == "m=0":
-                    expected = "slln_fail"
-                scenarios.append(
-                    Scenario(
-                        name=f"ufg[{v_label}/{m_label}/{s_spec['name']}]",
-                        protocol=Protocol(kind=GameKind.UNBOUNDED_FORECASTING),
-                        horizon=horizon,
-                        forecaster_spec={"name": "mv", "v": dict(v_spec),
-                                         "m": dict(m_spec)},
-                        skeptic_spec=dict(s_spec),
-                        reality_spec={"name": "ufg_comply"},
-                        seed=seed,
-                        series_divergent=divergent,
-                        expected_event=expected,
-                    )
-                )
-    return scenarios
+    ufg = Protocol(kind=GameKind.UNBOUNDED_FORECASTING)
+    v_1, v_n = {"name": "constant", "value": 1.0}, {"name": "power", "exponent": 1.0}
+    m_0, m_sin = {"name": "zero"}, {"name": "sin"}
+    return _pool("ufg_comply", [
+        ("ufg[v=1/m=0", ufg, {"name": "mv", "v": v_1, "m": m_0}, None, False,
+         "slln_hold", "slln_hold"),
+        ("ufg[v=1/m=sin", ufg, {"name": "mv", "v": v_1, "m": m_sin}, None, False,
+         "strong_comply", "strong_comply"),
+        ("ufg[v=n/m=0", ufg, {"name": "mv", "v": v_n, "m": m_0}, None, True,
+         "slln_fail", "strong_comply"),
+        ("ufg[v=n/m=sin", ufg, {"name": "mv", "v": v_n, "m": m_sin}, None, True,
+         "strong_comply", "strong_comply"),
+    ], horizon, seed)
 
 
 def ufgh_pool(horizon: int = 10_000, seed: int = 7) -> List[Scenario]:
     """General-hedge compliance pool over power hedges and growth choices."""
-    scenarios = []
-    for r in (1.0, 1.5, 2.0):
-        for g_label in ("identity", "power:r=2"):
-            for s_spec in _POOL_SKEPTICS:
-                if s_spec["name"].startswith("bc_"):
-                    continue  # coin-only bets
-                scenarios.append(
-                    Scenario(
-                        name=f"ufgh[r={r:g}/{g_label}/{s_spec['name']}]",
-                        protocol=Protocol(
-                            kind=GameKind.GENERAL_HEDGE, hedge=power_hedge(r)
-                        ),
-                        horizon=horizon,
-                        forecaster_spec={"name": "mv",
-                                         "v": {"name": "constant", "value": 1.0}},
-                        skeptic_spec=dict(s_spec),
-                        reality_spec={"name": "ufgh_comply"},
-                        growth=parse_growth(g_label),
-                        seed=seed,
-                        series_divergent=False,
-                        expected_event="strong_comply",
-                    )
-                )
-    return scenarios
+    return _pool("ufgh_comply", [
+        (f"ufgh[r={r:g}/{g}", Protocol(kind=GameKind.GENERAL_HEDGE, hedge=power_hedge(r)),
+         {"name": "mv", "v": {"name": "constant", "value": 1.0}}, parse_growth(g), False,
+         "strong_comply", "strong_comply")
+        for r in (1.0, 1.5, 2.0) for g in ("identity", "power:r=2")
+    ], horizon, seed)
 
 
 STOCK_POOLS: Dict[str, Callable[..., List[Scenario]]] = {

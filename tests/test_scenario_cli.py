@@ -821,3 +821,66 @@ def test_an_exponent_without_a_dot_still_parses_as_a_number():
     assert scenario.skeptic_spec["bound"] == "1e-4"
     bets = [r.bet.M for r in run_scenario(replace(scenario, horizon=20)).rounds]
     assert max(abs(m) for m in bets) <= 1e-4 and any(bets)
+
+
+_BOUNDED_CONSTANT = MINIMAL.replace("coin_tossing", "bounded_forecasting").replace(
+    "bc_fictional", "zero").replace("{name: bc_comply}", "{name: constant}")
+
+
+@pytest.mark.parametrize("text, event, shown", [
+    (MV_MINIMAL, "first_round", "game, got unbounded_forecasting"),
+    (MV_MINIMAL, "heads_at_c_increments", "game, got unbounded_forecasting"),
+    (MV_MINIMAL, "avoid_match", "game, got unbounded_forecasting"),
+    (MV_MINIMAL, "no_late_heads", "game, got unbounded_forecasting"),
+    (MINIMAL, "slln_hold", "general_hedge game, got coin_tossing"),
+    (MINIMAL, "slln_fail", "general_hedge game, got coin_tossing"),
+    (_BOUNDED_CONSTANT, "avoid_match", "avoid_match reality, got 'constant'"),
+    (MINIMAL, "avoid_match", "avoid_match reality, got 'bc_comply'"),
+], ids=["first-round-mv", "heads-at-c-mv", "avoid-match-mv", "no-late-heads-mv",
+        "slln-hold-coin", "slln-fail-coin", "avoid-match-constant",
+        "avoid-match-bc-comply"])
+def test_cli_rejects_a_label_for_another_game(tmp_path, capsys, text, event, shown):
+    path = _write(tmp_path / "label.yaml", text + f"labels: {{expected_event: {event}}}\n")
+    err = _cli_error(["run", str(path)], capsys)
+    assert f"expected_event {event!r} requires the" in err and shown in err
+
+
+@pytest.mark.parametrize("divergent", ["[1, 2]", "1", "'true'", "{a: 1}"])
+def test_parse_rejects_a_series_divergent_label_that_is_not_a_bool(divergent):
+    with pytest.raises(ScenarioError, match="series_divergent must be true, false or null"):
+        parse_scenario(MINIMAL + f"labels: {{series_divergent: {divergent}}}\n")
+
+
+def test_parse_takes_a_bool_or_null_series_divergent_label():
+    for raw, divergent in (("true", True), ("false", False), ("null", None)):
+        scenario = parse_scenario(MINIMAL + f"labels: {{series_divergent: {raw}}}\n")
+        assert scenario.series_divergent is divergent
+
+
+def test_cli_reports_an_out_path_that_cannot_be_written(tmp_path, capsys):
+    taken = _write(tmp_path / "taken", "a file, not a directory\n")
+    err = _cli_error(["run", str(_write(tmp_path / "mini.yaml", MINIMAL)),
+                      "--out", str(taken)], capsys)
+    assert str(taken) in err
+
+
+@pytest.mark.parametrize("first, second", [("same/x", "same_x"), ("twin", "twin")],
+                         ids=["one-stem", "one-name"])
+def test_cli_verify_refuses_two_scenarios_with_one_output_name(tmp_path, capsys,
+                                                               first, second):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    for file, name in (("a.yaml", first), ("b.yaml", second)):
+        _write(scenarios / file, MINIMAL.replace("name: mini", f"name: {name!r}"))
+    out = tmp_path / "out"
+    err = _cli_error(["verify", str(scenarios), "--out", str(out)], capsys)
+    assert repr(first) in err and repr(second) in err and not out.exists()
+    # without --out nothing is written, so nothing can be overwritten
+    assert main(["verify", str(scenarios), "--horizon", "20"]) == 0
+    assert "2/2 scenarios passed" in capsys.readouterr().out
+
+
+def test_a_scenario_built_in_python_is_held_to_its_game_too():
+    scenario = replace(STOCK_POOLS["ufg"](horizon=20)[0], expected_event="first_round")
+    with pytest.raises(ScenarioError, match="expected_event 'first_round' requires the"):
+        cmd_verify([scenario])
