@@ -15,12 +15,10 @@ from .engine import (
     Skeptic,
     SkepticBet,
     Trace,
-    Violation,
     ZeroSkeptic,
     capital_update,
     replay_verify,
     run_game,
-    validate_moves,
 )
 from .hedges import (
     Growth,

@@ -116,6 +116,7 @@ def cmd_verify(scenarios: List[Scenario],
             f"{status}  {scenario.name}  sup={verdict.sup_capital:.6g}"
             f" bound={'ok' if verdict.strong_bound_ok else 'VIOLATED'}"
             f" proxy={verdict.event_proxy_ok}{duty}"
+            + "".join(f"; {note}" for note in verdict.notes)
         )
         if out_dir is not None:
             _write_outputs(out_dir, trace, summary_dict(scenario.name, trace, verdict))

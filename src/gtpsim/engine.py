@@ -92,12 +92,6 @@ class SkepticBet:
     V: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class Violation:
-    field: str
-    message: str
-
-
 @dataclass(slots=True)
 class RoundRecord:
     n: int
@@ -119,81 +113,64 @@ class Trace:
 
 
 class InvalidMoveError(ValueError):
-    def __init__(self, round_index: int, role: str, violation: Violation):
+    """A move outside its game's domain: the round (0 where the caller has
+    none), the role of the player who made it, its field and what is wrong."""
+
+    def __init__(self, round_index: int, role: str, field: str, message: str):
         self.round_index = round_index
         self.role = role
-        self.violation = violation
-        super().__init__(
-            f"round {round_index}: {role} move invalid: "
-            f"{violation.field}: {violation.message}"
-        )
+        self.field = field
+        self.message = message
+        super().__init__(f"round {round_index}: {role} move invalid: {field}: {message}")
 
 
-def _not_finite(name: str, value: float) -> Violation:
-    return Violation(name, f"{name} = {value} is not finite")
+def _not_finite(n: int, role: str, name: str, value: float) -> InvalidMoveError:
+    return InvalidMoveError(n, role, name, f"{name} = {value} is not finite")
 
 
-def validate_forecast(protocol: Protocol, f: ForecastMove) -> Optional[Violation]:
+# Each validator raises InvalidMoveError for its own player's move, at round
+# n (0 where the caller has none), and returns None for a move in the domain.
+def validate_forecast(protocol: Protocol, f: ForecastMove, n: int = 0) -> None:
     if protocol.kind.uses_price:
         if f.p is None:
-            return Violation("p", "price required for this protocol")
+            raise InvalidMoveError(n, "forecaster", "p",
+                                   "price required for this protocol")
         if not 0.0 <= f.p <= 1.0:
-            return Violation("p", f"p = {f.p} outside [0, 1]")
+            raise InvalidMoveError(n, "forecaster", "p", f"p = {f.p} outside [0, 1]")
     else:
         if f.m is None or f.v is None:
-            return Violation("m", "m and v required for this protocol")
+            raise InvalidMoveError(n, "forecaster", "m",
+                                   "m and v required for this protocol")
         if not isfinite(f.m):
-            return _not_finite("m", f.m)
+            raise _not_finite(n, "forecaster", "m", f.m)
         if not isfinite(f.v):
-            return _not_finite("v", f.v)
+            raise _not_finite(n, "forecaster", "v", f.v)
         if f.v < 0.0:
-            return Violation("v", f"v = {f.v} violates v >= 0")
-    return None
+            raise InvalidMoveError(n, "forecaster", "v", f"v = {f.v} violates v >= 0")
 
 
-def validate_bet(protocol: Protocol, s: SkepticBet) -> Optional[Violation]:
+def validate_bet(protocol: Protocol, s: SkepticBet, n: int = 0) -> None:
     if not isfinite(s.M):
-        return _not_finite("M", s.M)
+        raise _not_finite(n, "skeptic", "M", s.M)
     if not protocol.kind.uses_price:
         if s.V is None:
-            return Violation("V", "V required for this protocol")
+            raise InvalidMoveError(n, "skeptic", "V", "V required for this protocol")
         if not isfinite(s.V):
-            return _not_finite("V", s.V)
+            raise _not_finite(n, "skeptic", "V", s.V)
         if s.V < 0.0:
-            return Violation("V", f"V = {s.V} violates V >= 0")
-    return None
+            raise InvalidMoveError(n, "skeptic", "V", f"V = {s.V} violates V >= 0")
 
 
-def validate_outcome(protocol: Protocol, x: float) -> Optional[Violation]:
+def validate_outcome(protocol: Protocol, x: float, n: int = 0) -> None:
     kind = protocol.kind
     if kind is _COIN:
         if x not in (0.0, 1.0):
-            return Violation("x", f"x = {x} outside {{0, 1}}")
+            raise InvalidMoveError(n, "reality", "x", f"x = {x} outside {{0, 1}}")
     elif kind is _BOUNDED:
         if not 0.0 <= x <= 1.0:
-            return Violation("x", f"x = {x} outside [0, 1]")
+            raise InvalidMoveError(n, "reality", "x", f"x = {x} outside [0, 1]")
     elif not isfinite(x):
-        return _not_finite("x", x)
-    return None
-
-
-def validate_moves(
-    protocol: Protocol, f: ForecastMove, s: SkepticBet, x: float
-) -> Optional[Violation]:
-    """First domain violation among the three announcements, or None."""
-    return (
-        validate_forecast(protocol, f)
-        or validate_bet(protocol, s)
-        or validate_outcome(protocol, x)
-    )
-
-
-# The player whose move carries each validated field.
-_ROLE_OF_FIELD = {
-    "p": "forecaster", "m": "forecaster", "v": "forecaster",
-    "M": "skeptic", "V": "skeptic",
-    "x": "reality",
-}
+        raise _not_finite(n, "reality", "x", x)
 
 
 def capital_update(
@@ -204,14 +181,9 @@ def capital_update(
     An invalid move raises InvalidMoveError naming its role; the round index
     is 0 since this function does not know it (`run_game` and
     `replay_verify` report the round)."""
-    # validate_moves, spelled out: one frame fewer per round.
-    violation = (
-        validate_forecast(protocol, f)
-        or validate_bet(protocol, s)
-        or validate_outcome(protocol, x)
-    )
-    if violation is not None:
-        raise InvalidMoveError(0, _ROLE_OF_FIELD[violation.field], violation)
+    validate_forecast(protocol, f)
+    validate_bet(protocol, s)
+    validate_outcome(protocol, x)
     # A zero bet keeps k_prev itself: K is never -0.0, so the bits agree.
     M = s.M
     if protocol.kind.uses_price:
@@ -375,6 +347,9 @@ def run_game(
     With stop_on_skeptic_fault, the run ends after the first round whose
     capital is negative or NaN: the Skeptic broke his collateral duty and
     nothing after that round is attributable to the other players.
+
+    A move outside its game's domain raises InvalidMoveError with its round
+    and its player's role; one raised inside a player's method passes as is.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -395,17 +370,11 @@ def run_game(
     with gc_paused():
         for n in range(1, horizon + 1):
             f = forecast(n)
-            violation = validate_forecast(protocol, f)
-            if violation is not None:
-                raise InvalidMoveError(n, "forecaster", violation)
+            validate_forecast(protocol, f, n)
             s = bet(n, f, k)
-            violation = validate_bet(protocol, s)
-            if violation is not None:
-                raise InvalidMoveError(n, "skeptic", violation)
+            validate_bet(protocol, s, n)
             x = outcome(n, f, s, k)
-            violation = validate_outcome(protocol, x)
-            if violation is not None:
-                raise InvalidMoveError(n, "reality", violation)
+            validate_outcome(protocol, x, n)
             k = capital_update(protocol, k, f, s, x)
             record = RoundRecord(n, f, s, x, k)
             append(record)
@@ -430,7 +399,7 @@ def replay_verify(trace: Trace) -> Optional[int]:
                 trace.protocol, k, record.forecast, record.bet, record.x
             )
         except InvalidMoveError as err:
-            raise InvalidMoveError(record.n, err.role, err.violation) from None
+            raise InvalidMoveError(record.n, err.role, err.field, err.message) from None
         if not math.isclose(k, record.capital_after, rel_tol=0.0, abs_tol=1e-12):
             return record.n
     return None

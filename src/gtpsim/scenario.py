@@ -219,9 +219,8 @@ def _price_script(name: str, params: Dict) -> Callable[[int], ForecastMove]:
 
 
 def _mv_script(params: Dict) -> Callable[[int], ForecastMove]:
-    """Round n -> ForecastMove(None, m_n, v_n): one closure per (v, m) kind,
-    so a forecast costs one script frame.  Constant v with zero m announces
-    one move built here."""
+    """Round n -> ForecastMove(None, m_n, v_n), one script frame per
+    forecast.  Constant v with zero m announces one move built here."""
     v_spec = _mapping(params.get("v", {"name": "constant", "value": 1.0}),
                       "forecaster v")
     m_spec = _mapping(params.get("m", {"name": "zero"}), "forecaster m")
@@ -242,28 +241,25 @@ def _mv_script(params: Dict) -> Callable[[int], ForecastMove]:
         sin = math.sin
     else:
         raise ScenarioError(f"unknown mean script {m_name!r}")
-    if v_name == "constant":
-        if m_name == "zero":
-            move = ForecastMove(None, 0.0, value)
-            return lambda n: move
-        return lambda n: ForecastMove(None, amplitude * sin(float(n)), value)
-    # n ** exponent past the float range is v = inf, as `power_hedge` gives,
-    # for validation to report; float `**` would raise OverflowError.
-    if m_name == "zero":
-        def script(n: int) -> ForecastMove:
-            try:
-                return ForecastMove(None, 0.0, float(n) ** exponent)
-            except OverflowError:
-                return ForecastMove(None, 0.0, math.inf)
-        return script
+    if v_name == "constant" and m_name == "zero":
+        move = ForecastMove(None, 0.0, value)
+        return lambda n: move
+    sin_mean, power_v = m_name == "sin", v_name == "power"
 
-    def sin_script(n: int) -> ForecastMove:
-        m = amplitude * sin(float(n))
+    def script(n: int) -> ForecastMove:
+        # A zero mean is the literal 0.0: 0.0 * sin(n) would be -0.0 on half
+        # the rounds.
+        m = amplitude * sin(float(n)) if sin_mean else 0.0
+        if not power_v:
+            return ForecastMove(None, m, value)
+        # n ** exponent past the float range is v = inf, as `power_hedge`
+        # gives, for validation to report; float `**` would raise OverflowError.
         try:
-            return ForecastMove(None, m, float(n) ** exponent)
+            v = float(n) ** exponent
         except OverflowError:
-            return ForecastMove(None, m, math.inf)
-    return sin_script
+            v = math.inf
+        return ForecastMove(None, m, v)
+    return script
 
 
 # Forecaster name -> the parameter keys its spec may hold besides `name`.
@@ -348,7 +344,14 @@ def build_skeptic(scenario: Scenario) -> Skeptic:
 
 
 def build_reality(scenario: Scenario) -> Reality:
-    return _build(_REALITIES, "reality", scenario, scenario.reality_spec)
+    """The scenario's Reality.  A protocol growth is a ScenarioError unless
+    the Reality is `ufgh_comply`, the one that reads it."""
+    player = _build(_REALITIES, "reality", scenario, scenario.reality_spec)
+    name = scenario.reality_spec["name"]
+    if scenario.growth is not None and name != "ufgh_comply":
+        raise ScenarioError(
+            f"protocol growth requires the ufgh_comply reality, got {name!r}")
+    return player
 
 
 # ---------------------------------------------------------------------------

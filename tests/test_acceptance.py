@@ -4,7 +4,9 @@ Each criterion records one pass/fail line that conftest prints at the end of
 the pytest run, and also asserts, so a regression fails the suite.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -224,19 +226,22 @@ def test_criterion_5_general_hedge_compliance_pool():
 # 6. Randomized reference strategy Monte Carlo
 # ---------------------------------------------------------------------------
 
+def _load_script(name):
+    """The module of scripts/<name>.py, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_criterion_6_randomized_strategy_monte_carlo():
+    # The numbers scripts/kolmogorov_mc.py prints, at its default sizes.
+    mc = _load_script("kolmogorov_mc")
+    horizon = 1_000
     # Two-point branch (v = n^2): S_n/n leaves [-0.5, 0.5] in [500, 1000]
     # on at least 99% of 1000 seeded paths.
-    horizon = 1_000
-    ns = np.arange(1, horizon + 1, dtype=np.float64)
-    hits = 0
-    for seed in range(1000):
-        u = uniform_block(seed, horizon)
-        steps = np.where(u < 0.5, ns, -ns)
-        ratio = np.abs(np.cumsum(steps))[499:] / ns[499:]
-        if ratio.max() >= 0.5:
-            hits += 1
-    fraction_ok = hits / 1000.0 >= 0.99
+    fraction_ok = mc.escape_fraction(1000, horizon) >= 0.99
 
     # Consistency: the vectorized recomputation equals an engine run.
     reality = KolmogorovReality(seed=123)
@@ -245,20 +250,15 @@ def test_criterion_6_randomized_strategy_monte_carlo():
         Protocol(kind=GameKind.UNBOUNDED_FORECASTING), forecaster, ZeroSkeptic(),
         reality, 100,
     )
+    ns = np.arange(1, 101, dtype=np.float64)
     u = uniform_block(123, 100)
-    expected = np.where(u < 0.5, ns[:100], -ns[:100])
+    expected = np.where(u < 0.5, ns, -ns)
     engine_matches = np.array_equal(
         np.array([r.x for r in trace.rounds]), expected
     )
 
     # Three-point branch (v = 1): mean nonzero-move count over 10^4 seeds.
-    thresholds = 1.0 / (ns * ns)      # nonzero iff u < v/n^2 (n >= 2)
-    total = 0
-    for seed in range(10_000):
-        u = uniform_block(seed, horizon)
-        total += 1 + int(np.sum(u[1:] < thresholds[1:]))  # n = 1 always nonzero
-    mean_count = total / 10_000.0
-    mean_ok = 1.58 <= mean_count <= 1.71
+    mean_ok = 1.58 <= mc.mean_nonzero_count(10_000, horizon) <= 1.71
 
     _record(
         6,

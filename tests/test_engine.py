@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import struct
+from math import isfinite
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -21,16 +23,16 @@ from gtpsim import (
     replay_verify,
     run_game,
     strong_compliance_verdict,
-    validate_moves,
 )
 from gtpsim import analysis
-from gtpsim.engine import BOUND_SLACK, RoundRecord, Trace
+from gtpsim.engine import BOUND_SLACK, Reality, RoundRecord, Skeptic, Trace
 from gtpsim.hedges import power_hedge
 from gtpsim.reality import ConstantReality
 from gtpsim.skeptic import ConvergentBcSkeptic, DivergentBcSkeptic
 
 from _support import ScriptBetSkeptic, ScriptReality, price_forecaster
 
+_COIN, _BOUNDED = GameKind.COIN_TOSSING, GameKind.BOUNDED_FORECASTING
 COIN = Protocol(kind=GameKind.COIN_TOSSING)
 UFG = Protocol(kind=GameKind.UNBOUNDED_FORECASTING)
 
@@ -87,26 +89,36 @@ def test_capital_update_rejects_invalid_moves():
 
 
 # ---------------------------------------------------------------------------
-# validate_moves
+# Move validation
 # ---------------------------------------------------------------------------
 
+def _rejection(protocol, f, s, x):
+    """The InvalidMoveError capital_update raises for the round's moves, or
+    None when every move is in its domain."""
+    try:
+        capital_update(protocol, 1.0, f, s, x)
+    except InvalidMoveError as err:
+        return err
+    return None
+
+
 def test_validate_coin_outcome_domain():
-    v = validate_moves(COIN, ForecastMove(p=0.5), SkepticBet(M=0.0), 0.5)
-    assert v is not None and v.field == "x"
+    err = _rejection(COIN, ForecastMove(p=0.5), SkepticBet(M=0.0), 0.5)
+    assert err is not None and (err.role, err.field) == ("reality", "x")
 
 
 def test_validate_negative_variance_bet():
-    v = validate_moves(
+    err = _rejection(
         UFG, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=-1.0), 0.0
     )
-    assert v is not None and v.field == "V"
+    assert err is not None and (err.role, err.field) == ("skeptic", "V")
 
 
 def test_validate_unbounded_everything_legal():
-    v = validate_moves(
+    err = _rejection(
         UFG, ForecastMove(m=-3.0, v=0.0), SkepticBet(M=7.0, V=0.0), -3.0
     )
-    assert v is None
+    assert err is None
 
 
 NAN, INF = math.nan, math.inf
@@ -135,14 +147,10 @@ NON_FINITE_MOVES = [
          for i, case in enumerate(NON_FINITE_MOVES)],
 )
 def test_validate_rejects_non_finite_moves(protocol, f, s, x, field):
-    v = validate_moves(protocol, f, s, x)
-    assert v is not None and v.field == field
+    err = _rejection(protocol, f, s, x)
+    assert err is not None and err.field == field
 
 
-# capital_update spells out validate_moves (one frame fewer per round); the
-# exported function must still give the same answer on any move.
-ROLE_OF_FIELD = {"p": "forecaster", "m": "forecaster", "v": "forecaster",
-                 "M": "skeptic", "V": "skeptic", "x": "reality"}
 ALL_GAMES = [COIN, Protocol(kind=GameKind.BOUNDED_FORECASTING), UFG,
              Protocol(kind=GameKind.GENERAL_HEDGE, hedge=power_hedge(1.5))]
 # In-domain values often, and any float (NaN, infinities and huge values
@@ -151,20 +159,136 @@ ANY_FLOAT = st.one_of(st.sampled_from([0.0, 0.5, 1.0, -1.0]), st.floats())
 ANY_FIELD = st.one_of(st.none(), ANY_FLOAT)
 
 
+# The oracle: the three validators as they were when each returned a
+# Violation (or None) and `_ROLE_OF_FIELD` named the player of its field.
+@dataclasses.dataclass(frozen=True)
+class Violation:
+    field: str
+    message: str
+
+
+def _not_finite(name: str, value: float) -> Violation:
+    return Violation(name, f"{name} = {value} is not finite")
+
+
+def validate_forecast(protocol: Protocol, f: ForecastMove) -> Optional[Violation]:
+    if protocol.kind.uses_price:
+        if f.p is None:
+            return Violation("p", "price required for this protocol")
+        if not 0.0 <= f.p <= 1.0:
+            return Violation("p", f"p = {f.p} outside [0, 1]")
+    else:
+        if f.m is None or f.v is None:
+            return Violation("m", "m and v required for this protocol")
+        if not isfinite(f.m):
+            return _not_finite("m", f.m)
+        if not isfinite(f.v):
+            return _not_finite("v", f.v)
+        if f.v < 0.0:
+            return Violation("v", f"v = {f.v} violates v >= 0")
+    return None
+
+
+def validate_bet(protocol: Protocol, s: SkepticBet) -> Optional[Violation]:
+    if not isfinite(s.M):
+        return _not_finite("M", s.M)
+    if not protocol.kind.uses_price:
+        if s.V is None:
+            return Violation("V", "V required for this protocol")
+        if not isfinite(s.V):
+            return _not_finite("V", s.V)
+        if s.V < 0.0:
+            return Violation("V", f"V = {s.V} violates V >= 0")
+    return None
+
+
+def validate_outcome(protocol: Protocol, x: float) -> Optional[Violation]:
+    kind = protocol.kind
+    if kind is _COIN:
+        if x not in (0.0, 1.0):
+            return Violation("x", f"x = {x} outside {{0, 1}}")
+    elif kind is _BOUNDED:
+        if not 0.0 <= x <= 1.0:
+            return Violation("x", f"x = {x} outside [0, 1]")
+    elif not isfinite(x):
+        return _not_finite("x", x)
+    return None
+
+
+_ROLE_OF_FIELD = {
+    "p": "forecaster", "m": "forecaster", "v": "forecaster",
+    "M": "skeptic", "V": "skeptic",
+    "x": "reality",
+}
+
+
+class _MoveAtRound(Skeptic, Reality):
+    """Plays a legal zero bet and outcome before round n, and the given bet
+    and outcome in it."""
+
+    def __init__(self, n, s, x):
+        self.n, self.s, self.x = n, s, x
+
+    def bet(self, k, forecast, k_prev):
+        return self.s if k == self.n else SkepticBet(0.0, 0.0 if self.with_v else None)
+
+    def outcome(self, k, forecast, bet, k_prev):
+        return self.x if k == self.n else 0.0
+
+
+def _oracle(n, violation):
+    """(round, role, field, message, text) of the error the oracle expects
+    at round n, or None."""
+    if violation is None:
+        return None
+    role = _ROLE_OF_FIELD[violation.field]
+    return (n, role, violation.field, violation.message,
+            f"round {n}: {role} move invalid: {violation.field}: {violation.message}")
+
+
+def _raised(call):
+    """(round, role, field, message, text) of the InvalidMoveError `call`
+    raises, or None."""
+    try:
+        call()
+    except InvalidMoveError as err:
+        return err.round_index, err.role, err.field, err.message, str(err)
+    return None
+
+
+# Every move the oracle rejects, capital_update rejects at round 0 and
+# run_game at the round it is played, with the same role, field and text.
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from(ALL_GAMES), ANY_FIELD, ANY_FIELD, ANY_FIELD, ANY_FLOAT,
-       ANY_FIELD, ANY_FLOAT)
-def test_validate_moves_agrees_with_capital_update(protocol, p, m, v, M, V, x):
+       ANY_FIELD, ANY_FLOAT, st.integers(1, 3))
+def test_validators_raise_the_role_field_and_message_of_the_oracle(
+        protocol, p, m, v, M, V, x, n):
     f, s = ForecastMove(p, m, v), SkepticBet(M, V)
-    violation = validate_moves(protocol, f, s, x)
-    try:
-        capital_update(protocol, 1.0, f, s, x)
-    except InvalidMoveError as exc:
-        assert violation is not None
-        assert exc.violation == violation
-        assert exc.role == ROLE_OF_FIELD[violation.field]
-    else:
-        assert violation is None
+    violation = (validate_forecast(protocol, f) or validate_bet(protocol, s)
+                 or validate_outcome(protocol, x))
+    assert _raised(lambda: capital_update(protocol, 1.0, f, s, x)) == _oracle(0, violation)
+    legal = ForecastMove(0.5) if protocol.kind.uses_price else ForecastMove(None, 0.0, 1.0)
+    forecaster = ScriptForecaster(lambda k: f if k == n else legal)
+    player = _MoveAtRound(n, s, x)
+    err = _raised(lambda: run_game(protocol, forecaster, player, player, n))
+    assert err == _oracle(n, violation)
+
+
+def test_an_invalid_move_error_from_a_player_reaches_the_caller_as_raised():
+    raised = InvalidMoveError(9, "forecaster", "p", "raised by the Reality itself")
+
+    class RaisingReality(Reality):
+        def outcome(self, n, forecast, bet, k_prev):
+            if n == 3:
+                raise raised
+            return 0.0
+
+    with pytest.raises(InvalidMoveError) as excinfo:
+        run_game(COIN, price_forecaster([0.5]), ZeroSkeptic(), RaisingReality(), 5)
+    assert excinfo.value is raised
+    assert (raised.round_index, raised.role, raised.field) == (9, "forecaster", "p")
+    assert str(raised) == ("round 9: forecaster move invalid: p:"
+                           " raised by the Reality itself")
 
 
 def _update_before_zero_bets_kept_k(protocol, k_prev, f, s, x):
@@ -235,11 +359,11 @@ def test_a_zero_bet_keeps_k_where_x_minus_m_overflows(protocol):
 
 def test_validate_bounded_outcome_interval():
     bounded = Protocol(kind=GameKind.BOUNDED_FORECASTING)
-    assert validate_moves(
+    assert _rejection(
         bounded, ForecastMove(p=0.5), SkepticBet(M=0.0), 0.25
     ) is None
-    v = validate_moves(bounded, ForecastMove(p=0.5), SkepticBet(M=0.0), 1.5)
-    assert v is not None and v.field == "x"
+    err = _rejection(bounded, ForecastMove(p=0.5), SkepticBet(M=0.0), 1.5)
+    assert err is not None and (err.role, err.field) == ("reality", "x")
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +406,7 @@ def test_run_game_rejects_nan_bet_with_round_and_role():
         run_game(COIN, price_forecaster([0.5]), skeptic, ConstantReality(0.0), 5,
                  stop_on_skeptic_fault=True)
     err = excinfo.value
-    assert (err.round_index, err.role, err.violation.field) == (2, "skeptic", "M")
+    assert (err.round_index, err.role, err.field) == (2, "skeptic", "M")
     assert "round 2: skeptic move invalid: M" in str(err)
 
 

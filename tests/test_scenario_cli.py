@@ -401,6 +401,15 @@ def test_cli_verify_failing_manifest(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_verify_prints_the_round_each_failed_check_names(tmp_path, capsys):
+    broken = MINIMAL.replace("{name: bc_comply}", "{name: constant, x: 1.0}")
+    _write(tmp_path / "one.yaml", broken + "labels: {expected_event: strong_comply}\n")
+    assert main(["verify", str(tmp_path), "--horizon", "300"]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.split()[:2] == ["FAIL", "mini"]
+    assert line.endswith(" proxy=None; capital exceeded the initial value at round 6")
+
+
 def test_cli_verify_empty_manifest(tmp_path, capsys):
     manifest = _write(tmp_path / "empty.yaml", "scenarios: []\n")
     assert main(["verify", str(manifest)]) == 0
@@ -620,6 +629,19 @@ def test_cli_rejects_a_growth_outside_general_hedge(tmp_path, capsys, kind, grow
             f"reality: {{name: {reality}}}\n")
     err = _cli_error(["run", str(_write(tmp_path / "growth.yaml", text))], capsys)
     assert "growth" in err
+
+
+# Only ufgh_comply reads the growth; any other Reality used to drop it.
+@pytest.mark.parametrize("reality", ["kolmogorov", "constant"])
+def test_cli_rejects_a_growth_that_no_reality_reads(tmp_path, capsys, reality):
+    text = _general_hedge_scenario("hedge: 'power:r=1.5'\n  growth: 'power:r=2'")
+    path = _write(tmp_path / "growth.yaml", text.replace("ufgh_comply", reality))
+    err = _cli_error(["run", str(path)], capsys)
+    assert f"protocol growth requires the ufgh_comply reality, got {reality!r}" in err
+    assert main(["run", str(_write(path, text)), "--horizon", "20"]) == 0
+    scenario = replace(STOCK_POOLS["ufgh"](horizon=20)[0], reality_spec={"name": reality})
+    with pytest.raises(ScenarioError, match="protocol growth requires"):
+        cmd_verify([scenario])
 
 
 # 8.0 ** 500 = 2^1500 is the first grid value past the float range (4.0 ** 500
