@@ -55,13 +55,16 @@ def _write_outputs(out_dir: Path, trace: Trace, summary: dict) -> None:
     write_summary_json(summary, out_dir / f"{stem}.json")
 
 
-def cmd_run(scenario: Scenario, out_dir: Optional[Path] = None) -> dict:
+def cmd_run(scenario: Scenario,
+            out_dir: Optional[Path] = None) -> Tuple[dict, List[str]]:
+    """Run one scenario: (its summary, the verdict's notes, which name the
+    round of each failed check)."""
     trace = run_scenario(scenario)
     verdict = strong_compliance_verdict(trace, event_proxy_for(scenario))
     summary = summary_dict(scenario.name, trace, verdict)
     if out_dir is not None:
         _write_outputs(out_dir, trace, summary)
-    return summary
+    return summary, verdict.notes
 
 
 def load_manifest(path: Path) -> List[Scenario]:
@@ -286,8 +289,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                      if getattr(args, key) is not None}
         scenarios = [replace(scenario, **overrides) for scenario in loaded]
         if args.command == "run":
-            for key, value in cmd_run(scenarios[0], out_dir=args.out).items():
+            summary, notes = cmd_run(scenarios[0], out_dir=args.out)
+            for key, value in summary.items():
                 print(f"{key}: {value}")
+            for note in notes:
+                print(f"note: {note}")
             return 0
         failures, lines = cmd_verify(scenarios, out_dir=args.out)
         print("\n".join(lines))

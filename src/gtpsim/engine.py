@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence, Union
 
 from .hedges import Hedge
 
@@ -66,10 +66,12 @@ class Protocol:
 
 # The trace records (ForecastMove, SkepticBet, RoundRecord) are slotted
 # dataclasses but not frozen: a frozen __init__ sets each field through
-# object.__setattr__, several times the cost of a slot store, and every
-# round builds three records.  Nothing writes a record after run_game
-# appends it (the pinned trace digests catch a strategy that does).  Without
-# `frozen`, __hash__ is None: records are unhashable by design.
+# object.__setattr__, several times the cost of a slot store, and a round
+# builds up to three.  Nothing writes a record after run_game appends it
+# (the pinned trace digests catch a strategy that does).  Without `frozen`,
+# __hash__ is None: records are unhashable by design.  A price-game
+# forecast is no record: Forecaster announces p as a plain float, as
+# Reality announces x.
 #
 # Nothing writes a move after it is announced either.  A strategy announces
 # the same object again while its move is unchanged (ZeroSkeptic; scripts
@@ -77,11 +79,15 @@ class Protocol:
 # write to it would change every round that shares it.
 @dataclass(slots=True)
 class ForecastMove:
-    """Forecaster's announcement: p for coin/bounded games, (m, v) otherwise."""
+    """Forecaster's announcement (m, v) in the mean-variance games.  In the
+    coin and bounded games Forecaster announces the price p, a float."""
 
-    p: Optional[float] = None
-    m: Optional[float] = None
-    v: Optional[float] = None
+    m: float
+    v: float
+
+
+# A forecast: the price p in the price games, (m, v) in the others.
+Forecast = Union[float, ForecastMove]
 
 
 @dataclass(slots=True)
@@ -95,7 +101,7 @@ class SkepticBet:
 @dataclass(slots=True)
 class RoundRecord:
     n: int
-    forecast: ForecastMove
+    forecast: Forecast
     bet: SkepticBet
     x: float
     capital_after: float
@@ -130,23 +136,28 @@ def _not_finite(n: int, role: str, name: str, value: float) -> InvalidMoveError:
 
 # Each validator raises InvalidMoveError for its own player's move, at round
 # n (0 where the caller has none), and returns None for a move in the domain.
-def validate_forecast(protocol: Protocol, f: ForecastMove, n: int = 0) -> None:
+def validate_forecast(protocol: Protocol, f: Forecast, n: int = 0) -> None:
     if protocol.kind.uses_price:
-        if f.p is None:
-            raise InvalidMoveError(n, "forecaster", "p",
-                                   "price required for this protocol")
-        if not 0.0 <= f.p <= 1.0:
-            raise InvalidMoveError(n, "forecaster", "p", f"p = {f.p} outside [0, 1]")
+        if not isinstance(f, float):
+            raise InvalidMoveError(n, "forecaster", "p", "price required for this protocol"
+                                   if f is None else f"price must be a float, got {f!r}")
+        if not 0.0 <= f <= 1.0:
+            raise InvalidMoveError(n, "forecaster", "p", f"p = {f} outside [0, 1]")
     else:
-        if f.m is None or f.v is None:
+        try:
+            m, v = f.m, f.v
+        except AttributeError:
+            raise InvalidMoveError(n, "forecaster", "m",
+                                   f"(m, v) required for this protocol, got {f!r}") from None
+        if m is None or v is None:
             raise InvalidMoveError(n, "forecaster", "m",
                                    "m and v required for this protocol")
-        if not isfinite(f.m):
-            raise _not_finite(n, "forecaster", "m", f.m)
-        if not isfinite(f.v):
-            raise _not_finite(n, "forecaster", "v", f.v)
-        if f.v < 0.0:
-            raise InvalidMoveError(n, "forecaster", "v", f"v = {f.v} violates v >= 0")
+        if not isfinite(m):
+            raise _not_finite(n, "forecaster", "m", m)
+        if not isfinite(v):
+            raise _not_finite(n, "forecaster", "v", v)
+        if v < 0.0:
+            raise InvalidMoveError(n, "forecaster", "v", f"v = {v} violates v >= 0")
 
 
 def validate_bet(protocol: Protocol, s: SkepticBet, n: int = 0) -> None:
@@ -174,7 +185,7 @@ def validate_outcome(protocol: Protocol, x: float, n: int = 0) -> None:
 
 
 def capital_update(
-    protocol: Protocol, k_prev: float, f: ForecastMove, s: SkepticBet, x: float
+    protocol: Protocol, k_prev: float, f: Forecast, s: SkepticBet, x: float
 ) -> float:
     """New capital after one round, per the protocol's update rule.
 
@@ -187,7 +198,7 @@ def capital_update(
     # A zero bet keeps k_prev itself: K is never -0.0, so the bits agree.
     M = s.M
     if protocol.kind.uses_price:
-        return k_prev + M * (x - f.p) if M else k_prev
+        return k_prev + M * (x - f) if M else k_prev
     if s.V == 0.0:
         # The V term (and a zero M) would add only +-0, or NaN on overflow.
         return k_prev + M * (x - f.m) if M else k_prev
@@ -226,7 +237,11 @@ class Policy:
 
 
 class Forecaster(Policy):
-    def forecast(self, n: int) -> ForecastMove:
+    """A forecasting player: `forecast` announces the price p, a float, in
+    the coin and bounded games and a ForecastMove (m, v) in the
+    mean-variance games."""
+
+    def forecast(self, n: int) -> Forecast:
         raise NotImplementedError
 
 
@@ -239,13 +254,13 @@ class Skeptic(Policy):
     def reset(self, protocol: Protocol) -> None:
         self.with_v = not protocol.kind.uses_price
 
-    def bet(self, n: int, forecast: ForecastMove, k_prev: float) -> SkepticBet:
+    def bet(self, n: int, forecast: Forecast, k_prev: float) -> SkepticBet:
         raise NotImplementedError
 
 
 class Reality(Policy):
     def outcome(
-        self, n: int, forecast: ForecastMove, bet: SkepticBet, k_prev: float
+        self, n: int, forecast: Forecast, bet: SkepticBet, k_prev: float
     ) -> float:
         raise NotImplementedError
 
@@ -253,10 +268,10 @@ class Reality(Policy):
 class ScriptForecaster(Forecaster):
     """Forecaster reading moves from a function of the round index."""
 
-    def __init__(self, script: Callable[[int], ForecastMove]):
+    def __init__(self, script: Callable[[int], Forecast]):
         self.script = script
 
-    def forecast(self, n: int) -> ForecastMove:
+    def forecast(self, n: int) -> Forecast:
         return self.script(n)
 
 

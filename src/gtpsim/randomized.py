@@ -108,7 +108,7 @@ class BernoulliReality(Reality):
         self.rng = RandomStream(self.seed)
 
     def outcome(self, n, forecast, bet, k_prev) -> float:
-        return bernoulli_reality(forecast.p, self.rng)
+        return bernoulli_reality(forecast, self.rng)
 
 
 class KolmogorovReality(Reality):

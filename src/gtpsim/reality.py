@@ -9,6 +9,7 @@ value forever while steering the path into the target event.
 
 from __future__ import annotations
 
+from math import copysign
 from typing import NamedTuple, Optional, Tuple
 
 from .analysis import epsilon_sequence_step
@@ -117,7 +118,7 @@ class BcComplyReality(Reality):
         self.state = BcComplyState(self.phase)
 
     def outcome(self, n, forecast, bet, k_prev) -> float:
-        x, self.state = bc_comply_step(self.state, n, forecast.p, bet.M, k_prev)
+        x, self.state = bc_comply_step(self.state, n, forecast, bet.M, k_prev)
         return x
 
 
@@ -201,7 +202,13 @@ def mv_comply_step(
         # the wait continues.
     if xt != 0.0:
         counters = _tuple_new(BcCounters, (b + 1, counters.acc, c))
-    return m + xt, _tuple_new(MvComplyState, (phase, counters, a_total, eps_running))
+    # x is m's own object when m + xt has m's bits, as in most rounds
+    # (xt = 0.0), so the trace keeps no new float; m = -0.0 with xt = +0.0
+    # sums to +0.0, another value.
+    x = m + xt
+    if x == m and (m or copysign(1.0, x) == copysign(1.0, m)):
+        x = m
+    return x, _tuple_new(MvComplyState, (phase, counters, a_total, eps_running))
 
 
 class MvComplyReality(Reality):
@@ -242,7 +249,7 @@ class FirstRoundComplyReality(Reality):
 
     def outcome(self, n, forecast, bet, k_prev) -> float:
         if n == 1:
-            return 1.0 if forecast.p > 0.0 else 0.0
+            return 1.0 if forecast > 0.0 else 0.0
         return 1.0 if bet.M < 0.0 else 0.0
 
 
@@ -266,7 +273,7 @@ class BoundedAvoidMatchReality(Reality):
             )
 
     def outcome(self, n, forecast, bet, k_prev) -> float:
-        p, M = forecast.p, bet.M
+        p, M = forecast, bet.M
         if p == 0.0 or p == 1.0:
             gap = min(0.5, (self.q - k_prev) / (2.0 * abs(M) + 1.0))
             return gap if p == 0.0 else 1.0 - gap

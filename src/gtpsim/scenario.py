@@ -173,36 +173,34 @@ def _check_keys(mapping: Dict, allowed, where: str) -> None:
 # Forecaster generators
 # ---------------------------------------------------------------------------
 
-def _price_script(name: str, params: Dict) -> Callable[[int], ForecastMove]:
-    """Round n -> ForecastMove(p_n) for a named price series, a key of
-    `_FORECASTER_KEYS` other than `mv`.  The script
-    builds the move itself, with no wrapper frame between it and
-    `ScriptForecaster.forecast`; `constant`, `explicit` and an underflowed
-    `geometric` announce prebuilt moves (see `engine`)."""
+def _price_script(name: str, params: Dict) -> Callable[[int], float]:
+    """Round n -> the price p_n, a float, for a named price series, a key of
+    `_FORECASTER_KEYS` other than `mv`.  `constant`, `explicit` and an
+    underflowed `geometric` announce float objects built here (see
+    `engine`)."""
     if name in ("harmonic", "inverse_square", "geometric"):
         a = _number(params, "a", 1.0, name)
         if not 0.0 <= a < math.inf:  # -0.0 passes: it plays p = -0.0
             raise ScenarioError(f"{name} a must be finite and >= 0, got {a}")
     if name == "harmonic":
-        return lambda n: ForecastMove(min(1.0, a / n))
+        return lambda n: min(1.0, a / n)
     if name == "inverse_square":
-        return lambda n: ForecastMove(min(1.0, a / (n * n)))
+        return lambda n: min(1.0, a / (n * n))
     if name == "constant":
         value = _number(params, "value", 0.5, name)
         if not 0.0 <= value <= 1.0:
             raise ScenarioError(f"constant price {value} outside [0, 1]")
-        move = ForecastMove(value)
-        return lambda n: move
+        return lambda n: value
     if name == "geometric":
         ratio = _number(params, "ratio", 0.5, name)
         if not 0.0 < ratio < 1.0:
             raise ScenarioError(f"geometric ratio {ratio} outside (0, 1)")
         # Announced once a * ratio^n underflows; a * 0.0 keeps the sign of a.
-        zero = ForecastMove(a * 0.0)
+        zero = a * 0.0
 
-        def geometric(n: int) -> ForecastMove:
+        def geometric(n: int) -> float:
             p = a * ratio ** n
-            return ForecastMove(min(1.0, p)) if p else zero
+            return min(1.0, p) if p else zero
         return geometric
     # explicit
     raw = params.get("values")
@@ -214,12 +212,11 @@ def _price_script(name: str, params: Dict) -> Callable[[int], ForecastMove]:
     except ScenarioError:
         raise ScenarioError(
             f"explicit forecaster values must be numbers, got {raw!r}") from None
-    moves = [ForecastMove(value) for value in values]
-    return lambda n: moves[(n - 1) % len(moves)]
+    return lambda n: values[(n - 1) % len(values)]
 
 
 def _mv_script(params: Dict) -> Callable[[int], ForecastMove]:
-    """Round n -> ForecastMove(None, m_n, v_n), one script frame per
+    """Round n -> ForecastMove(m_n, v_n), one script frame per
     forecast.  Constant v with zero m announces one move built here."""
     v_spec = _mapping(params.get("v", {"name": "constant", "value": 1.0}),
                       "forecaster v")
@@ -242,7 +239,7 @@ def _mv_script(params: Dict) -> Callable[[int], ForecastMove]:
     else:
         raise ScenarioError(f"unknown mean script {m_name!r}")
     if v_name == "constant" and m_name == "zero":
-        move = ForecastMove(None, 0.0, value)
+        move = ForecastMove(0.0, value)
         return lambda n: move
     sin_mean, power_v = m_name == "sin", v_name == "power"
 
@@ -251,14 +248,14 @@ def _mv_script(params: Dict) -> Callable[[int], ForecastMove]:
         # the rounds.
         m = amplitude * sin(float(n)) if sin_mean else 0.0
         if not power_v:
-            return ForecastMove(None, m, value)
+            return ForecastMove(m, value)
         # n ** exponent past the float range is v = inf, as `power_hedge`
         # gives, for validation to report; float `**` would raise OverflowError.
         try:
             v = float(n) ** exponent
         except OverflowError:
             v = math.inf
-        return ForecastMove(None, m, v)
+        return ForecastMove(m, v)
     return script
 
 
@@ -448,7 +445,7 @@ def proxy_heads_at_c_increments(trace: Trace) -> bool:
     """Heads occur exactly where the price partial sum crosses an integer."""
     counters = BcCounters()
     for r in trace.rounds:
-        updated = ceiling_index_update(counters, r.forecast.p)
+        updated = ceiling_index_update(counters, r.forecast)
         if (updated.c != counters.c) != (r.x == 1.0):
             return False
         counters = updated
@@ -480,7 +477,7 @@ def proxy_slln_fail(trace: Trace) -> bool:
 def proxy_first_round(trace: Trace) -> bool:
     """p_1 > 0 forces a first-round head, and the capital peaks at round 1."""
     first = trace.rounds[0]
-    if first.forecast.p > 0.0 and first.x != 1.0:
+    if first.forecast > 0.0 and first.x != 1.0:
         return False
     slack = BOUND_SLACK * trace.protocol.initial_capital
     return max(trace.capitals) <= first.capital_after + slack
@@ -488,7 +485,7 @@ def proxy_first_round(trace: Trace) -> bool:
 
 def proxy_avoid_match(trace: Trace, q: float) -> bool:
     """No outcome ever equals the price, and the capital stays below q."""
-    if any(r.x == r.forecast.p for r in trace.rounds):
+    if any(r.x == r.forecast for r in trace.rounds):
         return False
     return max(trace.capitals) <= q + BOUND_SLACK * trace.protocol.initial_capital
 

@@ -11,11 +11,12 @@ own responses.
 from __future__ import annotations
 
 import math
+from math import copysign
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .engine import (
     PRICE_GAMES,
-    ForecastMove,
+    Forecast,
     Protocol,
     RoundRecord,
     Skeptic,
@@ -96,6 +97,10 @@ def bc_fictional_bet(counters: BcCounters) -> float:
     return 2.0 ** (-counters.c - 2) - 2.0 ** (-counters.b - 2)
 
 
+# Stands for "no bet announced yet": its NaN M equals no formula's value.
+_NO_BET = SkepticBet(math.nan)
+
+
 class _CounterSkeptic(Skeptic):
     """Coin-game Skeptic driven by BcCounters.
 
@@ -103,35 +108,45 @@ class _CounterSkeptic(Skeptic):
     (Forecaster moves first); the head count only after Reality's move.
     Each subclass names its bet as `formula = staticmethod(bc_*_bet)`, so a
     bet calls the formula with no method frame in between.  The formula
-    reads only b and c, so a bet is announced again until either moves.
+    reads only b and c, so it is evaluated again only when either moves:
+    `bet_c` is the c it last saw, or 0 once a head has moved b.  A value
+    with the bits of the announced bet is announced as that same object: a
+    new bet is built exactly when the bits change (compared with `copysign`
+    too, as 0.0 == -0.0).  So `bc_divergent` announces its bet again when
+    only c moves, `bc_convergent` when only b moves, and each once its
+    powers of two underflow.
     """
 
     formula: Callable[[BcCounters], float]
 
     def __init__(self):
         self.counters = BcCounters()
-        self.announced = None
+        self.announced = _NO_BET
+        self.bet_c = 0
 
     def reset(self, protocol: Protocol) -> None:
         require_game(protocol, self, *PRICE_GAMES)
         super().reset(protocol)
         self.counters = BcCounters()
-        self.announced = None
+        self.announced = _NO_BET
+        self.bet_c = 0
 
-    def bet(self, n: int, forecast: ForecastMove, k_prev: float) -> SkepticBet:
-        c = self.counters.c
-        self.counters = counters = ceiling_index_update(self.counters, forecast.p)
-        announced = self.announced
-        if announced is None or counters.c != c:
-            self.announced = announced = SkepticBet(self.formula(counters))
-        return announced
+    def bet(self, n: int, forecast: Forecast, k_prev: float) -> SkepticBet:
+        self.counters = counters = ceiling_index_update(self.counters, forecast)
+        c = counters.c
+        if c != self.bet_c:
+            self.bet_c = c
+            M, last = self.formula(counters), self.announced.M
+            if M != last or (not M and copysign(1.0, M) != copysign(1.0, last)):
+                self.announced = SkepticBet(M)
+        return self.announced
 
     def observe(self, record: RoundRecord) -> None:
         # heads_count_update, inlined
         if record.x == 1.0:
             b, acc, c = self.counters
             self.counters = _tuple_new(BcCounters, (b + 1, acc, c))
-            self.announced = None
+            self.bet_c = 0
 
 
 class DivergentBcSkeptic(_CounterSkeptic):
@@ -168,7 +183,7 @@ class BangBangSkeptic(Skeptic):
         self.even_bet = SkepticBet(-self.amplitude,
                                    self.v_amplitude if with_v else None)
 
-    def bet(self, n: int, forecast: ForecastMove, k_prev: float) -> SkepticBet:
+    def bet(self, n: int, forecast: Forecast, k_prev: float) -> SkepticBet:
         return self.odd_bet if n % 2 else self.even_bet
 
 
@@ -191,5 +206,5 @@ class SingleBetSkeptic(Skeptic):
         self.first_bet = SkepticBet(self.M, self.V if with_v else None)
         self.zero_bet = SkepticBet(0.0, 0.0 if with_v else None)
 
-    def bet(self, n: int, forecast: ForecastMove, k_prev: float) -> SkepticBet:
+    def bet(self, n: int, forecast: Forecast, k_prev: float) -> SkepticBet:
         return self.first_bet if n == 1 else self.zero_bet

@@ -30,21 +30,27 @@ def trace_to_csv_text(trace: Trace) -> str:
     """The trace as CSV text, one line per round.
 
     Each row is one f-string: the bytes `csv.writer` would write, since no
-    field can hold a comma, a quote or a line break.  p_or_m, v and V may be
-    absent (written empty); M, x and K are numbers in every trace, since
-    `run_game` validates them and the reader parses them as floats.  A
-    forecast, bet, x or K that is the previous row's object again (a shared
-    move, a kept capital) reuses its text.  The test is `is`, never `==`:
-    0.0 == -0.0, and NaN equals nothing."""
+    field can hold a comma, a quote or a line break.  The protocol decides
+    once whether a forecast is the price p (p_or_m, with v empty) or a
+    ForecastMove (m, v).  p_or_m, v and V may be absent (written empty); M,
+    x and K are numbers in every trace, since `run_game` validates them and
+    the reader parses them as floats.  A forecast, bet, x or K that is the
+    previous row's object again (a shared move, a kept capital) reuses its
+    text.  The test is `is`, never `==`: 0.0 == -0.0, and NaN equals
+    nothing."""
     lines = [",".join(CSV_HEADER) + "\n"]
     append = lines.append
+    uses_price = trace.protocol.kind.uses_price
     f = bet = x = k = object()    # no field is this object
     for r in trace.rounds:
         if r.forecast is not f:
             f = r.forecast
-            p_or_m, v = f.p if f.p is not None else f.m, f.v
-            f_text = (f"{'' if p_or_m is None else format(p_or_m, '.17g')},"
-                      f"{'' if v is None else format(v, '.17g')}")
+            if uses_price:
+                f_text = f"{'' if f is None else format(f, '.17g')},"
+            else:
+                m, v = f.m, f.v
+                f_text = (f"{'' if m is None else format(m, '.17g')},"
+                          f"{'' if v is None else format(v, '.17g')}")
         if r.bet is not bet:
             bet = r.bet
             bet_text = f"{bet.M:.17g},{'' if bet.V is None else format(bet.V, '.17g')}"
@@ -88,13 +94,13 @@ def _read_rows(lines: Iterable[str], protocol: Protocol,
             n, p_or_m, v, m_bet, v_bet, xs, ks = row
             if uses_price:
                 if p_or_m != p_text:
-                    p_text, forecast = p_or_m, ForecastMove(float(p_or_m))
+                    p_text, forecast = p_or_m, float(p_or_m)
                 if m_bet != m_text:
                     m_text, bet = m_bet, SkepticBet(float(m_bet))
             else:
                 if p_or_m != p_text or v != v_text:
                     p_text, v_text = p_or_m, v
-                    forecast = ForecastMove(None, float(p_or_m), float(v))
+                    forecast = ForecastMove(float(p_or_m), float(v))
                 if m_bet != m_text or v_bet != vb_text:
                     m_text, vb_text = m_bet, v_bet
                     bet = SkepticBet(float(m_bet), float(v_bet))

@@ -52,7 +52,7 @@ def derandomizer() -> Reality:
 
 def price_forecaster(ps: Sequence[float]) -> ScriptForecaster:
     values = list(ps)
-    return ScriptForecaster(lambda n: ForecastMove(p=values[(n - 1) % len(values)]))
+    return ScriptForecaster(lambda n: values[(n - 1) % len(values)])
 
 
 def mv_forecaster(ms: Sequence[float], vs: Sequence[float]) -> ScriptForecaster:

@@ -68,7 +68,7 @@ def _record(index, description, passed):
 
 def test_criterion_1_divergent_bet_trajectory():
     horizon = 10_000
-    forecaster = ScriptForecaster(lambda n: ForecastMove(p=1.0 / n))
+    forecaster = ScriptForecaster(lambda n: 1.0 / n)
     trace = run_game(
         COIN, forecaster, DivergentBcSkeptic(), ConstantReality(0.0), horizon
     )
@@ -109,7 +109,7 @@ def test_criterion_1_divergent_bet_trajectory():
 
 def test_criterion_2_convergent_bet_trajectory():
     horizon = 1_000
-    forecaster = ScriptForecaster(lambda n: ForecastMove(p=2.0 ** -min(n, 1074)))
+    forecaster = ScriptForecaster(lambda n: 2.0 ** -min(n, 1074))
     trace = run_game(
         COIN, forecaster, ConvergentBcSkeptic(), ConstantReality(1.0), horizon
     )
@@ -430,7 +430,7 @@ def test_criterion_10_example_strategies():
             bounded, price_forecaster(endpoint_ps), make(),
             BoundedAvoidMatchReality(0.9), horizon,
         )
-        if any(r.x == r.forecast.p for r in trace.rounds):
+        if any(r.x == r.forecast for r in trace.rounds):
             ok = False
         if max(trace.capitals) > 0.9 + BOUND_SLACK:
             ok = False

@@ -58,7 +58,7 @@ def coin_case(name, seed):
         (rng.choice((0.0, 1.0, rng.random(), rng.random())), _coin_bet(rng))
         for _ in range(HORIZON - len(opening))
     ]
-    forecasts = [ForecastMove(p=p) for p, _ in script]
+    forecasts = [p for p, _ in script]
     bets = [SkepticBet(M=M) for _, M in script]
     return Protocol(kind=GameKind.COIN_TOSSING), forecasts, bets, reality
 

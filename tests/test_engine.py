@@ -25,7 +25,14 @@ from gtpsim import (
     strong_compliance_verdict,
 )
 from gtpsim import analysis
-from gtpsim.engine import BOUND_SLACK, Reality, RoundRecord, Skeptic, Trace
+from gtpsim.engine import (
+    BOUND_SLACK,
+    Reality,
+    RoundRecord,
+    Skeptic,
+    Trace,
+    validate_forecast as engine_validate_forecast,
+)
 from gtpsim.hedges import power_hedge
 from gtpsim.reality import ConstantReality
 from gtpsim.skeptic import ConvergentBcSkeptic, DivergentBcSkeptic
@@ -69,7 +76,7 @@ def test_capital_update_mean_variance():
 
 
 def test_capital_update_coin_zero_bet():
-    k = capital_update(COIN, 1.0, ForecastMove(p=0.5), SkepticBet(M=0.0), 1.0)
+    k = capital_update(COIN, 1.0, 0.5, SkepticBet(M=0.0), 1.0)
     assert k == 1.0
 
 
@@ -84,7 +91,7 @@ def test_capital_update_general_hedge():
 
 def test_capital_update_rejects_invalid_moves():
     with pytest.raises(InvalidMoveError) as excinfo:
-        capital_update(COIN, 1.0, ForecastMove(p=0.5), SkepticBet(M=1.0), 0.5)
+        capital_update(COIN, 1.0, 0.5, SkepticBet(M=1.0), 0.5)
     assert excinfo.value.role == "reality"
 
 
@@ -103,7 +110,7 @@ def _rejection(protocol, f, s, x):
 
 
 def test_validate_coin_outcome_domain():
-    err = _rejection(COIN, ForecastMove(p=0.5), SkepticBet(M=0.0), 0.5)
+    err = _rejection(COIN, 0.5, SkepticBet(M=0.0), 0.5)
     assert err is not None and (err.role, err.field) == ("reality", "x")
 
 
@@ -121,14 +128,35 @@ def test_validate_unbounded_everything_legal():
     assert err is None
 
 
+# A price-game forecast is the price itself, a float: anything else is the
+# forecaster's invalid p, at its round, never a TypeError or AttributeError.
+# In a mean-variance game a bare float is the forecaster's invalid m.
+@pytest.mark.parametrize("protocol, forecast, field, shown", [
+    (COIN, None, "p", "price required for this protocol"),
+    (COIN, ForecastMove(0.5, 1.0), "p", "price must be a float, got ForecastMove"),
+    (Protocol(kind=GameKind.BOUNDED_FORECASTING), 1, "p", "price must be a float, got 1"),
+    (UFG, 0.5, "m", "(m, v) required for this protocol, got 0.5"),
+], ids=["coin-none", "coin-move", "bounded-int", "ufg-float"])
+def test_a_forecast_of_the_wrong_type_is_an_invalid_move(protocol, forecast, field, shown):
+    with pytest.raises(InvalidMoveError) as excinfo:
+        engine_validate_forecast(protocol, forecast, 4)
+    err = excinfo.value
+    assert (err.round_index, err.role, err.field) == (4, "forecaster", field)
+    assert err.message.startswith(shown)
+    forecaster = ScriptForecaster(lambda n: forecast)
+    with pytest.raises(InvalidMoveError) as excinfo:
+        run_game(protocol, forecaster, ZeroSkeptic(), ConstantReality(0.0), 3)
+    assert (excinfo.value.round_index, excinfo.value.field) == (1, field)
+
+
 NAN, INF = math.nan, math.inf
 
 
 NON_FINITE_MOVES = [
-    (COIN, ForecastMove(p=NAN), SkepticBet(M=0.0), 0.0, "p"),
-    (COIN, ForecastMove(p=0.5), SkepticBet(M=NAN), 0.0, "M"),
-    (COIN, ForecastMove(p=0.5), SkepticBet(M=-INF), 0.0, "M"),
-    (COIN, ForecastMove(p=0.5), SkepticBet(M=0.0), NAN, "x"),
+    (COIN, NAN, SkepticBet(M=0.0), 0.0, "p"),
+    (COIN, 0.5, SkepticBet(M=NAN), 0.0, "M"),
+    (COIN, 0.5, SkepticBet(M=-INF), 0.0, "M"),
+    (COIN, 0.5, SkepticBet(M=0.0), NAN, "x"),
     (UFG, ForecastMove(m=NAN, v=1.0), SkepticBet(M=0.0, V=0.0), 0.0, "m"),
     (UFG, ForecastMove(m=0.0, v=NAN), SkepticBet(M=0.0, V=0.0), 0.0, "v"),
     (UFG, ForecastMove(m=0.0, v=INF), SkepticBet(M=0.0, V=0.0), 0.0, "v"),
@@ -171,12 +199,12 @@ def _not_finite(name: str, value: float) -> Violation:
     return Violation(name, f"{name} = {value} is not finite")
 
 
-def validate_forecast(protocol: Protocol, f: ForecastMove) -> Optional[Violation]:
+def validate_forecast(protocol: Protocol, f) -> Optional[Violation]:
     if protocol.kind.uses_price:
-        if f.p is None:
+        if f is None:
             return Violation("p", "price required for this protocol")
-        if not 0.0 <= f.p <= 1.0:
-            return Violation("p", f"p = {f.p} outside [0, 1]")
+        if not 0.0 <= f <= 1.0:
+            return Violation("p", f"p = {f} outside [0, 1]")
     else:
         if f.m is None or f.v is None:
             return Violation("m", "m and v required for this protocol")
@@ -263,11 +291,12 @@ def _raised(call):
        ANY_FIELD, ANY_FLOAT, st.integers(1, 3))
 def test_validators_raise_the_role_field_and_message_of_the_oracle(
         protocol, p, m, v, M, V, x, n):
-    f, s = ForecastMove(p, m, v), SkepticBet(M, V)
+    f = p if protocol.kind.uses_price else ForecastMove(m, v)
+    s = SkepticBet(M, V)
     violation = (validate_forecast(protocol, f) or validate_bet(protocol, s)
                  or validate_outcome(protocol, x))
     assert _raised(lambda: capital_update(protocol, 1.0, f, s, x)) == _oracle(0, violation)
-    legal = ForecastMove(0.5) if protocol.kind.uses_price else ForecastMove(None, 0.0, 1.0)
+    legal = 0.5 if protocol.kind.uses_price else ForecastMove(0.0, 1.0)
     forecaster = ScriptForecaster(lambda k: f if k == n else legal)
     player = _MoveAtRound(n, s, x)
     err = _raised(lambda: run_game(protocol, forecaster, player, player, n))
@@ -295,7 +324,7 @@ def _update_before_zero_bets_kept_k(protocol, k_prev, f, s, x):
     """capital_update's formula before a zero bet returned k_prev itself:
     the oracle of the two tests below."""
     if protocol.kind.uses_price:
-        return k_prev + s.M * (x - f.p)
+        return k_prev + s.M * (x - f)
     centered = x - f.m
     k = k_prev + s.M * centered
     if s.V == 0.0:
@@ -317,11 +346,11 @@ def _valid_rounds(draw):
     protocol = draw(st.sampled_from(ALL_GAMES))
     M = draw(st.one_of(_ZERO, _FINITE))
     if protocol.kind.uses_price:
-        f = ForecastMove(draw(st.floats(0.0, 1.0)))
+        f = draw(st.floats(0.0, 1.0))
         outcomes = (st.sampled_from([0.0, 1.0]) if protocol.kind is GameKind.COIN_TOSSING
                     else st.floats(0.0, 1.0))
         return protocol, f, SkepticBet(M), draw(outcomes)
-    f = ForecastMove(None, draw(_FINITE), draw(_NONNEGATIVE))
+    f = ForecastMove(draw(_FINITE), draw(_NONNEGATIVE))
     return protocol, f, SkepticBet(M, draw(st.one_of(_ZERO, _NONNEGATIVE))), draw(_FINITE)
 
 
@@ -351,7 +380,7 @@ def test_a_zero_bet_keeps_the_capital_object(round_, k_prev):
 def test_a_zero_bet_keeps_k_where_x_minus_m_overflows(protocol):
     # x - m = inf, so the old update added 0 * inf = NaN; a zero M and V
     # now keep K, as a zero V already kept K + M * (x - m).
-    f, s = ForecastMove(None, -1e308, 1.0), SkepticBet(0.0, 0.0)
+    f, s = ForecastMove(-1e308, 1.0), SkepticBet(0.0, 0.0)
     assert math.isnan(_update_before_zero_bets_kept_k(protocol, 1.0, f, s, 1e308))
     k_prev = 0.75
     assert capital_update(protocol, k_prev, f, s, 1e308) is k_prev
@@ -360,9 +389,9 @@ def test_a_zero_bet_keeps_k_where_x_minus_m_overflows(protocol):
 def test_validate_bounded_outcome_interval():
     bounded = Protocol(kind=GameKind.BOUNDED_FORECASTING)
     assert _rejection(
-        bounded, ForecastMove(p=0.5), SkepticBet(M=0.0), 0.25
+        bounded, 0.5, SkepticBet(M=0.0), 0.25
     ) is None
-    err = _rejection(bounded, ForecastMove(p=0.5), SkepticBet(M=0.0), 1.5)
+    err = _rejection(bounded, 0.5, SkepticBet(M=0.0), 1.5)
     assert err is not None and (err.role, err.field) == ("reality", "x")
 
 
@@ -385,7 +414,7 @@ def test_zero_skeptic_capital_constant():
 
 def test_divergent_bet_all_tails_harmonic_prices():
     # p_n = 1/n, all tails: b stays 0, M = -1/2, gain p_n/2 per round.
-    forecaster = ScriptForecaster(lambda n: ForecastMove(p=1.0 / n))
+    forecaster = ScriptForecaster(lambda n: 1.0 / n)
     trace = run_game(COIN, forecaster, DivergentBcSkeptic(), ConstantReality(0.0), 3)
     expected = [1.5, 1.75, 1.75 + 1.0 / 6.0]
     for k, e in zip(trace.capitals, expected):
@@ -393,7 +422,7 @@ def test_divergent_bet_all_tails_harmonic_prices():
 
 
 def test_run_game_flags_offending_role():
-    forecaster = ScriptForecaster(lambda n: ForecastMove(p=2.0))
+    forecaster = ScriptForecaster(lambda n: 2.0)
     with pytest.raises(InvalidMoveError) as excinfo:
         run_game(COIN, forecaster, ZeroSkeptic(), ConstantReality(0.0), 5)
     assert excinfo.value.role == "forecaster"
@@ -522,7 +551,7 @@ def test_replay_empty_trace_ok():
 def test_combine_single_policy_is_identity():
     single = CombinedSkeptic([1.0], [ScriptBetSkeptic([0.7, -0.2])])
     single.reset(COIN)
-    f = ForecastMove(p=0.5)
+    f = 0.5
     assert single.bet(1, f, 1.0).M == 0.7
     assert single.bet(2, f, 1.0).M == -0.2
 
@@ -531,13 +560,13 @@ def test_combine_divergent_and_convergent_first_bet():
     combo = CombinedSkeptic([0.5, 0.5], [DivergentBcSkeptic(), ConvergentBcSkeptic()])
     combo.reset(COIN)
     # b = 0 gives -1/2; p = 0.5 keeps c = 1, giving 1/4; average is -1/8.
-    assert combo.bet(1, ForecastMove(p=0.5), 1.0).M == -0.125
+    assert combo.bet(1, 0.5, 1.0).M == -0.125
 
 
 def test_combine_with_zero_halves_bets():
     combo = CombinedSkeptic([0.5, 0.5], [ScriptBetSkeptic([0.8]), ZeroSkeptic()])
     combo.reset(COIN)
-    assert combo.bet(1, ForecastMove(p=0.5), 1.0).M == 0.4
+    assert combo.bet(1, 0.5, 1.0).M == 0.4
 
 
 def test_combine_rejects_bad_weights():
@@ -621,7 +650,7 @@ def test_zero_bet_neutrality(rounds):
 # ---------------------------------------------------------------------------
 
 def test_trace_records_are_slotted_unhashable_dataclasses():
-    f, s = ForecastMove(0.5), SkepticBet(-1.0)
+    f, s = ForecastMove(0.0, 1.0), SkepticBet(-1.0)
     for record in (f, s, RoundRecord(1, f, s, 1.0, 0.5)):
         assert dataclasses.is_dataclass(record)
         assert not hasattr(record, "__dict__")
@@ -632,7 +661,7 @@ def test_trace_records_are_slotted_unhashable_dataclasses():
 
 
 def test_round_record_supports_dataclasses_replace():
-    record = RoundRecord(3, ForecastMove(0.5), SkepticBet(-1.0), 1.0, 0.5)
+    record = RoundRecord(3, 0.5, SkepticBet(-1.0), 1.0, 0.5)
     moved = dataclasses.replace(record, capital_after=-0.5)
     assert moved == RoundRecord(3, record.forecast, record.bet, 1.0, -0.5)
     assert record.capital_after == 0.5

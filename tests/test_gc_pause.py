@@ -17,7 +17,6 @@ import pytest
 import yaml
 
 from gtpsim import (
-    ForecastMove,
     GameKind,
     InvalidMoveError,
     Protocol,
@@ -86,7 +85,7 @@ class ProbeReality(Reality):
 
 
 def _play(reality: Reality, horizon: int):
-    forecaster = ScriptForecaster(lambda n: ForecastMove(0.5))
+    forecaster = ScriptForecaster(lambda n: 0.5)
     return run_game(COIN, forecaster, ZeroSkeptic(), reality, horizon)
 
 
@@ -175,7 +174,7 @@ def test_counted_collections_sees_an_unpaused_loop():
     # start many collections.
     gc.collect()
     with collector(True), counted_collections() as count:
-        records = [RoundRecord(n, ForecastMove(0.5), SkepticBet(0.0), 0.0, 1.0)
+        records = [RoundRecord(n, 0.5, SkepticBet(0.0), 0.0, 1.0)
                    for n in range(20_000)]
     assert len(records) == 20_000
     assert count[0] >= 10

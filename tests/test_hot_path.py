@@ -48,19 +48,20 @@ HORIZON = 2000
 # Calls outside the rounds: run_game itself and the three resets.
 SETUP_CALLS = 50
 
-# Python calls per round, at most.  A constant price or mean-variance script
-# and the zero and bang-bang Skeptics announce prebuilt moves, so their
-# rounds build no ForecastMove or SkepticBet; and only the counter Skeptics
-# override observe, so only they are observed.  A counter Skeptic builds a
-# bet (formula and __init__, 2 calls) only when b or c moves: 17 times in
-# 2000 rounds of harmonic prices, hence 17.03.
+# Python calls per round, at most.  A price script announces the price, a
+# float, so no price-game round builds a ForecastMove; a constant
+# mean-variance script and the zero and bang-bang Skeptics announce
+# prebuilt moves, so their rounds build no ForecastMove or SkepticBet; and
+# only the counter Skeptics override observe, so only they are observed.  A
+# counter Skeptic builds a bet (formula and __init__, 2 calls) only when b
+# or c moves: 17 times in 2000 rounds of harmonic prices, hence 16.03.
 CALLS_PER_ROUND = {
-    "coin[harmonic/bc_fictional]": 17.03,
+    "coin[harmonic/bc_fictional]": 16.03,
     "coin[constant_0.3/zero]": 14,
-    "coin[inverse_square/bang_bang]": 15,
+    "coin[inverse_square/bang_bang]": 14,
     "ufg[v=1/m=0/zero]": 14,
     "ufgh[r=2/identity/zero]": 16,
-    "derandomized[harmonic/bc_fictional]": 17.03,
+    "derandomized[harmonic/bc_fictional]": 16.03,
     "derandomized[constant_0.3/zero]": 14,
 }
 
@@ -148,8 +149,8 @@ def test_counter_updates_keep_the_namedtuple_type():
     assert head._replace(c=9) == BcCounters(1, counters.acc, 9)
 
     skeptic = FictionalBcSkeptic()
-    skeptic.bet(1, ForecastMove(1.5), 1.0)
-    skeptic.observe(RoundRecord(1, ForecastMove(1.5), SkepticBet(0.0), 1.0, 1.0))
+    skeptic.bet(1, 1.5, 1.0)
+    skeptic.observe(RoundRecord(1, 1.5, SkepticBet(0.0), 1.0, 1.0))
     assert type(skeptic.counters) is BcCounters
     assert skeptic.counters == BcCounters(1, 3 << 1073, 2)
 
@@ -167,7 +168,7 @@ def test_step_states_keep_their_namedtuple_types():
     mv = MvComplyState()
     for n, (v, M, V) in enumerate(
             ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.5, 0.0), (2.0, 0.1, 0.1)), 1):
-        x, mv = mv_comply_step(mv, n, ForecastMove(None, 0.0, v), SkepticBet(M, V),
+        x, mv = mv_comply_step(mv, n, ForecastMove(0.0, v), SkepticBet(M, V),
                                SQUARE_HEDGE, None, 1.0)
         assert type(mv) is MvComplyState and type(mv.counters) is BcCounters
     assert mv.a_total == 4.0

@@ -14,7 +14,6 @@ import sys
 
 from gtpsim import (
     CombinedSkeptic,
-    ForecastMove,
     GameKind,
     Protocol,
     ScriptForecaster,
@@ -44,7 +43,7 @@ RECORDED = {
 
 
 def _harmonic() -> ScriptForecaster:
-    return ScriptForecaster(lambda n: ForecastMove(1.0 / (n + 1)))
+    return ScriptForecaster(lambda n: 1.0 / (n + 1))
 
 
 def _digest(trace) -> str:

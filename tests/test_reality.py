@@ -82,8 +82,8 @@ def test_waiting_zero_bet_crossing_plays_head():
 
 
 def test_qualifying_round_enters_mixing():
-    f, s = ForecastMove(p=0.5), SkepticBet(M=-0.3)
-    x, state = bc_comply_step(BcComplyState(), 1, f.p, s.M, 1.0)
+    f, s = 0.5, SkepticBet(M=-0.3)
+    x, state = bc_comply_step(BcComplyState(), 1, f, s.M, 1.0)
     assert x == 1.0
     phase = state.phase
     assert phase.mix_coeff is not None and phase.n0 == 1
@@ -134,6 +134,17 @@ def test_ufg_zero_variance_round_answers_mean():
     )
     assert x == 3.0
     assert state == MvComplyState()    # counters, accumulators and phase unchanged
+
+
+@pytest.mark.parametrize("m", [0.0, -0.0, 2.5, 1e300])
+def test_an_mv_answer_of_m_is_the_forecast_float_itself(m):
+    # Mixing with a large V bet answers xt = 0.0: x = m + 0.0 has m's bits,
+    # except for m = -0.0, whose sum is +0.0.
+    f = ForecastMove(m, 1.0)
+    state = MvComplyState(phase=MIXING_HALF, counters=BcCounters())
+    x, _ = mv_comply_step(state, 5, f, SkepticBet(M=1.0, V=0.1), SQUARE_HEDGE, None, 0.5)
+    assert (x is f.m) == (math.copysign(1.0, m) > 0.0)
+    assert x.hex() == (m + 0.0).hex()
 
 
 def test_ufg_qualifying_round_with_positive_v_bet():
@@ -267,7 +278,7 @@ def test_derandomizer_sign_rule():
         reality = derandomizer()
         reality.reset(COIN)
         return reality.outcome(
-            1, ForecastMove(p=0.5), SkepticBet(M=m_real), 1.0
+            1, 0.5, SkepticBet(M=m_real), 1.0
         )
 
     assert first_outcome(0.1) == 1.0    # average -0.0125 <= 0
@@ -303,7 +314,7 @@ def test_derandomizer_keeps_its_sign_rule_where_half_the_sum_underflows():
                      derandomizer(), 2400)
     counters, halved_to_zero = BcCounters(), 0
     for record in trace.rounds:
-        counters = ceiling_index_update(counters, record.forecast.p)
+        counters = ceiling_index_update(counters, record.forecast)
         total = record.bet.M + bc_fictional_bet(counters)
         assert (record.x == 1.0) == (total <= 0.0), record.n
         halved_to_zero += total > 0.0 and 0.5 * total == 0.0
@@ -334,22 +345,22 @@ def test_bc_comply_mixture_capital_never_increases_on_the_coin_pool():
 
 def test_first_round_rule():
     reality = FirstRoundComplyReality()
-    assert reality.outcome(1, ForecastMove(p=0.0), SkepticBet(M=1.0), 1.0) == 0.0
-    assert reality.outcome(1, ForecastMove(p=0.7), SkepticBet(M=1.0), 1.0) == 1.0
-    assert reality.outcome(2, ForecastMove(p=0.5), SkepticBet(M=-1.0), 1.0) == 1.0
-    assert reality.outcome(2, ForecastMove(p=0.5), SkepticBet(M=1.0), 1.0) == 0.0
+    assert reality.outcome(1, 0.0, SkepticBet(M=1.0), 1.0) == 0.0
+    assert reality.outcome(1, 0.7, SkepticBet(M=1.0), 1.0) == 1.0
+    assert reality.outcome(2, 0.5, SkepticBet(M=-1.0), 1.0) == 1.0
+    assert reality.outcome(2, 0.5, SkepticBet(M=1.0), 1.0) == 0.0
 
 
 def test_avoid_match_endpoint_gap():
     reality = BoundedAvoidMatchReality(0.9)
-    x = reality.outcome(1, ForecastMove(p=0.0), SkepticBet(M=4.0), 0.5)
+    x = reality.outcome(1, 0.0, SkepticBet(M=4.0), 0.5)
     assert math.isclose(x, 0.4 / 9.0, rel_tol=1e-12)
     # Round gain M*x is at most half the headroom (0.9 - 0.5)/2.
     assert 4.0 * x <= 0.2 + 1e-12
-    x = reality.outcome(2, ForecastMove(p=1.0), SkepticBet(M=0.0), 0.3)
+    x = reality.outcome(2, 1.0, SkepticBet(M=0.0), 0.3)
     assert x == 0.5                # gap capped at 1/2
-    assert reality.outcome(3, ForecastMove(p=0.5), SkepticBet(M=-2.0), 0.5) == 1.0
-    assert reality.outcome(4, ForecastMove(p=0.5), SkepticBet(M=2.0), 0.5) == 0.0
+    assert reality.outcome(3, 0.5, SkepticBet(M=-2.0), 0.5) == 1.0
+    assert reality.outcome(4, 0.5, SkepticBet(M=2.0), 0.5) == 0.0
 
 
 def test_avoid_match_parameter_validation():
@@ -363,7 +374,7 @@ def test_avoid_match_parameter_validation():
 
 def test_constant_reality():
     reality = ConstantReality(1.0)
-    assert reality.outcome(1, ForecastMove(p=0.2), SkepticBet(M=0.0), 1.0) == 1.0
+    assert reality.outcome(1, 0.2, SkepticBet(M=0.0), 1.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +420,7 @@ def _moves(trace):
 
 
 def test_sub_ulp_first_loss_still_steers_the_coin_game():
-    trace = run_game(COIN, ScriptForecaster(lambda n: ForecastMove(p=min(1.0, 1.0 / n**2))),
+    trace = run_game(COIN, ScriptForecaster(lambda n: min(1.0, 1.0 / n**2)),
                      TINY, BcComplyReality(), 2000)
     assert trace.capitals[0] == 1.0 and trace.rounds[0].x == 0.0
     assert sum(r.x for r in trace.rounds) == 3
@@ -474,7 +485,7 @@ def test_mv_comply_step_leaves_its_input_state_unchanged(growth):
     moves = [(0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 5.0, 1.0), (0.0, 2.0, -0.5, 0.0),
              (0.5, 1.0, 1.0, 0.1), (0.0, 9.0, -1.0, 0.0)]
     for n, (m, v, M, V) in enumerate(moves, 1):
-        f, s = ForecastMove(None, m, v), SkepticBet(M, V)
+        f, s = ForecastMove(m, v), SkepticBet(M, V)
         saved = copy.deepcopy(state)
         x, after = mv_comply_step(state, n, f, s, SQUARE, growth, k)
         assert state == saved

@@ -12,7 +12,6 @@ import yaml
 from gtpsim import GameKind, replay_verify, run_game
 from gtpsim.cli import cmd_verify, load_manifest, main
 from gtpsim.engine import (
-    ForecastMove,
     Protocol,
     RoundRecord,
     SkepticBet,
@@ -307,7 +306,7 @@ def test_heads_at_c_increments_proxy_wants_heads_exactly_at_crossings():
 
 def _avoid_trace(p, x, capital, k0=0.5):
     """A one-round bounded-game trace that records the given capital."""
-    record = RoundRecord(1, ForecastMove(p), SkepticBet(0.0), x, capital)
+    record = RoundRecord(1, p, SkepticBet(0.0), x, capital)
     return Trace(Protocol(kind=GameKind.BOUNDED_FORECASTING, initial_capital=k0),
                  [record])
 
@@ -408,6 +407,17 @@ def test_cli_verify_prints_the_round_each_failed_check_names(tmp_path, capsys):
     line = capsys.readouterr().out.splitlines()[0]
     assert line.split()[:2] == ["FAIL", "mini"]
     assert line.endswith(" proxy=None; capital exceeded the initial value at round 6")
+
+
+def test_cli_run_prints_the_round_each_failed_check_names(capsys):
+    assert main(["run", str(SCENARIOS / "coin_broken_reality.yaml"),
+                 "--horizon", "300"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "strong_bound_ok: False" in lines
+    assert lines[-1] == "note: capital exceeded the initial value at round 6"
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "scenario", "seed", "sup_capital", "skeptic_duty_ok", "strong_bound_ok",
+        "event_proxy_ok", "heads", "final_mean"]
 
 
 def test_cli_verify_empty_manifest(tmp_path, capsys):
@@ -654,6 +664,13 @@ def test_cli_rejects_a_power_that_overflows_at_parse(tmp_path, capsys, functions
     text = _general_hedge_scenario(functions)
     err = _cli_error(["run", str(_write(tmp_path / "overflow.yaml", text))], capsys)
     assert shown in err
+
+
+# 0.0 ** -1 raises ZeroDivisionError inside the check of h(0).
+def test_cli_rejects_a_negative_power_hedge_at_parse(tmp_path, capsys):
+    text = _general_hedge_scenario("hedge: 'power:r=-1'")
+    err = _cli_error(["run", str(_write(tmp_path / "negative.yaml", text))], capsys)
+    assert err == "error: power:r=-1: h(0.0) divides by zero\n"
 
 
 # power:r=100 passes its grid (1024 ** 100 = 2^1000), but with v = 1 the sum

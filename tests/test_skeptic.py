@@ -70,13 +70,13 @@ def test_inlined_head_count_updates_agree_with_heads_count_update():
     state, k, expected = BcComplyState(), 1.0, BcCounters()
     heads = 0
     for n in range(1, 2001):
-        forecast = ForecastMove(rng.choice([0.0, 1.0, rng.random()]))
+        forecast = rng.choice([0.0, 1.0, rng.random()])
         skeptic.bet(n, forecast, k)
         M = rng.uniform(-1.0, 1.0)
-        x, state = bc_comply_step(state, n, forecast.p, M, k)
-        k += M * (x - forecast.p)
+        x, state = bc_comply_step(state, n, forecast, M, k)
+        k += M * (x - forecast)
         skeptic.observe(RoundRecord(n, forecast, SkepticBet(M), x, k))
-        expected = heads_count_update(ceiling_index_update(expected, forecast.p), x == 1.0)
+        expected = heads_count_update(ceiling_index_update(expected, forecast), x == 1.0)
         assert skeptic.counters == expected, n
         assert state.counters == expected, n
         heads += x == 1.0
@@ -198,8 +198,8 @@ def test_convergent_bet_frozen_on_geometric_prices():
 def test_bang_bang_alternates():
     skeptic = BangBangSkeptic(amplitude=2.0, v_amplitude=3.0)
     skeptic.reset(COIN)
-    assert skeptic.bet(1, ForecastMove(p=0.5), 1.0).M == 2.0
-    assert skeptic.bet(2, ForecastMove(p=0.5), 1.0).M == -2.0
+    assert skeptic.bet(1, 0.5, 1.0).M == 2.0
+    assert skeptic.bet(2, 0.5, 1.0).M == -2.0
     ufg = Protocol(kind=GameKind.UNBOUNDED_FORECASTING)
     skeptic.reset(ufg)
     assert skeptic.bet(1, ForecastMove(m=0.0, v=1.0), 1.0).V == 0.0

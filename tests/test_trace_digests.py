@@ -192,6 +192,6 @@ def test_geometric_tail_traces_are_bit_identical():
     for scenario in scenarios:
         for record in run_scenario(scenario).rounds:
             digest.update(struct.pack(
-                ">ddd", record.forecast.p, record.x, record.capital_after))
+                ">ddd", record.forecast, record.x, record.capital_after))
             rounds += 1
     assert (rounds, digest.hexdigest()) == GEOMETRIC_TAIL_RECORDED

@@ -43,10 +43,11 @@ def _reference_csv(trace: Trace) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
+    price = trace.protocol.kind.uses_price
     for r in trace.rounds:
         f = r.forecast
         writer.writerow([
-            r.n, fmt(f.p if f.p is not None else f.m), fmt(f.v),
+            r.n, *((fmt(f), "") if price else (fmt(f.m), fmt(f.v))),
             fmt(r.bet.M), fmt(r.bet.V), fmt(r.x), fmt(r.capital_after),
         ])
     return out.getvalue()
@@ -117,14 +118,13 @@ def test_csv_text_of_absent_fields_and_hand_built_values():
     hedge = Protocol(kind=GameKind.GENERAL_HEDGE, hedge=power_hedge(1.5))
     rows = [
         # a coin-game bet carrying a V, which the coin reader ignores
-        (coin, RoundRecord(1, ForecastMove(0.25), SkepticBet(0.5, 0.125), 1.0, 1.375)),
-        # no p and no m: p_or_m empty, like v and V
-        (coin, RoundRecord(2, ForecastMove(), SkepticBet(-0.0), 0.0, 1.0)),
-        # p wins over m when both are set
-        (coin, RoundRecord(3, ForecastMove(0.5, 7.0, 2.0), SkepticBet(1e-300), 1.0, 5e-324)),
-        (hedge, RoundRecord(4, ForecastMove(None, -math.inf, math.inf),
+        (coin, RoundRecord(1, 0.25, SkepticBet(0.5, 0.125), 1.0, 1.375)),
+        # no p: p_or_m empty, like v and V
+        (coin, RoundRecord(2, None, SkepticBet(-0.0), 0.0, 1.0)),
+        (coin, RoundRecord(3, 0.5, SkepticBet(1e-300), 1.0, 5e-324)),
+        (hedge, RoundRecord(4, ForecastMove(-math.inf, math.inf),
                             SkepticBet(math.nan, math.inf), -math.inf, math.nan)),
-        (hedge, RoundRecord(5, ForecastMove(None, 0.1, 0.2),
+        (hedge, RoundRecord(5, ForecastMove(0.1, 0.2),
                             SkepticBet(1 / 3, 2 / 3), 0.1 + 0.2, 1e16)),
     ]
     for protocol, record in rows:
@@ -198,7 +198,7 @@ def _signed_trace(protocol: Protocol, shared: bool) -> Trace:
         if prev is not None and x is prev.x:
             forecast, bet = prev.forecast, prev.bet
         else:
-            forecast = ForecastMove(None, x, x) if mv else ForecastMove(x)
+            forecast = ForecastMove(x, x) if mv else x
             bet = SkepticBet(-x, x) if mv else SkepticBet(-x)
         prev = RoundRecord(n, forecast, bet, x, k)
         rounds.append(prev)
