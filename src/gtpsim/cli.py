@@ -57,8 +57,7 @@ def _write_outputs(out_dir: Path, trace: Trace, summary: dict) -> None:
 
 def cmd_run(scenario: Scenario,
             out_dir: Optional[Path] = None) -> Tuple[dict, List[str]]:
-    """Run one scenario: (its summary, the verdict's notes, which name the
-    round of each failed check)."""
+    """(The scenario's summary, its verdict's notes.)"""
     trace = run_scenario(scenario)
     verdict = strong_compliance_verdict(trace, event_proxy_for(scenario))
     summary = summary_dict(scenario.name, trace, verdict)

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
-from typing import Callable, Iterator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Union
 
 from .hedges import Hedge
 
@@ -70,8 +70,7 @@ class Protocol:
 # builds up to three.  Nothing writes a record after run_game appends it
 # (the pinned trace digests catch a strategy that does).  Without `frozen`,
 # __hash__ is None: records are unhashable by design.  A price-game
-# forecast is no record: Forecaster announces p as a plain float, as
-# Reality announces x.
+# forecast is no record but the float p, as an outcome is the float x.
 #
 # Nothing writes a move after it is announced either.  A strategy announces
 # the same object again while its move is unchanged (ZeroSkeptic; scripts
@@ -79,15 +78,14 @@ class Protocol:
 # write to it would change every round that shares it.
 @dataclass(slots=True)
 class ForecastMove:
-    """Forecaster's announcement (m, v) in the mean-variance games.  In the
-    coin and bounded games Forecaster announces the price p, a float."""
+    """Forecaster's announcement in the mean-variance games."""
 
     m: float
     v: float
 
 
-# A forecast: the price p in the price games, (m, v) in the others.
-Forecast = Union[float, ForecastMove]
+if TYPE_CHECKING:  # no typing object built at import
+    Forecast = Union[float, ForecastMove]
 
 
 @dataclass(slots=True)
@@ -146,9 +144,8 @@ def validate_forecast(protocol: Protocol, f: Forecast, n: int = 0) -> None:
     else:
         try:
             m, v = f.m, f.v
-        except AttributeError:
-            raise InvalidMoveError(n, "forecaster", "m",
-                                   f"(m, v) required for this protocol, got {f!r}") from None
+        except AttributeError:  # a float, say
+            m = v = None
         if m is None or v is None:
             raise InvalidMoveError(n, "forecaster", "m",
                                    "m and v required for this protocol")
@@ -237,9 +234,8 @@ class Policy:
 
 
 class Forecaster(Policy):
-    """A forecasting player: `forecast` announces the price p, a float, in
-    the coin and bounded games and a ForecastMove (m, v) in the
-    mean-variance games."""
+    """`forecast` announces the price p, a float, in the price games and a
+    ForecastMove (m, v) in the others."""
 
     def forecast(self, n: int) -> Forecast:
         raise NotImplementedError

@@ -72,9 +72,8 @@ def power_growth(r: float) -> Growth:
 
 def _no_overflow(fn: Callable[[float], float], name: str,
                  label: str) -> Callable[[float], float]:
-    """fn, with an OverflowError or a ZeroDivisionError (0.0 to a negative
-    power) turned into a HedgeValidationError that names the function and
-    x."""
+    """fn, with an OverflowError or ZeroDivisionError turned into a
+    HedgeValidationError that names the function and x."""
 
     def checked(x: float) -> float:
         try:
@@ -82,8 +81,7 @@ def _no_overflow(fn: Callable[[float], float], name: str,
         except OverflowError:
             raise HedgeValidationError(f"{name}: {label}({x!r}) overflows") from None
         except ZeroDivisionError:
-            raise HedgeValidationError(
-                f"{name}: {label}({x!r}) divides by zero") from None
+            raise HedgeValidationError(f"{name}: {label}({x!r}) divides by zero") from None
 
     return checked
 

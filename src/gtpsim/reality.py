@@ -202,9 +202,8 @@ def mv_comply_step(
         # the wait continues.
     if xt != 0.0:
         counters = _tuple_new(BcCounters, (b + 1, counters.acc, c))
-    # x is m's own object when m + xt has m's bits, as in most rounds
-    # (xt = 0.0), so the trace keeps no new float; m = -0.0 with xt = +0.0
-    # sums to +0.0, another value.
+    # m's own float when m + xt has its bits, as in most rounds (xt = 0.0);
+    # but -0.0 + 0.0 is +0.0.
     x = m + xt
     if x == m and (m or copysign(1.0, x) == copysign(1.0, m)):
         x = m

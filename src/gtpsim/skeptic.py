@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .engine import (
     PRICE_GAMES,
-    Forecast,
     Protocol,
     RoundRecord,
     Skeptic,
@@ -26,6 +25,8 @@ from .engine import (
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .engine import Forecast
 
 
 class BcCounters(NamedTuple):
@@ -97,7 +98,7 @@ def bc_fictional_bet(counters: BcCounters) -> float:
     return 2.0 ** (-counters.c - 2) - 2.0 ** (-counters.b - 2)
 
 
-# Stands for "no bet announced yet": its NaN M equals no formula's value.
+# No bet yet: a NaN M equals no formula value.
 _NO_BET = SkepticBet(math.nan)
 
 
@@ -108,13 +109,9 @@ class _CounterSkeptic(Skeptic):
     (Forecaster moves first); the head count only after Reality's move.
     Each subclass names its bet as `formula = staticmethod(bc_*_bet)`, so a
     bet calls the formula with no method frame in between.  The formula
-    reads only b and c, so it is evaluated again only when either moves:
-    `bet_c` is the c it last saw, or 0 once a head has moved b.  A value
-    with the bits of the announced bet is announced as that same object: a
-    new bet is built exactly when the bits change (compared with `copysign`
-    too, as 0.0 == -0.0).  So `bc_divergent` announces its bet again when
-    only c moves, `bc_convergent` when only b moves, and each once its
-    powers of two underflow.
+    reads only b and c, so it runs again only when either moves (`bet_c`
+    is the c it last ran for, 0 after a head), and a new bet is built only
+    when the bits of M change (`copysign` tells -0.0 from 0.0).
     """
 
     formula: Callable[[BcCounters], float]

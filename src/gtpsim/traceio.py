@@ -30,9 +30,8 @@ def trace_to_csv_text(trace: Trace) -> str:
     """The trace as CSV text, one line per round.
 
     Each row is one f-string: the bytes `csv.writer` would write, since no
-    field can hold a comma, a quote or a line break.  The protocol decides
-    once whether a forecast is the price p (p_or_m, with v empty) or a
-    ForecastMove (m, v).  p_or_m, v and V may be absent (written empty); M,
+    field can hold a comma, a quote or a line break.  A price-game forecast
+    is p, with v empty.  p_or_m, v and V may be absent (written empty); M,
     x and K are numbers in every trace, since `run_game` validates them and
     the reader parses them as floats.  A forecast, bet, x or K that is the
     previous row's object again (a shared move, a kept capital) reuses its

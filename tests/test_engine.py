@@ -135,7 +135,7 @@ def test_validate_unbounded_everything_legal():
     (COIN, None, "p", "price required for this protocol"),
     (COIN, ForecastMove(0.5, 1.0), "p", "price must be a float, got ForecastMove"),
     (Protocol(kind=GameKind.BOUNDED_FORECASTING), 1, "p", "price must be a float, got 1"),
-    (UFG, 0.5, "m", "(m, v) required for this protocol, got 0.5"),
+    (UFG, 0.5, "m", "m and v required for this protocol"),
 ], ids=["coin-none", "coin-move", "bounded-int", "ufg-float"])
 def test_a_forecast_of_the_wrong_type_is_an_invalid_move(protocol, forecast, field, shown):
     with pytest.raises(InvalidMoveError) as excinfo:

@@ -26,6 +26,7 @@ from gtpsim import (
     ForecastMove,
     GameKind,
     Protocol,
+    RoundRecord,
     SkepticBet,
     ZeroSkeptic,
     run_game,
@@ -39,7 +40,12 @@ from gtpsim.scenario import (
     run_scenario,
     ufg_pool,
 )
-from gtpsim.skeptic import ConvergentBcSkeptic, DivergentBcSkeptic, FictionalBcSkeptic
+from gtpsim.skeptic import (
+    ConvergentBcSkeptic,
+    DivergentBcSkeptic,
+    FictionalBcSkeptic,
+    _CounterSkeptic,
+)
 
 HORIZON = 2000
 COIN = Protocol(kind=GameKind.COIN_TOSSING)
@@ -255,6 +261,22 @@ def test_counter_skeptics_inside_a_combination_announce_their_own_bets():
     counters = _counters_by_round(trace)
     for cls, part_bets in zip(COUNTER_SKEPTICS.values(), bets):
         _check_announcements(cls, part_bets, counters)
+
+
+class _SignedZeroSkeptic(_CounterSkeptic):
+    # -0.0 after an odd number of heads, +0.0 after an even one
+    formula = staticmethod(lambda counters: -0.0 if counters.b % 2 else 0.0)
+
+
+def test_a_counter_skeptic_tells_a_negative_zero_bet_from_a_zero_bet():
+    skeptic = _SignedZeroSkeptic()
+    skeptic.reset(COIN)
+    bets = [skeptic.bet(1, 0.25, 1.0)]
+    for n, x in enumerate([1.0, 0.0, 1.0], 2):   # b = 1, 1, 2 in rounds 2-4
+        skeptic.observe(RoundRecord(n - 1, 0.25, bets[-1], x, 1.0))
+        bets.append(skeptic.bet(n, 0.25, 1.0))
+    assert [math.copysign(1.0, bet.M) for bet in bets] == [1.0, -1.0, -1.0, 1.0]
+    assert bets[2] is bets[1] and _objects(bets) == 3
 
 
 @pytest.mark.parametrize("cls", COUNTER_SKEPTICS.values(), ids=lambda cls: cls.__name__)
