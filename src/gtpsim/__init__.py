@@ -41,7 +41,6 @@ from .skeptic import (
     bc_divergent_bet,
     bc_fictional_bet,
     ceiling_index_update,
-    heads_count_update,
 )
 from .reality import (
     BcComplyReality,

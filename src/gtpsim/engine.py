@@ -70,7 +70,8 @@ class Protocol:
 # builds up to three.  Nothing writes a record after run_game appends it
 # (the pinned trace digests catch a strategy that does).  Without `frozen`,
 # __hash__ is None: records are unhashable by design.  A price-game
-# forecast is no record but the float p, as an outcome is the float x.
+# forecast and bet are no records but the floats p and M, as an outcome is
+# the float x.
 #
 # Nothing writes a move after it is announced either.  A strategy announces
 # the same object again while its move is unchanged (ZeroSkeptic; scripts
@@ -84,23 +85,24 @@ class ForecastMove:
     v: float
 
 
-if TYPE_CHECKING:  # no typing object built at import
-    Forecast = Union[float, ForecastMove]
-
-
 @dataclass(slots=True)
 class SkepticBet:
-    """Skeptic's announcement: M always, V only in mean-variance games."""
+    """Skeptic's announcement in the mean-variance games."""
 
-    M: float = 0.0
-    V: Optional[float] = None
+    M: float
+    V: float
+
+
+if TYPE_CHECKING:  # no typing object built at import
+    Forecast = Union[float, ForecastMove]
+    Bet = Union[float, SkepticBet]
 
 
 @dataclass(slots=True)
 class RoundRecord:
     n: int
     forecast: Forecast
-    bet: SkepticBet
+    bet: Bet
     x: float
     capital_after: float
 
@@ -157,16 +159,26 @@ def validate_forecast(protocol: Protocol, f: Forecast, n: int = 0) -> None:
             raise InvalidMoveError(n, "forecaster", "v", f"v = {v} violates v >= 0")
 
 
-def validate_bet(protocol: Protocol, s: SkepticBet, n: int = 0) -> None:
-    if not isfinite(s.M):
-        raise _not_finite(n, "skeptic", "M", s.M)
-    if not protocol.kind.uses_price:
-        if s.V is None:
-            raise InvalidMoveError(n, "skeptic", "V", "V required for this protocol")
-        if not isfinite(s.V):
-            raise _not_finite(n, "skeptic", "V", s.V)
-        if s.V < 0.0:
-            raise InvalidMoveError(n, "skeptic", "V", f"V = {s.V} violates V >= 0")
+def validate_bet(protocol: Protocol, s: Bet, n: int = 0) -> None:
+    if protocol.kind.uses_price:
+        if not isinstance(s, float):
+            raise InvalidMoveError(n, "skeptic", "M", "M required for this protocol"
+                                   if s is None else f"M must be a float, got {s!r}")
+        if not isfinite(s):
+            raise _not_finite(n, "skeptic", "M", s)
+        return
+    try:
+        M, V = s.M, s.V
+    except AttributeError:  # a float, say
+        M = V = None
+    if M is None or V is None:
+        raise InvalidMoveError(n, "skeptic", "M", "M and V required for this protocol")
+    if not isfinite(M):
+        raise _not_finite(n, "skeptic", "M", M)
+    if not isfinite(V):
+        raise _not_finite(n, "skeptic", "V", V)
+    if V < 0.0:
+        raise InvalidMoveError(n, "skeptic", "V", f"V = {V} violates V >= 0")
 
 
 def validate_outcome(protocol: Protocol, x: float, n: int = 0) -> None:
@@ -182,7 +194,7 @@ def validate_outcome(protocol: Protocol, x: float, n: int = 0) -> None:
 
 
 def capital_update(
-    protocol: Protocol, k_prev: float, f: Forecast, s: SkepticBet, x: float
+    protocol: Protocol, k_prev: float, f: Forecast, s: Bet, x: float
 ) -> float:
     """New capital after one round, per the protocol's update rule.
 
@@ -193,9 +205,9 @@ def capital_update(
     validate_bet(protocol, s)
     validate_outcome(protocol, x)
     # A zero bet keeps k_prev itself: K is never -0.0, so the bits agree.
-    M = s.M
     if protocol.kind.uses_price:
-        return k_prev + M * (x - f) if M else k_prev
+        return k_prev + s * (x - f) if s else k_prev
+    M = s.M
     if s.V == 0.0:
         # The V term (and a zero M) would add only +-0, or NaN on overflow.
         return k_prev + M * (x - f.m) if M else k_prev
@@ -217,8 +229,10 @@ def require_game(protocol: Protocol, player: object, *kinds: GameKind) -> None:
 
 
 class Policy:
-    """A stateful player.  reset() is called once per run, observe() once
-    per completed round with the full record.
+    """A stateful player.  `__init__` keeps only its arguments; reset(),
+    called once per run, builds the run's state, and a player is not played
+    before it.  observe() is called once per completed round with the full
+    record.
 
     `run_game` skips the inherited no-op: it calls a player's observe only
     when the bound method is not `Policy.observe`, that is when a class
@@ -242,21 +256,19 @@ class Forecaster(Policy):
 
 
 class Skeptic(Policy):
-    """A betting player.  `with_v` says whether the protocol takes a V bet
-    (the mean-variance games); `reset` sets it."""
-
-    with_v = False
+    """`bet` announces M, a float, in the price games and a SkepticBet
+    (M, V) in the others.  `with_v` says which; `reset` sets it."""
 
     def reset(self, protocol: Protocol) -> None:
         self.with_v = not protocol.kind.uses_price
 
-    def bet(self, n: int, forecast: Forecast, k_prev: float) -> SkepticBet:
+    def bet(self, n: int, forecast: Forecast, k_prev: float) -> Bet:
         raise NotImplementedError
 
 
 class Reality(Policy):
     def outcome(
-        self, n: int, forecast: Forecast, bet: SkepticBet, k_prev: float
+        self, n: int, forecast: Forecast, bet: Bet, k_prev: float
     ) -> float:
         raise NotImplementedError
 
@@ -273,15 +285,13 @@ class ScriptForecaster(Forecaster):
 
 class ZeroSkeptic(Skeptic):
     """Never bets; capital stays at its initial value.  Every round
-    announces the one zero bet built by `reset` (a coin-game one before)."""
-
-    zero_bet = SkepticBet(0.0, None)
+    announces the one zero bet built by `reset`."""
 
     def reset(self, protocol: Protocol) -> None:
         super().reset(protocol)
-        self.zero_bet = SkepticBet(0.0, 0.0 if self.with_v else None)
+        self.zero_bet = SkepticBet(0.0, 0.0) if self.with_v else 0.0
 
-    def bet(self, n, forecast, k_prev) -> SkepticBet:
+    def bet(self, n, forecast, k_prev) -> Bet:
         return self.zero_bet
 
 
@@ -308,13 +318,12 @@ class CombinedSkeptic(Skeptic):
         for p in self.policies:
             p.reset(protocol)
 
-    def bet(self, n, forecast, k_prev) -> SkepticBet:
+    def bet(self, n, forecast, k_prev) -> Bet:
         bets = [p.bet(n, forecast, k_prev) for p in self.policies]
-        m = sum(w * b.M for w, b in zip(self.weights, bets))
         if self.with_v:
-            v = sum(w * (b.V or 0.0) for w, b in zip(self.weights, bets))
-            return SkepticBet(m, v)
-        return SkepticBet(m)
+            return SkepticBet(sum(w * b.M for w, b in zip(self.weights, bets)),
+                              sum(w * b.V for w, b in zip(self.weights, bets)))
+        return sum(w * b for w, b in zip(self.weights, bets))
 
     def observe(self, record: RoundRecord) -> None:
         for p in self.policies:

@@ -101,7 +101,6 @@ class BernoulliReality(Reality):
 
     def __init__(self, seed: int):
         self.seed = seed
-        self.rng = RandomStream(seed)
 
     def reset(self, protocol: Protocol) -> None:
         require_game(protocol, self, *PRICE_GAMES)
@@ -116,7 +115,6 @@ class KolmogorovReality(Reality):
 
     def __init__(self, seed: int):
         self.seed = seed
-        self.rng = RandomStream(seed)
 
     def reset(self, protocol: Protocol) -> None:
         require_game(protocol, self, *MEAN_VARIANCE_GAMES)
@@ -133,14 +131,13 @@ class RandomBoundedSkeptic(Skeptic):
     def __init__(self, seed: int, bound: float = 10.0):
         self.seed = seed
         self.bound = bound
-        self.rng = RandomStream(seed)
 
     def reset(self, protocol: Protocol) -> None:
         super().reset(protocol)
         self.rng = RandomStream(self.seed)
 
-    def bet(self, n, forecast, k_prev) -> SkepticBet:
+    def bet(self, n, forecast, k_prev):
         m = self.bound * (2.0 * self.rng.uniform() - 1.0)
         if self.with_v:
             return SkepticBet(m, self.bound * self.rng.uniform())
-        return SkepticBet(m)
+        return m

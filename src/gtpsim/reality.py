@@ -111,14 +111,13 @@ class BcComplyReality(Reality):
 
     def __init__(self, phase: ComplyPhase = ComplyPhase()):
         self.phase = phase
-        self.state = BcComplyState(phase)
 
     def reset(self, protocol: Protocol) -> None:
         require_game(protocol, self, *PRICE_GAMES)
         self.state = BcComplyState(self.phase)
 
     def outcome(self, n, forecast, bet, k_prev) -> float:
-        x, self.state = bc_comply_step(self.state, n, forecast, bet.M, k_prev)
+        x, self.state = bc_comply_step(self.state, n, forecast, bet, k_prev)
         return x
 
 
@@ -216,8 +215,6 @@ class MvComplyReality(Reality):
 
     def __init__(self, growth: Optional[Growth] = None):
         self.growth = growth
-        self.state = MvComplyState()
-        self.hedge = SQUARE_HEDGE
 
     def reset(self, protocol: Protocol) -> None:
         require_game(protocol, self, GameKind.UNBOUNDED_FORECASTING
@@ -249,7 +246,7 @@ class FirstRoundComplyReality(Reality):
     def outcome(self, n, forecast, bet, k_prev) -> float:
         if n == 1:
             return 1.0 if forecast > 0.0 else 0.0
-        return 1.0 if bet.M < 0.0 else 0.0
+        return 1.0 if bet < 0.0 else 0.0
 
 
 class BoundedAvoidMatchReality(Reality):
@@ -272,7 +269,7 @@ class BoundedAvoidMatchReality(Reality):
             )
 
     def outcome(self, n, forecast, bet, k_prev) -> float:
-        p, M = forecast, bet.M
+        p, M = forecast, bet
         if p == 0.0 or p == 1.0:
             gap = min(0.5, (self.q - k_prev) / (2.0 * abs(M) + 1.0))
             return gap if p == 0.0 else 1.0 - gap

@@ -212,6 +212,9 @@ def _price_script(name: str, params: Dict) -> Callable[[int], float]:
     except ScenarioError:
         raise ScenarioError(
             f"explicit forecaster values must be numbers, got {raw!r}") from None
+    if any(not 0.0 <= value <= 1.0 for value in values):  # NaN fails too
+        raise ScenarioError(
+            f"explicit forecaster values must lie in [0, 1], got {raw!r}")
     return lambda n: values[(n - 1) % len(values)]
 
 

@@ -26,7 +26,7 @@ from .engine import (
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .engine import Forecast
+    from .engine import Bet, Forecast
 
 
 class BcCounters(NamedTuple):
@@ -65,13 +65,6 @@ class BcCounters(NamedTuple):
 _tuple_new = tuple.__new__
 
 
-def heads_count_update(counters: BcCounters, head: bool) -> BcCounters:
-    if not head:
-        return counters
-    b, acc, c = counters
-    return _tuple_new(BcCounters, (b + 1, acc, c))
-
-
 def ceiling_index_update(counters: BcCounters, p: float) -> BcCounters:
     """Add the float increment p >= 0 to the exact sum and refresh c."""
     if not 0.0 <= p < math.inf:
@@ -98,10 +91,6 @@ def bc_fictional_bet(counters: BcCounters) -> float:
     return 2.0 ** (-counters.c - 2) - 2.0 ** (-counters.b - 2)
 
 
-# No bet yet: a NaN M equals no formula value.
-_NO_BET = SkepticBet(math.nan)
-
-
 class _CounterSkeptic(Skeptic):
     """Coin-game Skeptic driven by BcCounters.
 
@@ -110,37 +99,32 @@ class _CounterSkeptic(Skeptic):
     Each subclass names its bet as `formula = staticmethod(bc_*_bet)`, so a
     bet calls the formula with no method frame in between.  The formula
     reads only b and c, so it runs again only when either moves (`bet_c`
-    is the c it last ran for, 0 after a head), and a new bet is built only
-    when the bits of M change (`copysign` tells -0.0 from 0.0).
+    is the c it last ran for, 0 after a head), and the last float is
+    announced again while the bits of M do not change (`copysign` tells
+    -0.0 from 0.0).
     """
 
     formula: Callable[[BcCounters], float]
-
-    def __init__(self):
-        self.counters = BcCounters()
-        self.announced = _NO_BET
-        self.bet_c = 0
 
     def reset(self, protocol: Protocol) -> None:
         require_game(protocol, self, *PRICE_GAMES)
         super().reset(protocol)
         self.counters = BcCounters()
-        self.announced = _NO_BET
+        self.announced = math.nan  # no bet yet: NaN equals no formula value
         self.bet_c = 0
 
-    def bet(self, n: int, forecast: Forecast, k_prev: float) -> SkepticBet:
+    def bet(self, n: int, forecast: Forecast, k_prev: float) -> float:
         self.counters = counters = ceiling_index_update(self.counters, forecast)
         c = counters.c
         if c != self.bet_c:
             self.bet_c = c
-            M, last = self.formula(counters), self.announced.M
+            M, last = self.formula(counters), self.announced
             if M != last or (not M and copysign(1.0, M) != copysign(1.0, last)):
-                self.announced = SkepticBet(M)
+                self.announced = M
         return self.announced
 
     def observe(self, record: RoundRecord) -> None:
-        # heads_count_update, inlined
-        if record.x == 1.0:
+        if record.x == 1.0:  # a head: b + 1
             b, acc, c = self.counters
             self.counters = _tuple_new(BcCounters, (b + 1, acc, c))
             self.bet_c = 0
@@ -167,20 +151,17 @@ class BangBangSkeptic(Skeptic):
     def __init__(self, amplitude: float = 1.0, v_amplitude: float = 1.0):
         self.amplitude = amplitude
         self.v_amplitude = v_amplitude
-        self._build_bets()
 
     def reset(self, protocol: Protocol) -> None:
         super().reset(protocol)
-        self._build_bets()
-
-    def _build_bets(self) -> None:
         # One bet per parity, announced every odd or even round.
-        with_v = self.with_v
-        self.odd_bet = SkepticBet(self.amplitude, 0.0 if with_v else None)
-        self.even_bet = SkepticBet(-self.amplitude,
-                                   self.v_amplitude if with_v else None)
+        if self.with_v:
+            self.odd_bet = SkepticBet(self.amplitude, 0.0)
+            self.even_bet = SkepticBet(-self.amplitude, self.v_amplitude)
+        else:
+            self.odd_bet, self.even_bet = self.amplitude, -self.amplitude
 
-    def bet(self, n: int, forecast: Forecast, k_prev: float) -> SkepticBet:
+    def bet(self, n: int, forecast: Forecast, k_prev: float) -> Bet:
         return self.odd_bet if n % 2 else self.even_bet
 
 
@@ -191,17 +172,14 @@ class SingleBetSkeptic(Skeptic):
     def __init__(self, M: float = 0.0, V: float = 0.0):
         self.M = M
         self.V = V
-        self._build_bets()
 
     def reset(self, protocol: Protocol) -> None:
         super().reset(protocol)
-        self._build_bets()
-
-    def _build_bets(self) -> None:
         # The round-1 bet and the zero bet announced in every later round.
-        with_v = self.with_v
-        self.first_bet = SkepticBet(self.M, self.V if with_v else None)
-        self.zero_bet = SkepticBet(0.0, 0.0 if with_v else None)
+        if self.with_v:
+            self.first_bet, self.zero_bet = SkepticBet(self.M, self.V), SkepticBet(0.0, 0.0)
+        else:
+            self.first_bet, self.zero_bet = self.M, 0.0
 
-    def bet(self, n: int, forecast: Forecast, k_prev: float) -> SkepticBet:
+    def bet(self, n: int, forecast: Forecast, k_prev: float) -> Bet:
         return self.first_bet if n == 1 else self.zero_bet

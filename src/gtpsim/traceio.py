@@ -31,12 +31,11 @@ def trace_to_csv_text(trace: Trace) -> str:
 
     Each row is one f-string: the bytes `csv.writer` would write, since no
     field can hold a comma, a quote or a line break.  A price-game forecast
-    is p, with v empty.  p_or_m, v and V may be absent (written empty); M,
-    x and K are numbers in every trace, since `run_game` validates them and
-    the reader parses them as floats.  A forecast, bet, x or K that is the
-    previous row's object again (a shared move, a kept capital) reuses its
-    text.  The test is `is`, never `==`: 0.0 == -0.0, and NaN equals
-    nothing."""
+    is p and a bet is M, with v and V empty; every other field is a number,
+    since `run_game` validates the moves and the reader parses each field
+    as a float.  A forecast, bet, x or K that is the previous row's object
+    again (a shared move, a kept capital) reuses its text.  The test is
+    `is`, never `==`: 0.0 == -0.0, and NaN equals nothing."""
     lines = [",".join(CSV_HEADER) + "\n"]
     append = lines.append
     uses_price = trace.protocol.kind.uses_price
@@ -44,15 +43,10 @@ def trace_to_csv_text(trace: Trace) -> str:
     for r in trace.rounds:
         if r.forecast is not f:
             f = r.forecast
-            if uses_price:
-                f_text = f"{'' if f is None else format(f, '.17g')},"
-            else:
-                m, v = f.m, f.v
-                f_text = (f"{'' if m is None else format(m, '.17g')},"
-                          f"{'' if v is None else format(v, '.17g')}")
+            f_text = f"{f:.17g}," if uses_price else f"{f.m:.17g},{f.v:.17g}"
         if r.bet is not bet:
             bet = r.bet
-            bet_text = f"{bet.M:.17g},{'' if bet.V is None else format(bet.V, '.17g')}"
+            bet_text = f"{bet:.17g}," if uses_price else f"{bet.M:.17g},{bet.V:.17g}"
         if r.x is not x:
             x = r.x
             x_text = format(x, ".17g")
@@ -95,7 +89,7 @@ def _read_rows(lines: Iterable[str], protocol: Protocol,
                 if p_or_m != p_text:
                     p_text, forecast = p_or_m, float(p_or_m)
                 if m_bet != m_text:
-                    m_text, bet = m_bet, SkepticBet(float(m_bet))
+                    m_text, bet = m_bet, float(m_bet)
             else:
                 if p_or_m != p_text or v != v_text:
                     p_text, v_text = p_or_m, v

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from fractions import Fraction
+from typing import List, Sequence
 
 from gtpsim import (
+    BcCounters,
     ForecastMove,
     GameKind,
     Protocol,
@@ -12,6 +14,7 @@ from gtpsim import (
     ScriptForecaster,
     Skeptic,
     SkepticBet,
+    Trace,
 )
 from gtpsim.scenario import Scenario, build_reality
 
@@ -33,12 +36,12 @@ class ScriptBetSkeptic(Skeptic):
         self.ms = list(ms)
         self.vs = list(vs)
 
-    def bet(self, n, forecast, k_prev) -> SkepticBet:
+    def bet(self, n, forecast, k_prev):
         m = self.ms[(n - 1) % len(self.ms)]
         if self.with_v:
             v = self.vs[(n - 1) % len(self.vs)] if self.vs else 0.0
             return SkepticBet(M=m, V=v)
-        return SkepticBet(M=m)
+        return m
 
 
 def derandomizer() -> Reality:
@@ -62,3 +65,43 @@ def mv_forecaster(ms: Sequence[float], vs: Sequence[float]) -> ScriptForecaster:
             m=m_values[(n - 1) % len(m_values)], v=v_values[(n - 1) % len(v_values)]
         )
     )
+
+
+def heads_count_update(counters: BcCounters, head: bool) -> BcCounters:
+    """The head count b after a round: the oracle of the updates that
+    `_CounterSkeptic.observe` and `bc_comply_step` inline."""
+    if not head:
+        return counters
+    b, acc, c = counters
+    return BcCounters(b + 1, acc, c)
+
+
+# The exponent r of each hedge `exact_capitals` replays: x^2 in the
+# unbounded game, |x|^r for the power hedges with an integer r.
+_EXACT_HEDGE_POWER = {"square": 2, "power:r=1": 1, "power:r=2": 2}
+
+
+def exact_capitals(trace: Trace) -> List[Fraction]:
+    """The capitals K_1..K_n of the trace, replayed from its recorded moves
+    in exact rational arithmetic, with no rounding at any step.
+
+    Every float is a dyadic rational, so the replay is exact for the coin,
+    bounded and unbounded games and for the power hedges with r in {1, 2}.
+    It shares no code with `engine.capital_update`."""
+    protocol = trace.protocol
+    k = Fraction(protocol.initial_capital)
+    capitals = []
+    if protocol.kind.uses_price:
+        for r in trace.rounds:
+            k += Fraction(r.bet) * (Fraction(r.x) - Fraction(r.forecast))
+            capitals.append(k)
+        return capitals
+    hedge = protocol.hedge.name if protocol.kind is GameKind.GENERAL_HEDGE else "square"
+    power = _EXACT_HEDGE_POWER[hedge]
+    for r in trace.rounds:
+        f, s = r.forecast, r.bet
+        centered = Fraction(r.x) - Fraction(f.m)
+        k += (Fraction(s.M) * centered
+              + Fraction(s.V) * (abs(centered) ** power - Fraction(f.v)))
+        capitals.append(k)
+    return capitals

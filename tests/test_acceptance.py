@@ -114,7 +114,7 @@ def test_criterion_2_convergent_bet_trajectory():
         COIN, forecaster, ConvergentBcSkeptic(), ConstantReality(1.0), horizon
     )
     # Partial price sums stay below 1, so c = 1 and M = 1/4 forever.
-    bets_ok = all(r.bet.M == 0.25 for r in trace.rounds)
+    bets_ok = all(r.bet == 0.25 for r in trace.rounds)
     expected = 1.0
     exact = True
     for n, k in enumerate(trace.capitals, start=1):

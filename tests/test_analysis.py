@@ -27,7 +27,7 @@ from gtpsim import (
 )
 from gtpsim.analysis import BOUND_SLACK, MAX_PRICING_HORIZON, Verdict, _first_round
 from gtpsim.hedges import _REL_TOL, SQUARE_HEDGE
-from gtpsim.engine import RoundRecord, SkepticBet, Trace
+from gtpsim.engine import RoundRecord, Trace
 from gtpsim.reality import ConstantReality
 
 from _support import price_forecaster
@@ -387,7 +387,7 @@ _CAPITALS = st.lists(st.one_of(
 @example([1.5, 0.5, 1.0 + BOUND_SLACK], 1.0, False)
 def test_verdict_agrees_with_the_two_pass_oracle(capitals, k0, with_proxy):
     protocol = Protocol(kind=GameKind.COIN_TOSSING, initial_capital=k0)
-    move, bet = 0.5, SkepticBet(0.0)
+    move, bet = 0.5, 0.0
     trace = Trace(protocol=protocol, rounds=[
         RoundRecord(n, move, bet, 0.0, k) for n, k in enumerate(capitals, 1)])
     proxy = (lambda t: len(t.rounds) > 3) if with_proxy else None

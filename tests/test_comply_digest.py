@@ -59,7 +59,7 @@ def coin_case(name, seed):
         for _ in range(HORIZON - len(opening))
     ]
     forecasts = [p for p, _ in script]
-    bets = [SkepticBet(M=M) for _, M in script]
+    bets = [M for _, M in script]
     return Protocol(kind=GameKind.COIN_TOSSING), forecasts, bets, reality
 
 

@@ -31,6 +31,7 @@ from gtpsim.engine import (
     RoundRecord,
     Skeptic,
     Trace,
+    validate_bet as engine_validate_bet,
     validate_forecast as engine_validate_forecast,
 )
 from gtpsim.hedges import power_hedge
@@ -76,7 +77,7 @@ def test_capital_update_mean_variance():
 
 
 def test_capital_update_coin_zero_bet():
-    k = capital_update(COIN, 1.0, 0.5, SkepticBet(M=0.0), 1.0)
+    k = capital_update(COIN, 1.0, 0.5, 0.0, 1.0)
     assert k == 1.0
 
 
@@ -91,7 +92,7 @@ def test_capital_update_general_hedge():
 
 def test_capital_update_rejects_invalid_moves():
     with pytest.raises(InvalidMoveError) as excinfo:
-        capital_update(COIN, 1.0, 0.5, SkepticBet(M=1.0), 0.5)
+        capital_update(COIN, 1.0, 0.5, 1.0, 0.5)
     assert excinfo.value.role == "reality"
 
 
@@ -110,7 +111,7 @@ def _rejection(protocol, f, s, x):
 
 
 def test_validate_coin_outcome_domain():
-    err = _rejection(COIN, 0.5, SkepticBet(M=0.0), 0.5)
+    err = _rejection(COIN, 0.5, 0.0, 0.5)
     assert err is not None and (err.role, err.field) == ("reality", "x")
 
 
@@ -149,14 +150,38 @@ def test_a_forecast_of_the_wrong_type_is_an_invalid_move(protocol, forecast, fie
     assert (excinfo.value.round_index, excinfo.value.field) == (1, field)
 
 
+# A price-game bet is M itself, a float: anything else is the skeptic's
+# invalid M.  In a mean-variance game a bare float, or a bet with a None
+# field, is the skeptic's invalid M as well.
+@pytest.mark.parametrize("protocol, bet, shown", [
+    (COIN, None, "M required for this protocol"),
+    (COIN, SkepticBet(0.5, 1.0), "M must be a float, got SkepticBet"),
+    (Protocol(kind=GameKind.BOUNDED_FORECASTING), 1, "M must be a float, got 1"),
+    (UFG, 0.5, "M and V required for this protocol"),
+    (UFG, SkepticBet(0.5, None), "M and V required for this protocol"),
+], ids=["coin-none", "coin-bet", "bounded-int", "ufg-float", "ufg-none-v"])
+def test_a_bet_of_the_wrong_type_is_an_invalid_move(protocol, bet, shown):
+    with pytest.raises(InvalidMoveError) as excinfo:
+        engine_validate_bet(protocol, bet, 4)
+    err = excinfo.value
+    assert (err.round_index, err.role, err.field) == (4, "skeptic", "M")
+    assert err.message.startswith(shown)
+    forecast = 0.5 if protocol.kind.uses_price else ForecastMove(0.0, 1.0)
+    player = _MoveAtRound(1, bet, 0.0)
+    with pytest.raises(InvalidMoveError) as excinfo:
+        run_game(protocol, ScriptForecaster(lambda n: forecast), player, player, 3)
+    err = excinfo.value
+    assert (err.round_index, err.role, err.field) == (1, "skeptic", "M")
+
+
 NAN, INF = math.nan, math.inf
 
 
 NON_FINITE_MOVES = [
-    (COIN, NAN, SkepticBet(M=0.0), 0.0, "p"),
-    (COIN, 0.5, SkepticBet(M=NAN), 0.0, "M"),
-    (COIN, 0.5, SkepticBet(M=-INF), 0.0, "M"),
-    (COIN, 0.5, SkepticBet(M=0.0), NAN, "x"),
+    (COIN, NAN, 0.0, 0.0, "p"),
+    (COIN, 0.5, NAN, 0.0, "M"),
+    (COIN, 0.5, -INF, 0.0, "M"),
+    (COIN, 0.5, 0.0, NAN, "x"),
     (UFG, ForecastMove(m=NAN, v=1.0), SkepticBet(M=0.0, V=0.0), 0.0, "m"),
     (UFG, ForecastMove(m=0.0, v=NAN), SkepticBet(M=0.0, V=0.0), 0.0, "v"),
     (UFG, ForecastMove(m=0.0, v=INF), SkepticBet(M=0.0, V=0.0), 0.0, "v"),
@@ -217,16 +242,17 @@ def validate_forecast(protocol: Protocol, f) -> Optional[Violation]:
     return None
 
 
-def validate_bet(protocol: Protocol, s: SkepticBet) -> Optional[Violation]:
+def validate_bet(protocol: Protocol, s) -> Optional[Violation]:
+    if protocol.kind.uses_price:
+        return None if isfinite(s) else _not_finite("M", s)
+    if s.M is None or s.V is None:
+        return Violation("M", "M and V required for this protocol")
     if not isfinite(s.M):
         return _not_finite("M", s.M)
-    if not protocol.kind.uses_price:
-        if s.V is None:
-            return Violation("V", "V required for this protocol")
-        if not isfinite(s.V):
-            return _not_finite("V", s.V)
-        if s.V < 0.0:
-            return Violation("V", f"V = {s.V} violates V >= 0")
+    if not isfinite(s.V):
+        return _not_finite("V", s.V)
+    if s.V < 0.0:
+        return Violation("V", f"V = {s.V} violates V >= 0")
     return None
 
 
@@ -258,7 +284,7 @@ class _MoveAtRound(Skeptic, Reality):
         self.n, self.s, self.x = n, s, x
 
     def bet(self, k, forecast, k_prev):
-        return self.s if k == self.n else SkepticBet(0.0, 0.0 if self.with_v else None)
+        return self.s if k == self.n else SkepticBet(0.0, 0.0) if self.with_v else 0.0
 
     def outcome(self, k, forecast, bet, k_prev):
         return self.x if k == self.n else 0.0
@@ -291,8 +317,7 @@ def _raised(call):
        ANY_FIELD, ANY_FLOAT, st.integers(1, 3))
 def test_validators_raise_the_role_field_and_message_of_the_oracle(
         protocol, p, m, v, M, V, x, n):
-    f = p if protocol.kind.uses_price else ForecastMove(m, v)
-    s = SkepticBet(M, V)
+    f, s = (p, M) if protocol.kind.uses_price else (ForecastMove(m, v), SkepticBet(M, V))
     violation = (validate_forecast(protocol, f) or validate_bet(protocol, s)
                  or validate_outcome(protocol, x))
     assert _raised(lambda: capital_update(protocol, 1.0, f, s, x)) == _oracle(0, violation)
@@ -324,7 +349,7 @@ def _update_before_zero_bets_kept_k(protocol, k_prev, f, s, x):
     """capital_update's formula before a zero bet returned k_prev itself:
     the oracle of the two tests below."""
     if protocol.kind.uses_price:
-        return k_prev + s.M * (x - f)
+        return k_prev + s * (x - f)
     centered = x - f.m
     k = k_prev + s.M * centered
     if s.V == 0.0:
@@ -349,7 +374,7 @@ def _valid_rounds(draw):
         f = draw(st.floats(0.0, 1.0))
         outcomes = (st.sampled_from([0.0, 1.0]) if protocol.kind is GameKind.COIN_TOSSING
                     else st.floats(0.0, 1.0))
-        return protocol, f, SkepticBet(M), draw(outcomes)
+        return protocol, f, M, draw(outcomes)
     f = ForecastMove(draw(_FINITE), draw(_NONNEGATIVE))
     return protocol, f, SkepticBet(M, draw(st.one_of(_ZERO, _NONNEGATIVE))), draw(_FINITE)
 
@@ -368,7 +393,7 @@ def test_a_zero_bet_keeps_the_capital_object(round_, k_prev):
     protocol, f, s, x = round_
     oracle = _update_before_zero_bets_kept_k(protocol, k_prev, f, s, x)
     k = capital_update(protocol, k_prev, f, s, x)
-    if s.M == 0.0 and (s.V is None or s.V == 0.0):
+    if (s == 0.0) if protocol.kind.uses_price else (s.M == 0.0 and s.V == 0.0):
         assert k is k_prev
     if math.isnan(oracle):
         assert math.isnan(k) or k is k_prev
@@ -388,10 +413,8 @@ def test_a_zero_bet_keeps_k_where_x_minus_m_overflows(protocol):
 
 def test_validate_bounded_outcome_interval():
     bounded = Protocol(kind=GameKind.BOUNDED_FORECASTING)
-    assert _rejection(
-        bounded, 0.5, SkepticBet(M=0.0), 0.25
-    ) is None
-    err = _rejection(bounded, 0.5, SkepticBet(M=0.0), 1.5)
+    assert _rejection(bounded, 0.5, 0.0, 0.25) is None
+    err = _rejection(bounded, 0.5, 0.0, 1.5)
     assert err is not None and (err.role, err.field) == ("reality", "x")
 
 
@@ -552,21 +575,21 @@ def test_combine_single_policy_is_identity():
     single = CombinedSkeptic([1.0], [ScriptBetSkeptic([0.7, -0.2])])
     single.reset(COIN)
     f = 0.5
-    assert single.bet(1, f, 1.0).M == 0.7
-    assert single.bet(2, f, 1.0).M == -0.2
+    assert single.bet(1, f, 1.0) == 0.7
+    assert single.bet(2, f, 1.0) == -0.2
 
 
 def test_combine_divergent_and_convergent_first_bet():
     combo = CombinedSkeptic([0.5, 0.5], [DivergentBcSkeptic(), ConvergentBcSkeptic()])
     combo.reset(COIN)
     # b = 0 gives -1/2; p = 0.5 keeps c = 1, giving 1/4; average is -1/8.
-    assert combo.bet(1, 0.5, 1.0).M == -0.125
+    assert combo.bet(1, 0.5, 1.0) == -0.125
 
 
 def test_combine_with_zero_halves_bets():
     combo = CombinedSkeptic([0.5, 0.5], [ScriptBetSkeptic([0.8]), ZeroSkeptic()])
     combo.reset(COIN)
-    assert combo.bet(1, 0.5, 1.0).M == 0.4
+    assert combo.bet(1, 0.5, 1.0) == 0.4
 
 
 def test_combine_rejects_bad_weights():
@@ -650,7 +673,7 @@ def test_zero_bet_neutrality(rounds):
 # ---------------------------------------------------------------------------
 
 def test_trace_records_are_slotted_unhashable_dataclasses():
-    f, s = ForecastMove(0.0, 1.0), SkepticBet(-1.0)
+    f, s = ForecastMove(0.0, 1.0), SkepticBet(-1.0, 0.0)
     for record in (f, s, RoundRecord(1, f, s, 1.0, 0.5)):
         assert dataclasses.is_dataclass(record)
         assert not hasattr(record, "__dict__")
@@ -661,7 +684,7 @@ def test_trace_records_are_slotted_unhashable_dataclasses():
 
 
 def test_round_record_supports_dataclasses_replace():
-    record = RoundRecord(3, 0.5, SkepticBet(-1.0), 1.0, 0.5)
+    record = RoundRecord(3, 0.5, -1.0, 1.0, 0.5)
     moved = dataclasses.replace(record, capital_after=-0.5)
     assert moved == RoundRecord(3, record.forecast, record.bet, 1.0, -0.5)
     assert record.capital_after == 0.5

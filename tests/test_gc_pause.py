@@ -25,7 +25,7 @@ from gtpsim import (
     ZeroSkeptic,
     run_game,
 )
-from gtpsim.engine import RoundRecord, SkepticBet, gc_paused
+from gtpsim.engine import RoundRecord, gc_paused
 from gtpsim.scenario import (
     _REALITIES,
     _SKEPTICS,
@@ -174,7 +174,7 @@ def test_counted_collections_sees_an_unpaused_loop():
     # start many collections.
     gc.collect()
     with collector(True), counted_collections() as count:
-        records = [RoundRecord(n, 0.5, SkepticBet(0.0), 0.0, 1.0)
+        records = [RoundRecord(n, 0.5, 0.0, 0.0, 1.0)
                    for n in range(20_000)]
     assert len(records) == 20_000
     assert count[0] >= 10

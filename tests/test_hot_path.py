@@ -26,7 +26,6 @@ from gtpsim import (
     SkepticBet,
     bc_comply_step,
     ceiling_index_update,
-    heads_count_update,
     mv_comply_step,
     run_game,
 )
@@ -44,6 +43,8 @@ from gtpsim.scenario import (
 )
 from gtpsim.skeptic import FictionalBcSkeptic
 
+from _support import heads_count_update
+
 HORIZON = 2000
 # Calls outside the rounds: run_game itself and the three resets.
 SETUP_CALLS = 50
@@ -53,15 +54,15 @@ SETUP_CALLS = 50
 # mean-variance script and the zero and bang-bang Skeptics announce
 # prebuilt moves, so their rounds build no ForecastMove or SkepticBet; and
 # only the counter Skeptics override observe, so only they are observed.  A
-# counter Skeptic builds a bet (formula and __init__, 2 calls) only when b
-# or c moves: 17 times in 2000 rounds of harmonic prices, hence 16.03.
+# counter Skeptic announces M, a float, and runs its formula (1 call) only
+# when b or c moves: 17 times in 2000 rounds of harmonic prices, hence 16.01.
 CALLS_PER_ROUND = {
-    "coin[harmonic/bc_fictional]": 16.03,
+    "coin[harmonic/bc_fictional]": 16.01,
     "coin[constant_0.3/zero]": 14,
     "coin[inverse_square/bang_bang]": 14,
     "ufg[v=1/m=0/zero]": 14,
     "ufgh[r=2/identity/zero]": 16,
-    "derandomized[harmonic/bc_fictional]": 16.03,
+    "derandomized[harmonic/bc_fictional]": 16.01,
     "derandomized[constant_0.3/zero]": 14,
 }
 
@@ -149,8 +150,9 @@ def test_counter_updates_keep_the_namedtuple_type():
     assert head._replace(c=9) == BcCounters(1, counters.acc, 9)
 
     skeptic = FictionalBcSkeptic()
+    skeptic.reset(engine.Protocol(kind=engine.GameKind.COIN_TOSSING))
     skeptic.bet(1, 1.5, 1.0)
-    skeptic.observe(RoundRecord(1, 1.5, SkepticBet(0.0), 1.0, 1.0))
+    skeptic.observe(RoundRecord(1, 1.5, 0.0, 1.0, 1.0))
     assert type(skeptic.counters) is BcCounters
     assert skeptic.counters == BcCounters(1, 3 << 1073, 2)
 

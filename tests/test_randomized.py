@@ -125,7 +125,7 @@ def test_kolmogorov_input_validation():
 def test_bernoulli_reality_resets_to_same_sequence():
     protocol = Protocol(kind=GameKind.COIN_TOSSING)
     reality = BernoulliReality(seed=11)
-    f, s = 0.5, SkepticBet(M=0.0)
+    f, s = 0.5, 0.0
     reality.reset(protocol)
     first = [reality.outcome(n, f, s, 1.0) for n in range(1, 20)]
     reality.reset(protocol)

@@ -44,11 +44,10 @@ from gtpsim.skeptic import (
     FictionalBcSkeptic,
     bc_fictional_bet,
     ceiling_index_update,
-    heads_count_update,
 )
 from gtpsim.engine import Skeptic, ZeroSkeptic
 
-from _support import derandomizer, mv_forecaster, price_forecaster
+from _support import derandomizer, heads_count_update, mv_forecaster, price_forecaster
 
 COIN = Protocol(kind=GameKind.COIN_TOSSING)
 BOUNDED = Protocol(kind=GameKind.BOUNDED_FORECASTING, initial_capital=0.5)
@@ -82,8 +81,8 @@ def test_waiting_zero_bet_crossing_plays_head():
 
 
 def test_qualifying_round_enters_mixing():
-    f, s = 0.5, SkepticBet(M=-0.3)
-    x, state = bc_comply_step(BcComplyState(), 1, f, s.M, 1.0)
+    f, s = 0.5, -0.3
+    x, state = bc_comply_step(BcComplyState(), 1, f, s, 1.0)
     assert x == 1.0
     phase = state.phase
     assert phase.mix_coeff is not None and phase.n0 == 1
@@ -278,7 +277,7 @@ def test_derandomizer_sign_rule():
         reality = derandomizer()
         reality.reset(COIN)
         return reality.outcome(
-            1, 0.5, SkepticBet(M=m_real), 1.0
+            1, 0.5, m_real, 1.0
         )
 
     assert first_outcome(0.1) == 1.0    # average -0.0125 <= 0
@@ -315,7 +314,7 @@ def test_derandomizer_keeps_its_sign_rule_where_half_the_sum_underflows():
     counters, halved_to_zero = BcCounters(), 0
     for record in trace.rounds:
         counters = ceiling_index_update(counters, record.forecast)
-        total = record.bet.M + bc_fictional_bet(counters)
+        total = record.bet + bc_fictional_bet(counters)
         assert (record.x == 1.0) == (total <= 0.0), record.n
         halved_to_zero += total > 0.0 and 0.5 * total == 0.0
         counters = heads_count_update(counters, record.x == 1.0)
@@ -345,22 +344,22 @@ def test_bc_comply_mixture_capital_never_increases_on_the_coin_pool():
 
 def test_first_round_rule():
     reality = FirstRoundComplyReality()
-    assert reality.outcome(1, 0.0, SkepticBet(M=1.0), 1.0) == 0.0
-    assert reality.outcome(1, 0.7, SkepticBet(M=1.0), 1.0) == 1.0
-    assert reality.outcome(2, 0.5, SkepticBet(M=-1.0), 1.0) == 1.0
-    assert reality.outcome(2, 0.5, SkepticBet(M=1.0), 1.0) == 0.0
+    assert reality.outcome(1, 0.0, 1.0, 1.0) == 0.0
+    assert reality.outcome(1, 0.7, 1.0, 1.0) == 1.0
+    assert reality.outcome(2, 0.5, -1.0, 1.0) == 1.0
+    assert reality.outcome(2, 0.5, 1.0, 1.0) == 0.0
 
 
 def test_avoid_match_endpoint_gap():
     reality = BoundedAvoidMatchReality(0.9)
-    x = reality.outcome(1, 0.0, SkepticBet(M=4.0), 0.5)
+    x = reality.outcome(1, 0.0, 4.0, 0.5)
     assert math.isclose(x, 0.4 / 9.0, rel_tol=1e-12)
     # Round gain M*x is at most half the headroom (0.9 - 0.5)/2.
     assert 4.0 * x <= 0.2 + 1e-12
-    x = reality.outcome(2, 1.0, SkepticBet(M=0.0), 0.3)
+    x = reality.outcome(2, 1.0, 0.0, 0.3)
     assert x == 0.5                # gap capped at 1/2
-    assert reality.outcome(3, 0.5, SkepticBet(M=-2.0), 0.5) == 1.0
-    assert reality.outcome(4, 0.5, SkepticBet(M=2.0), 0.5) == 0.0
+    assert reality.outcome(3, 0.5, -2.0, 0.5) == 1.0
+    assert reality.outcome(4, 0.5, 2.0, 0.5) == 0.0
 
 
 def test_avoid_match_parameter_validation():
@@ -374,7 +373,7 @@ def test_avoid_match_parameter_validation():
 
 def test_constant_reality():
     reality = ConstantReality(1.0)
-    assert reality.outcome(1, 0.2, SkepticBet(M=0.0), 1.0) == 1.0
+    assert reality.outcome(1, 0.2, 0.0, 1.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +388,7 @@ class _DutyKeepingSkeptic(Skeptic):
 
     def bet(self, n, forecast, k_prev):
         f = self.fractions[(n - 1) % len(self.fractions)]
-        return SkepticBet(M=f * max(k_prev, 0.0))
+        return f * max(k_prev, 0.0)
 
 
 @settings(deadline=None, max_examples=60)

@@ -14,7 +14,6 @@ from gtpsim.cli import cmd_verify, load_manifest, main
 from gtpsim.engine import (
     Protocol,
     RoundRecord,
-    SkepticBet,
     Trace,
     ZeroSkeptic,
 )
@@ -306,7 +305,7 @@ def test_heads_at_c_increments_proxy_wants_heads_exactly_at_crossings():
 
 def _avoid_trace(p, x, capital, k0=0.5):
     """A one-round bounded-game trace that records the given capital."""
-    record = RoundRecord(1, p, SkepticBet(0.0), x, capital)
+    record = RoundRecord(1, p, 0.0, x, capital)
     return Trace(Protocol(kind=GameKind.BOUNDED_FORECASTING, initial_capital=k0),
                  [record])
 
@@ -447,7 +446,9 @@ def test_cli_rejects_a_strategy_in_the_wrong_game(tmp_path, capsys):
     ("{name: explicit, values: 0.5}", "0.5"),
     ("{name: explicit, values: abc}", "'abc'"),
     ("{name: explicit, values: [[0.5]]}", "[[0.5]]"),
-], ids=["missing", "empty", "scalar", "string", "nested"])
+    ("{name: explicit, values: [0.5, 1.5]}", "[0.5, 1.5]"),
+    ("{name: explicit, values: [0.5, .nan]}", "[0.5, nan]"),
+], ids=["missing", "empty", "scalar", "string", "nested", "above-one", "nan"])
 def test_cli_rejects_a_malformed_explicit_forecaster(tmp_path, capsys, forecaster, shown):
     text = MINIMAL.replace("{name: harmonic}", forecaster)
     err = _cli_error(["run", str(_write(tmp_path / "explicit.yaml", text))], capsys)
@@ -858,7 +859,7 @@ def test_an_exponent_without_a_dot_still_parses_as_a_number():
     scenario = parse_scenario(MINIMAL.replace("{name: bc_fictional}",
                                               "{name: random_bounded, bound: 1e-4}"))
     assert scenario.skeptic_spec["bound"] == "1e-4"
-    bets = [r.bet.M for r in run_scenario(replace(scenario, horizon=20)).rounds]
+    bets = [r.bet for r in run_scenario(replace(scenario, horizon=20)).rounds]
     assert max(abs(m) for m in bets) <= 1e-4 and any(bets)
 
 

@@ -1,7 +1,7 @@
 """Shared moves: a round builds no new object for a value that did not
 change.  A strategy whose announcement does not depend on the round builds
 its move once and announces that object every round; a counter Skeptic
-announces its last bet again until its counters move; the geometric price
+announces its last bet again while the bet's bits do not change; the geometric price
 script announces one move once its price underflows; and a zero bet keeps
 the capital object.
 
@@ -65,13 +65,13 @@ def _with(scenario, **specs):
 # Bytes a trace keeps per round at HORIZON, at most.  Each round still
 # keeps its RoundRecord and outcome float, a new capital float when the bet
 # is not zero, and a new price float in a non-constant price game; the
-# shared moves cost nothing per round.  Measured: 157, 154, 122, 109 and
+# shared moves cost nothing per round.  Measured: 157, 140, 122, 109 and
 # 109 B.  A ForecastMove around each price kept 213 and 152 B, a new bet
-# after every head of the constant_0.3 run 176 B, and a new x float in
-# every ufg round 133 B.
+# after every head of the constant_0.3 run 176 B, a SkepticBet around each
+# of its bets 154 B, and a new x float in every ufg round 133 B.
 TRACE_BYTES_PER_ROUND = {
     "coin[harmonic/bc_fictional]": 170.0,
-    "coin[constant_0.3/bc_convergent]": 165.0,
+    "coin[constant_0.3/bc_convergent]": 150.0,
     "coin[geometric/zero]": 170.0,
     "coin[constant_0.3/zero]": 120.0,
     "ufg[v=1/m=0/zero]": 120.0,
@@ -129,24 +129,27 @@ def test_the_zero_skeptic_announces_one_bet_per_run(pool_name):
     assert trace.rounds[0].bet is skeptic.zero_bet
     # the capital object K_0 is kept too
     assert all(r.capital_after is protocol.initial_capital for r in trace.rounds)
-    v = None if protocol.kind.uses_price else 0.0
-    assert skeptic.zero_bet == SkepticBet(0.0, v)
+    expected = 0.0 if protocol.kind.uses_price else SkepticBet(0.0, 0.0)
+    assert type(skeptic.zero_bet) is type(expected) and skeptic.zero_bet == expected
 
 
-def test_the_zero_skeptic_bets_in_the_coin_game_before_reset():
-    bet = ZeroSkeptic().bet(1, 0.5, 1.0)
-    assert (bet.M, bet.V) == (0.0, None)
+def test_the_zero_skeptic_bets_the_float_zero_in_the_coin_game():
+    skeptic = ZeroSkeptic()
+    skeptic.reset(COIN)
+    bet = skeptic.bet(1, 0.5, 1.0)
+    assert type(bet) is float and bet == 0.0
 
 
 def test_reset_switches_the_zero_bet_to_the_game():
     skeptic = ZeroSkeptic()
     skeptic.reset(COIN)
-    coin_bet = skeptic.bet(1, 0.5, 1.0)
-    assert coin_bet == SkepticBet(0.0, None)
+    assert skeptic.bet(1, 0.5, 1.0) == 0.0
     skeptic.reset(UFG)
     mv_bet = skeptic.bet(1, ForecastMove(0.0, 1.0), 1.0)
     assert mv_bet == SkepticBet(0.0, 0.0)
-    assert coin_bet == SkepticBet(0.0, None)   # the coin game's bet is untouched
+    skeptic.reset(COIN)
+    coin_bet = skeptic.bet(1, 0.5, 1.0)
+    assert type(coin_bet) is float and coin_bet == 0.0
 
 
 @pytest.mark.parametrize("pool_name", [
@@ -159,8 +162,8 @@ def test_bang_bang_announces_one_bet_per_parity(pool_name):
     odd = [r.bet for r in trace.rounds if r.n % 2]
     even = [r.bet for r in trace.rounds if not r.n % 2]
     assert _objects(odd) == _objects(even) == 1 and odd[0] is not even[0]
-    assert odd[0] == SkepticBet(0.5, 0.0 if with_v else None)
-    assert even[0] == SkepticBet(-0.5, 0.25 if with_v else None)
+    assert odd[0] == (SkepticBet(0.5, 0.0) if with_v else 0.5)
+    assert even[0] == (SkepticBet(-0.5, 0.25) if with_v else -0.5)
 
 
 @pytest.mark.parametrize("pool_name", [
@@ -173,8 +176,8 @@ def test_single_bet_announces_its_bet_then_one_zero_bet(pool_name):
     trace = run_scenario(scenario)
     first, rest = trace.rounds[0].bet, [r.bet for r in trace.rounds[1:]]
     assert _objects(rest) == 1 and rest[0] is not first
-    assert first == SkepticBet(-0.5, 0.25 if with_v else None)
-    assert rest[0] == SkepticBet(0.0, 0.0 if with_v else None)
+    assert first == (SkepticBet(-0.5, 0.25) if with_v else -0.5)
+    assert rest[0] == (SkepticBet(0.0, 0.0) if with_v else 0.0)
     # a fresh Skeptic, reset for the game, builds the same two bets
     skeptic.reset(scenario.protocol)
     assert (skeptic.first_bet, skeptic.zero_bet) == (first, rest[0])
@@ -196,7 +199,8 @@ def test_an_underflowed_geometric_price_is_one_move(a, sign):
 
 
 # The counter Skeptics' bets read only the head count b and the ceiling
-# index c, so each announces the bet it last announced until b or c moves.
+# index c, so each announces the float it last announced until b or c moves
+# its bits.
 COUNTER_SKEPTICS = {"bc_divergent": DivergentBcSkeptic,
                     "bc_convergent": ConvergentBcSkeptic,
                     "bc_fictional": FictionalBcSkeptic}
@@ -217,17 +221,17 @@ def _counters_by_round(trace) -> list:
 
 
 def _check_announcements(cls, bets, counters):
-    """Every bet is `cls.formula` of its counters, and a bet is the previous
-    round's object exactly when its bits are unchanged."""
+    """Every bet is the float `cls.formula` of its counters, and a bet is
+    the previous round's object exactly when its bits are unchanged."""
     assert len(bets) == len(counters) > 0
     moved = {"b": 0, "c": 0}
     for n, (bet, now) in enumerate(zip(bets, counters)):
-        assert bet.M == cls.formula(now) and bet.V is None
+        assert type(bet) is float and bet == cls.formula(now)
         if n:
             before = counters[n - 1]
             moved["b"] += now.b != before.b
             moved["c"] += now.c != before.c
-            assert (bet is bets[n - 1]) == (bet.M.hex() == bets[n - 1].M.hex())
+            assert (bet is bets[n - 1]) == (bet.hex() == bets[n - 1].hex())
     assert moved["b"] and moved["c"]   # both kinds of change are exercised
     assert _objects(bets) < len(bets) / 10
 
@@ -275,8 +279,9 @@ def test_a_counter_skeptic_tells_a_negative_zero_bet_from_a_zero_bet():
     for n, x in enumerate([1.0, 0.0, 1.0], 2):   # b = 1, 1, 2 in rounds 2-4
         skeptic.observe(RoundRecord(n - 1, 0.25, bets[-1], x, 1.0))
         bets.append(skeptic.bet(n, 0.25, 1.0))
-    assert [math.copysign(1.0, bet.M) for bet in bets] == [1.0, -1.0, -1.0, 1.0]
-    assert bets[2] is bets[1] and _objects(bets) == 3
+    assert [math.copysign(1.0, bet) for bet in bets] == [1.0, -1.0, -1.0, 1.0]
+    # rounds 1 and 4 may share the formula's constant 0.0, never adjacent rounds
+    assert [bets[n] is bets[n - 1] for n in (1, 2, 3)] == [False, True, False]
 
 
 @pytest.mark.parametrize("cls", COUNTER_SKEPTICS.values(), ids=lambda cls: cls.__name__)

@@ -20,7 +20,6 @@ from gtpsim import (
     bc_divergent_bet,
     bc_fictional_bet,
     ceiling_index_update,
-    heads_count_update,
     run_game,
 )
 from gtpsim.reality import BcComplyState, ConstantReality
@@ -31,7 +30,7 @@ from gtpsim.skeptic import (
     FictionalBcSkeptic,
 )
 
-from _support import ScriptReality, price_forecaster
+from _support import ScriptReality, heads_count_update, price_forecaster
 
 COIN = Protocol(kind=GameKind.COIN_TOSSING)
 
@@ -75,7 +74,7 @@ def test_inlined_head_count_updates_agree_with_heads_count_update():
         M = rng.uniform(-1.0, 1.0)
         x, state = bc_comply_step(state, n, forecast, M, k)
         k += M * (x - forecast)
-        skeptic.observe(RoundRecord(n, forecast, SkepticBet(M), x, k))
+        skeptic.observe(RoundRecord(n, forecast, M, x, k))
         expected = heads_count_update(ceiling_index_update(expected, forecast), x == 1.0)
         assert skeptic.counters == expected, n
         assert state.counters == expected, n
@@ -182,7 +181,7 @@ def test_divergent_bet_constant_without_heads():
     trace = run_game(
         COIN, price_forecaster([0.5]), skeptic, ConstantReality(0.0), 20
     )
-    assert all(r.bet.M == -0.5 for r in trace.rounds)
+    assert all(r.bet == -0.5 for r in trace.rounds)
     # Strictly increasing capital along the divergent script with no heads.
     assert trace.capitals == sorted(set(trace.capitals))
 
@@ -192,14 +191,14 @@ def test_convergent_bet_frozen_on_geometric_prices():
     skeptic = ConvergentBcSkeptic()
     forecaster = price_forecaster([2.0 ** -n for n in range(1, 31)])
     trace = run_game(COIN, forecaster, skeptic, ConstantReality(1.0), 30)
-    assert all(r.bet.M == 0.25 for r in trace.rounds)
+    assert all(r.bet == 0.25 for r in trace.rounds)
 
 
 def test_bang_bang_alternates():
     skeptic = BangBangSkeptic(amplitude=2.0, v_amplitude=3.0)
     skeptic.reset(COIN)
-    assert skeptic.bet(1, 0.5, 1.0).M == 2.0
-    assert skeptic.bet(2, 0.5, 1.0).M == -2.0
+    assert skeptic.bet(1, 0.5, 1.0) == 2.0
+    assert skeptic.bet(2, 0.5, 1.0) == -2.0
     ufg = Protocol(kind=GameKind.UNBOUNDED_FORECASTING)
     skeptic.reset(ufg)
     assert skeptic.bet(1, ForecastMove(m=0.0, v=1.0), 1.0).V == 0.0

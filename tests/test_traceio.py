@@ -45,10 +45,11 @@ def _reference_csv(trace: Trace) -> str:
     writer.writerow(CSV_HEADER)
     price = trace.protocol.kind.uses_price
     for r in trace.rounds:
-        f = r.forecast
+        f, s = r.forecast, r.bet
         writer.writerow([
             r.n, *((fmt(f), "") if price else (fmt(f.m), fmt(f.v))),
-            fmt(r.bet.M), fmt(r.bet.V), fmt(r.x), fmt(r.capital_after),
+            *((fmt(s), "") if price else (fmt(s.M), fmt(s.V))),
+            fmt(r.x), fmt(r.capital_after),
         ])
     return out.getvalue()
 
@@ -117,11 +118,9 @@ def test_csv_text_of_absent_fields_and_hand_built_values():
     coin = Protocol(kind=GameKind.COIN_TOSSING)
     hedge = Protocol(kind=GameKind.GENERAL_HEDGE, hedge=power_hedge(1.5))
     rows = [
-        # a coin-game bet carrying a V, which the coin reader ignores
-        (coin, RoundRecord(1, 0.25, SkepticBet(0.5, 0.125), 1.0, 1.375)),
-        # no p: p_or_m empty, like v and V
-        (coin, RoundRecord(2, None, SkepticBet(-0.0), 0.0, 1.0)),
-        (coin, RoundRecord(3, 0.5, SkepticBet(1e-300), 1.0, 5e-324)),
+        # a coin-game bet is M alone: v and V are written empty
+        (coin, RoundRecord(1, 0.25, 0.5, 1.0, 1.375)),
+        (coin, RoundRecord(3, 0.5, 1e-300, 1.0, 5e-324)),
         (hedge, RoundRecord(4, ForecastMove(-math.inf, math.inf),
                             SkepticBet(math.nan, math.inf), -math.inf, math.nan)),
         (hedge, RoundRecord(5, ForecastMove(0.1, 0.2),
@@ -132,10 +131,9 @@ def test_csv_text_of_absent_fields_and_hand_built_values():
         assert trace_to_csv_text(trace) == _reference_csv(trace)
     lines = [trace_to_csv_text(Trace(protocol=p, rounds=[r])).splitlines()[1]
              for p, r in rows]
-    assert lines[0] == "1,0.25,,0.5,0.125,1,1.375"
-    assert lines[1] == "2,,,-0,,0,1"
-    assert lines[3] == "4,-inf,inf,nan,inf,-inf,nan"
-    assert lines[4] == "5,0.10000000000000001,0.20000000000000001,0.33333333333333331," \
+    assert lines[0] == "1,0.25,,0.5,,1,1.375"
+    assert lines[2] == "4,-inf,inf,nan,inf,-inf,nan"
+    assert lines[3] == "5,0.10000000000000001,0.20000000000000001,0.33333333333333331," \
         "0.66666666666666663,0.30000000000000004,10000000000000000"
 
 
@@ -199,7 +197,7 @@ def _signed_trace(protocol: Protocol, shared: bool) -> Trace:
             forecast, bet = prev.forecast, prev.bet
         else:
             forecast = ForecastMove(x, x) if mv else x
-            bet = SkepticBet(-x, x) if mv else SkepticBet(-x)
+            bet = SkepticBet(-x, x) if mv else -x
         prev = RoundRecord(n, forecast, bet, x, k)
         rounds.append(prev)
     return Trace(protocol=protocol, rounds=rounds)
