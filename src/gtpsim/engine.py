@@ -168,17 +168,15 @@ def validate_bet(protocol: Protocol, s: Bet, n: int = 0) -> None:
             raise _not_finite(n, "skeptic", "M", s)
         return
     try:
-        M, V = s.M, s.V
-    except AttributeError:  # a float, say
-        M = V = None
-    if M is None or V is None:
-        raise InvalidMoveError(n, "skeptic", "M", "M and V required for this protocol")
-    if not isfinite(M):
-        raise _not_finite(n, "skeptic", "M", M)
-    if not isfinite(V):
-        raise _not_finite(n, "skeptic", "V", V)
-    if V < 0.0:
-        raise InvalidMoveError(n, "skeptic", "V", f"V = {V} violates V >= 0")
+        if not isfinite(s.M):
+            raise _not_finite(n, "skeptic", "M", s.M)
+        if not isfinite(s.V):
+            raise _not_finite(n, "skeptic", "V", s.V)
+    except (AttributeError, TypeError):  # a float, say, or a None field
+        raise InvalidMoveError(n, "skeptic", "M",
+                               "M and V required for this protocol") from None
+    if s.V < 0.0:
+        raise InvalidMoveError(n, "skeptic", "V", f"V = {s.V} violates V >= 0")
 
 
 def validate_outcome(protocol: Protocol, x: float, n: int = 0) -> None:

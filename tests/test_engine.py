@@ -213,7 +213,8 @@ ANY_FIELD = st.one_of(st.none(), ANY_FLOAT)
 
 
 # The oracle: the three validators as they were when each returned a
-# Violation (or None) and `_ROLE_OF_FIELD` named the player of its field.
+# Violation (or None) and `_ROLE_OF_FIELD` named the player of its field,
+# with a price-game bet the float M and a mean-variance one needing M and V.
 @dataclasses.dataclass(frozen=True)
 class Violation:
     field: str
@@ -245,10 +246,12 @@ def validate_forecast(protocol: Protocol, f) -> Optional[Violation]:
 def validate_bet(protocol: Protocol, s) -> Optional[Violation]:
     if protocol.kind.uses_price:
         return None if isfinite(s) else _not_finite("M", s)
-    if s.M is None or s.V is None:
+    if s.M is None:
         return Violation("M", "M and V required for this protocol")
     if not isfinite(s.M):
         return _not_finite("M", s.M)
+    if s.V is None:
+        return Violation("M", "M and V required for this protocol")
     if not isfinite(s.V):
         return _not_finite("V", s.V)
     if s.V < 0.0:
