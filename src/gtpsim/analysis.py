@@ -198,13 +198,13 @@ def mixture_capitals(trace: Trace, fictional: Skeptic, weight: float,
     fictional.reset(protocol)
     f = f_n0 = protocol.initial_capital
     mixture = [f] if n0 == 0 else []
-    for record in trace.rounds:
-        bet = fictional.bet(record.n, record.forecast, f)
+    for n, record in enumerate(trace.rounds, 1):
+        bet = fictional.bet(n, record.forecast, f)
         f = capital_update(protocol, f, record.forecast, bet, record.x)
         fictional.observe(record)
-        if record.n == n0:
+        if n == n0:
             f_n0 = f
-        if record.n >= n0:
+        if n >= n0:
             mixture.append(record.capital_after + weight * (f - f_n0))
     return mixture
 

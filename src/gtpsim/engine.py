@@ -71,7 +71,8 @@ class Protocol:
 # (the pinned trace digests catch a strategy that does).  Without `frozen`,
 # __hash__ is None: records are unhashable by design.  A price-game
 # forecast and bet are no records but the floats p and M, as an outcome is
-# the float x.
+# the float x.  A RoundRecord keeps no round number: round n is
+# `trace.rounds[n - 1]`, and a kept trace saves an int and a slot per round.
 #
 # Nothing writes a move after it is announced either.  A strategy announces
 # the same object again while its move is unchanged (ZeroSkeptic; scripts
@@ -100,7 +101,6 @@ if TYPE_CHECKING:  # no typing object built at import
 
 @dataclass(slots=True)
 class RoundRecord:
-    n: int
     forecast: Forecast
     bet: Bet
     x: float
@@ -134,6 +134,17 @@ def _not_finite(n: int, role: str, name: str, value: float) -> InvalidMoveError:
     return InvalidMoveError(n, role, name, f"{name} = {value} is not finite")
 
 
+def _beyond_float(n: int, role: str, name: str, value: float,
+                  other: str) -> InvalidMoveError:
+    """isfinite raised OverflowError (an int beyond the float range, say):
+    the error for `name` if `value` is what overflows, else for `other`."""
+    try:
+        isfinite(value)
+    except OverflowError:
+        other = name
+    return InvalidMoveError(n, role, other, f"{other} is beyond the float range")
+
+
 # Each validator raises InvalidMoveError for its own player's move, at round
 # n (0 where the caller has none), and returns None for a move in the domain.
 def validate_forecast(protocol: Protocol, f: Forecast, n: int = 0) -> None:
@@ -151,10 +162,13 @@ def validate_forecast(protocol: Protocol, f: Forecast, n: int = 0) -> None:
         if m is None or v is None:
             raise InvalidMoveError(n, "forecaster", "m",
                                    "m and v required for this protocol")
-        if not isfinite(m):
-            raise _not_finite(n, "forecaster", "m", m)
-        if not isfinite(v):
-            raise _not_finite(n, "forecaster", "v", v)
+        try:
+            if not isfinite(m):
+                raise _not_finite(n, "forecaster", "m", m)
+            if not isfinite(v):
+                raise _not_finite(n, "forecaster", "v", v)
+        except OverflowError:
+            raise _beyond_float(n, "forecaster", "m", m, "v") from None
         if v < 0.0:
             raise InvalidMoveError(n, "forecaster", "v", f"v = {v} violates v >= 0")
 
@@ -175,6 +189,8 @@ def validate_bet(protocol: Protocol, s: Bet, n: int = 0) -> None:
     except (AttributeError, TypeError):  # a float, say, or a None field
         raise InvalidMoveError(n, "skeptic", "M",
                                "M and V required for this protocol") from None
+    except OverflowError:
+        raise _beyond_float(n, "skeptic", "M", s.M, "V") from None
     if s.V < 0.0:
         raise InvalidMoveError(n, "skeptic", "V", f"V = {s.V} violates V >= 0")
 
@@ -187,8 +203,12 @@ def validate_outcome(protocol: Protocol, x: float, n: int = 0) -> None:
     elif kind is _BOUNDED:
         if not 0.0 <= x <= 1.0:
             raise InvalidMoveError(n, "reality", "x", f"x = {x} outside [0, 1]")
-    elif not isfinite(x):
-        raise _not_finite(n, "reality", "x", x)
+    else:
+        try:
+            if not isfinite(x):
+                raise _not_finite(n, "reality", "x", x)
+        except OverflowError:
+            raise _beyond_float(n, "reality", "x", x, "x") from None
 
 
 def capital_update(
@@ -230,7 +250,8 @@ class Policy:
     """A stateful player.  `__init__` keeps only its arguments; reset(),
     called once per run, builds the run's state, and a player is not played
     before it.  observe() is called once per completed round with the full
-    record.
+    record, which holds no round number: a player that needs n counts the
+    rounds it observes or keeps the n its own calls receive.
 
     `run_game` skips the inherited no-op: it calls a player's observe only
     when the bound method is not `Policy.observe`, that is when a class
@@ -394,7 +415,7 @@ def run_game(
             x = outcome(n, f, s, k)
             validate_outcome(protocol, x, n)
             k = capital_update(protocol, k, f, s, x)
-            record = RoundRecord(n, f, s, x, k)
+            record = RoundRecord(f, s, x, k)
             append(record)
             for observe in observers:
                 observe(record)
@@ -411,13 +432,13 @@ def replay_verify(trace: Trace) -> Optional[int]:
     An invalid recorded move raises InvalidMoveError with its round and role.
     """
     k = trace.protocol.initial_capital
-    for record in trace.rounds:
+    for n, record in enumerate(trace.rounds, 1):
         try:
             k = capital_update(
                 trace.protocol, k, record.forecast, record.bet, record.x
             )
         except InvalidMoveError as err:
-            raise InvalidMoveError(record.n, err.role, err.field, err.message) from None
+            raise InvalidMoveError(n, err.role, err.field, err.message) from None
         if not math.isclose(k, record.capital_after, rel_tol=0.0, abs_tol=1e-12):
-            return record.n
+            return n
     return None

@@ -465,8 +465,7 @@ def proxy_slln_fail(trace: Trace) -> bool:
     """|S_n| / n >= 0.5 at every round n >= 10 where the partial sum of
     v_n / n^2 crosses an integer, and there is such a round."""
     counters, total, crossed = BcCounters(), 0.0, False
-    for r in trace.rounds:
-        n = r.n
+    for n, r in enumerate(trace.rounds, 1):
         total += r.x - r.forecast.m
         updated = ceiling_index_update(counters, r.forecast.v / (n * n))
         if updated.c != counters.c and n >= 10:

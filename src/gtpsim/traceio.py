@@ -40,7 +40,7 @@ def trace_to_csv_text(trace: Trace) -> str:
     append = lines.append
     uses_price = trace.protocol.kind.uses_price
     f = bet = x = k = object()    # no field is this object
-    for r in trace.rounds:
+    for n, r in enumerate(trace.rounds, 1):
         if r.forecast is not f:
             f = r.forecast
             f_text = f"{f:.17g}," if uses_price else f"{f.m:.17g},{f.v:.17g}"
@@ -53,7 +53,7 @@ def trace_to_csv_text(trace: Trace) -> str:
         if r.capital_after is not k:
             k = r.capital_after
             k_text = format(k, ".17g")
-        append(f"{r.n},{f_text},{bet_text},{x_text},{k_text}\n")
+        append(f"{n},{f_text},{bet_text},{x_text},{k_text}\n")
     return "".join(lines)
 
 
@@ -66,7 +66,10 @@ def _read_rows(lines: Iterable[str], protocol: Protocol,
     """Parse CSV lines into a trace, one row at a time.  A forecast, bet, x
     or K whose text repeats the previous row's is that row's object again,
     as in the trace that was written.  Only the previous row is compared: a
-    memo over every distinct price would cost more than it saves."""
+    memo over every distinct price would cost more than it saves.
+
+    A record keeps no round number: its position is the round, so a row
+    whose `n` is not its 1-based position among the rows raises ValueError."""
     import csv
 
     reader = csv.reader(lines)
@@ -85,6 +88,9 @@ def _read_rows(lines: Iterable[str], protocol: Protocol,
             if not row:
                 continue
             n, p_or_m, v, m_bet, v_bet, xs, ks = row
+            if int(n) != len(rounds) + 1:
+                raise ValueError(f"CSV line {reader.line_num}: n = {n},"
+                                 f" expected {len(rounds) + 1}")
             if uses_price:
                 if p_or_m != p_text:
                     p_text, forecast = p_or_m, float(p_or_m)
@@ -101,7 +107,7 @@ def _read_rows(lines: Iterable[str], protocol: Protocol,
                 x_text, x = xs, float(xs)
             if ks != k_text:
                 k_text, k = ks, float(ks)
-            append(RoundRecord(int(n), forecast, bet, x, k))
+            append(RoundRecord(forecast, bet, x, k))
     return Trace(protocol=protocol, rounds=rounds, seed=seed)
 
 

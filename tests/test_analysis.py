@@ -305,7 +305,7 @@ def test_verdict_flags_injected_bound_violation():
     )
     bad = trace.rounds[4]
     trace.rounds[4] = RoundRecord(
-        n=bad.n, forecast=bad.forecast, bet=bad.bet, x=bad.x,
+        forecast=bad.forecast, bet=bad.bet, x=bad.x,
         capital_after=1.1,
     )
     verdict = strong_compliance_verdict(trace)
@@ -321,7 +321,7 @@ def test_verdict_names_nan_capital_instead_of_crashing():
     )
     bad = trace.rounds[2]
     trace.rounds[2] = RoundRecord(
-        n=bad.n, forecast=bad.forecast, bet=bad.bet, x=bad.x,
+        forecast=bad.forecast, bet=bad.bet, x=bad.x,
         capital_after=math.nan,
     )
     verdict = strong_compliance_verdict(trace)
@@ -389,7 +389,7 @@ def test_verdict_agrees_with_the_two_pass_oracle(capitals, k0, with_proxy):
     protocol = Protocol(kind=GameKind.COIN_TOSSING, initial_capital=k0)
     move, bet = 0.5, 0.0
     trace = Trace(protocol=protocol, rounds=[
-        RoundRecord(n, move, bet, 0.0, k) for n, k in enumerate(capitals, 1)])
+        RoundRecord(move, bet, 0.0, k) for k in capitals])
     proxy = (lambda t: len(t.rounds) > 3) if with_proxy else None
     got, want = strong_compliance_verdict(trace, proxy), _verdict_oracle(trace, proxy)
     assert (got.skeptic_duty_ok, got.strong_bound_ok, got.event_proxy_ok, got.notes) == (

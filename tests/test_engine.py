@@ -33,6 +33,7 @@ from gtpsim.engine import (
     Trace,
     validate_bet as engine_validate_bet,
     validate_forecast as engine_validate_forecast,
+    validate_outcome as engine_validate_outcome,
 )
 from gtpsim.hedges import power_hedge
 from gtpsim.reality import ConstantReality
@@ -202,6 +203,41 @@ NON_FINITE_MOVES = [
 def test_validate_rejects_non_finite_moves(protocol, f, s, x, field):
     err = _rejection(protocol, f, s, x)
     assert err is not None and err.field == field
+
+
+# An int beyond the float range makes isfinite raise OverflowError; each
+# mean-variance field holding one is an invalid move of its player.
+HUGE = 10**400
+HEDGE = Protocol(kind=GameKind.GENERAL_HEDGE, hedge=power_hedge(1.5))
+OVERFLOWING_MOVES = {
+    "m": (UFG, "forecaster", ForecastMove(m=HUGE, v=1.0)),
+    "v": (UFG, "forecaster", ForecastMove(m=0.0, v=HUGE)),
+    "M": (UFG, "skeptic", SkepticBet(M=-HUGE, V=0.0)),
+    "V": (UFG, "skeptic", SkepticBet(M=0.0, V=HUGE)),
+    "x-unbounded": (UFG, "reality", HUGE),
+    "x-general_hedge": (HEDGE, "reality", -HUGE),
+}
+VALIDATORS = {"forecaster": engine_validate_forecast, "skeptic": engine_validate_bet,
+              "reality": engine_validate_outcome}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_MOVES)
+def test_an_int_beyond_the_float_range_is_an_invalid_move(case):
+    protocol, role, move = OVERFLOWING_MOVES[case]
+    field = case[0]
+    with pytest.raises(InvalidMoveError) as direct:
+        VALIDATORS[role](protocol, move, 3)
+    # Python-built players announcing the move in round 3 of 5
+    f, bet, x = ForecastMove(0.0, 1.0), SkepticBet(0.0, 0.0), 0.0
+    f, bet, x = {"forecaster": (move, bet, x), "skeptic": (f, move, x),
+                 "reality": (f, bet, move)}[role]
+    forecaster = ScriptForecaster(lambda n: f if n == 3 else ForecastMove(0.0, 1.0))
+    skeptic = ScriptBetSkeptic([0.0, 0.0, bet.M], [0.0, 0.0, bet.V])
+    with pytest.raises(InvalidMoveError) as played:
+        run_game(protocol, forecaster, skeptic, ScriptReality([0.0, 0.0, x]), 5)
+    for err in (direct.value, played.value):
+        assert (err.round_index, err.role, err.field) == (3, role, field)
+        assert err.message == f"{field} is beyond the float range"
 
 
 ALL_GAMES = [COIN, Protocol(kind=GameKind.BOUNDED_FORECASTING), UFG,
@@ -544,7 +580,7 @@ def test_replay_detects_tampering():
     )
     bad = trace.rounds[4]
     trace.rounds[4] = RoundRecord(
-        n=bad.n, forecast=bad.forecast, bet=bad.bet, x=bad.x,
+        forecast=bad.forecast, bet=bad.bet, x=bad.x,
         capital_after=bad.capital_after + 1.0,
     )
     assert replay_verify(trace) == 5
@@ -557,7 +593,7 @@ def test_replay_names_round_and_role_of_invalid_move():
     )
     bad = trace.rounds[2]
     trace.rounds[2] = RoundRecord(
-        n=bad.n, forecast=bad.forecast, bet=bad.bet, x=0.5,
+        forecast=bad.forecast, bet=bad.bet, x=0.5,
         capital_after=bad.capital_after,
     )
     with pytest.raises(InvalidMoveError) as excinfo:
@@ -677,17 +713,19 @@ def test_zero_bet_neutrality(rounds):
 
 def test_trace_records_are_slotted_unhashable_dataclasses():
     f, s = ForecastMove(0.0, 1.0), SkepticBet(-1.0, 0.0)
-    for record in (f, s, RoundRecord(1, f, s, 1.0, 0.5)):
+    for record in (f, s, RoundRecord(f, s, 1.0, 0.5)):
         assert dataclasses.is_dataclass(record)
         assert not hasattr(record, "__dict__")
         assert type(record).__slots__ == tuple(
             field.name for field in dataclasses.fields(record))
         with pytest.raises(TypeError):
             hash(record)
+    assert tuple(field.name for field in dataclasses.fields(RoundRecord)) == (
+        "forecast", "bet", "x", "capital_after")
 
 
 def test_round_record_supports_dataclasses_replace():
-    record = RoundRecord(3, 0.5, -1.0, 1.0, 0.5)
+    record = RoundRecord(0.5, -1.0, 1.0, 0.5)
     moved = dataclasses.replace(record, capital_after=-0.5)
-    assert moved == RoundRecord(3, record.forecast, record.bet, 1.0, -0.5)
+    assert moved == RoundRecord(record.forecast, record.bet, 1.0, -0.5)
     assert record.capital_after == 0.5

@@ -19,7 +19,7 @@ def test_no_exact_capital_of_the_compliance_pools_exceeds_k0():
     for scenario in coin_comply_pool(HORIZON) + ufg_pool(HORIZON):
         trace = run_scenario(scenario)
         k0 = Fraction(scenario.protocol.initial_capital)
-        above = [r.n for r, k in zip(trace.rounds, exact_capitals(trace)) if k > k0]
+        above = [n for n, k in enumerate(exact_capitals(trace), 1) if k > k0]
         assert not above, (scenario.name, above[:5])
         rounds += len(trace.rounds)
     assert rounds > 80_000   # most runs play all 4000 rounds
@@ -51,8 +51,8 @@ def test_the_exact_replay_agrees_with_the_float_capitals(kind):
     assert len(trace.rounds) == 300
     exact = exact_capitals(trace)
     assert len(set(exact)) > 100   # the capital moves
-    for record, k in zip(trace.rounds, exact):
-        assert math.isclose(record.capital_after, k, rel_tol=1e-12, abs_tol=1e-12), record.n
+    for n, (record, k) in enumerate(zip(trace.rounds, exact), 1):
+        assert math.isclose(record.capital_after, k, rel_tol=1e-12, abs_tol=1e-12), n
 
 
 def test_the_exact_replay_sees_a_rise_the_floats_round_away():

@@ -126,10 +126,11 @@ def test_a_bad_csv_row_restores_the_collector():
         assert gc.isenabled()
 
 
-def test_a_bad_row_in_a_file_closes_it_and_restores_the_collector(tmp_path):
+def _read_bad_row_from_a_file(tmp_path, row: str):
+    """Read five good rows and then `row` from a file: the read raises
+    ValueError, closes the file and leaves the collector enabled."""
     path = tmp_path / "bad.csv"
-    path.write_text(trace_to_csv_text(_play(ProbeReality(), 5)) + "6,0.5,,0,,x,1\n",
-                    encoding="utf-8")
+    path.write_text(trace_to_csv_text(_play(ProbeReality(), 5)) + row, encoding="utf-8")
     with collector(True):
         with pytest.raises(ValueError) as raised:
             read_trace_csv(path, COIN)
@@ -138,6 +139,16 @@ def test_a_bad_row_in_a_file_closes_it_and_restores_the_collector(tmp_path):
     files = [value for entry in raised.traceback for value in entry.frame.f_locals.values()
              if isinstance(value, io.IOBase)]
     assert files and all(f.closed for f in files)
+    return raised.value
+
+
+def test_a_bad_row_in_a_file_closes_it_and_restores_the_collector(tmp_path):
+    _read_bad_row_from_a_file(tmp_path, "6,0.5,,0,,x,1\n")
+
+
+def test_a_misnumbered_row_in_a_file_closes_it_and_restores_the_collector(tmp_path):
+    err = _read_bad_row_from_a_file(tmp_path, "7,0.5,,0,,0,1\n")
+    assert str(err) == "CSV line 7: n = 7, expected 6"
 
 
 def test_a_nested_run_game_leaves_the_outer_pause_in_place():
@@ -174,8 +185,8 @@ def test_counted_collections_sees_an_unpaused_loop():
     # start many collections.
     gc.collect()
     with collector(True), counted_collections() as count:
-        records = [RoundRecord(n, 0.5, 0.0, 0.0, 1.0)
-                   for n in range(20_000)]
+        records = [RoundRecord(0.5, 0.0, 0.0, 1.0)
+                   for _ in range(20_000)]
     assert len(records) == 20_000
     assert count[0] >= 10
 

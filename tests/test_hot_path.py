@@ -152,7 +152,7 @@ def test_counter_updates_keep_the_namedtuple_type():
     skeptic = FictionalBcSkeptic()
     skeptic.reset(engine.Protocol(kind=engine.GameKind.COIN_TOSSING))
     skeptic.bet(1, 1.5, 1.0)
-    skeptic.observe(RoundRecord(1, 1.5, 0.0, 1.0, 1.0))
+    skeptic.observe(RoundRecord(1.5, 0.0, 1.0, 1.0))
     assert type(skeptic.counters) is BcCounters
     assert skeptic.counters == BcCounters(1, 3 << 1073, 2)
 

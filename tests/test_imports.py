@@ -55,8 +55,8 @@ print(json.dumps({
     "fractions": call("fractions", lambda: skeptic.BcCounters().partial_sum == 0),
     "argparse": call("argparse", lambda: vars(cli.build_parser().parse_args(
         ["price", "f.yaml"])) == {"command": "price", "file": cli.Path("f.yaml")}),
-    "csv": call("csv", lambda: [(r.n, r.x, r.capital_after) for r in
-        traceio.trace_from_csv_text(csv_text, Protocol(GameKind.COIN_TOSSING)).rounds]),
+    "csv": call("csv", lambda: [(n, r.x, r.capital_after) for n, r in enumerate(
+        traceio.trace_from_csv_text(csv_text, Protocol(GameKind.COIN_TOSSING)).rounds, 1)]),
 }))
 """
 

@@ -312,10 +312,10 @@ def test_derandomizer_keeps_its_sign_rule_where_half_the_sum_underflows():
     trace = run_game(COIN, price_forecaster([0.0, 1.0, 0.5, 0.3]), ZeroSkeptic(),
                      derandomizer(), 2400)
     counters, halved_to_zero = BcCounters(), 0
-    for record in trace.rounds:
+    for n, record in enumerate(trace.rounds, 1):
         counters = ceiling_index_update(counters, record.forecast)
         total = record.bet + bc_fictional_bet(counters)
-        assert (record.x == 1.0) == (total <= 0.0), record.n
+        assert (record.x == 1.0) == (total <= 0.0), n
         halved_to_zero += total > 0.0 and 0.5 * total == 0.0
         counters = heads_count_update(counters, record.x == 1.0)
     assert halved_to_zero >= 1

@@ -305,7 +305,7 @@ def test_heads_at_c_increments_proxy_wants_heads_exactly_at_crossings():
 
 def _avoid_trace(p, x, capital, k0=0.5):
     """A one-round bounded-game trace that records the given capital."""
-    record = RoundRecord(1, p, 0.0, x, capital)
+    record = RoundRecord(p, 0.0, x, capital)
     return Trace(Protocol(kind=GameKind.BOUNDED_FORECASTING, initial_capital=k0),
                  [record])
 

@@ -63,18 +63,20 @@ def _with(scenario, **specs):
 
 
 # Bytes a trace keeps per round at HORIZON, at most.  Each round still
-# keeps its RoundRecord and outcome float, a new capital float when the bet
-# is not zero, and a new price float in a non-constant price game; the
-# shared moves cost nothing per round.  Measured: 157, 140, 122, 109 and
-# 109 B.  A ForecastMove around each price kept 213 and 152 B, a new bet
-# after every head of the constant_0.3 run 176 B, a SkepticBet around each
-# of its bets 154 B, and a new x float in every ufg round 133 B.
+# keeps its RoundRecord (four slots, no round number) and outcome float, a
+# new capital float when the bet is not zero, and a new price float in a
+# non-constant price game; the shared moves cost nothing per round.
+# Measured: 121, 104, 86, 73 and 73 B; a round number in each record kept
+# 36 B more (157, 140, 122, 109 and 109 B).  With that number, a ForecastMove
+# around each price kept 213 and 152 B, a new bet after every head of the
+# constant_0.3 run 176 B, a SkepticBet around each of its bets 154 B, and a
+# new x float in every ufg round 133 B.
 TRACE_BYTES_PER_ROUND = {
-    "coin[harmonic/bc_fictional]": 170.0,
-    "coin[constant_0.3/bc_convergent]": 150.0,
-    "coin[geometric/zero]": 170.0,
-    "coin[constant_0.3/zero]": 120.0,
-    "ufg[v=1/m=0/zero]": 120.0,
+    "coin[harmonic/bc_fictional]": 130.0,
+    "coin[constant_0.3/bc_convergent]": 115.0,
+    "coin[geometric/zero]": 95.0,
+    "coin[constant_0.3/zero]": 85.0,
+    "ufg[v=1/m=0/zero]": 85.0,
 }
 
 
@@ -159,8 +161,8 @@ def test_bang_bang_announces_one_bet_per_parity(pool_name):
         "name": "bang_bang", "amplitude": 0.5, "v_amplitude": 0.25})
     with_v = not scenario.protocol.kind.uses_price
     trace = run_scenario(scenario)
-    odd = [r.bet for r in trace.rounds if r.n % 2]
-    even = [r.bet for r in trace.rounds if not r.n % 2]
+    odd = [r.bet for r in trace.rounds[0::2]]
+    even = [r.bet for r in trace.rounds[1::2]]
     assert _objects(odd) == _objects(even) == 1 and odd[0] is not even[0]
     assert odd[0] == (SkepticBet(0.5, 0.0) if with_v else 0.5)
     assert even[0] == (SkepticBet(-0.5, 0.25) if with_v else -0.5)
@@ -277,7 +279,7 @@ def test_a_counter_skeptic_tells_a_negative_zero_bet_from_a_zero_bet():
     skeptic.reset(COIN)
     bets = [skeptic.bet(1, 0.25, 1.0)]
     for n, x in enumerate([1.0, 0.0, 1.0], 2):   # b = 1, 1, 2 in rounds 2-4
-        skeptic.observe(RoundRecord(n - 1, 0.25, bets[-1], x, 1.0))
+        skeptic.observe(RoundRecord(0.25, bets[-1], x, 1.0))
         bets.append(skeptic.bet(n, 0.25, 1.0))
     assert [math.copysign(1.0, bet) for bet in bets] == [1.0, -1.0, -1.0, 1.0]
     # rounds 1 and 4 may share the formula's constant 0.0, never adjacent rounds

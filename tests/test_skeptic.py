@@ -74,7 +74,7 @@ def test_inlined_head_count_updates_agree_with_heads_count_update():
         M = rng.uniform(-1.0, 1.0)
         x, state = bc_comply_step(state, n, forecast, M, k)
         k += M * (x - forecast)
-        skeptic.observe(RoundRecord(n, forecast, M, x, k))
+        skeptic.observe(RoundRecord(forecast, M, x, k))
         expected = heads_count_update(ceiling_index_update(expected, forecast), x == 1.0)
         assert skeptic.counters == expected, n
         assert state.counters == expected, n

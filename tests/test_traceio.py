@@ -44,10 +44,10 @@ def _reference_csv(trace: Trace) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     price = trace.protocol.kind.uses_price
-    for r in trace.rounds:
+    for n, r in enumerate(trace.rounds, 1):
         f, s = r.forecast, r.bet
         writer.writerow([
-            r.n, *((fmt(f), "") if price else (fmt(f.m), fmt(f.v))),
+            n, *((fmt(f), "") if price else (fmt(f.m), fmt(f.v))),
             *((fmt(s), "") if price else (fmt(s.M), fmt(s.V))),
             fmt(r.x), fmt(r.capital_after),
         ])
@@ -119,11 +119,11 @@ def test_csv_text_of_absent_fields_and_hand_built_values():
     hedge = Protocol(kind=GameKind.GENERAL_HEDGE, hedge=power_hedge(1.5))
     rows = [
         # a coin-game bet is M alone: v and V are written empty
-        (coin, RoundRecord(1, 0.25, 0.5, 1.0, 1.375)),
-        (coin, RoundRecord(3, 0.5, 1e-300, 1.0, 5e-324)),
-        (hedge, RoundRecord(4, ForecastMove(-math.inf, math.inf),
+        (coin, RoundRecord(0.25, 0.5, 1.0, 1.375)),
+        (coin, RoundRecord(0.5, 1e-300, 1.0, 5e-324)),
+        (hedge, RoundRecord(ForecastMove(-math.inf, math.inf),
                             SkepticBet(math.nan, math.inf), -math.inf, math.nan)),
-        (hedge, RoundRecord(5, ForecastMove(0.1, 0.2),
+        (hedge, RoundRecord(ForecastMove(0.1, 0.2),
                             SkepticBet(1 / 3, 2 / 3), 0.1 + 0.2, 1e16)),
     ]
     for protocol, record in rows:
@@ -131,9 +131,10 @@ def test_csv_text_of_absent_fields_and_hand_built_values():
         assert trace_to_csv_text(trace) == _reference_csv(trace)
     lines = [trace_to_csv_text(Trace(protocol=p, rounds=[r])).splitlines()[1]
              for p, r in rows]
+    # each trace holds one record, so n is its position 1
     assert lines[0] == "1,0.25,,0.5,,1,1.375"
-    assert lines[2] == "4,-inf,inf,nan,inf,-inf,nan"
-    assert lines[3] == "5,0.10000000000000001,0.20000000000000001,0.33333333333333331," \
+    assert lines[2] == "1,-inf,inf,nan,inf,-inf,nan"
+    assert lines[3] == "1,0.10000000000000001,0.20000000000000001,0.33333333333333331," \
         "0.66666666666666663,0.30000000000000004,10000000000000000"
 
 
@@ -145,6 +146,30 @@ def test_empty_trace_is_the_header_alone():
 def test_empty_text_has_no_header():
     with pytest.raises(ValueError, match="unexpected CSV header None"):
         trace_from_csv_text("", Protocol(kind=GameKind.COIN_TOSSING))
+
+
+def _coin_text(numbers) -> str:
+    """A coin-game CSV whose rows carry the given n, one row each."""
+    return "n,p_or_m,v,M,V,x,K\n" + "".join(f"{n},0.5,,0,,1,1\n" for n in numbers)
+
+
+# A record keeps no round number, so the reader checks that each row's n is
+# the position it loads at.
+@pytest.mark.parametrize("numbers, line, n, position", [
+    ((1, 2, 4), 4, 4, 3),
+    ((0, 1, 2), 2, 0, 1),
+], ids=["skips_3", "starts_at_0"])
+def test_reader_rejects_an_n_other_than_the_row_position(numbers, line, n, position):
+    with pytest.raises(ValueError, match=f"^CSV line {line}: n = {n}, expected {position}$"):
+        trace_from_csv_text(_coin_text(numbers), Protocol(kind=GameKind.COIN_TOSSING))
+
+
+def test_reader_numbers_the_records_past_a_blank_row():
+    text = _coin_text((1, 2)) + "\n" + _coin_text((3,)).split("\n", 1)[1]
+    coin = Protocol(kind=GameKind.COIN_TOSSING)
+    assert len(trace_from_csv_text(text, coin).rounds) == 3
+    with pytest.raises(ValueError, match="^CSV line 5: n = 4, expected 3$"):
+        trace_from_csv_text(text.replace("\n3,", "\n4,"), coin)
 
 
 # sha256 of each CSV that `gtpsim verify scenarios/examples_manifest.yaml
@@ -190,7 +215,7 @@ def _signed_trace(protocol: Protocol, shared: bool) -> Trace:
             return previous
         return float.fromhex(value.hex())
 
-    for n, (value, capital) in enumerate(zip(SIGNED, SIGNED[-3:] + SIGNED), 1):
+    for value, capital in zip(SIGNED, SIGNED[-3:] + SIGNED):
         x = same(value, prev.x if prev else None)
         k = same(capital, prev.capital_after if prev else None)
         if prev is not None and x is prev.x:
@@ -198,7 +223,7 @@ def _signed_trace(protocol: Protocol, shared: bool) -> Trace:
         else:
             forecast = ForecastMove(x, x) if mv else x
             bet = SkepticBet(-x, x) if mv else -x
-        prev = RoundRecord(n, forecast, bet, x, k)
+        prev = RoundRecord(forecast, bet, x, k)
         rounds.append(prev)
     return Trace(protocol=protocol, rounds=rounds)
 
