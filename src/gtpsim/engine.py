@@ -71,8 +71,7 @@ class Protocol:
 # (the pinned trace digests catch a strategy that does).  Without `frozen`,
 # __hash__ is None: records are unhashable by design.  A price-game
 # forecast and bet are no records but the floats p and M, as an outcome is
-# the float x.  A RoundRecord keeps no round number: round n is
-# `trace.rounds[n - 1]`, and a kept trace saves an int and a slot per round.
+# the float x.  A RoundRecord keeps no n: round n is `trace.rounds[n - 1]`.
 #
 # Nothing writes a move after it is announced either.  A strategy announces
 # the same object again while its move is unchanged (ZeroSkeptic; scripts
@@ -134,15 +133,12 @@ def _not_finite(n: int, role: str, name: str, value: float) -> InvalidMoveError:
     return InvalidMoveError(n, role, name, f"{name} = {value} is not finite")
 
 
-def _beyond_float(n: int, role: str, name: str, value: float,
-                  other: str) -> InvalidMoveError:
-    """isfinite raised OverflowError (an int beyond the float range, say):
-    the error for `name` if `value` is what overflows, else for `other`."""
-    try:
-        isfinite(value)
-    except OverflowError:
-        other = name
-    return InvalidMoveError(n, role, other, f"{other} is beyond the float range")
+def _beyond_float(n: int, role: str, **fields: float) -> InvalidMoveError:
+    for name, value in fields.items():
+        try:
+            isfinite(value)
+        except OverflowError:
+            return InvalidMoveError(n, role, name, f"{name} is beyond the float range")
 
 
 # Each validator raises InvalidMoveError for its own player's move, at round
@@ -168,7 +164,7 @@ def validate_forecast(protocol: Protocol, f: Forecast, n: int = 0) -> None:
             if not isfinite(v):
                 raise _not_finite(n, "forecaster", "v", v)
         except OverflowError:
-            raise _beyond_float(n, "forecaster", "m", m, "v") from None
+            raise _beyond_float(n, "forecaster", m=m, v=v) from None
         if v < 0.0:
             raise InvalidMoveError(n, "forecaster", "v", f"v = {v} violates v >= 0")
 
@@ -190,7 +186,7 @@ def validate_bet(protocol: Protocol, s: Bet, n: int = 0) -> None:
         raise InvalidMoveError(n, "skeptic", "M",
                                "M and V required for this protocol") from None
     except OverflowError:
-        raise _beyond_float(n, "skeptic", "M", s.M, "V") from None
+        raise _beyond_float(n, "skeptic", M=s.M, V=s.V) from None
     if s.V < 0.0:
         raise InvalidMoveError(n, "skeptic", "V", f"V = {s.V} violates V >= 0")
 
@@ -208,7 +204,7 @@ def validate_outcome(protocol: Protocol, x: float, n: int = 0) -> None:
             if not isfinite(x):
                 raise _not_finite(n, "reality", "x", x)
         except OverflowError:
-            raise _beyond_float(n, "reality", "x", x, "x") from None
+            raise _beyond_float(n, "reality", x=x) from None
 
 
 def capital_update(
@@ -250,8 +246,7 @@ class Policy:
     """A stateful player.  `__init__` keeps only its arguments; reset(),
     called once per run, builds the run's state, and a player is not played
     before it.  observe() is called once per completed round with the full
-    record, which holds no round number: a player that needs n counts the
-    rounds it observes or keeps the n its own calls receive.
+    record, which holds no n: a player counts rounds or keeps its calls' n.
 
     `run_game` skips the inherited no-op: it calls a player's observe only
     when the bound method is not `Policy.observe`, that is when a class

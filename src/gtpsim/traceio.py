@@ -66,10 +66,7 @@ def _read_rows(lines: Iterable[str], protocol: Protocol,
     """Parse CSV lines into a trace, one row at a time.  A forecast, bet, x
     or K whose text repeats the previous row's is that row's object again,
     as in the trace that was written.  Only the previous row is compared: a
-    memo over every distinct price would cost more than it saves.
-
-    A record keeps no round number: its position is the round, so a row
-    whose `n` is not its 1-based position among the rows raises ValueError."""
+    memo over every distinct price would cost more than it saves."""
     import csv
 
     reader = csv.reader(lines)
