@@ -200,7 +200,7 @@ def mixture_capitals(trace: Trace, fictional: Skeptic, weight: float,
     mixture = [f] if n0 == 0 else []
     for n, record in enumerate(trace.rounds, 1):
         bet = fictional.bet(n, record.forecast, f)
-        f = capital_update(protocol, f, record.forecast, bet, record.x)
+        f = capital_update(protocol, f, record.forecast, bet, record.x, n)
         fictional.observe(record)
         if n == n0:
             f_n0 = f

@@ -118,8 +118,8 @@ class Trace:
 
 
 class InvalidMoveError(ValueError):
-    """A move outside its game's domain: the round (0 where the caller has
-    none), the role of the player who made it, its field and what is wrong."""
+    """A move outside its game's domain: the round, the role of the player
+    who made it, its field and what is wrong."""
 
     def __init__(self, round_index: int, role: str, field: str, message: str):
         self.round_index = round_index
@@ -129,25 +129,36 @@ class InvalidMoveError(ValueError):
         super().__init__(f"round {round_index}: {role} move invalid: {field}: {message}")
 
 
-def _not_finite(n: int, role: str, name: str, value: float) -> InvalidMoveError:
-    return InvalidMoveError(n, role, name, f"{name} = {value} is not finite")
-
-
-def _beyond_float(n: int, role: str, **fields: float) -> InvalidMoveError:
+def _not_finite(n: int, role: str, **fields: object) -> InvalidMoveError:
+    """The error for the first field that is no finite real number, or else
+    for the last field."""
     for name, value in fields.items():
         try:
-            isfinite(value)
-        except OverflowError:
+            if not isfinite(value):
+                return InvalidMoveError(n, role, name, f"{name} = {value} is not finite")
+        except OverflowError:  # an int beyond the float range
             return InvalidMoveError(n, role, name, f"{name} is beyond the float range")
+        except (TypeError, ValueError):  # a str, say, or Decimal('sNaN')
+            break
+    return InvalidMoveError(n, role, name, f"{name} = {value!r} is not a real number")
 
 
-# Each validator raises InvalidMoveError for its own player's move, at round
-# n (0 where the caller has none), and returns None for a move in the domain.
-def validate_forecast(protocol: Protocol, f: Forecast, n: int = 0) -> None:
+def _shown(value: object) -> str:
+    """repr(value), or the length of an int too long to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
+# Each validator raises InvalidMoveError for its own player's move at round
+# n, also for one its checks cannot read (a `try` costs nothing on a valid
+# move), and returns None for a move in the domain.
+def validate_forecast(protocol: Protocol, f: Forecast, n: int) -> None:
     if protocol.kind.uses_price:
         if not isinstance(f, float):
             raise InvalidMoveError(n, "forecaster", "p", "price required for this protocol"
-                                   if f is None else f"price must be a float, got {f!r}")
+                                   if f is None else f"price must be a float, got {_shown(f)}")
         if not 0.0 <= f <= 1.0:
             raise InvalidMoveError(n, "forecaster", "p", f"p = {f} outside [0, 1]")
     else:
@@ -159,65 +170,64 @@ def validate_forecast(protocol: Protocol, f: Forecast, n: int = 0) -> None:
             raise InvalidMoveError(n, "forecaster", "m",
                                    "m and v required for this protocol")
         try:
-            if not isfinite(m):
-                raise _not_finite(n, "forecaster", "m", m)
-            if not isfinite(v):
-                raise _not_finite(n, "forecaster", "v", v)
-        except OverflowError:
-            raise _beyond_float(n, "forecaster", m=m, v=v) from None
+            if not (isfinite(m) and isfinite(v)):
+                raise _not_finite(n, "forecaster", m=m, v=v)
+        except InvalidMoveError:
+            raise
+        except (ArithmeticError, TypeError, ValueError):
+            raise _not_finite(n, "forecaster", m=m, v=v) from None
         if v < 0.0:
             raise InvalidMoveError(n, "forecaster", "v", f"v = {v} violates v >= 0")
 
 
-def validate_bet(protocol: Protocol, s: Bet, n: int = 0) -> None:
+def validate_bet(protocol: Protocol, s: Bet, n: int) -> None:
     if protocol.kind.uses_price:
         if not isinstance(s, float):
             raise InvalidMoveError(n, "skeptic", "M", "M required for this protocol"
-                                   if s is None else f"M must be a float, got {s!r}")
+                                   if s is None else f"M must be a float, got {_shown(s)}")
         if not isfinite(s):
-            raise _not_finite(n, "skeptic", "M", s)
+            raise _not_finite(n, "skeptic", M=s)
         return
     try:
-        if not isfinite(s.M):
-            raise _not_finite(n, "skeptic", "M", s.M)
-        if not isfinite(s.V):
-            raise _not_finite(n, "skeptic", "V", s.V)
+        if not (isfinite(s.M) and isfinite(s.V)):
+            raise _not_finite(n, "skeptic", M=s.M, V=s.V)
+    except InvalidMoveError:
+        raise
     except (AttributeError, TypeError):  # a float, say, or a None field
         raise InvalidMoveError(n, "skeptic", "M",
                                "M and V required for this protocol") from None
-    except OverflowError:
-        raise _beyond_float(n, "skeptic", M=s.M, V=s.V) from None
+    except (ArithmeticError, ValueError):
+        raise _not_finite(n, "skeptic", M=s.M, V=s.V) from None
     if s.V < 0.0:
         raise InvalidMoveError(n, "skeptic", "V", f"V = {s.V} violates V >= 0")
 
 
-def validate_outcome(protocol: Protocol, x: float, n: int = 0) -> None:
+def validate_outcome(protocol: Protocol, x: float, n: int) -> None:
     kind = protocol.kind
-    if kind is _COIN:
-        if x not in (0.0, 1.0):
-            raise InvalidMoveError(n, "reality", "x", f"x = {x} outside {{0, 1}}")
-    elif kind is _BOUNDED:
-        if not 0.0 <= x <= 1.0:
-            raise InvalidMoveError(n, "reality", "x", f"x = {x} outside [0, 1]")
-    else:
-        try:
-            if not isfinite(x):
-                raise _not_finite(n, "reality", "x", x)
-        except OverflowError:
-            raise _beyond_float(n, "reality", x=x) from None
+    try:
+        if kind is _COIN:
+            if x not in (0.0, 1.0):
+                raise InvalidMoveError(n, "reality", "x", f"x = {x} outside {{0, 1}}")
+        elif kind is _BOUNDED:
+            if not 0.0 <= x <= 1.0:
+                raise InvalidMoveError(n, "reality", "x", f"x = {x} outside [0, 1]")
+        elif not isfinite(x):
+            raise _not_finite(n, "reality", x=x)
+    except InvalidMoveError:
+        raise
+    except (ArithmeticError, TypeError, ValueError):  # also an int too long to print
+        raise _not_finite(n, "reality", x=x) from None
 
 
 def capital_update(
-    protocol: Protocol, k_prev: float, f: Forecast, s: Bet, x: float
+    protocol: Protocol, k_prev: float, f: Forecast, s: Bet, x: float, n: int
 ) -> float:
-    """New capital after one round, per the protocol's update rule.
+    """New capital after round n, per the protocol's update rule.
 
-    An invalid move raises InvalidMoveError naming its role; the round index
-    is 0 since this function does not know it (`run_game` and
-    `replay_verify` report the round)."""
-    validate_forecast(protocol, f)
-    validate_bet(protocol, s)
-    validate_outcome(protocol, x)
+    An invalid move raises InvalidMoveError naming round n and its role."""
+    validate_forecast(protocol, f, n)
+    validate_bet(protocol, s, n)
+    validate_outcome(protocol, x, n)
     # A zero bet keeps k_prev itself: K is never -0.0, so the bits agree.
     if protocol.kind.uses_price:
         return k_prev + s * (x - f) if s else k_prev
@@ -312,8 +322,9 @@ class ZeroSkeptic(Skeptic):
 class CombinedSkeptic(Skeptic):
     """Convex combination of Skeptic policies, announced componentwise.
 
-    Its capital process is the same convex combination of the component
-    capital processes along any shared path.
+    Each part bets from its own capital, K_0 at reset and then updated with
+    its own bets, so the combined capital is the same convex combination of
+    the parts' capitals along any shared path.
     """
 
     def __init__(self, weights: Sequence[float], policies: Sequence[Skeptic]):
@@ -329,17 +340,24 @@ class CombinedSkeptic(Skeptic):
 
     def reset(self, protocol: Protocol) -> None:
         super().reset(protocol)
+        self.protocol = protocol
+        self.capitals = [protocol.initial_capital] * len(self.policies)
         for p in self.policies:
             p.reset(protocol)
 
     def bet(self, n, forecast, k_prev) -> Bet:
-        bets = [p.bet(n, forecast, k_prev) for p in self.policies]
+        self.n = n
+        self.bets = bets = [p.bet(n, forecast, k)
+                            for p, k in zip(self.policies, self.capitals)]
         if self.with_v:
             return SkepticBet(sum(w * b.M for w, b in zip(self.weights, bets)),
                               sum(w * b.V for w, b in zip(self.weights, bets)))
         return sum(w * b for w, b in zip(self.weights, bets))
 
     def observe(self, record: RoundRecord) -> None:
+        f, x = record.forecast, record.x
+        self.capitals = [capital_update(self.protocol, k, f, b, x, self.n)
+                         for k, b in zip(self.capitals, self.bets)]
         for p in self.policies:
             p.observe(record)
 
@@ -409,7 +427,7 @@ def run_game(
             validate_bet(protocol, s, n)
             x = outcome(n, f, s, k)
             validate_outcome(protocol, x, n)
-            k = capital_update(protocol, k, f, s, x)
+            k = capital_update(protocol, k, f, s, x, n)
             record = RoundRecord(f, s, x, k)
             append(record)
             for observe in observers:
@@ -428,12 +446,9 @@ def replay_verify(trace: Trace) -> Optional[int]:
     """
     k = trace.protocol.initial_capital
     for n, record in enumerate(trace.rounds, 1):
-        try:
-            k = capital_update(
-                trace.protocol, k, record.forecast, record.bet, record.x
-            )
-        except InvalidMoveError as err:
-            raise InvalidMoveError(n, err.role, err.field, err.message) from None
+        k = capital_update(
+            trace.protocol, k, record.forecast, record.bet, record.x, n
+        )
         if not math.isclose(k, record.capital_after, rel_tol=0.0, abs_tol=1e-12):
             return n
     return None

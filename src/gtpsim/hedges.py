@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 _GRID = [2.0 ** k for k in range(-10, 11)]
 _REL_TOL = 1e-9
@@ -22,11 +22,12 @@ class HedgeValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Hedge:
-    """Even payoff function h with an optional closed-form inverse on [0, inf)."""
+    """Even payoff function h and its inverse on [0, inf), which the
+    derandomized Reality plays at."""
 
     forward: Callable[[float], float]
-    inverse: Optional[Callable[[float], float]] = None
-    name: str = "hedge"
+    inverse: Callable[[float], float]
+    name: str
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class Growth:
     """Positive nondecreasing scale function g."""
 
     eval: Callable[[float], float]
-    name: str = "growth"
+    name: str
 
 
 def power_hedge(r: float) -> Hedge:
@@ -112,15 +113,14 @@ def validate_hedge(hedge: Hedge) -> None:
             raise HedgeValidationError(
                 f"{hedge.name}: h(x)/x^2 increases between {lo} and {hi}"
             )
-    if hedge.inverse is not None:
-        inverse = _no_overflow(hedge.inverse, hedge.name, "h^-1")
-        for x in _GRID:
-            y = h(x)
-            back = h(inverse(y))
-            if not abs(back - y) <= _REL_TOL * max(1.0, abs(y)):
-                raise HedgeValidationError(
-                    f"{hedge.name}: inverse round-trip failed at x = {x}"
-                )
+    inverse = _no_overflow(hedge.inverse, hedge.name, "h^-1")
+    for x in _GRID:
+        y = h(x)
+        back = h(inverse(y))
+        if not abs(back - y) <= _REL_TOL * max(1.0, abs(y)):
+            raise HedgeValidationError(
+                f"{hedge.name}: inverse round-trip failed at x = {x}"
+            )
 
 
 def validate_growth(growth: Growth) -> None:
@@ -137,30 +137,10 @@ def validate_growth(growth: Growth) -> None:
 
 
 def hedge_inverse(hedge: Hedge, y: float) -> float:
-    """Solve h(r) = y for r >= 0.
-
-    Uses the supplied closed form when present, otherwise bisection with a
-    doubling bracket.  The result satisfies |h(r) - y| <= 1e-9 * max(1, y).
-    """
+    """Solve h(r) = y for r >= 0 with the hedge's inverse.  `validate_hedge`
+    checks |h(r) - y| <= 1e-9 * max(1, y) on its grid."""
     if y < 0.0:
         raise ValueError(f"hedge_inverse: y = {y} < 0")
     if y == 0.0:
         return 0.0
-    if hedge.inverse is not None:
-        return hedge.inverse(y)
-    h = hedge.forward
-    hi = 1.0
-    for _ in range(200):
-        if h(hi) >= y:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError(f"hedge_inverse: no bracket, h({hi}) < {y}")
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if h(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return hedge.inverse(y)

@@ -53,12 +53,12 @@ class RandomStream:
         return self.next_u64() / _TWO64
 
 
-def uniform_block(seed: int, n_draws: int, first_counter: int = 1) -> "numpy.ndarray":
-    """Vectorized uniforms equal to draws first_counter..first_counter+n-1
-    of RandomStream(seed)."""
+def uniform_block(seed: int, n_draws: int) -> "numpy.ndarray":
+    """Vectorized uniforms equal to the first n_draws draws of
+    RandomStream(seed)."""
     import numpy as np
 
-    counters = np.arange(first_counter, first_counter + n_draws, dtype=np.uint64)
+    counters = np.arange(1, n_draws + 1, dtype=np.uint64)
     z = (np.uint64(seed & _MASK) + counters * np.uint64(_GAMMA))
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import struct
+from decimal import Decimal
 from math import isfinite
 from typing import Optional
 
@@ -72,13 +73,13 @@ def test_initial_capital_must_be_positive(k0):
 
 def test_capital_update_mean_variance():
     k = capital_update(
-        UFG, 1.0, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=1.0), 2.0
+        UFG, 1.0, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=1.0), 2.0, 1
     )
     assert k == 4.0  # 1 + 1 * (4 - 1)
 
 
 def test_capital_update_coin_zero_bet():
-    k = capital_update(COIN, 1.0, 0.5, 0.0, 1.0)
+    k = capital_update(COIN, 1.0, 0.5, 0.0, 1.0, 1)
     assert k == 1.0
 
 
@@ -86,14 +87,14 @@ def test_capital_update_general_hedge():
     protocol = Protocol(kind=GameKind.GENERAL_HEDGE, hedge=power_hedge(1.5))
     k = capital_update(
         protocol, 1.0, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=2.0),
-        4.0,
+        4.0, 1,
     )
     assert math.isclose(k, 15.0, rel_tol=0.0, abs_tol=1e-12)  # 1 + 2 * (8 - 1)
 
 
 def test_capital_update_rejects_invalid_moves():
     with pytest.raises(InvalidMoveError) as excinfo:
-        capital_update(COIN, 1.0, 0.5, 1.0, 0.5)
+        capital_update(COIN, 1.0, 0.5, 1.0, 0.5, 1)
     assert excinfo.value.role == "reality"
 
 
@@ -105,7 +106,7 @@ def _rejection(protocol, f, s, x):
     """The InvalidMoveError capital_update raises for the round's moves, or
     None when every move is in its domain."""
     try:
-        capital_update(protocol, 1.0, f, s, x)
+        capital_update(protocol, 1.0, f, s, x, 1)
     except InvalidMoveError as err:
         return err
     return None
@@ -349,8 +350,9 @@ def _raised(call):
     return None
 
 
-# Every move the oracle rejects, capital_update rejects at round 0 and
-# run_game at the round it is played, with the same role, field and text.
+# Every move the oracle rejects, capital_update rejects at the round it is
+# given and run_game at the round it is played, with the same role, field
+# and text.
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from(ALL_GAMES), ANY_FIELD, ANY_FIELD, ANY_FIELD, ANY_FLOAT,
        ANY_FIELD, ANY_FLOAT, st.integers(1, 3))
@@ -359,12 +361,53 @@ def test_validators_raise_the_role_field_and_message_of_the_oracle(
     f, s = (p, M) if protocol.kind.uses_price else (ForecastMove(m, v), SkepticBet(M, V))
     violation = (validate_forecast(protocol, f) or validate_bet(protocol, s)
                  or validate_outcome(protocol, x))
-    assert _raised(lambda: capital_update(protocol, 1.0, f, s, x)) == _oracle(0, violation)
+    assert _raised(lambda: capital_update(protocol, 1.0, f, s, x, n)) == _oracle(n, violation)
     legal = 0.5 if protocol.kind.uses_price else ForecastMove(0.0, 1.0)
     forecaster = ScriptForecaster(lambda k: f if k == n else legal)
     player = _MoveAtRound(n, s, x)
     err = _raised(lambda: run_game(protocol, forecaster, player, player, n))
     assert err == _oracle(n, violation)
+
+
+LONG = 10**5000  # past sys.get_int_max_str_digits(): str() raises ValueError
+SNAN = Decimal("sNaN")  # a comparison raises InvalidOperation, isfinite ValueError
+BOUNDED = Protocol(kind=GameKind.BOUNDED_FORECASTING)
+# Moves whose checks raise TypeError, ValueError or InvalidOperation.
+UNREADABLE_MOVES = {
+    "m-str": (UFG, "forecaster", ForecastMove("0", 1.0), "m", "m = '0' is not a real number"),
+    "m-complex": (UFG, "forecaster", ForecastMove(1j, 1.0), "m", "m = 1j is not a real number"),
+    "v-snan": (UFG, "forecaster", ForecastMove(0.0, SNAN), "v",
+               "v = Decimal('sNaN') is not a real number"),
+    "p-long": (COIN, "forecaster", LONG, "p", "price must be a float, got an int of 16610 bits"),
+    "M-long": (BOUNDED, "skeptic", LONG, "M", "M must be a float, got an int of 16610 bits"),
+    "V-snan": (UFG, "skeptic", SkepticBet(0.0, SNAN), "V",
+               "V = Decimal('sNaN') is not a real number"),
+    "x-str-unbounded": (UFG, "reality", "0", "x", "x = '0' is not a real number"),
+    "x-str-bounded": (BOUNDED, "reality", "0", "x", "x = '0' is not a real number"),
+    "x-none-bounded": (BOUNDED, "reality", None, "x", "x = None is not a real number"),
+    "x-snan-bounded": (BOUNDED, "reality", SNAN, "x", "x = Decimal('sNaN') is not a real number"),
+    "x-snan-coin": (COIN, "reality", SNAN, "x", "x = Decimal('sNaN') is not a real number"),
+    "x-long-coin": (COIN, "reality", LONG, "x", "x is beyond the float range"),
+    "x-long-bounded": (BOUNDED, "reality", LONG, "x", "x is beyond the float range"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_MOVES)
+def test_a_move_no_check_can_read_is_an_invalid_move(case):
+    protocol, role, move, field, message = UNREADABLE_MOVES[case]
+    with pytest.raises(InvalidMoveError) as direct:
+        VALIDATORS[role](protocol, move, 3)
+    # Python-built players announcing the move in round 3 of 5
+    legal = 0.5 if protocol.kind.uses_price else ForecastMove(0.0, 1.0)
+    zero = 0.0 if protocol.kind.uses_price else SkepticBet(0.0, 0.0)
+    forecaster = ScriptForecaster(
+        lambda n: move if (role, n) == ("forecaster", 3) else legal)
+    player = _MoveAtRound(3, move if role == "skeptic" else zero,
+                          move if role == "reality" else 0.0)
+    with pytest.raises(InvalidMoveError) as played:
+        run_game(protocol, forecaster, player, player, 5)
+    for err in (direct.value, played.value):
+        assert (err.round_index, err.role, err.field, err.message) == (3, role, field, message)
 
 
 def test_an_invalid_move_error_from_a_player_reaches_the_caller_as_raised():
@@ -431,7 +474,7 @@ _CAPITALS = st.floats().filter(lambda k: k != 0.0 or math.copysign(1.0, k) > 0.0
 def test_a_zero_bet_keeps_the_capital_object(round_, k_prev):
     protocol, f, s, x = round_
     oracle = _update_before_zero_bets_kept_k(protocol, k_prev, f, s, x)
-    k = capital_update(protocol, k_prev, f, s, x)
+    k = capital_update(protocol, k_prev, f, s, x, 1)
     if (s == 0.0) if protocol.kind.uses_price else (s.M == 0.0 and s.V == 0.0):
         assert k is k_prev
     if math.isnan(oracle):
@@ -447,7 +490,7 @@ def test_a_zero_bet_keeps_k_where_x_minus_m_overflows(protocol):
     f, s = ForecastMove(-1e308, 1.0), SkepticBet(0.0, 0.0)
     assert math.isnan(_update_before_zero_bets_kept_k(protocol, 1.0, f, s, 1e308))
     k_prev = 0.75
-    assert capital_update(protocol, k_prev, f, s, 1e308) is k_prev
+    assert capital_update(protocol, k_prev, f, s, 1e308, 1) is k_prev
 
 
 def test_validate_bounded_outcome_interval():
@@ -515,7 +558,7 @@ def test_zero_v_bet_skips_the_overflowing_variance_term():
     # M = V = 0: (x - m)^2 = inf would make 0 * inf = NaN; the capital is 1.
     k = capital_update(
         UFG, 1.0, ForecastMove(m=0.0, v=1.0), SkepticBet(M=0.0, V=0.0),
-        1e200,
+        1e200, 1,
     )
     assert k == 1.0
 
@@ -602,6 +645,20 @@ def test_replay_names_round_and_role_of_invalid_move():
     assert "round 3: reality move invalid: x" in str(excinfo.value)
 
 
+def test_every_report_of_an_invalid_recorded_move_names_its_round():
+    trace = run_game(
+        COIN, price_forecaster([0.3]), ScriptBetSkeptic([0.2]),
+        ScriptReality([1.0, 0.0]), 10,
+    )
+    bad = trace.rounds[1]
+    trace.rounds[1] = RoundRecord(bad.forecast, bad.bet, 0.5, bad.capital_after)
+    message = "x = 0.5 outside {0, 1}"
+    expected = (2, "reality", "x", message, f"round 2: reality move invalid: x: {message}")
+    assert _raised(lambda: replay_verify(trace)) == expected
+    assert _raised(lambda: analysis.mixture_capitals(trace, ZeroSkeptic(), 1.0)) == expected
+    assert _raised(lambda: capital_update(COIN, 1.0, bad.forecast, bad.bet, 0.5, 2)) == expected
+
+
 def test_replay_empty_trace_ok():
     assert replay_verify(Trace(protocol=COIN)) is None
 
@@ -629,6 +686,28 @@ def test_combine_with_zero_halves_bets():
     combo = CombinedSkeptic([0.5, 0.5], [ScriptBetSkeptic([0.8]), ZeroSkeptic()])
     combo.reset(COIN)
     assert combo.bet(1, 0.5, 1.0) == 0.4
+
+
+class _FractionSkeptic(Skeptic):
+    """Bets a fixed fraction of the capital it is given."""
+
+    def __init__(self, fraction):
+        self.fraction = fraction
+
+    def bet(self, n, forecast, k_prev):
+        return self.fraction * k_prev
+
+
+def test_combine_bets_each_part_from_its_own_capital():
+    def play(skeptic):
+        return run_game(COIN, price_forecaster([0.5]), skeptic,
+                        ConstantReality(1.0), 5).capitals
+
+    up, down = play(_FractionSkeptic(0.5)), play(_FractionSkeptic(-0.5))
+    combined = play(CombinedSkeptic([0.5, 0.5], [_FractionSkeptic(0.5),
+                                                 _FractionSkeptic(-0.5)]))
+    assert combined == [0.5 * (a + b) for a, b in zip(up, down)]
+    assert [round(k, 4) for k in combined] == [1.0, 1.0625, 1.1875, 1.3789, 1.6445]
 
 
 def test_combine_rejects_bad_weights():

@@ -51,12 +51,6 @@ def test_uniform_block_matches_scalar_stream():
     assert np.array_equal(np.array(scalar), block)
 
 
-def test_uniform_block_offset_continues_the_stream():
-    whole = uniform_block(9, 40)
-    tail = uniform_block(9, 30, first_counter=11)
-    assert np.array_equal(whole[10:], tail)
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli sampling
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def test_qualifying_round_enters_mixing():
     assert phase.mix_coeff is not None and phase.n0 == 1
     # epsilon = mix_coeff / K_0, and K_{n0} is the capital after round n0
     assert math.isclose(phase.mix_coeff / 1.0, 0.15, rel_tol=0.0, abs_tol=1e-12)
-    k_n0 = capital_update(COIN, 1.0, f, s, x)
+    k_n0 = capital_update(COIN, 1.0, f, s, x, 1)
     assert math.isclose(k_n0, 0.85, rel_tol=0.0, abs_tol=1e-12)
 
 
@@ -238,7 +238,7 @@ def test_ufgh_qualifying_round_with_positive_v_bet():
     assert x == 0.0
     assert state.phase.mix_coeff is not None
     protocol = Protocol(kind=GameKind.GENERAL_HEDGE, hedge=SQUARE, initial_capital=3.0)
-    k_n0 = capital_update(protocol, 3.0, f, s, x)
+    k_n0 = capital_update(protocol, 3.0, f, s, x, 1)
     assert math.isclose(k_n0, 1.0, rel_tol=0.0, abs_tol=1e-12)
     assert math.isclose(state.phase.mix_coeff / 3.0, 2.0 / 3.0, rel_tol=1e-12)
 
@@ -490,6 +490,6 @@ def test_mv_comply_step_leaves_its_input_state_unchanged(growth):
         assert state == saved
         assert mv_comply_step(saved, n, f, s, SQUARE, growth, k) == (x, after)
         state = after
-        k = capital_update(UNBOUNDED, k, f, s, x)
+        k = capital_update(UNBOUNDED, k, f, s, x, n)
     assert state.phase.mix_coeff is not None
     assert state.a_total == sum(v for _, v, _, _ in moves)
