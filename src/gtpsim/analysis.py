@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .engine import BOUND_SLACK, Skeptic, Trace, capital_update
+from .engine import BOUND_SLACK, RoundRecord, Skeptic, Trace, capital_update
 
 MAX_PRICING_HORIZON = 25          # the 2^N tree
 MAX_PRICING_STATES = 1 << 19      # (round, state) pairs of the induction
@@ -198,13 +198,14 @@ def mixture_capitals(trace: Trace, fictional: Skeptic, weight: float,
     fictional.reset(protocol)
     f = f_n0 = protocol.initial_capital
     mixture = [f] if n0 == 0 else []
-    for n, record in enumerate(trace.rounds, 1):
-        bet = fictional.bet(n, record.forecast, f)
-        f = capital_update(protocol, f, record.forecast, bet, record.x, n)
-        fictional.observe(record)
+    for n, (forecast, s, x, k) in enumerate(
+            zip(trace.forecasts, trace.bets, trace.xs, trace.capitals), 1):
+        bet = fictional.bet(n, forecast, f)
+        f = capital_update(protocol, f, forecast, bet, x, n)
+        fictional.observe(RoundRecord(forecast, s, x, k))
         if n == n0:
             f_n0 = f
         if n >= n0:
-            mixture.append(record.capital_after + weight * (f - f_n0))
+            mixture.append(k + weight * (f - f_n0))
     return mixture
 

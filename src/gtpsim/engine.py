@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
+from numbers import Real
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Union
 
 from .hedges import Hedge
@@ -64,19 +65,18 @@ class Protocol:
             raise ValueError(f"{self.kind.value} protocol carries no hedge")
 
 
-# The trace records (ForecastMove, SkepticBet, RoundRecord) are slotted
+# The move records (ForecastMove, SkepticBet) and RoundRecord are slotted
 # dataclasses but not frozen: a frozen __init__ sets each field through
-# object.__setattr__, several times the cost of a slot store, and a round
-# builds up to three.  Nothing writes a record after run_game appends it
-# (the pinned trace digests catch a strategy that does).  Without `frozen`,
-# __hash__ is None: records are unhashable by design.  A price-game
-# forecast and bet are no records but the floats p and M, as an outcome is
-# the float x.  A RoundRecord keeps no n: round n is `trace.rounds[n - 1]`.
+# object.__setattr__, several times the cost of a slot store.  Without
+# `frozen`, __hash__ is None: records are unhashable by design.  A
+# price-game forecast and bet are no records but the floats p and M, as an
+# outcome is the float x.  A trace keeps no RoundRecord (see Trace).
 #
-# Nothing writes a move after it is announced either.  A strategy announces
-# the same object again while its move is unchanged (ZeroSkeptic; scripts
-# and Skeptics in `scenario` and `skeptic`: see README, Shared moves), so a
-# write to it would change every round that shares it.
+# Nothing writes a move after it is announced (the pinned trace digests
+# catch a strategy that does).  A strategy announces the same object again
+# while its move is unchanged (ZeroSkeptic; scripts and Skeptics in
+# `scenario` and `skeptic`: see README, Shared moves), so a write to it
+# would change every round that shares it.
 @dataclass(slots=True)
 class ForecastMove:
     """Forecaster's announcement in the mean-variance games."""
@@ -108,13 +108,45 @@ class RoundRecord:
 
 @dataclass
 class Trace:
+    """Round n's moves and capital are entry n - 1 of the four lists;
+    `rounds` reads them as RoundRecords."""
+
     protocol: Protocol
-    rounds: List[RoundRecord] = field(default_factory=list)
+    forecasts: List[Forecast] = field(default_factory=list)
+    bets: List[Bet] = field(default_factory=list)
+    xs: List[float] = field(default_factory=list)
+    capitals: List[float] = field(default_factory=list)
     seed: Optional[int] = None
 
     @property
-    def capitals(self) -> List[float]:
-        return [r.capital_after for r in self.rounds]
+    def rounds(self) -> Rounds:
+        return Rounds(self)
+
+
+class Rounds:
+    """RoundRecords built on read; `rounds[i] = record` writes them back."""
+
+    def __init__(self, trace: Trace):
+        self.columns = (trace.forecasts, trace.bets, trace.xs, trace.capitals)
+
+    def __len__(self) -> int:
+        return len(self.columns[3])
+
+    def __iter__(self) -> Iterator[RoundRecord]:
+        return map(RoundRecord, *self.columns)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(RoundRecord, *(column[i] for column in self.columns)))
+        return RoundRecord(*(column[i] for column in self.columns))
+
+    def __setitem__(self, i: int, record: RoundRecord) -> None:
+        for column, value in zip(self.columns, (record.forecast, record.bet,
+                                                record.x, record.capital_after)):
+            column[i] = value
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
 
 
 class InvalidMoveError(ValueError):
@@ -212,6 +244,8 @@ def validate_outcome(protocol: Protocol, x: float, n: int) -> None:
             if not 0.0 <= x <= 1.0:
                 raise InvalidMoveError(n, "reality", "x", f"x = {x} outside [0, 1]")
         elif not isfinite(x):
+            raise _not_finite(n, "reality", x=x)
+        if x.__class__ is not float and not isinstance(x, Real):  # a Decimal, say
             raise _not_finite(n, "reality", x=x)
     except InvalidMoveError:
         raise
@@ -366,11 +400,11 @@ class CombinedSkeptic(Skeptic):
 def gc_paused() -> Iterator[None]:
     """Pause automatic cyclic garbage collection for the block.
 
-    A loop that builds a trace allocates three records per round and keeps
-    them all, so the collector would rescan a growing heap that holds no
-    cycle.  The collector is disabled only if it is enabled on entry, and is
-    enabled again on exit, also on an exception; a nested pause, or a caller
-    that runs with the collector off, leaves it as it found it.  Nothing is
+    A loop that builds a trace keeps the moves it allocates, so the
+    collector would rescan a growing heap that holds no cycle.  The
+    collector is disabled only if it is enabled on entry, and is enabled
+    again on exit, also on an exception; a nested pause, or a caller that
+    runs with the collector off, leaves it as it found it.  Nothing is
     collected here and no threshold changes: cycles made inside the block
     (by a user strategy, say) are collected by the first automatic
     collection after it.
@@ -415,10 +449,10 @@ def run_game(
     )
     floor = -BOUND_SLACK * protocol.initial_capital
     k = protocol.initial_capital
-    rounds: List[RoundRecord] = []
-    append = rounds.append
-    # The records, moves and floats the loop keeps hold no cycle: see
-    # gc_paused.
+    trace = Trace(protocol=protocol, seed=seed)
+    add_f, add_s = trace.forecasts.append, trace.bets.append
+    add_x, add_k = trace.xs.append, trace.capitals.append
+    # The moves and floats the loop keeps hold no cycle: see gc_paused.
     with gc_paused():
         for n in range(1, horizon + 1):
             f = forecast(n)
@@ -428,13 +462,17 @@ def run_game(
             x = outcome(n, f, s, k)
             validate_outcome(protocol, x, n)
             k = capital_update(protocol, k, f, s, x, n)
-            record = RoundRecord(f, s, x, k)
-            append(record)
-            for observe in observers:
-                observe(record)
+            add_f(f)
+            add_s(s)
+            add_x(x)
+            add_k(k)
+            if observers:
+                record = RoundRecord(f, s, x, k)
+                for observe in observers:
+                    observe(record)
             if stop_on_skeptic_fault and not k >= floor:
                 break
-    return Trace(protocol=protocol, rounds=rounds, seed=seed)
+    return trace
 
 
 def replay_verify(trace: Trace) -> Optional[int]:
@@ -444,11 +482,10 @@ def replay_verify(trace: Trace) -> Optional[int]:
 
     An invalid recorded move raises InvalidMoveError with its round and role.
     """
-    k = trace.protocol.initial_capital
-    for n, record in enumerate(trace.rounds, 1):
-        k = capital_update(
-            trace.protocol, k, record.forecast, record.bet, record.x, n
-        )
-        if not math.isclose(k, record.capital_after, rel_tol=0.0, abs_tol=1e-12):
+    protocol, k = trace.protocol, trace.protocol.initial_capital
+    for n, (f, s, x, recorded) in enumerate(
+            zip(trace.forecasts, trace.bets, trace.xs, trace.capitals), 1):
+        k = capital_update(protocol, k, f, s, x, n)
+        if not math.isclose(k, recorded, rel_tol=0.0, abs_tol=1e-12):
             return n
     return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import randomized, reality, skeptic
 from .analysis import BOUND_SLACK, Verdict
@@ -44,10 +44,9 @@ class ScenarioError(ValueError):
     """Malformed or out-of-range scenario content."""
 
 
-def load_yaml(source: Union[str, Path]) -> Any:
-    """The YAML document of a file (a Path, read as UTF-8) or of a text (a
-    str).  A file that cannot be read and text that is not YAML are
-    ScenarioErrors.
+def load_yaml(path: Path) -> Any:
+    """The YAML document of a file, read as UTF-8.  A file that cannot be
+    read or is not YAML is a ScenarioError.
 
     PyYAML is imported here, not at module level, so code that builds
     scenarios in Python never loads it."""
@@ -56,15 +55,12 @@ def load_yaml(source: Union[str, Path]) -> Any:
     # libyaml's parser when PyYAML was built with it, else the pure-Python
     # one; both build the same documents through the same safe constructor.
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    where = f"{source}: " if isinstance(source, Path) else ""
     try:
-        if isinstance(source, Path):
-            source = source.read_text(encoding="utf-8")
-        return yaml.load(source, Loader=loader)
+        return yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
     except OSError as exc:
-        raise ScenarioError(f"{where}cannot read: {exc.strerror or exc}") from exc
+        raise ScenarioError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except yaml.YAMLError as exc:
-        raise ScenarioError(f"{where}not valid YAML: {exc}") from exc
+        raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
 
 
 def as_integer(raw: Any, what: str) -> int:
@@ -358,9 +354,9 @@ def build_reality(scenario: Scenario) -> Reality:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def parse_scenario(source: Union[str, Path], name: str = "scenario") -> Scenario:
-    """The scenario in a YAML text, or in a file when `source` is a Path."""
-    doc = load_yaml(source)
+def parse_scenario(path: Path, name: str = "scenario") -> Scenario:
+    """The scenario in a YAML file."""
+    doc = load_yaml(path)
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
     _check_keys(
@@ -440,16 +436,16 @@ def parse_scenario_file(path) -> Scenario:
 
 def proxy_no_late_heads(trace: Trace) -> bool:
     """No head in the final 90% of the run."""
-    cutoff = max(1, len(trace.rounds) // 10)
-    return all(r.x != 1.0 for r in trace.rounds[cutoff:])
+    cutoff = max(1, len(trace.xs) // 10)
+    return 1.0 not in trace.xs[cutoff:]
 
 
 def proxy_heads_at_c_increments(trace: Trace) -> bool:
     """Heads occur exactly where the price partial sum crosses an integer."""
     counters = BcCounters()
-    for r in trace.rounds:
-        updated = ceiling_index_update(counters, r.forecast)
-        if (updated.c != counters.c) != (r.x == 1.0):
+    for p, x in zip(trace.forecasts, trace.xs):
+        updated = ceiling_index_update(counters, p)
+        if (updated.c != counters.c) != (x == 1.0):
             return False
         counters = updated
     return True
@@ -457,17 +453,17 @@ def proxy_heads_at_c_increments(trace: Trace) -> bool:
 
 def proxy_slln_hold(trace: Trace) -> bool:
     """Final centered mean |S_N| / N is at most 0.01."""
-    total = sum(r.x - r.forecast.m for r in trace.rounds)
-    return abs(total) / len(trace.rounds) <= 0.01
+    total = sum(x - f.m for f, x in zip(trace.forecasts, trace.xs))
+    return abs(total) / len(trace.xs) <= 0.01
 
 
 def proxy_slln_fail(trace: Trace) -> bool:
     """|S_n| / n >= 0.5 at every round n >= 10 where the partial sum of
     v_n / n^2 crosses an integer, and there is such a round."""
     counters, total, crossed = BcCounters(), 0.0, False
-    for n, r in enumerate(trace.rounds, 1):
-        total += r.x - r.forecast.m
-        updated = ceiling_index_update(counters, r.forecast.v / (n * n))
+    for n, (f, x) in enumerate(zip(trace.forecasts, trace.xs), 1):
+        total += x - f.m
+        updated = ceiling_index_update(counters, f.v / (n * n))
         if updated.c != counters.c and n >= 10:
             if not abs(total) / n >= 0.5:
                 return False
@@ -478,16 +474,15 @@ def proxy_slln_fail(trace: Trace) -> bool:
 
 def proxy_first_round(trace: Trace) -> bool:
     """p_1 > 0 forces a first-round head, and the capital peaks at round 1."""
-    first = trace.rounds[0]
-    if first.forecast > 0.0 and first.x != 1.0:
+    if trace.forecasts[0] > 0.0 and trace.xs[0] != 1.0:
         return False
     slack = BOUND_SLACK * trace.protocol.initial_capital
-    return max(trace.capitals) <= first.capital_after + slack
+    return max(trace.capitals) <= trace.capitals[0] + slack
 
 
 def proxy_avoid_match(trace: Trace, q: float) -> bool:
     """No outcome ever equals the price, and the capital stays below q."""
-    if any(r.x == r.forecast for r in trace.rounds):
+    if any(x == p for p, x in zip(trace.forecasts, trace.xs)):
         return False
     return max(trace.capitals) <= q + BOUND_SLACK * trace.protocol.initial_capital
 

@@ -17,7 +17,6 @@ from .analysis import Verdict
 from .engine import (
     ForecastMove,
     Protocol,
-    RoundRecord,
     SkepticBet,
     Trace,
     gc_paused,
@@ -40,18 +39,19 @@ def trace_to_csv_text(trace: Trace) -> str:
     append = lines.append
     uses_price = trace.protocol.kind.uses_price
     f = bet = x = k = object()    # no field is this object
-    for n, r in enumerate(trace.rounds, 1):
-        if r.forecast is not f:
-            f = r.forecast
+    for n, (new_f, new_bet, new_x, new_k) in enumerate(
+            zip(trace.forecasts, trace.bets, trace.xs, trace.capitals), 1):
+        if new_f is not f:
+            f = new_f
             f_text = f"{f:.17g}," if uses_price else f"{f.m:.17g},{f.v:.17g}"
-        if r.bet is not bet:
-            bet = r.bet
+        if new_bet is not bet:
+            bet = new_bet
             bet_text = f"{bet:.17g}," if uses_price else f"{bet.M:.17g},{bet.V:.17g}"
-        if r.x is not x:
-            x = r.x
+        if new_x is not x:
+            x = new_x
             x_text = format(x, ".17g")
-        if r.capital_after is not k:
-            k = r.capital_after
+        if new_k is not k:
+            k = new_k
             k_text = format(k, ".17g")
         append(f"{n},{f_text},{bet_text},{x_text},{k_text}\n")
     return "".join(lines)
@@ -74,20 +74,18 @@ def _read_rows(lines: Iterable[str], protocol: Protocol,
     if header != CSV_HEADER:
         raise ValueError(f"unexpected CSV header {header!r}")
     uses_price = protocol.kind.uses_price
-    rounds = []
-    append = rounds.append
+    trace = Trace(protocol=protocol, seed=seed)
+    add_f, add_s = trace.forecasts.append, trace.bets.append
+    add_x, add_k = trace.xs.append, trace.capitals.append
     # The previous row's texts; None matches no field, so row 1 parses all.
     p_text = v_text = m_text = vb_text = x_text = k_text = None
-    # The rows become acyclic records, kept until the trace is built: see
-    # gc_paused.
+    # The rows become acyclic moves, kept in the trace: see gc_paused.
     with gc_paused():
-        for row in reader:
-            if not row:
-                continue
+        for expected, row in enumerate(filter(None, reader), 1):
             n, p_or_m, v, m_bet, v_bet, xs, ks = row
-            if int(n) != len(rounds) + 1:
+            if int(n) != expected:
                 raise ValueError(f"CSV line {reader.line_num}: n = {n},"
-                                 f" expected {len(rounds) + 1}")
+                                 f" expected {expected}")
             if uses_price:
                 if p_or_m != p_text:
                     p_text, forecast = p_or_m, float(p_or_m)
@@ -104,8 +102,11 @@ def _read_rows(lines: Iterable[str], protocol: Protocol,
                 x_text, x = xs, float(xs)
             if ks != k_text:
                 k_text, k = ks, float(ks)
-            append(RoundRecord(forecast, bet, x, k))
-    return Trace(protocol=protocol, rounds=rounds, seed=seed)
+            add_f(forecast)
+            add_s(bet)
+            add_x(x)
+            add_k(k)
+    return trace
 
 
 def trace_from_csv_text(text: str, protocol: Protocol,
@@ -120,13 +121,14 @@ def read_trace_csv(path, protocol: Protocol, seed: Optional[int] = None) -> Trac
 
 
 def summary_dict(name: str, trace: Trace, verdict: Verdict) -> Dict:
-    uses_price = trace.protocol.kind.uses_price
-    if uses_price:
-        heads = sum(1 for r in trace.rounds if r.x == 1.0)
-        final_mean = sum(r.x for r in trace.rounds) / len(trace.rounds)
+    xs = trace.xs
+    if trace.protocol.kind.uses_price:
+        heads = xs.count(1.0)
+        final_mean = sum(xs) / len(xs)
     else:
-        heads = sum(1 for r in trace.rounds if r.x != r.forecast.m)
-        final_mean = sum(r.x - r.forecast.m for r in trace.rounds) / len(trace.rounds)
+        forecasts = trace.forecasts
+        heads = sum(1 for x, f in zip(xs, forecasts) if x != f.m)
+        final_mean = sum(x - f.m for x, f in zip(xs, forecasts)) / len(xs)
     return {
         "scenario": name,
         "seed": trace.seed,

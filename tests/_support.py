@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from pathlib import Path
+from typing import Iterable, List, Sequence
 
 from gtpsim import (
     BcCounters,
@@ -11,12 +12,13 @@ from gtpsim import (
     GameKind,
     Protocol,
     Reality,
+    RoundRecord,
     ScriptForecaster,
     Skeptic,
     SkepticBet,
     Trace,
 )
-from gtpsim.scenario import Scenario, build_reality
+from gtpsim.scenario import Scenario, build_reality, parse_scenario
 
 
 class ScriptReality(Reality):
@@ -42,6 +44,26 @@ class ScriptBetSkeptic(Skeptic):
             v = self.vs[(n - 1) % len(self.vs)] if self.vs else 0.0
             return SkepticBet(M=m, V=v)
         return m
+
+
+def trace_of(protocol: Protocol, records: Iterable[RoundRecord]) -> Trace:
+    """The trace whose rounds are the records' fields, each field the
+    record's own object."""
+    trace = Trace(protocol=protocol)
+    for record in records:
+        trace.forecasts.append(record.forecast)
+        trace.bets.append(record.bet)
+        trace.xs.append(record.x)
+        trace.capitals.append(record.capital_after)
+    return trace
+
+
+def parse_text(tmp_path: Path, text: str) -> Scenario:
+    """The scenario of a YAML text, written to a file under tmp_path and
+    parsed from there."""
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text, encoding="utf-8")
+    return parse_scenario(path)
 
 
 def derandomizer() -> Reality:

@@ -27,10 +27,10 @@ from gtpsim import (
 )
 from gtpsim.analysis import BOUND_SLACK, MAX_PRICING_HORIZON, Verdict, _first_round
 from gtpsim.hedges import _REL_TOL, SQUARE_HEDGE
-from gtpsim.engine import RoundRecord, Trace
+from gtpsim.engine import RoundRecord
 from gtpsim.reality import ConstantReality
 
-from _support import price_forecaster
+from _support import price_forecaster, trace_of
 
 COIN = Protocol(kind=GameKind.COIN_TOSSING)
 
@@ -382,8 +382,7 @@ _CAPITALS = st.lists(st.one_of(
 def test_verdict_agrees_with_the_two_pass_oracle(capitals, k0, with_proxy):
     protocol = Protocol(kind=GameKind.COIN_TOSSING, initial_capital=k0)
     move, bet = 0.5, 0.0
-    trace = Trace(protocol=protocol, rounds=[
-        RoundRecord(move, bet, 0.0, k) for k in capitals])
+    trace = trace_of(protocol, [RoundRecord(move, bet, 0.0, k) for k in capitals])
     proxy = (lambda t: len(t.rounds) > 3) if with_proxy else None
     got, want = strong_compliance_verdict(trace, proxy), _verdict_oracle(trace, proxy)
     assert (got.skeptic_duty_ok, got.strong_bound_ok, got.event_proxy_ok, got.notes) == (

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import struct
 from decimal import Decimal
+from fractions import Fraction
 from math import isfinite
 from typing import Optional
 
@@ -39,6 +40,7 @@ from gtpsim.engine import (
 from gtpsim.hedges import power_hedge
 from gtpsim.reality import ConstantReality
 from gtpsim.skeptic import ConvergentBcSkeptic, DivergentBcSkeptic
+from gtpsim.traceio import trace_from_csv_text, trace_to_csv_text
 
 from _support import ScriptBetSkeptic, ScriptReality, price_forecaster
 
@@ -392,22 +394,46 @@ UNREADABLE_MOVES = {
 }
 
 
-@pytest.mark.parametrize("case", UNREADABLE_MOVES)
-def test_a_move_no_check_can_read_is_an_invalid_move(case):
-    protocol, role, move, field, message = UNREADABLE_MOVES[case]
-    with pytest.raises(InvalidMoveError) as direct:
-        VALIDATORS[role](protocol, move, 3)
-    # Python-built players announcing the move in round 3 of 5
+def _play_at_round_3(protocol, role, move):
+    """Play 5 rounds with Python-built players: legal moves and a zero bet,
+    and `move` as `role`'s move in round 3."""
     legal = 0.5 if protocol.kind.uses_price else ForecastMove(0.0, 1.0)
     zero = 0.0 if protocol.kind.uses_price else SkepticBet(0.0, 0.0)
     forecaster = ScriptForecaster(
         lambda n: move if (role, n) == ("forecaster", 3) else legal)
     player = _MoveAtRound(3, move if role == "skeptic" else zero,
                           move if role == "reality" else 0.0)
+    return run_game(protocol, forecaster, player, player, 5)
+
+
+@pytest.mark.parametrize("case", UNREADABLE_MOVES)
+def test_a_move_no_check_can_read_is_an_invalid_move(case):
+    protocol, role, move, field, message = UNREADABLE_MOVES[case]
+    with pytest.raises(InvalidMoveError) as direct:
+        VALIDATORS[role](protocol, move, 3)
     with pytest.raises(InvalidMoveError) as played:
-        run_game(protocol, forecaster, player, player, 5)
+        _play_at_round_3(protocol, role, move)
     for err in (direct.value, played.value):
         assert (err.round_index, err.role, err.field, err.message) == (3, role, field, message)
+
+
+# A Decimal x passes each game's domain check, since it compares with floats
+# and isfinite reads it, but `x - f` raises TypeError for a float f.  An int
+# x, and the same value as a Fraction or a float, are valid moves.
+@pytest.mark.parametrize("protocol, value", list(zip(ALL_GAMES, (1, 0.5, 0.5, 0.5))),
+                         ids=["coin", "bounded", "ufg", "hedge"])
+def test_a_decimal_x_is_an_invalid_move(protocol, value):
+    x = Decimal(value)
+    with pytest.raises(InvalidMoveError) as direct:
+        engine_validate_outcome(protocol, x, 3)
+    with pytest.raises(InvalidMoveError) as played:
+        _play_at_round_3(protocol, "reality", x)
+    for err in (direct.value, played.value):
+        assert (err.round_index, err.role, err.field, err.message) == (
+            3, "reality", "x", f"x = {x!r} is not a real number")
+    for x in (1, Fraction(value), float(value)):
+        assert engine_validate_outcome(protocol, x, 3) is None
+        assert _play_at_round_3(protocol, "reality", x).rounds[2].x is x
 
 
 def test_an_invalid_move_error_from_a_player_reaches_the_caller_as_raised():
@@ -801,6 +827,37 @@ def test_trace_records_are_slotted_unhashable_dataclasses():
             hash(record)
     assert tuple(field.name for field in dataclasses.fields(RoundRecord)) == (
         "forecast", "bet", "x", "capital_after")
+
+
+def test_trace_rounds_read_as_records_and_take_a_written_record():
+    trace = run_game(
+        COIN, price_forecaster([0.3, 0.9]), ScriptBetSkeptic([0.2, -0.4]),
+        ScriptReality([1.0, 0.0, 0.0]), 200,
+    )
+    records = list(trace.rounds)
+    assert len(trace.rounds) == len(records) == 200
+    assert [r.capital_after for r in records] == trace.capitals
+    for i in (0, 100, 199, -1, -200):
+        assert trace.rounds[i] == records[i]
+    for i in (200, -201):
+        with pytest.raises(IndexError):
+            trace.rounds[i]
+    for part in (slice(10, 20), slice(None, None, -3), slice(1, None, 2), slice(300, None)):
+        assert trace.rounds[part] == records[part]
+    assert trace.rounds == records
+    assert trace_from_csv_text(trace_to_csv_text(trace), COIN).rounds == trace.rounds
+    text = trace_to_csv_text(trace)
+    record = trace.rounds[100]
+    trace.rounds[100] = dataclasses.replace(record, capital_after=-record.capital_after)
+    assert trace.rounds[100] == dataclasses.replace(record, capital_after=-record.capital_after)
+    assert trace.capitals[100] == -record.capital_after
+    assert trace.rounds != records
+    assert replay_verify(trace) == 101
+    assert trace_to_csv_text(trace) != text
+    last = trace.rounds[-1]
+    trace.rounds[-1] = dataclasses.replace(last, x=1.0 - last.x)
+    assert trace.rounds[199].x == 1.0 - last.x
+    assert trace.rounds[:100] == records[:100]
 
 
 def test_round_record_supports_dataclasses_replace():

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from gtpsim.scenario import coin_comply_pool, parse_scenario, run_scenario, ufg_pool
+from gtpsim.scenario import coin_comply_pool, run_scenario, ufg_pool
 
-from _support import exact_capitals
+from _support import exact_capitals, parse_text
 
 HORIZON = 4000
 
@@ -43,9 +43,9 @@ PLAYED = {
 
 
 @pytest.mark.parametrize("kind", sorted(PLAYED))
-def test_the_exact_replay_agrees_with_the_float_capitals(kind):
+def test_the_exact_replay_agrees_with_the_float_capitals(tmp_path, kind):
     protocol, forecaster, skeptic, reality = PLAYED[kind]
-    trace = run_scenario(parse_scenario(
+    trace = run_scenario(parse_text(tmp_path,
         f"protocol: {{kind: {protocol}}}\nhorizon: 300\nforecaster: {forecaster}\n"
         f"skeptic: {skeptic}\nreality: {reality}\nseed: 5\n"))
     assert len(trace.rounds) == 300
@@ -55,9 +55,9 @@ def test_the_exact_replay_agrees_with_the_float_capitals(kind):
         assert math.isclose(record.capital_after, k, rel_tol=1e-12, abs_tol=1e-12), n
 
 
-def test_the_exact_replay_sees_a_rise_the_floats_round_away():
+def test_the_exact_replay_sees_a_rise_the_floats_round_away(tmp_path):
     # K_0 = 1 plus a gain of 2^-60 is 1.0 in floats, but not in the replay.
-    trace = run_scenario(parse_scenario(
+    trace = run_scenario(parse_text(tmp_path,
         "protocol: {kind: coin_tossing}\nhorizon: 1\nforecaster: {name: constant}\n"
         "skeptic: {name: single_bet, M: 8.673617379884035e-19}\n"
         "reality: {name: constant, x: 1.0}\n"))

@@ -30,10 +30,11 @@ from gtpsim.scenario import (
     _REALITIES,
     _SKEPTICS,
     ScenarioError,
-    parse_scenario,
     run_scenario,
 )
 from gtpsim.traceio import read_trace_csv, trace_from_csv_text, trace_to_csv_text
+
+from _support import parse_text
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gtpsim"
 COIN = Protocol(GameKind.COIN_TOSSING)
@@ -191,7 +192,7 @@ def test_counted_collections_sees_an_unpaused_loop():
     assert count[0] >= 10
 
 
-def _registry_scenarios():
+def _registry_scenarios(tmp_path):
     """One small scenario per (game, registered Skeptic or Reality) that
     parses: a strategy that cannot play a game is skipped."""
     for kind in GameKind:
@@ -210,15 +211,15 @@ def _registry_scenarios():
                     role: {"name": name},
                 }
                 try:
-                    scenario = parse_scenario(yaml.safe_dump(doc))
+                    scenario = parse_text(tmp_path, yaml.safe_dump(doc))
                 except ScenarioError:
                     continue
                 yield f"{kind.value}/{role}/{name}", scenario
 
 
-def test_every_registered_strategy_leaves_no_cycle():
+def test_every_registered_strategy_leaves_no_cycle(tmp_path):
     played = set()
-    for label, scenario in _registry_scenarios():
+    for label, scenario in _registry_scenarios(tmp_path):
         gc.collect()
         trace = run_scenario(scenario)
         assert trace.rounds, label

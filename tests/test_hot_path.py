@@ -53,17 +53,18 @@ SETUP_CALLS = 50
 # float, so no price-game round builds a ForecastMove; a constant
 # mean-variance script and the zero and bang-bang Skeptics announce
 # prebuilt moves, so their rounds build no ForecastMove or SkepticBet; and
-# only the counter Skeptics override observe, so only they are observed.  A
-# counter Skeptic announces M, a float, and runs its formula (1 call) only
-# when b or c moves: 17 times in 2000 rounds of harmonic prices, hence 16.01.
+# only the counter Skeptics override observe, so only their runs build a
+# RoundRecord for the observers.  A counter Skeptic announces M, a float,
+# and runs its formula (1 call) only when b or c moves: 17 times in 2000
+# rounds of harmonic prices, hence 16.01.
 CALLS_PER_ROUND = {
     "coin[harmonic/bc_fictional]": 16.01,
-    "coin[constant_0.3/zero]": 14,
-    "coin[inverse_square/bang_bang]": 14,
-    "ufg[v=1/m=0/zero]": 14,
-    "ufgh[r=2/identity/zero]": 16,
+    "coin[constant_0.3/zero]": 13,
+    "coin[inverse_square/bang_bang]": 13,
+    "ufg[v=1/m=0/zero]": 13,
+    "ufgh[r=2/identity/zero]": 15,
     "derandomized[harmonic/bc_fictional]": 16.01,
-    "derandomized[constant_0.3/zero]": 14,
+    "derandomized[constant_0.3/zero]": 13,
 }
 
 # The functions a round runs: the step functions when a compliance Reality plays.

@@ -51,7 +51,7 @@ def call(module, run):
 
 csv_text = "n,p_or_m,v,M,V,x,K\\n1,0.5,,0.5,,1,1.25\\n2,0.5,,0,,0,1.25\\n"
 print(json.dumps({
-    "yaml": call("yaml", lambda: scenario.load_yaml("a: 1")),
+    "yaml": call("yaml", lambda: scenario.load_yaml(cli.Path(sys.argv[1]))),
     "fractions": call("fractions", lambda: skeptic.BcCounters().partial_sum == 0),
     "argparse": call("argparse", lambda: vars(cli.build_parser().parse_args(
         ["price", "f.yaml"])) == {"command": "price", "file": cli.Path("f.yaml")}),
@@ -61,8 +61,10 @@ print(json.dumps({
 """
 
 
-def test_each_deferred_import_loads_when_its_function_runs():
-    done = _fresh_python("-c", DEFERRED_PATHS)
+def test_each_deferred_import_loads_when_its_function_runs(tmp_path):
+    yaml_file = tmp_path / "a.yaml"
+    yaml_file.write_text("a: 1\n", encoding="utf-8")
+    done = _fresh_python("-c", DEFERRED_PATHS, str(yaml_file))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
         "yaml": [False, True, {"a": 1}],

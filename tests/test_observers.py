@@ -4,7 +4,7 @@ The observers are chosen once per run, after the resets: a player whose
 bound observe is the inherited no-op `Policy.observe` is skipped, and every
 other one (an override on the class, a function set on the class after it
 was built, or one set on the instance) is called once per round, in player
-order, with the record just appended.
+order, with a record of the round just played.
 """
 
 import hashlib
@@ -53,9 +53,14 @@ def _digest(trace) -> str:
     return digest.hexdigest()
 
 
-def _same(seen, expected) -> bool:
-    """The same record objects, in the same order."""
-    return len(seen) == len(expected) and all(map(operator.is_, seen, expected))
+def _same(seen, trace, times: int = 1) -> bool:
+    """Each record seen holds the trace's own four objects, round by round,
+    each round seen `times` times in a row."""
+    rounds = [fields for fields in zip(trace.forecasts, trace.bets, trace.xs,
+                                       trace.capitals) for _ in range(times)]
+    return len(seen) == len(rounds) and all(
+        all(map(operator.is_, (r.forecast, r.bet, r.x, r.capital_after), fields))
+        for r, fields in zip(seen, rounds))
 
 
 def _play_observed(players, codes) -> tuple:
@@ -98,13 +103,12 @@ def test_combined_counter_skeptics_see_every_record_in_order():
     combined_code = CombinedSkeptic.observe.__code__
     trace, seen, observe_calls = _play_observed(
         (_harmonic(), combined, derandomizer()), (counter_code, combined_code))
-    records = trace.rounds
-    assert len(records) == HORIZON
-    assert _same(seen[combined_code], records)
-    # each record, once per part, before the next one
-    assert _same(seen[counter_code], [r for r in records for _ in parts])
+    assert len(trace.rounds) == HORIZON
+    assert _same(seen[combined_code], trace)
+    # each round, once per part, before the next one
+    assert _same(seen[counter_code], trace, len(parts))
     assert observe_calls == 4 * HORIZON
-    heads = sum(r.x == 1.0 for r in records)
+    heads = sum(r.x == 1.0 for r in trace.rounds)
     assert [p.counters.b for p in parts] == [heads] * 3
     assert _digest(trace) == RECORDED["combined"]
 
@@ -114,7 +118,7 @@ def test_a_lone_counter_skeptic_sees_every_record_in_order():
     counter_code = _CounterSkeptic.observe.__code__
     trace, seen, observe_calls = _play_observed(
         (_harmonic(), skeptic, BcComplyReality()), (counter_code,))
-    assert _same(seen[counter_code], trace.rounds)
+    assert _same(seen[counter_code], trace)
     assert observe_calls == HORIZON
     assert skeptic.counters.b == sum(r.x == 1.0 for r in trace.rounds)
     assert _digest(trace) == RECORDED["divergent"]
@@ -128,7 +132,7 @@ def test_an_observe_set_on_the_class_after_it_is_built_is_called():
     LateSkeptic.observe = lambda self, record: seen.append(record)
     trace = run_game(COIN, price_forecaster([0.3]), LateSkeptic(),
                      ConstantReality(0.0), HORIZON)
-    assert len(trace.rounds) == HORIZON and _same(seen, trace.rounds)
+    assert len(trace.rounds) == HORIZON and _same(seen, trace)
 
 
 def test_an_observe_set_on_the_instance_is_called():
@@ -138,4 +142,4 @@ def test_an_observe_set_on_the_instance_is_called():
     reality.observe = lambda record: seen.append(("reality", record))
     trace = run_game(COIN, forecaster, ZeroSkeptic(), reality, HORIZON)
     assert [role for role, _ in seen] == ["forecaster", "reality"] * HORIZON
-    assert _same([r for _, r in seen], [r for r in trace.rounds for _ in range(2)])
+    assert _same([r for _, r in seen], trace, 2)

@@ -14,7 +14,6 @@ from gtpsim.cli import cmd_verify, load_manifest, main
 from gtpsim.engine import (
     Protocol,
     RoundRecord,
-    Trace,
     ZeroSkeptic,
 )
 from gtpsim.hedges import HedgeValidationError
@@ -30,7 +29,6 @@ from gtpsim.scenario import (
     build_reality,
     build_skeptic,
     event_proxy_for,
-    parse_scenario,
     parse_scenario_file,
     proxy_avoid_match,
     proxy_heads_at_c_increments,
@@ -48,7 +46,7 @@ from gtpsim.traceio import (
 )
 from gtpsim.analysis import strong_compliance_verdict
 
-from _support import ScriptReality, mv_forecaster, price_forecaster
+from _support import ScriptReality, mv_forecaster, parse_text, price_forecaster, trace_of
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -68,32 +66,32 @@ reality: {name: bc_comply}
 # Parsing
 # ---------------------------------------------------------------------------
 
-def test_parse_minimal_scenario_defaults():
-    scenario = parse_scenario(MINIMAL)
+def test_parse_minimal_scenario_defaults(tmp_path):
+    scenario = parse_text(tmp_path, MINIMAL)
     assert scenario.name == "mini"
     assert scenario.protocol.initial_capital == 1.0
     assert scenario.seed is None
     assert scenario.expected_event == "none"
 
 
-def test_parse_rejects_unknown_strategy():
+def test_parse_rejects_unknown_strategy(tmp_path):
     text = MINIMAL.replace("bc_fictional", "foo")
     with pytest.raises(ScenarioError, match="foo"):
-        parse_scenario(text)
+        parse_text(tmp_path, text)
 
 
-def test_parse_rejects_unknown_keys():
+def test_parse_rejects_unknown_keys(tmp_path):
     with pytest.raises(ScenarioError, match="bogus"):
-        parse_scenario(MINIMAL + "bogus: 1\n")
+        parse_text(tmp_path, MINIMAL + "bogus: 1\n")
 
 
-def test_parse_rejects_unknown_label():
+def test_parse_rejects_unknown_label(tmp_path):
     text = MINIMAL + "labels: {expected_event: nonsense}\n"
     with pytest.raises(ScenarioError):
-        parse_scenario(text)
+        parse_text(tmp_path, text)
 
 
-def test_parse_general_hedge_scenario_carries_validated_hedge():
+def test_parse_general_hedge_scenario_carries_validated_hedge(tmp_path):
     text = """\
 name: hedged
 protocol:
@@ -105,13 +103,13 @@ forecaster: {name: mv}
 skeptic: {name: zero}
 reality: {name: ufgh_comply}
 """
-    scenario = parse_scenario(text)
+    scenario = parse_text(tmp_path, text)
     assert scenario.protocol.kind is GameKind.GENERAL_HEDGE
     assert scenario.protocol.hedge.name == "power:r=1.5"
     assert scenario.growth.name == "identity"
 
 
-def test_parse_rejects_invalid_hedge_power():
+def test_parse_rejects_invalid_hedge_power(tmp_path):
     text = """\
 name: bad
 protocol:
@@ -123,7 +121,7 @@ skeptic: {name: zero}
 reality: {name: ufgh_comply}
 """
     with pytest.raises(HedgeValidationError):
-        parse_scenario(text)
+        parse_text(tmp_path, text)
 
 
 # Strategies that can play only some games: the ones reading the price p,
@@ -161,13 +159,13 @@ def _pair_scenario(kind: GameKind, role: str, spec: dict) -> str:
 @pytest.mark.parametrize("kind", list(GameKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("role, name", [("skeptic", n) for n in _SKEPTICS]
                          + [("reality", n) for n in _REALITIES])
-def test_every_strategy_runs_or_is_rejected_at_parse(kind, role, name):
+def test_every_strategy_runs_or_is_rejected_at_parse(tmp_path, kind, role, name):
     text = _pair_scenario(kind, role, {"name": name})
     if not _plays(kind, name):
         with pytest.raises(ScenarioError, match=kind.value):
-            parse_scenario(text)
+            parse_text(tmp_path, text)
         return
-    trace = run_scenario(parse_scenario(text))
+    trace = run_scenario(parse_text(tmp_path, text))
     assert trace.rounds and replay_verify(trace) is None
 
 
@@ -230,8 +228,8 @@ def test_cli_run_applies_horizon_and_seed(tmp_path, capsys):
 # Trace serialization
 # ---------------------------------------------------------------------------
 
-def test_csv_round_trip_coin():
-    scenario = parse_scenario(MINIMAL)
+def test_csv_round_trip_coin(tmp_path):
+    scenario = parse_text(tmp_path, MINIMAL)
     trace = run_scenario(replace(scenario, horizon=100))
     text = trace_to_csv_text(trace)
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
@@ -254,8 +252,8 @@ def test_csv_round_trip_mean_variance():
     assert [r.forecast.m for r in back.rounds] == [r.forecast.m for r in trace.rounds]
 
 
-def test_summary_dict_fields():
-    scenario = parse_scenario(MINIMAL)
+def test_summary_dict_fields(tmp_path):
+    scenario = parse_text(tmp_path, MINIMAL)
     trace = run_scenario(replace(scenario, horizon=64, seed=9))
     summary = summary_dict(scenario.name, trace, strong_compliance_verdict(trace))
     assert set(summary) == {
@@ -306,8 +304,8 @@ def test_heads_at_c_increments_proxy_wants_heads_exactly_at_crossings():
 def _avoid_trace(p, x, capital, k0=0.5):
     """A one-round bounded-game trace that records the given capital."""
     record = RoundRecord(p, 0.0, x, capital)
-    return Trace(Protocol(kind=GameKind.BOUNDED_FORECASTING, initial_capital=k0),
-                 [record])
+    return trace_of(Protocol(kind=GameKind.BOUNDED_FORECASTING, initial_capital=k0),
+                    [record])
 
 
 def test_avoid_match_proxy_scales_its_slack_by_the_initial_capital():
@@ -320,8 +318,8 @@ def test_avoid_match_proxy_fails_where_the_outcome_equals_the_price():
     assert not proxy_avoid_match(_avoid_trace(0.5, 0.5, 0.5), 0.9)
 
 
-def test_avoid_match_event_proxy_reads_the_q_reality_plays():
-    bare = parse_scenario("""\
+def test_avoid_match_event_proxy_reads_the_q_reality_plays(tmp_path):
+    bare = parse_text(tmp_path, """\
 protocol: {kind: bounded_forecasting, initial_capital: 0.5}
 forecaster: {name: harmonic}
 skeptic: {name: zero}
@@ -346,7 +344,7 @@ reality: {name: constant, x: 1.0e200}
 
 def test_summary_json_is_strict_on_a_nan_capital(tmp_path):
     # Round 1 gains 1e200 * 1e200 = inf; round 2 adds -inf + inf = NaN.
-    scenario = parse_scenario(NAN_CAPITAL)
+    scenario = parse_text(tmp_path, NAN_CAPITAL)
     trace = run_scenario(scenario)
     verdict = strong_compliance_verdict(trace)
     assert math.isnan(verdict.sup_capital)
@@ -519,12 +517,12 @@ def _declared_keys():
 
 
 @pytest.mark.parametrize("kind, role, name, key", list(_declared_keys()))
-def test_every_allowed_strategy_key_is_read(kind, role, name, key):
+def test_every_allowed_strategy_key_is_read(tmp_path, kind, role, name, key):
     # A key the table allows but the strategy never read would be a silent
     # default again: a wrong-typed value must be rejected by name.
     text = _pair_scenario(GameKind(kind), role, {"name": name, key: True})
     with pytest.raises(ScenarioError, match=rf" {key} (must be|list)"):
-        parse_scenario(text)
+        parse_text(tmp_path, text)
 
 
 @pytest.mark.parametrize("role, name", [("skeptic", n) for n in _SKEPTICS]
@@ -776,14 +774,15 @@ def test_cli_rejects_a_non_integral_count(tmp_path, capsys, where, text, field):
     assert field in err and "integer" in err
 
 
-def test_integral_float_counts_are_accepted():
-    scenario = parse_scenario(MINIMAL.replace("horizon: 50", "horizon: 50.0") + "seed: 3.0\n")
+def test_integral_float_counts_are_accepted(tmp_path):
+    scenario = parse_text(
+        tmp_path, MINIMAL.replace("horizon: 50", "horizon: 50.0") + "seed: 3.0\n")
     assert (scenario.horizon, scenario.seed) == (50, 3)
     assert type(scenario.horizon) is int and type(scenario.seed) is int
 
 
-def test_cmd_verify_report_shape():
-    scenario = parse_scenario(MINIMAL + "labels: {expected_event: strong_comply}\n")
+def test_cmd_verify_report_shape(tmp_path):
+    scenario = parse_text(tmp_path, MINIMAL + "labels: {expected_event: strong_comply}\n")
     failures, lines = cmd_verify([replace(scenario, horizon=100)])
     assert failures == 0
     assert len(lines) == 2 and lines[0].startswith("pass")
@@ -855,9 +854,9 @@ def test_as_float_takes_numbers_and_numeric_strings_only():
             as_float(raw, "bound")
 
 
-def test_an_exponent_without_a_dot_still_parses_as_a_number():
-    scenario = parse_scenario(MINIMAL.replace("{name: bc_fictional}",
-                                              "{name: random_bounded, bound: 1e-4}"))
+def test_an_exponent_without_a_dot_still_parses_as_a_number(tmp_path):
+    scenario = parse_text(tmp_path, MINIMAL.replace("{name: bc_fictional}",
+                                                    "{name: random_bounded, bound: 1e-4}"))
     assert scenario.skeptic_spec["bound"] == "1e-4"
     bets = [r.bet for r in run_scenario(replace(scenario, horizon=20)).rounds]
     assert max(abs(m) for m in bets) <= 1e-4 and any(bets)
@@ -886,14 +885,14 @@ def test_cli_rejects_a_label_for_another_game(tmp_path, capsys, text, event, sho
 
 
 @pytest.mark.parametrize("divergent", ["[1, 2]", "1", "'true'", "{a: 1}"])
-def test_parse_rejects_a_series_divergent_label_that_is_not_a_bool(divergent):
+def test_parse_rejects_a_series_divergent_label_that_is_not_a_bool(tmp_path, divergent):
     with pytest.raises(ScenarioError, match="series_divergent must be true, false or null"):
-        parse_scenario(MINIMAL + f"labels: {{series_divergent: {divergent}}}\n")
+        parse_text(tmp_path, MINIMAL + f"labels: {{series_divergent: {divergent}}}\n")
 
 
-def test_parse_takes_a_bool_or_null_series_divergent_label():
+def test_parse_takes_a_bool_or_null_series_divergent_label(tmp_path):
     for raw, divergent in (("true", True), ("false", False), ("null", None)):
-        scenario = parse_scenario(MINIMAL + f"labels: {{series_divergent: {raw}}}\n")
+        scenario = parse_text(tmp_path, MINIMAL + f"labels: {{series_divergent: {raw}}}\n")
         assert scenario.series_divergent is divergent
 
 

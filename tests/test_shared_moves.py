@@ -1,15 +1,16 @@
 """Shared moves: a round builds no new object for a value that did not
 change.  A strategy whose announcement does not depend on the round builds
 its move once and announces that object every round; a counter Skeptic
-announces its last bet again while the bet's bits do not change; the geometric price
-script announces one move once its price underflows; and a zero bet keeps
-the capital object.
+announces its last bet again while the bet's bits do not change; the
+geometric price script announces one move once its price underflows; and a
+zero bet keeps the capital object.
 
-The trace then holds one object for many rounds, which is what keeps its
-memory down; the bytes a trace keeps per round are pinned here by
-tracemalloc.  Sharing is safe only because nothing writes a move after it
-is announced, so the tests also check that the shared objects still hold
-the values they were built with after a run.
+A trace keeps four lists, of forecasts, bets, outcomes and capitals, and no
+record per round, so its lists hold one object for many rounds: that is
+what keeps its memory down.  The bytes a trace keeps per round are pinned
+here by tracemalloc.  Sharing is safe only because nothing writes a move
+after it is announced, so the tests also check that the shared objects
+still hold the values they were built with after a run.
 """
 
 import dataclasses
@@ -62,21 +63,22 @@ def _with(scenario, **specs):
         scenario, **{f"{role}_spec": spec for role, spec in specs.items()})
 
 
-# Bytes a trace keeps per round at HORIZON, at most.  Each round still
-# keeps its RoundRecord (four slots, no round number) and outcome float, a
-# new capital float when the bet is not zero, and a new price float in a
-# non-constant price game; the shared moves cost nothing per round.
-# Measured: 121, 104, 86, 73 and 73 B; a round number in each record kept
-# 36 B more (157, 140, 122, 109 and 109 B).  With that number, a ForecastMove
+# Bytes a trace keeps per round at HORIZON, at most.  Each round keeps one
+# slot in each of the trace's four lists (32 B), a new capital float when
+# the bet is not zero, and a new price float in a non-constant price game;
+# the shared moves and outcomes cost nothing per round.
+# Measured: 81, 64, 46, 33 and 33 B.  A RoundRecord kept per round cost
+# 40 B more (121, 104, 86, 73 and 73 B), and one with a round number 76 B
+# more (157, 140, 122, 109 and 109 B).  With that number, a ForecastMove
 # around each price kept 213 and 152 B, a new bet after every head of the
 # constant_0.3 run 176 B, a SkepticBet around each of its bets 154 B, and a
 # new x float in every ufg round 133 B.
 TRACE_BYTES_PER_ROUND = {
-    "coin[harmonic/bc_fictional]": 130.0,
-    "coin[constant_0.3/bc_convergent]": 115.0,
-    "coin[geometric/zero]": 95.0,
-    "coin[constant_0.3/zero]": 85.0,
-    "ufg[v=1/m=0/zero]": 85.0,
+    "coin[harmonic/bc_fictional]": 90.0,
+    "coin[constant_0.3/bc_convergent]": 72.0,
+    "coin[geometric/zero]": 55.0,
+    "coin[constant_0.3/zero]": 40.0,
+    "ufg[v=1/m=0/zero]": 40.0,
 }
 
 

@@ -22,7 +22,7 @@ from gtpsim import (
 )
 from gtpsim.cli import main
 from gtpsim.hedges import power_hedge
-from gtpsim.scenario import parse_scenario, run_scenario
+from gtpsim.scenario import run_scenario
 from gtpsim.traceio import (
     CSV_HEADER,
     read_trace_csv,
@@ -30,6 +30,8 @@ from gtpsim.traceio import (
     trace_to_csv_text,
     write_trace_csv,
 )
+
+from _support import parse_text, trace_of
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -72,9 +74,9 @@ PLAYED = {
 HORIZON = 300
 
 
-def _played(kind: str) -> Trace:
+def _played(tmp_path, kind: str) -> Trace:
     protocol, forecaster, skeptic, reality = PLAYED[kind]
-    trace = run_scenario(parse_scenario(
+    trace = run_scenario(parse_text(tmp_path,
         f"name: {kind}\nprotocol: {{kind: {protocol}}}\nhorizon: {HORIZON}\n"
         f"forecaster: {forecaster}\nskeptic: {skeptic}\nreality: {reality}\nseed: 11\n"))
     assert len(trace.rounds) == HORIZON
@@ -92,8 +94,8 @@ reality: {name: constant, x: 1.0e200}
 
 
 @pytest.mark.parametrize("kind", sorted(PLAYED))
-def test_csv_text_matches_csv_writer_and_round_trips(kind):
-    trace = _played(kind)
+def test_csv_text_matches_csv_writer_and_round_trips(tmp_path, kind):
+    trace = _played(tmp_path, kind)
     text = trace_to_csv_text(trace)
     assert text == _reference_csv(trace)
     back = trace_from_csv_text(text, trace.protocol, trace.seed)
@@ -102,9 +104,9 @@ def test_csv_text_matches_csv_writer_and_round_trips(kind):
     assert trace_to_csv_text(back) == text
 
 
-def test_csv_text_writes_non_finite_values_as_csv_writer_does():
+def test_csv_text_writes_non_finite_values_as_csv_writer_does(tmp_path):
     # Round 1 gains 1e200 * 1e200 = inf; round 2 adds -inf + inf = NaN.
-    trace = run_scenario(parse_scenario(NAN_CAPITAL))
+    trace = run_scenario(parse_text(tmp_path, NAN_CAPITAL))
     capitals = trace.capitals
     assert math.isinf(capitals[0]) and math.isnan(capitals[1])
     text = trace_to_csv_text(trace)
@@ -127,9 +129,9 @@ def test_csv_text_of_absent_fields_and_hand_built_values():
                             SkepticBet(1 / 3, 2 / 3), 0.1 + 0.2, 1e16)),
     ]
     for protocol, record in rows:
-        trace = Trace(protocol=protocol, rounds=[record])
+        trace = trace_of(protocol, [record])
         assert trace_to_csv_text(trace) == _reference_csv(trace)
-    lines = [trace_to_csv_text(Trace(protocol=p, rounds=[r])).splitlines()[1]
+    lines = [trace_to_csv_text(trace_of(p, [r])).splitlines()[1]
              for p, r in rows]
     # each trace holds one record, so n is its position 1
     assert lines[0] == "1,0.25,,0.5,,1,1.375"
@@ -225,7 +227,7 @@ def _signed_trace(protocol: Protocol, shared: bool) -> Trace:
             bet = SkepticBet(-x, x) if mv else -x
         prev = RoundRecord(forecast, bet, x, k)
         rounds.append(prev)
-    return Trace(protocol=protocol, rounds=rounds)
+    return trace_of(protocol, rounds)
 
 
 @pytest.mark.parametrize("kind", sorted(PROTOCOLS))
@@ -253,9 +255,9 @@ def _field_columns(protocol: Protocol):
 
 @pytest.mark.parametrize("kind, shared", [(kind, None) for kind in sorted(PLAYED)] + [
     (kind, shared) for kind in sorted(PROTOCOLS) for shared in (True, False)])
-def test_reader_shares_an_object_exactly_where_its_text_repeats(kind, shared):
+def test_reader_shares_an_object_exactly_where_its_text_repeats(tmp_path, kind, shared):
     # shared is None for a played trace, else which SIGNED trace to write.
-    trace = _played(kind) if shared is None else _signed_trace(PROTOCOLS[kind], shared)
+    trace = _played(tmp_path, kind) if shared is None else _signed_trace(PROTOCOLS[kind], shared)
     text = trace_to_csv_text(trace)
     back = trace_from_csv_text(text, trace.protocol)
     rows = list(csv.reader(io.StringIO(text)))[1:]
@@ -269,7 +271,7 @@ def test_reader_shares_an_object_exactly_where_its_text_repeats(kind, shared):
 
 def test_reading_a_long_file_holds_little_beyond_the_trace(tmp_path):
     rounds = 100_000
-    trace = run_scenario(parse_scenario(
+    trace = run_scenario(parse_text(tmp_path,
         f"protocol: {{kind: coin_tossing}}\nhorizon: {rounds}\n"
         "forecaster: {name: harmonic}\nskeptic: {name: bc_fictional}\n"
         "reality: {name: bc_comply}\n"))
