@@ -33,7 +33,7 @@ from .scenario import (
     as_integer,
     event_proxy_for,
     load_yaml,
-    parse_scenario_file,
+    parse_scenario,
     run_scenario,
     scenario_passes,
 )
@@ -71,7 +71,7 @@ def load_manifest(path: Path) -> List[Scenario]:
     `scenarios:` path list, or a YAML file naming a built-in `pool:` with an
     optional `horizon` and `seed`."""
     if path.is_dir():
-        return [parse_scenario_file(p) for p in sorted(path.glob("*.yaml"))]
+        return [parse_scenario(p) for p in sorted(path.glob("*.yaml"))]
     doc = load_yaml(path) or {}
     if not isinstance(doc, dict):
         raise ScenarioError("manifest must be a mapping or a directory")
@@ -87,7 +87,7 @@ def load_manifest(path: Path) -> List[Scenario]:
     if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
         raise ScenarioError(
             f"manifest scenarios must be a list of paths, got {paths!r}")
-    return [parse_scenario_file(path.parent / p) for p in paths]
+    return [parse_scenario(path.parent / p) for p in paths]
 
 
 def cmd_verify(scenarios: List[Scenario],
@@ -283,7 +283,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"lower: {lower:.12f}")
             return 0
         loaded = (load_manifest(args.file) if args.command == "verify"
-                  else [parse_scenario_file(args.file)])
+                  else [parse_scenario(args.file)])
         overrides = {key: getattr(args, key) for key in ("horizon", "seed")
                      if getattr(args, key) is not None}
         scenarios = [replace(scenario, **overrides) for scenario in loaded]

@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
-from numbers import Real
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Union
 
 from .hedges import Hedge
@@ -161,96 +160,62 @@ class InvalidMoveError(ValueError):
         super().__init__(f"round {round_index}: {role} move invalid: {field}: {message}")
 
 
-def _not_finite(n: int, role: str, **fields: object) -> InvalidMoveError:
-    """The error for the first field that is no finite real number, or else
-    for the last field."""
+def _bad_field(n: int, role: str, **fields: object) -> InvalidMoveError:
+    """The error for the first field that is no float or not finite."""
     for name, value in fields.items():
-        try:
-            if not isfinite(value):
-                return InvalidMoveError(n, role, name, f"{name} = {value} is not finite")
-        except OverflowError:  # an int beyond the float range
-            return InvalidMoveError(n, role, name, f"{name} is beyond the float range")
-        except (TypeError, ValueError):  # a str, say, or Decimal('sNaN')
+        if value.__class__ is not float:
+            return InvalidMoveError(
+                n, role, name, f"{name} must be a float, got {type(value).__name__}")
+        if not isfinite(value):
             break
-    return InvalidMoveError(n, role, name, f"{name} = {value!r} is not a real number")
-
-
-def _shown(value: object) -> str:
-    """repr(value), or the length of an int too long to print."""
-    try:
-        return repr(value)
-    except ValueError:
-        return f"an int of {value.bit_length()} bits"
+    return InvalidMoveError(n, role, name, f"{name} = {value} is not finite")
 
 
 # Each validator raises InvalidMoveError for its own player's move at round
-# n, also for one its checks cannot read (a `try` costs nothing on a valid
-# move), and returns None for a move in the domain.
+# n and returns None for a move in the domain.  Every field is a float:
+# a class test comes first, so no later check meets another type.
 def validate_forecast(protocol: Protocol, f: Forecast, n: int) -> None:
     if protocol.kind.uses_price:
-        if not isinstance(f, float):
-            raise InvalidMoveError(n, "forecaster", "p", "price required for this protocol"
-                                   if f is None else f"price must be a float, got {_shown(f)}")
+        if f.__class__ is not float:
+            raise _bad_field(n, "forecaster", p=f)
         if not 0.0 <= f <= 1.0:
             raise InvalidMoveError(n, "forecaster", "p", f"p = {f} outside [0, 1]")
-    else:
-        try:
-            m, v = f.m, f.v
-        except AttributeError:  # a float, say
-            m = v = None
-        if m is None or v is None:
-            raise InvalidMoveError(n, "forecaster", "m",
-                                   "m and v required for this protocol")
-        try:
-            if not (isfinite(m) and isfinite(v)):
-                raise _not_finite(n, "forecaster", m=m, v=v)
-        except InvalidMoveError:
-            raise
-        except (ArithmeticError, TypeError, ValueError):
-            raise _not_finite(n, "forecaster", m=m, v=v) from None
-        if v < 0.0:
-            raise InvalidMoveError(n, "forecaster", "v", f"v = {v} violates v >= 0")
+        return
+    if f.__class__ is not ForecastMove:
+        raise InvalidMoveError(n, "forecaster", "m", "m and v required for this protocol")
+    m, v = f.m, f.v
+    if not (m.__class__ is float and v.__class__ is float and isfinite(m) and isfinite(v)):
+        raise _bad_field(n, "forecaster", m=m, v=v)
+    if v < 0.0:
+        raise InvalidMoveError(n, "forecaster", "v", f"v = {v} violates v >= 0")
 
 
 def validate_bet(protocol: Protocol, s: Bet, n: int) -> None:
     if protocol.kind.uses_price:
-        if not isinstance(s, float):
-            raise InvalidMoveError(n, "skeptic", "M", "M required for this protocol"
-                                   if s is None else f"M must be a float, got {_shown(s)}")
-        if not isfinite(s):
-            raise _not_finite(n, "skeptic", M=s)
+        if not (s.__class__ is float and isfinite(s)):
+            raise _bad_field(n, "skeptic", M=s)
         return
-    try:
-        if not (isfinite(s.M) and isfinite(s.V)):
-            raise _not_finite(n, "skeptic", M=s.M, V=s.V)
-    except InvalidMoveError:
-        raise
-    except (AttributeError, TypeError):  # a float, say, or a None field
-        raise InvalidMoveError(n, "skeptic", "M",
-                               "M and V required for this protocol") from None
-    except (ArithmeticError, ValueError):
-        raise _not_finite(n, "skeptic", M=s.M, V=s.V) from None
-    if s.V < 0.0:
-        raise InvalidMoveError(n, "skeptic", "V", f"V = {s.V} violates V >= 0")
+    if s.__class__ is not SkepticBet:
+        raise InvalidMoveError(n, "skeptic", "M", "M and V required for this protocol")
+    M, V = s.M, s.V
+    if not (M.__class__ is float and V.__class__ is float and isfinite(M) and isfinite(V)):
+        raise _bad_field(n, "skeptic", M=M, V=V)
+    if V < 0.0:
+        raise InvalidMoveError(n, "skeptic", "V", f"V = {V} violates V >= 0")
 
 
 def validate_outcome(protocol: Protocol, x: float, n: int) -> None:
+    if x.__class__ is not float:
+        raise _bad_field(n, "reality", x=x)
     kind = protocol.kind
-    try:
-        if kind is _COIN:
-            if x not in (0.0, 1.0):
-                raise InvalidMoveError(n, "reality", "x", f"x = {x} outside {{0, 1}}")
-        elif kind is _BOUNDED:
-            if not 0.0 <= x <= 1.0:
-                raise InvalidMoveError(n, "reality", "x", f"x = {x} outside [0, 1]")
-        elif not isfinite(x):
-            raise _not_finite(n, "reality", x=x)
-        if x.__class__ is not float and not isinstance(x, Real):  # a Decimal, say
-            raise _not_finite(n, "reality", x=x)
-    except InvalidMoveError:
-        raise
-    except (ArithmeticError, TypeError, ValueError):  # also an int too long to print
-        raise _not_finite(n, "reality", x=x) from None
+    if kind is _COIN:
+        if x not in (0.0, 1.0):
+            raise InvalidMoveError(n, "reality", "x", f"x = {x} outside {{0, 1}}")
+    elif kind is _BOUNDED:
+        if not 0.0 <= x <= 1.0:
+            raise InvalidMoveError(n, "reality", "x", f"x = {x} outside [0, 1]")
+    elif not isfinite(x):
+        raise _bad_field(n, "reality", x=x)
 
 
 def capital_update(
@@ -426,12 +391,11 @@ def run_game(
     reality: Reality,
     horizon: int,
     seed: Optional[int] = None,
-    stop_on_skeptic_fault: bool = False,
 ) -> Trace:
-    """Play `horizon` rounds and record every move and capital.
+    """Play up to `horizon` rounds and record every move and capital.
 
-    With stop_on_skeptic_fault, the run ends after the first round whose
-    capital is negative or NaN: the Skeptic broke his collateral duty and
+    The run ends after the first round whose capital is below
+    -BOUND_SLACK * K_0 or NaN: the Skeptic broke his collateral duty and
     nothing after that round is attributable to the other players.
 
     A move outside its game's domain raises InvalidMoveError with its round
@@ -470,7 +434,7 @@ def run_game(
                 record = RoundRecord(f, s, x, k)
                 for observe in observers:
                     observe(record)
-            if stop_on_skeptic_fault and not k >= floor:
+            if not k >= floor:
                 break
     return trace
 

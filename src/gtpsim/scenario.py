@@ -354,8 +354,9 @@ def build_reality(scenario: Scenario) -> Reality:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def parse_scenario(path: Path, name: str = "scenario") -> Scenario:
-    """The scenario in a YAML file."""
+def parse_scenario(path: Path) -> Scenario:
+    """The scenario in a YAML file, named after the file's stem unless it
+    has a `name:`."""
     doc = load_yaml(path)
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
@@ -401,7 +402,7 @@ def parse_scenario(path: Path, name: str = "scenario") -> Scenario:
         if not spec or "name" not in spec:
             raise ScenarioError(f"scenario must name a {role}")
     scenario = Scenario(
-        name=str(doc.get("name", name)),
+        name=str(doc.get("name", path.stem)),
         protocol=protocol,
         horizon=horizon,
         forecaster_spec=dict(doc["forecaster"]),
@@ -423,11 +424,6 @@ def parse_scenario(path: Path, name: str = "scenario") -> Scenario:
             raise ScenarioError(str(exc)) from exc
     event_proxy_for(scenario)
     return scenario
-
-
-def parse_scenario_file(path) -> Scenario:
-    path = Path(path)
-    return parse_scenario(path, name=path.stem)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +516,6 @@ def run_scenario(scenario: Scenario) -> Trace:
         build_reality(scenario),
         scenario.horizon,
         seed=scenario.seed,
-        stop_on_skeptic_fault=True,
     )
 
 

@@ -9,6 +9,7 @@ from typing import Iterable, List, Sequence
 from gtpsim import (
     BcCounters,
     ForecastMove,
+    Forecaster,
     GameKind,
     Protocol,
     Reality,
@@ -17,6 +18,7 @@ from gtpsim import (
     Skeptic,
     SkepticBet,
     Trace,
+    capital_update,
 )
 from gtpsim.scenario import Scenario, build_reality, parse_scenario
 
@@ -44,6 +46,24 @@ class ScriptBetSkeptic(Skeptic):
             v = self.vs[(n - 1) % len(self.vs)] if self.vs else 0.0
             return SkepticBet(M=m, V=v)
         return m
+
+
+def play_past_faults(protocol: Protocol, forecaster: Forecaster, skeptic: Skeptic,
+                     reality: Reality, horizon: int) -> Trace:
+    """The trace of `horizon` rounds played as `run_game` plays them, but
+    with no stop after a round whose capital breaks Skeptic's duty."""
+    for policy in (forecaster, skeptic, reality):
+        policy.reset(protocol)
+    records, k = [], protocol.initial_capital
+    for n in range(1, horizon + 1):
+        f = forecaster.forecast(n)
+        s = skeptic.bet(n, f, k)
+        x = reality.outcome(n, f, s, k)
+        k = capital_update(protocol, k, f, s, x, n)
+        records.append(RoundRecord(f, s, x, k))
+        for policy in (forecaster, skeptic, reality):
+            policy.observe(records[-1])
+    return trace_of(protocol, records)
 
 
 def trace_of(protocol: Protocol, records: Iterable[RoundRecord]) -> Trace:

@@ -51,7 +51,7 @@ from gtpsim.skeptic import (
 from gtpsim.engine import ZeroSkeptic
 
 import _acceptance_log
-from _support import ScriptBetSkeptic, derandomizer, price_forecaster
+from _support import ScriptBetSkeptic, derandomizer, play_past_faults, price_forecaster
 
 COIN = Protocol(kind=GameKind.COIN_TOSSING)
 BOUND_SLACK = 1e-9
@@ -357,11 +357,13 @@ def test_criterion_8_damping_sequence_laws():
 # 9. Derandomizer monotonicity and capital linearity
 # ---------------------------------------------------------------------------
 
+# Criteria 9 and 10 judge Reality's strategy on every round, so their runs
+# play on past a Skeptic's fault, where run_game would end them.
 def test_criterion_9_derandomizer_and_linearity():
     forecaster_ps = [min(1.0, 1.0 / n) for n in range(1, 61)]
     monotone = True
     for seed in range(1000):
-        trace = run_game(
+        trace = play_past_faults(
             COIN, price_forecaster(forecaster_ps),
             RandomBoundedSkeptic(seed=seed), derandomizer(), 60,
         )
@@ -373,7 +375,7 @@ def test_criterion_9_derandomizer_and_linearity():
     # Capital linearity: a half/half combination's capital equals the average
     # of the component capitals along the same path.
     def capitals(skeptic):
-        return run_game(
+        return play_past_faults(
             COIN, price_forecaster(forecaster_ps), skeptic,
             ConstantReality(0.0), 60,
         ).capitals
@@ -414,7 +416,7 @@ def test_criterion_10_example_strategies():
 
     forecaster_ps = [min(1.0, 1.0 / n) for n in range(1, horizon + 1)]
     for make in pool:
-        trace = run_game(
+        trace = play_past_faults(
             COIN, price_forecaster(forecaster_ps), make(), FirstRoundComplyReality(),
             horizon,
         )
@@ -426,7 +428,7 @@ def test_criterion_10_example_strategies():
     bounded = Protocol(kind=GameKind.BOUNDED_FORECASTING, initial_capital=0.5)
     endpoint_ps = [0.0, 1.0, 0.5, 0.3]
     for make in pool:
-        trace = run_game(
+        trace = play_past_faults(
             bounded, price_forecaster(endpoint_ps), make(),
             BoundedAvoidMatchReality(0.9), horizon,
         )

@@ -17,7 +17,7 @@ import struct
 
 import pytest
 
-from _support import derandomizer
+from _support import derandomizer, play_past_faults
 from gtpsim.engine import (
     ForecastMove,
     GameKind,
@@ -25,7 +25,6 @@ from gtpsim.engine import (
     ScriptForecaster,
     Skeptic,
     SkepticBet,
-    run_game,
 )
 from gtpsim.hedges import identity_growth, power_growth, power_hedge
 from gtpsim.reality import BcComplyReality, MvComplyReality
@@ -64,7 +63,7 @@ def coin_case(name, seed):
 
 
 def _mv_move(rng, n):
-    v = rng.choice((0.0, rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0), n * n))
+    v = rng.choice((0.0, rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0), float(n * n)))
     M = rng.choice((0.0, 0.0, rng.uniform(-1.0, 1.0), 1e-6 * rng.uniform(-1.0, 1.0)))
     V = rng.choice((0.0, 0.0, rng.uniform(0.0, 1e-3), 1e-9 * rng.random()))
     return (rng.uniform(-2.0, 2.0), v), (M, V)
@@ -96,8 +95,8 @@ def mv_case(name, seed):
 
 def _digest(case):
     protocol, forecasts, bets, reality = case
-    trace = run_game(protocol, ScriptForecaster(lambda n: forecasts[n - 1]),
-                     _Bets(bets), reality, HORIZON)
+    trace = play_past_faults(protocol, ScriptForecaster(lambda n: forecasts[n - 1]),
+                             _Bets(bets), reality, HORIZON)
     digest = hashlib.sha256()
     for record in trace.rounds:
         digest.update(struct.pack(">dd", record.x, record.capital_after))

@@ -42,7 +42,7 @@ from gtpsim.reality import ConstantReality
 from gtpsim.skeptic import ConvergentBcSkeptic, DivergentBcSkeptic
 from gtpsim.traceio import trace_from_csv_text, trace_to_csv_text
 
-from _support import ScriptBetSkeptic, ScriptReality, price_forecaster
+from _support import ScriptBetSkeptic, ScriptReality, play_past_faults, price_forecaster
 
 _COIN, _BOUNDED = GameKind.COIN_TOSSING, GameKind.BOUNDED_FORECASTING
 COIN = Protocol(kind=GameKind.COIN_TOSSING)
@@ -133,13 +133,14 @@ def test_validate_unbounded_everything_legal():
     assert err is None
 
 
-# A price-game forecast is the price itself, a float: anything else is the
-# forecaster's invalid p, at its round, never a TypeError or AttributeError.
-# In a mean-variance game a bare float is the forecaster's invalid m.
+# A price-game forecast is the price itself, a float: anything else, None
+# included, is the forecaster's invalid p, at its round, never a TypeError or
+# AttributeError.  In a mean-variance game a bare float is the forecaster's
+# invalid m.
 @pytest.mark.parametrize("protocol, forecast, field, shown", [
-    (COIN, None, "p", "price required for this protocol"),
-    (COIN, ForecastMove(0.5, 1.0), "p", "price must be a float, got ForecastMove"),
-    (Protocol(kind=GameKind.BOUNDED_FORECASTING), 1, "p", "price must be a float, got 1"),
+    (COIN, None, "p", "p must be a float, got NoneType"),
+    (COIN, ForecastMove(0.5, 1.0), "p", "p must be a float, got ForecastMove"),
+    (Protocol(kind=GameKind.BOUNDED_FORECASTING), 1, "p", "p must be a float, got int"),
     (UFG, 0.5, "m", "m and v required for this protocol"),
 ], ids=["coin-none", "coin-move", "bounded-int", "ufg-float"])
 def test_a_forecast_of_the_wrong_type_is_an_invalid_move(protocol, forecast, field, shown):
@@ -155,27 +156,27 @@ def test_a_forecast_of_the_wrong_type_is_an_invalid_move(protocol, forecast, fie
 
 
 # A price-game bet is M itself, a float: anything else is the skeptic's
-# invalid M.  In a mean-variance game a bare float, or a bet with a None
-# field, is the skeptic's invalid M as well.
-@pytest.mark.parametrize("protocol, bet, shown", [
-    (COIN, None, "M required for this protocol"),
-    (COIN, SkepticBet(0.5, 1.0), "M must be a float, got SkepticBet"),
-    (Protocol(kind=GameKind.BOUNDED_FORECASTING), 1, "M must be a float, got 1"),
-    (UFG, 0.5, "M and V required for this protocol"),
-    (UFG, SkepticBet(0.5, None), "M and V required for this protocol"),
+# invalid M.  In a mean-variance game a bare float is the skeptic's invalid
+# M as well, and a bet with a None field is the invalid move of that field.
+@pytest.mark.parametrize("protocol, bet, field, shown", [
+    (COIN, None, "M", "M must be a float, got NoneType"),
+    (COIN, SkepticBet(0.5, 1.0), "M", "M must be a float, got SkepticBet"),
+    (Protocol(kind=GameKind.BOUNDED_FORECASTING), 1, "M", "M must be a float, got int"),
+    (UFG, 0.5, "M", "M and V required for this protocol"),
+    (UFG, SkepticBet(0.5, None), "V", "V must be a float, got NoneType"),
 ], ids=["coin-none", "coin-bet", "bounded-int", "ufg-float", "ufg-none-v"])
-def test_a_bet_of_the_wrong_type_is_an_invalid_move(protocol, bet, shown):
+def test_a_bet_of_the_wrong_type_is_an_invalid_move(protocol, bet, field, shown):
     with pytest.raises(InvalidMoveError) as excinfo:
         engine_validate_bet(protocol, bet, 4)
     err = excinfo.value
-    assert (err.round_index, err.role, err.field) == (4, "skeptic", "M")
+    assert (err.round_index, err.role, err.field) == (4, "skeptic", field)
     assert err.message.startswith(shown)
     forecast = 0.5 if protocol.kind.uses_price else ForecastMove(0.0, 1.0)
     player = _MoveAtRound(1, bet, 0.0)
     with pytest.raises(InvalidMoveError) as excinfo:
         run_game(protocol, ScriptForecaster(lambda n: forecast), player, player, 3)
     err = excinfo.value
-    assert (err.round_index, err.role, err.field) == (1, "skeptic", "M")
+    assert (err.round_index, err.role, err.field) == (1, "skeptic", field)
 
 
 NAN, INF = math.nan, math.inf
@@ -208,8 +209,9 @@ def test_validate_rejects_non_finite_moves(protocol, f, s, x, field):
     assert err is not None and err.field == field
 
 
-# An int beyond the float range makes isfinite raise OverflowError; each
-# mean-variance field holding one is an invalid move of its player.
+# An int is no float, also one beyond the float range, where isfinite would
+# raise OverflowError: each mean-variance field holding one is an invalid
+# move of its player.
 HUGE = 10**400
 HEDGE = Protocol(kind=GameKind.GENERAL_HEDGE, hedge=power_hedge(1.5))
 OVERFLOWING_MOVES = {
@@ -240,7 +242,7 @@ def test_an_int_beyond_the_float_range_is_an_invalid_move(case):
         run_game(protocol, forecaster, skeptic, ScriptReality([0.0, 0.0, x]), 5)
     for err in (direct.value, played.value):
         assert (err.round_index, err.role, err.field) == (3, role, field)
-        assert err.message == f"{field} is beyond the float range"
+        assert err.message == f"{field} must be a float, got int"
 
 
 ALL_GAMES = [COIN, Protocol(kind=GameKind.BOUNDED_FORECASTING), UFG,
@@ -253,7 +255,8 @@ ANY_FIELD = st.one_of(st.none(), ANY_FLOAT)
 
 # The oracle: the three validators as they were when each returned a
 # Violation (or None) and `_ROLE_OF_FIELD` named the player of its field,
-# with a price-game bet the float M and a mean-variance one needing M and V.
+# with a price-game bet the float M, a mean-variance one a pair (M, V), and
+# every field a float: a None field is no float.
 @dataclasses.dataclass(frozen=True)
 class Violation:
     field: str
@@ -264,38 +267,33 @@ def _not_finite(name: str, value: float) -> Violation:
     return Violation(name, f"{name} = {value} is not finite")
 
 
+def _field_violation(name: str, value) -> Optional[Violation]:
+    """A None field is no float; a float field must be finite."""
+    if value is None:
+        return Violation(name, f"{name} must be a float, got NoneType")
+    return None if isfinite(value) else _not_finite(name, value)
+
+
 def validate_forecast(protocol: Protocol, f) -> Optional[Violation]:
     if protocol.kind.uses_price:
         if f is None:
-            return Violation("p", "price required for this protocol")
+            return Violation("p", "p must be a float, got NoneType")
         if not 0.0 <= f <= 1.0:
             return Violation("p", f"p = {f} outside [0, 1]")
-    else:
-        if f.m is None or f.v is None:
-            return Violation("m", "m and v required for this protocol")
-        if not isfinite(f.m):
-            return _not_finite("m", f.m)
-        if not isfinite(f.v):
-            return _not_finite("v", f.v)
-        if f.v < 0.0:
-            return Violation("v", f"v = {f.v} violates v >= 0")
-    return None
+        return None
+    violation = _field_violation("m", f.m) or _field_violation("v", f.v)
+    if violation is None and f.v < 0.0:
+        return Violation("v", f"v = {f.v} violates v >= 0")
+    return violation
 
 
 def validate_bet(protocol: Protocol, s) -> Optional[Violation]:
     if protocol.kind.uses_price:
-        return None if isfinite(s) else _not_finite("M", s)
-    if s.M is None:
-        return Violation("M", "M and V required for this protocol")
-    if not isfinite(s.M):
-        return _not_finite("M", s.M)
-    if s.V is None:
-        return Violation("M", "M and V required for this protocol")
-    if not isfinite(s.V):
-        return _not_finite("V", s.V)
-    if s.V < 0.0:
+        return _field_violation("M", s)
+    violation = _field_violation("M", s.M) or _field_violation("V", s.V)
+    if violation is None and s.V < 0.0:
         return Violation("V", f"V = {s.V} violates V >= 0")
-    return None
+    return violation
 
 
 def validate_outcome(protocol: Protocol, x: float) -> Optional[Violation]:
@@ -374,23 +372,23 @@ def test_validators_raise_the_role_field_and_message_of_the_oracle(
 LONG = 10**5000  # past sys.get_int_max_str_digits(): str() raises ValueError
 SNAN = Decimal("sNaN")  # a comparison raises InvalidOperation, isfinite ValueError
 BOUNDED = Protocol(kind=GameKind.BOUNDED_FORECASTING)
-# Moves whose checks raise TypeError, ValueError or InvalidOperation.
+# Moves no domain check could read: the class test comes first and names the
+# type, so no check raises TypeError, ValueError or InvalidOperation.
 UNREADABLE_MOVES = {
-    "m-str": (UFG, "forecaster", ForecastMove("0", 1.0), "m", "m = '0' is not a real number"),
-    "m-complex": (UFG, "forecaster", ForecastMove(1j, 1.0), "m", "m = 1j is not a real number"),
-    "v-snan": (UFG, "forecaster", ForecastMove(0.0, SNAN), "v",
-               "v = Decimal('sNaN') is not a real number"),
-    "p-long": (COIN, "forecaster", LONG, "p", "price must be a float, got an int of 16610 bits"),
-    "M-long": (BOUNDED, "skeptic", LONG, "M", "M must be a float, got an int of 16610 bits"),
-    "V-snan": (UFG, "skeptic", SkepticBet(0.0, SNAN), "V",
-               "V = Decimal('sNaN') is not a real number"),
-    "x-str-unbounded": (UFG, "reality", "0", "x", "x = '0' is not a real number"),
-    "x-str-bounded": (BOUNDED, "reality", "0", "x", "x = '0' is not a real number"),
-    "x-none-bounded": (BOUNDED, "reality", None, "x", "x = None is not a real number"),
-    "x-snan-bounded": (BOUNDED, "reality", SNAN, "x", "x = Decimal('sNaN') is not a real number"),
-    "x-snan-coin": (COIN, "reality", SNAN, "x", "x = Decimal('sNaN') is not a real number"),
-    "x-long-coin": (COIN, "reality", LONG, "x", "x is beyond the float range"),
-    "x-long-bounded": (BOUNDED, "reality", LONG, "x", "x is beyond the float range"),
+    "m-str": (UFG, "forecaster", ForecastMove("0", 1.0), "m", "m must be a float, got str"),
+    "m-complex": (UFG, "forecaster", ForecastMove(1j, 1.0), "m",
+                  "m must be a float, got complex"),
+    "v-snan": (UFG, "forecaster", ForecastMove(0.0, SNAN), "v", "v must be a float, got Decimal"),
+    "p-long": (COIN, "forecaster", LONG, "p", "p must be a float, got int"),
+    "M-long": (BOUNDED, "skeptic", LONG, "M", "M must be a float, got int"),
+    "V-snan": (UFG, "skeptic", SkepticBet(0.0, SNAN), "V", "V must be a float, got Decimal"),
+    "x-str-unbounded": (UFG, "reality", "0", "x", "x must be a float, got str"),
+    "x-str-bounded": (BOUNDED, "reality", "0", "x", "x must be a float, got str"),
+    "x-none-bounded": (BOUNDED, "reality", None, "x", "x must be a float, got NoneType"),
+    "x-snan-bounded": (BOUNDED, "reality", SNAN, "x", "x must be a float, got Decimal"),
+    "x-snan-coin": (COIN, "reality", SNAN, "x", "x must be a float, got Decimal"),
+    "x-long-coin": (COIN, "reality", LONG, "x", "x must be a float, got int"),
+    "x-long-bounded": (BOUNDED, "reality", LONG, "x", "x must be a float, got int"),
 }
 
 
@@ -417,9 +415,9 @@ def test_a_move_no_check_can_read_is_an_invalid_move(case):
         assert (err.round_index, err.role, err.field, err.message) == (3, role, field, message)
 
 
-# A Decimal x passes each game's domain check, since it compares with floats
-# and isfinite reads it, but `x - f` raises TypeError for a float f.  An int
-# x, and the same value as a Fraction or a float, are valid moves.
+# A Decimal x would pass each game's domain check, since it compares with
+# floats and isfinite reads it, but `x - f` raises TypeError for a float f.
+# The same value as a float is a valid move.
 @pytest.mark.parametrize("protocol, value", list(zip(ALL_GAMES, (1, 0.5, 0.5, 0.5))),
                          ids=["coin", "bounded", "ufg", "hedge"])
 def test_a_decimal_x_is_an_invalid_move(protocol, value):
@@ -430,10 +428,39 @@ def test_a_decimal_x_is_an_invalid_move(protocol, value):
         _play_at_round_3(protocol, "reality", x)
     for err in (direct.value, played.value):
         assert (err.round_index, err.role, err.field, err.message) == (
-            3, "reality", "x", f"x = {x!r} is not a real number")
-    for x in (1, Fraction(value), float(value)):
-        assert engine_validate_outcome(protocol, x, 3) is None
-        assert _play_at_round_3(protocol, "reality", x).rounds[2].x is x
+            3, "reality", "x", "x must be a float, got Decimal")
+    x = float(value)
+    assert engine_validate_outcome(protocol, x, 3) is None
+    assert _play_at_round_3(protocol, "reality", x).rounds[2].x is x
+
+
+# Each move field of each game is a float.  A number of another type, even
+# one in the field's domain, is its player's invalid move at its round: never
+# a TypeError from the capital update, and never played.
+FIELD_MOVES = {
+    "m": (UFG, "forecaster", lambda value: ForecastMove(value, 1.0)),
+    "v": (UFG, "forecaster", lambda value: ForecastMove(0.0, value)),
+    "M": (UFG, "skeptic", lambda value: SkepticBet(value, 0.0)),
+    "V": (UFG, "skeptic", lambda value: SkepticBet(0.0, value)),
+    "p-coin": (COIN, "forecaster", lambda value: value),
+    "M-bounded": (BOUNDED, "skeptic", lambda value: value),
+}
+
+
+@pytest.mark.parametrize("value", [Decimal("1"), Fraction(1, 2), 1, True],
+                         ids=["decimal", "fraction", "int", "bool"])
+@pytest.mark.parametrize("case", FIELD_MOVES)
+def test_a_field_of_a_number_type_other_than_float_is_an_invalid_move(case, value):
+    protocol, role, build = FIELD_MOVES[case]
+    move, field = build(value), case.split("-")[0]
+    message = f"{field} must be a float, got {type(value).__name__}"
+    expected = (3, role, field, message, f"round 3: {role} move invalid: {field}: {message}")
+    legal = 0.5 if protocol.kind.uses_price else ForecastMove(0.0, 1.0)
+    zero = 0.0 if protocol.kind.uses_price else SkepticBet(0.0, 0.0)
+    f, s = (move, zero) if role == "forecaster" else (legal, move)
+    assert _raised(lambda: VALIDATORS[role](protocol, move, 3)) == expected
+    assert _raised(lambda: capital_update(protocol, 1.0, f, s, 0.0, 3)) == expected
+    assert _raised(lambda: _play_at_round_3(protocol, role, move)) == expected
 
 
 def test_an_invalid_move_error_from_a_player_reaches_the_caller_as_raised():
@@ -563,20 +590,18 @@ def test_run_game_flags_offending_role():
 def test_run_game_rejects_nan_bet_with_round_and_role():
     skeptic = ScriptBetSkeptic([0.25, math.nan])
     with pytest.raises(InvalidMoveError) as excinfo:
-        run_game(COIN, price_forecaster([0.5]), skeptic, ConstantReality(0.0), 5,
-                 stop_on_skeptic_fault=True)
+        run_game(COIN, price_forecaster([0.5]), skeptic, ConstantReality(0.0), 5)
     err = excinfo.value
     assert (err.round_index, err.role, err.field) == (2, "skeptic", "M")
     assert "round 2: skeptic move invalid: M" in str(err)
 
 
-def nan_capital_run(stop: bool) -> Trace:
+def nan_capital_run(play) -> Trace:
     # Finite moves that overflow: K = 1 + (-1e200) * 1e200 + 1 * (inf - 1),
     # i.e. -inf + inf.
-    return run_game(
+    return play(
         UFG, ScriptForecaster(lambda n: ForecastMove(m=0.0, v=1.0)),
         ScriptBetSkeptic([-1e200], [1.0]), ConstantReality(1e200), 5,
-        stop_on_skeptic_fault=stop,
     )
 
 
@@ -589,9 +614,11 @@ def test_zero_v_bet_skips_the_overflowing_variance_term():
     assert k == 1.0
 
 
+# run_game ends a run after the first round whose capital breaks Skeptic's
+# duty; `play_past_faults` plays the same moves to the horizon.
 def test_stop_on_skeptic_fault_stops_on_nan_capital():
-    assert len(nan_capital_run(stop=False).rounds) == 5
-    stopped = nan_capital_run(stop=True)
+    assert len(nan_capital_run(play_past_faults).rounds) == 5
+    stopped = nan_capital_run(run_game)
     assert len(stopped.rounds) == 1
     assert math.isnan(stopped.capitals[0])
 
@@ -600,12 +627,9 @@ def test_stop_on_skeptic_fault_truncates():
     # M = 10 at p = 0.9 against all-tails loses 9 in round one.
     forecaster = price_forecaster([0.9])
     skeptic = ScriptBetSkeptic([10.0])
-    full = run_game(COIN, forecaster, skeptic, ConstantReality(0.0), 5)
+    full = play_past_faults(COIN, forecaster, skeptic, ConstantReality(0.0), 5)
     assert len(full.rounds) == 5
-    stopped = run_game(
-        COIN, forecaster, skeptic, ConstantReality(0.0), 5,
-        stop_on_skeptic_fault=True,
-    )
+    stopped = run_game(COIN, forecaster, skeptic, ConstantReality(0.0), 5)
     assert len(stopped.rounds) == 1
     assert stopped.capitals[0] < 0.0
 
@@ -621,7 +645,7 @@ def test_run_and_verdict_share_the_duty_slack_edge(k0):
     skeptic = ScriptBetSkeptic([2.0 * k0, 1.0, 0.0])
     for t, kept in ((edge, True), (math.nextafter(edge, 1.0), False)):
         trace = run_game(protocol, price_forecaster([0.5, t, 0.5]), skeptic,
-                         ConstantReality(0.0), 3, stop_on_skeptic_fault=True)
+                         ConstantReality(0.0), 3)
         assert trace.capitals[:2] == [0.0, -t]
         assert len(trace.rounds) == (3 if kept else 2)
         verdict = strong_compliance_verdict(trace)
@@ -776,8 +800,9 @@ def test_capital_linearity_of_half_half_combination(rounds):
     m2 = [r[3] for r in rounds]
     horizon = len(rounds)
 
+    # Capitals are linear in the bets on every round, a Skeptic's fault or not.
     def play(skeptic):
-        return run_game(
+        return play_past_faults(
             COIN, price_forecaster(ps), skeptic, ScriptReality(xs), horizon
         ).capitals
 

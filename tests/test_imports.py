@@ -26,6 +26,16 @@ def test_importing_the_package_does_not_load_numpy():
     assert done.stdout.strip() == "False"
 
 
+# Every move field is checked by its class, so no module needs the numeric
+# ABCs of `numbers` (fractions and decimal load it, but only when deferred).
+def test_importing_the_package_does_not_load_numbers():
+    code = ("import sys, gtpsim, gtpsim.cli, gtpsim.scenario, gtpsim.traceio\n"
+            "print('numbers' in sys.modules)")
+    done = _fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 # Imported only inside the functions that use them (decimal comes with
 # fractions), so code that builds and plays scenarios never loads them.
 DEFERRED = ("yaml", "fractions", "decimal", "argparse", "csv", "numpy")

@@ -47,7 +47,8 @@ from gtpsim.skeptic import (
 )
 from gtpsim.engine import Skeptic, ZeroSkeptic
 
-from _support import derandomizer, heads_count_update, mv_forecaster, price_forecaster
+from _support import (derandomizer, heads_count_update, mv_forecaster, play_past_faults,
+                      price_forecaster)
 
 COIN = Protocol(kind=GameKind.COIN_TOSSING)
 BOUNDED = Protocol(kind=GameKind.BOUNDED_FORECASTING, initial_capital=0.5)
@@ -293,7 +294,7 @@ def test_derandomizer_is_the_compliance_machine_in_mixing():
 
 
 def test_derandomizer_mixture_capital_non_increasing():
-    trace = run_game(
+    trace = play_past_faults(
         COIN,
         price_forecaster([min(1.0, 1.0 / n) for n in range(1, 301)]),
         RandomBoundedSkeptic(seed=3),
@@ -326,8 +327,7 @@ def test_bc_comply_mixture_capital_never_increases_on_the_coin_pool():
     for scenario in coin_comply_pool():
         reality = build_reality(scenario)
         trace = run_game(scenario.protocol, build_forecaster(scenario),
-                         build_skeptic(scenario), reality, scenario.horizon,
-                         stop_on_skeptic_fault=True)
+                         build_skeptic(scenario), reality, scenario.horizon)
         phase = reality.state.phase
         if phase.mix_coeff is None:
             continue

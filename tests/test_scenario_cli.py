@@ -29,7 +29,7 @@ from gtpsim.scenario import (
     build_reality,
     build_skeptic,
     event_proxy_for,
-    parse_scenario_file,
+    parse_scenario,
     proxy_avoid_match,
     proxy_heads_at_c_increments,
     proxy_slln_fail,
@@ -172,7 +172,7 @@ def test_every_strategy_runs_or_is_rejected_at_parse(tmp_path, kind, role, name)
 def test_shipped_example_scenarios_parse():
     for stem in ("coin_harmonic_fictional", "coin_broken_reality",
                  "first_round", "avoid_match"):
-        scenario = parse_scenario_file(SCENARIOS / f"{stem}.yaml")
+        scenario = parse_scenario(SCENARIOS / f"{stem}.yaml")
         trace = run_scenario(replace(scenario, horizon=200))
         verdict = strong_compliance_verdict(trace, event_proxy_for(scenario))
         assert scenario_passes(scenario, verdict), scenario.name
