@@ -2,7 +2,8 @@
 pools never reach.
 
 Seeded short games play `BcComplyReality` and `MvComplyReality` through
-`run_game` against scripted bets: zero bets while waiting, degenerate prices
+`_support.play_past_faults` (every round, also after a Skeptic's fault)
+against scripted bets: zero bets while waiting, degenerate prices
 (p = 1 with M < 0, p = 0 with M > 0), a first loss below half an ulp of
 K_0, a bet that takes K to exactly 0 (the Degenerate phase), v = 0 rounds,
 a V * v that underflows, and growth-free and growth-damped mean-variance
