@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import gc
 import math
+import struct
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 from .hedges import Hedge
 
@@ -69,7 +71,8 @@ class Protocol:
 # object.__setattr__, several times the cost of a slot store.  Without
 # `frozen`, __hash__ is None: records are unhashable by design.  A
 # price-game forecast and bet are no records but the floats p and M, as an
-# outcome is the float x.  A trace keeps no RoundRecord (see Trace).
+# outcome is the float x.  A trace keeps no RoundRecord and, in the price
+# games, no float object either (see Trace).
 #
 # Nothing writes a move after it is announced (the pinned trace digests
 # catch a strategy that does).  A strategy announces the same object again
@@ -99,34 +102,69 @@ if TYPE_CHECKING:  # no typing object built at import
 
 @dataclass(slots=True)
 class RoundRecord:
+    """One round, as `run_game` passes it to the observers and
+    `Trace.rounds` reads it back.  A record read from a price-game trace
+    holds new floats with the bits of the announced ones."""
+
     forecast: Forecast
     bet: Bet
     x: float
     capital_after: float
 
 
+# Rounds a caller gathers in lists before `Trace.extend` packs them.
+PACK_ROUNDS = 4096
+
+
 @dataclass
 class Trace:
-    """Round n's moves and capital are entry n - 1 of the four lists;
-    `rounds` reads them as RoundRecords."""
+    """Round n's moves and capital are entry n - 1 of the four columns;
+    `rounds` reads them as RoundRecords.
+
+    In the price games each column is an array('d'), 8 B a round: a read
+    gives a new float with the stored bits, never the announced object.  In
+    the mean-variance games the columns are lists, so a forecast and a bet
+    stay the announced records, and a move or capital shared by many
+    rounds costs one slot a round.  `__post_init__` and `extend` are the
+    only code that knows the format."""
 
     protocol: Protocol
-    forecasts: List[Forecast] = field(default_factory=list)
-    bets: List[Bet] = field(default_factory=list)
-    xs: List[float] = field(default_factory=list)
-    capitals: List[float] = field(default_factory=list)
+    forecasts: Sequence[Forecast] = field(init=False)
+    bets: Sequence[Bet] = field(init=False)
+    xs: Sequence[float] = field(init=False)
+    capitals: Sequence[float] = field(init=False)
     seed: Optional[int] = None
+
+    def __post_init__(self):
+        new = (lambda: array("d")) if self.protocol.kind.uses_price else list
+        self.forecasts, self.bets, self.xs, self.capitals = new(), new(), new(), new()
+
+    @property
+    def columns(self) -> tuple:
+        return self.forecasts, self.bets, self.xs, self.capitals
 
     @property
     def rounds(self) -> Rounds:
         return Rounds(self)
+
+    def extend(self, forecasts: list, bets: list, xs: list, capitals: list) -> None:
+        """Append the rounds held in four lists, one entry per round, and
+        empty the lists.  Packing through `struct` costs about half of
+        `array.fromlist` per float."""
+        packed = self.protocol.kind.uses_price
+        for column, values in zip(self.columns, (forecasts, bets, xs, capitals)):
+            if packed:
+                column.frombytes(struct.pack(f"{len(values)}d", *values))
+            else:
+                column += values
+            values.clear()
 
 
 class Rounds:
     """RoundRecords built on read; `rounds[i] = record` writes them back."""
 
     def __init__(self, trace: Trace):
-        self.columns = (trace.forecasts, trace.bets, trace.xs, trace.capitals)
+        self.columns = trace.columns
 
     def __len__(self) -> int:
         return len(self.columns[3])
@@ -414,26 +452,32 @@ def run_game(
     floor = -BOUND_SLACK * protocol.initial_capital
     k = protocol.initial_capital
     trace = Trace(protocol=protocol, seed=seed)
-    add_f, add_s = trace.forecasts.append, trace.bets.append
-    add_x, add_k = trace.xs.append, trace.capitals.append
+    # A list append costs less than half of an array append: the rounds go
+    # to lists, and `trace.extend` packs them every PACK_ROUNDS rounds.
+    pending = [], [], [], []
+    add_f, add_s, add_x, add_k = [rounds.append for rounds in pending]
     # The moves and floats the loop keeps hold no cycle: see gc_paused.
     with gc_paused():
-        for n in range(1, horizon + 1):
-            f = forecast(n)
-            validate_forecast(protocol, f, n)
-            s = bet(n, f, k)
-            validate_bet(protocol, s, n)
-            x = outcome(n, f, s, k)
-            validate_outcome(protocol, x, n)
-            k = capital_update(protocol, k, f, s, x, n)
-            add_f(f)
-            add_s(s)
-            add_x(x)
-            add_k(k)
-            if observers:
-                record = RoundRecord(f, s, x, k)
-                for observe in observers:
-                    observe(record)
+        for start in range(1, horizon + 1, PACK_ROUNDS):
+            for n in range(start, min(start + PACK_ROUNDS, horizon + 1)):
+                f = forecast(n)
+                validate_forecast(protocol, f, n)
+                s = bet(n, f, k)
+                validate_bet(protocol, s, n)
+                x = outcome(n, f, s, k)
+                validate_outcome(protocol, x, n)
+                k = capital_update(protocol, k, f, s, x, n)
+                add_f(f)
+                add_s(s)
+                add_x(x)
+                add_k(k)
+                if observers:
+                    record = RoundRecord(f, s, x, k)
+                    for observe in observers:
+                        observe(record)
+                if not k >= floor:
+                    break
+            trace.extend(*pending)
             if not k >= floor:
                 break
     return trace
@@ -447,8 +491,7 @@ def replay_verify(trace: Trace) -> Optional[int]:
     An invalid recorded move raises InvalidMoveError with its round and role.
     """
     protocol, k = trace.protocol, trace.protocol.initial_capital
-    for n, (f, s, x, recorded) in enumerate(
-            zip(trace.forecasts, trace.bets, trace.xs, trace.capitals), 1):
+    for n, (f, s, x, recorded) in enumerate(zip(*trace.columns), 1):
         k = capital_update(protocol, k, f, s, x, n)
         if not math.isclose(k, recorded, rel_tol=0.0, abs_tol=1e-12):
             return n

@@ -67,14 +67,12 @@ def play_past_faults(protocol: Protocol, forecaster: Forecaster, skeptic: Skepti
 
 
 def trace_of(protocol: Protocol, records: Iterable[RoundRecord]) -> Trace:
-    """The trace whose rounds are the records' fields, each field the
-    record's own object."""
+    """The trace whose rounds are the records' fields: in a price game their
+    bits, packed; in a mean-variance game each field the record's object."""
+    records = list(records)
     trace = Trace(protocol=protocol)
-    for record in records:
-        trace.forecasts.append(record.forecast)
-        trace.bets.append(record.bet)
-        trace.xs.append(record.x)
-        trace.capitals.append(record.capital_after)
+    trace.extend([r.forecast for r in records], [r.bet for r in records],
+                 [r.x for r in records], [r.capital_after for r in records])
     return trace
 
 

@@ -29,6 +29,7 @@ from gtpsim import (
 from gtpsim import analysis
 from gtpsim.engine import (
     BOUND_SLACK,
+    PACK_ROUNDS,
     Reality,
     RoundRecord,
     Skeptic,
@@ -431,7 +432,11 @@ def test_a_decimal_x_is_an_invalid_move(protocol, value):
             3, "reality", "x", "x must be a float, got Decimal")
     x = float(value)
     assert engine_validate_outcome(protocol, x, 3) is None
-    assert _play_at_round_3(protocol, "reality", x).rounds[2].x is x
+    played = _play_at_round_3(protocol, "reality", x).rounds[2].x
+    if protocol.kind.uses_price:   # a packed x reads back as its bits
+        assert played.hex() == x.hex()
+    else:
+        assert played is x
 
 
 # Each move field of each game is a float.  A number of another type, even
@@ -634,6 +639,28 @@ def test_stop_on_skeptic_fault_truncates():
     assert stopped.capitals[0] < 0.0
 
 
+# run_game packs its rounds every PACK_ROUNDS rounds: a run stops at its
+# fault in any pack, at a pack's last round or first, and keeps every
+# round before it bit for bit.
+@pytest.mark.parametrize("fault", [
+    PACK_ROUNDS, PACK_ROUNDS + 1, 2 * PACK_ROUNDS + 7, None])
+def test_a_run_across_packs_keeps_every_round_and_stops_at_its_fault(fault):
+    horizon = 3 * PACK_ROUNDS + 5
+    # Small bets of alternating sign move the capital every round; a bet
+    # of 4 at p = 0.5 against the outcome takes it below 0.
+    xs = [0.0, 1.0, 1.0, 0.0, 0.0]
+    bets = [1e-3 * (-1) ** n for n in range(horizon)]
+    if fault is not None:
+        bets[fault - 1] = 4.0 if xs[(fault - 1) % len(xs)] == 0.0 else -4.0
+    players = (COIN, price_forecaster([0.5]), ScriptBetSkeptic(bets),
+               ScriptReality(xs), horizon)
+    trace, full = run_game(*players), play_past_faults(*players)
+    played = fault or horizon
+    assert len(trace.rounds) == played
+    assert [c[:played].tobytes() for c in full.columns] == [c.tobytes() for c in trace.columns]
+    assert replay_verify(trace) is None
+
+
 @pytest.mark.parametrize("k0", [1.0, 3.0])
 def test_run_and_verdict_share_the_duty_slack_edge(k0):
     # Round 1 loses all of K_0 (M = 2 K_0 at p = 1/2, tails); round 2 bets
@@ -646,7 +673,7 @@ def test_run_and_verdict_share_the_duty_slack_edge(k0):
     for t, kept in ((edge, True), (math.nextafter(edge, 1.0), False)):
         trace = run_game(protocol, price_forecaster([0.5, t, 0.5]), skeptic,
                          ConstantReality(0.0), 3)
-        assert trace.capitals[:2] == [0.0, -t]
+        assert list(trace.capitals[:2]) == [0.0, -t]
         assert len(trace.rounds) == (3 if kept else 2)
         verdict = strong_compliance_verdict(trace)
         assert verdict.skeptic_duty_ok is kept
@@ -750,8 +777,8 @@ class _FractionSkeptic(Skeptic):
 
 def test_combine_bets_each_part_from_its_own_capital():
     def play(skeptic):
-        return run_game(COIN, price_forecaster([0.5]), skeptic,
-                        ConstantReality(1.0), 5).capitals
+        return list(run_game(COIN, price_forecaster([0.5]), skeptic,
+                             ConstantReality(1.0), 5).capitals)
 
     up, down = play(_FractionSkeptic(0.5)), play(_FractionSkeptic(-0.5))
     combined = play(CombinedSkeptic([0.5, 0.5], [_FractionSkeptic(0.5),
@@ -824,6 +851,17 @@ def test_replay_soundness_on_random_runs(rounds):
         len(rounds),
     )
     assert replay_verify(trace) is None
+    # Bets up to 5 often break the Skeptic's duty, where run_game stops; the
+    # same moves played to the drawn horizon replay too, and run_game's
+    # rounds are their first rounds, bit for bit.
+    full = play_past_faults(
+        COIN, price_forecaster(ps), ScriptBetSkeptic(ms), ScriptReality(xs),
+        len(rounds),
+    )
+    assert len(full.rounds) == len(rounds)
+    assert replay_verify(full) is None
+    played = len(trace.rounds)
+    assert [c[:played].tobytes() for c in full.columns] == [c.tobytes() for c in trace.columns]
 
 
 @settings(deadline=None)
@@ -861,7 +899,7 @@ def test_trace_rounds_read_as_records_and_take_a_written_record():
     )
     records = list(trace.rounds)
     assert len(trace.rounds) == len(records) == 200
-    assert [r.capital_after for r in records] == trace.capitals
+    assert [r.capital_after for r in records] == list(trace.capitals)
     for i in (0, 100, 199, -1, -200):
         assert trace.rounds[i] == records[i]
     for i in (200, -201):

@@ -61,5 +61,5 @@ def test_the_exact_replay_sees_a_rise_the_floats_round_away(tmp_path):
         "protocol: {kind: coin_tossing}\nhorizon: 1\nforecaster: {name: constant}\n"
         "skeptic: {name: single_bet, M: 8.673617379884035e-19}\n"
         "reality: {name: constant, x: 1.0}\n"))
-    assert trace.capitals == [1.0]
+    assert list(trace.capitals) == [1.0]
     assert exact_capitals(trace) == [1 + Fraction(1, 2 ** 61)]

@@ -8,7 +8,6 @@ order, with a record of the round just played.
 """
 
 import hashlib
-import operator
 import struct
 import sys
 
@@ -54,12 +53,12 @@ def _digest(trace) -> str:
 
 
 def _same(seen, trace, times: int = 1) -> bool:
-    """Each record seen holds the trace's own four objects, round by round,
-    each round seen `times` times in a row."""
-    rounds = [fields for fields in zip(trace.forecasts, trace.bets, trace.xs,
-                                       trace.capitals) for _ in range(times)]
+    """Each record seen holds the bits of the trace's four packed floats,
+    round by round, each round seen `times` times in a row."""
+    rounds = [struct.pack("4d", *fields) for fields in zip(*trace.columns)
+              for _ in range(times)]
     return len(seen) == len(rounds) and all(
-        all(map(operator.is_, (r.forecast, r.bet, r.x, r.capital_after), fields))
+        struct.pack("4d", r.forecast, r.bet, r.x, r.capital_after) == fields
         for r, fields in zip(seen, rounds))
 
 

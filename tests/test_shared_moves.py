@@ -3,14 +3,17 @@ change.  A strategy whose announcement does not depend on the round builds
 its move once and announces that object every round; a counter Skeptic
 announces its last bet again while the bet's bits do not change; the
 geometric price script announces one move once its price underflows; and a
-zero bet keeps the capital object.
+zero bet keeps the capital object.  The tests read the objects the players
+announce and are passed, not the trace.
 
-A trace keeps four lists, of forecasts, bets, outcomes and capitals, and no
-record per round, so its lists hold one object for many rounds: that is
-what keeps its memory down.  The bytes a trace keeps per round are pinned
-here by tracemalloc.  Sharing is safe only because nothing writes a move
-after it is announced, so the tests also check that the shared objects
-still hold the values they were built with after a run.
+A trace keeps four columns, of forecasts, bets, outcomes and capitals, and
+no record per round.  In the price games the columns are packed doubles, so
+sharing saves an allocation per round, not trace memory; in the
+mean-variance games the columns are lists, and one shared object for many
+rounds is what keeps their memory down.  The bytes a trace keeps per round
+are pinned here by tracemalloc.  Sharing is safe only because nothing
+writes a move after it is announced, so the tests also check that the
+shared objects still hold the values they were built with after a run.
 """
 
 import dataclasses
@@ -63,28 +66,29 @@ def _with(scenario, **specs):
         scenario, **{f"{role}_spec": spec for role, spec in specs.items()})
 
 
-# Bytes a trace keeps per round at HORIZON, at most.  Each round keeps one
-# slot in each of the trace's four lists (32 B), a new capital float when
-# the bet is not zero, and a new price float in a non-constant price game;
-# the shared moves and outcomes cost nothing per round.
-# Measured: 81, 64, 46, 33 and 33 B.  A RoundRecord kept per round cost
+# Bytes a trace keeps per round at HORIZON, at most.  A price-game round
+# packs four doubles (32 B); the array over-allocation and the Trace object
+# bring that to 35.0-36.4 B.  A mean-variance round keeps one slot in each
+# of four lists (32 B), a new capital float when the bet is not zero, and a
+# new ForecastMove in a non-constant script; the shared moves and outcomes
+# cost nothing per round.
+# Measured: 36.2, 36.4, 36.2, 35.0 and 33 B.  With four lists of floats a
+# price game kept 81, 64, 46 and 33 B.  A RoundRecord kept per round cost
 # 40 B more (121, 104, 86, 73 and 73 B), and one with a round number 76 B
 # more (157, 140, 122, 109 and 109 B).  With that number, a ForecastMove
 # around each price kept 213 and 152 B, a new bet after every head of the
 # constant_0.3 run 176 B, a SkepticBet around each of its bets 154 B, and a
 # new x float in every ufg round 133 B.
 TRACE_BYTES_PER_ROUND = {
-    "coin[harmonic/bc_fictional]": 90.0,
-    "coin[constant_0.3/bc_convergent]": 72.0,
-    "coin[geometric/zero]": 55.0,
-    "coin[constant_0.3/zero]": 40.0,
+    "coin[harmonic/bc_fictional]": 38.0,
+    "coin[constant_0.3/bc_convergent]": 38.0,
+    "coin[geometric/zero]": 38.0,
+    "coin[constant_0.3/zero]": 38.0,
     "ufg[v=1/m=0/zero]": 40.0,
 }
 
 
-@pytest.mark.parametrize("name", sorted(TRACE_BYTES_PER_ROUND))
-def test_trace_bytes_per_round_stay_below_their_bound(name):
-    scenario = _pool(HORIZON)[name]
+def _kept_bytes_per_round(scenario) -> float:
     gc.collect()
     tracemalloc.start()
     try:
@@ -93,12 +97,52 @@ def test_trace_bytes_per_round_stay_below_their_bound(name):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(trace.rounds) == HORIZON
-    assert kept / HORIZON < TRACE_BYTES_PER_ROUND[name], kept / HORIZON
+    assert len(trace.rounds) == scenario.horizon
+    return kept / scenario.horizon
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_BYTES_PER_ROUND))
+def test_trace_bytes_per_round_stay_below_their_bound(name):
+    per_round = _kept_bytes_per_round(_pool(HORIZON)[name])
+    assert per_round < TRACE_BYTES_PER_ROUND[name], per_round
+
+
+def test_a_long_price_game_trace_keeps_its_doubles_alone():
+    # Measured 33.5 B per round; four lists of floats kept 80.1 B.  About
+    # 4 s under tracemalloc.
+    per_round = _kept_bytes_per_round(_pool(100_000)["coin[harmonic/bc_fictional]"])
+    assert per_round < 36.0, per_round
 
 
 def _objects(moves) -> int:
     return len({id(move) for move in moves})
+
+
+def _announcements(policy, method: str, calls=None) -> list:
+    """The list the policy's announcements by `method` go to, round by
+    round, from now on; `calls` gets each call's arguments."""
+    moves, announce = [], getattr(policy, method)
+
+    def recorded(*args):
+        if calls is not None:
+            calls.append(args)
+        moves.append(announce(*args))
+        return moves[-1]
+    setattr(policy, method, recorded)
+    return moves
+
+
+def _play(scenario):
+    """`run_scenario`, also returning the forecasts and the bets the
+    scenario's players announced."""
+    forecaster, skeptic = build_forecaster(scenario), build_skeptic(scenario)
+    forecasts = _announcements(forecaster, "forecast")
+    bets = _announcements(skeptic, "bet")
+    trace = run_game(scenario.protocol, forecaster, skeptic, build_reality(scenario),
+                     scenario.horizon, seed=scenario.seed)
+    assert [r.forecast for r in trace.rounds] == forecasts
+    assert [r.bet for r in trace.rounds] == bets
+    return trace, forecasts, bets
 
 
 @pytest.mark.parametrize("name, forecasts", [
@@ -114,8 +158,7 @@ def test_a_constant_script_announces_prebuilt_forecasts(name, forecasts):
     else:
         scenario = pool[name]
     built = [build_forecaster(scenario).forecast(n) for n in range(1, 4)]
-    trace = run_scenario(scenario)
-    moves = [r.forecast for r in trace.rounds]
+    _, moves, _ = _play(scenario)
     assert _objects(moves) == forecasts
     # round n and round n + period announce the same object
     assert all(a is b for a, b in zip(moves, moves[forecasts:]))
@@ -126,13 +169,15 @@ def test_a_constant_script_announces_prebuilt_forecasts(name, forecasts):
     "coin[constant_0.3/zero]", "ufg[v=1/m=0/zero]"])
 def test_the_zero_skeptic_announces_one_bet_per_run(pool_name):
     scenario = _pool()[pool_name]
-    skeptic, protocol = ZeroSkeptic(), scenario.protocol
+    skeptic, protocol, calls = ZeroSkeptic(), scenario.protocol, []
+    bets = _announcements(skeptic, "bet", calls)
     trace = run_game(protocol, build_forecaster(scenario), skeptic,
                      build_reality(scenario), 60)
-    assert _objects(r.bet for r in trace.rounds) == 1
-    assert trace.rounds[0].bet is skeptic.zero_bet
-    # the capital object K_0 is kept too
-    assert all(r.capital_after is protocol.initial_capital for r in trace.rounds)
+    assert len(bets) == len(trace.rounds) == 60
+    assert _objects(bets) == 1
+    assert bets[0] is skeptic.zero_bet
+    # the capital object K_0 is kept too, and passed to every bet
+    assert all(k_prev is protocol.initial_capital for _, _, k_prev in calls)
     expected = 0.0 if protocol.kind.uses_price else SkepticBet(0.0, 0.0)
     assert type(skeptic.zero_bet) is type(expected) and skeptic.zero_bet == expected
 
@@ -162,9 +207,8 @@ def test_bang_bang_announces_one_bet_per_parity(pool_name):
     scenario = _with(_pool()[pool_name], skeptic={
         "name": "bang_bang", "amplitude": 0.5, "v_amplitude": 0.25})
     with_v = not scenario.protocol.kind.uses_price
-    trace = run_scenario(scenario)
-    odd = [r.bet for r in trace.rounds[0::2]]
-    even = [r.bet for r in trace.rounds[1::2]]
+    _, _, bets = _play(scenario)
+    odd, even = bets[0::2], bets[1::2]
     assert _objects(odd) == _objects(even) == 1 and odd[0] is not even[0]
     assert odd[0] == (SkepticBet(0.5, 0.0) if with_v else 0.5)
     assert even[0] == (SkepticBet(-0.5, 0.25) if with_v else -0.5)
@@ -177,8 +221,7 @@ def test_single_bet_announces_its_bet_then_one_zero_bet(pool_name):
                      skeptic={"name": "single_bet", "M": -0.5, "V": 0.25})
     with_v = not scenario.protocol.kind.uses_price
     skeptic = build_skeptic(scenario)
-    trace = run_scenario(scenario)
-    first, rest = trace.rounds[0].bet, [r.bet for r in trace.rounds[1:]]
+    _, _, (first, *rest) = _play(scenario)
     assert _objects(rest) == 1 and rest[0] is not first
     assert first == (SkepticBet(-0.5, 0.25) if with_v else -0.5)
     assert rest[0] == (SkepticBet(0.0, 0.0) if with_v else 0.0)
@@ -240,29 +283,17 @@ def _check_announcements(cls, bets, counters):
     assert _objects(bets) < len(bets) / 10
 
 
-def _recorded_bets(skeptic) -> list:
-    """The list the skeptic's bets go to, round by round, from now on."""
-    bets, bet = [], skeptic.bet
-
-    def recorded(n, forecast, k_prev):
-        bets.append(bet(n, forecast, k_prev))
-        return bets[-1]
-    skeptic.bet = recorded
-    return bets
-
-
 @pytest.mark.parametrize("name", sorted(COUNTER_SKEPTICS))
 def test_a_counter_skeptic_announces_a_new_bet_only_when_b_or_c_moves(name):
-    trace = run_scenario(_pool(400)[f"coin[harmonic/{name}]"])
+    trace, _, bets = _play(_pool(400)[f"coin[harmonic/{name}]"])
     assert len(trace.rounds) == 400
-    _check_announcements(COUNTER_SKEPTICS[name], [r.bet for r in trace.rounds],
-                         _counters_by_round(trace))
+    _check_announcements(COUNTER_SKEPTICS[name], bets, _counters_by_round(trace))
 
 
 def test_counter_skeptics_inside_a_combination_announce_their_own_bets():
     scenario = _pool(400)["coin[harmonic/zero]"]
     parts = [cls() for cls in COUNTER_SKEPTICS.values()]
-    bets = [_recorded_bets(part) for part in parts]
+    bets = [_announcements(part, "bet") for part in parts]
     trace = run_game(scenario.protocol, build_forecaster(scenario),
                      CombinedSkeptic([0.5, 0.25, 0.25], parts),
                      build_reality(scenario), 400)
@@ -297,7 +328,7 @@ def test_a_counter_skeptic_replayed_by_mixture_capitals_reannounces_its_bet(cls)
                      reality={"name": "derandomized_fictional"})
     trace = run_scenario(scenario)
     skeptic = cls()
-    bets = _recorded_bets(skeptic)
+    bets = _announcements(skeptic, "bet")
     for _ in range(2):
         mixture_capitals(trace, skeptic, 1.0)
         _check_announcements(cls, bets[-len(trace.rounds):], _counters_by_round(trace))

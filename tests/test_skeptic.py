@@ -183,7 +183,7 @@ def test_divergent_bet_constant_without_heads():
     )
     assert all(r.bet == -0.5 for r in trace.rounds)
     # Strictly increasing capital along the divergent script with no heads.
-    assert trace.capitals == sorted(set(trace.capitals))
+    assert list(trace.capitals) == sorted(set(trace.capitals))
 
 
 def test_convergent_bet_frozen_on_geometric_prices():

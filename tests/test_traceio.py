@@ -7,6 +7,7 @@ import hashlib
 import io
 import math
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from gtpsim import (
     SkepticBet,
     Trace,
     replay_verify,
+    run_game,
 )
 from gtpsim.cli import main
 from gtpsim.hedges import power_hedge
@@ -31,7 +33,7 @@ from gtpsim.traceio import (
     write_trace_csv,
 )
 
-from _support import parse_text, trace_of
+from _support import ScriptBetSkeptic, ScriptReality, parse_text, price_forecaster, trace_of
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -93,15 +95,57 @@ reality: {name: constant, x: 1.0e200}
 """
 
 
-@pytest.mark.parametrize("kind", sorted(PLAYED))
+COIN = Protocol(kind=GameKind.COIN_TOSSING)
+BOUNDED = Protocol(kind=GameKind.BOUNDED_FORECASTING)
+
+# Price-game traces whose packed doubles `==` cannot check: 0.0 == -0.0,
+# and NaN equals nothing.  The NaN capital is hand-built, since no valid
+# price-game move makes one; run_game would stop at its round.
+PACKED = {
+    "coin_negative_zero_price_and_bet": lambda: run_game(
+        COIN, price_forecaster([-0.0, 0.5, 0.0]), ScriptBetSkeptic([-0.0, 0.0, 0.25]),
+        ScriptReality([1.0, 0.0, 0.0, 1.0]), 12),
+    "bounded_negative_zero_x": lambda: run_game(
+        BOUNDED, price_forecaster([0.5, 0.25]), ScriptBetSkeptic([0.25, -0.0, 0.5]),
+        ScriptReality([-0.0, 0.0, -0.0, 1.0, 0.75]), 12),
+    "coin_subnormal_price": lambda: run_game(
+        COIN, price_forecaster([5e-324, 0.5, 5e-324]), ScriptBetSkeptic([0.5, -0.25]),
+        ScriptReality([0.0, 1.0, 1.0]), 12),
+    "coin_nan_capital_at_a_fault_round": lambda: trace_of(COIN, [
+        RoundRecord(0.5, 0.5, 1.0, 1.25), RoundRecord(0.5, 0.5, 1.0, 1.5),
+        RoundRecord(0.25, 1e300, 0.0, math.nan)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PLAYED) + sorted(PACKED))
 def test_csv_text_matches_csv_writer_and_round_trips(tmp_path, kind):
-    trace = _played(tmp_path, kind)
+    trace = _played(tmp_path, kind) if kind in PLAYED else PACKED[kind]()
     text = trace_to_csv_text(trace)
     assert text == _reference_csv(trace)
     back = trace_from_csv_text(text, trace.protocol, trace.seed)
-    assert back.rounds == trace.rounds
-    assert replay_verify(back) is None
+    if kind in PLAYED:
+        assert back.rounds == trace.rounds
+        assert replay_verify(back) is None
+    else:
+        # Bit for bit, which `==` on the records cannot tell.
+        assert all(isinstance(column, array) for column in back.columns)
+        assert [c.tobytes() for c in back.columns] == [c.tobytes() for c in trace.columns]
+        assert replay_verify(back) == replay_verify(trace)
     assert trace_to_csv_text(back) == text
+
+
+def test_packed_inputs_hold_what_they_test():
+    traces = {kind: build() for kind, build in PACKED.items()}
+    signs = {kind: {name: {math.copysign(1.0, v) for v in getattr(t, name) if v == 0.0}
+                    for name in ("forecasts", "bets", "xs")} for kind, t in traces.items()}
+    assert signs["coin_negative_zero_price_and_bet"]["forecasts"] == {1.0, -1.0}
+    assert signs["coin_negative_zero_price_and_bet"]["bets"] == {1.0, -1.0}
+    assert signs["bounded_negative_zero_x"]["xs"] == {1.0, -1.0}
+    assert 5e-324 in traces["coin_subnormal_price"].forecasts
+    capitals = traces["coin_nan_capital_at_a_fault_round"].capitals
+    assert math.isnan(capitals[-1]) and replay_verify(
+        traces["coin_nan_capital_at_a_fault_round"]) == 3
+    assert all(len(t.rounds) == 12 for kind, t in traces.items() if "nan" not in kind)
 
 
 def test_csv_text_writes_non_finite_values_as_csv_writer_does(tmp_path):
@@ -205,8 +249,8 @@ PROTOCOLS = {"coin": Protocol(kind=GameKind.COIN_TOSSING),
              "general_hedge": Protocol(kind=GameKind.GENERAL_HEDGE, hedge=power_hedge(1.5))}
 
 
-def _signed_trace(protocol: Protocol, shared: bool) -> Trace:
-    """A trace of SIGNED values.  Shared: a field holds the previous row's
+def _signed_rounds(protocol: Protocol, shared: bool) -> list:
+    """Records of SIGNED values.  Shared: a field holds the previous row's
     object wherever its value repeats bit for bit, as `run_game` shares a
     move or a capital.  Distinct: every field is a new object."""
     mv = not protocol.kind.uses_price
@@ -227,16 +271,24 @@ def _signed_trace(protocol: Protocol, shared: bool) -> Trace:
             bet = SkepticBet(-x, x) if mv else -x
         prev = RoundRecord(forecast, bet, x, k)
         rounds.append(prev)
-    return trace_of(protocol, rounds)
+    return rounds
+
+
+def _signed_trace(protocol: Protocol, shared: bool) -> Trace:
+    return trace_of(protocol, _signed_rounds(protocol, shared))
 
 
 @pytest.mark.parametrize("kind", sorted(PROTOCOLS))
 def test_shared_and_distinct_objects_give_the_same_text(kind):
-    shared = _signed_trace(PROTOCOLS[kind], shared=True)
-    distinct = _signed_trace(PROTOCOLS[kind], shared=False)
-    assert shared.rounds[2].x is shared.rounds[1].x
-    assert shared.rounds[2].forecast is shared.rounds[1].forecast
-    assert distinct.rounds[2].x is not distinct.rounds[1].x
+    # A coin trace packs the records' floats, so its two traces hold the
+    # same bits; a general-hedge trace keeps the records' objects.
+    shared_rounds = _signed_rounds(PROTOCOLS[kind], shared=True)
+    distinct_rounds = _signed_rounds(PROTOCOLS[kind], shared=False)
+    assert shared_rounds[2].x is shared_rounds[1].x
+    assert shared_rounds[2].forecast is shared_rounds[1].forecast
+    assert distinct_rounds[2].x is not distinct_rounds[1].x
+    shared = trace_of(PROTOCOLS[kind], shared_rounds)
+    distinct = trace_of(PROTOCOLS[kind], distinct_rounds)
     text = trace_to_csv_text(shared)
     assert text == trace_to_csv_text(distinct) == _reference_csv(shared)
     lines = text.splitlines()
@@ -253,6 +305,10 @@ def _field_columns(protocol: Protocol):
     return {"forecast": (1, 2), "bet": (3, 4), "x": (5,), "capital_after": (6,)}
 
 
+def _packed(trace: Trace) -> bool:
+    return all(isinstance(column, array) for column in trace.columns)
+
+
 @pytest.mark.parametrize("kind, shared", [(kind, None) for kind in sorted(PLAYED)] + [
     (kind, shared) for kind in sorted(PROTOCOLS) for shared in (True, False)])
 def test_reader_shares_an_object_exactly_where_its_text_repeats(tmp_path, kind, shared):
@@ -260,6 +316,14 @@ def test_reader_shares_an_object_exactly_where_its_text_repeats(tmp_path, kind, 
     trace = _played(tmp_path, kind) if shared is None else _signed_trace(PROTOCOLS[kind], shared)
     text = trace_to_csv_text(trace)
     back = trace_from_csv_text(text, trace.protocol)
+    assert trace_to_csv_text(back) == text
+    if _packed(trace):
+        # A price-game trace keeps the doubles, and no object to share.  The
+        # text of a NaN holds neither its sign nor its payload: hex neither.
+        assert _packed(back)
+        for column, written in zip(back.columns, trace.columns):
+            assert list(map(float.hex, column)) == list(map(float.hex, written))
+        return
     rows = list(csv.reader(io.StringIO(text)))[1:]
     for i in range(1, len(rows)):
         for name, columns in _field_columns(trace.protocol).items():
@@ -290,3 +354,24 @@ def test_reading_a_long_file_holds_little_beyond_the_trace(tmp_path):
     # The file alone is about 6.9 MB; the parse holds a few rows of it.
     assert path.stat().st_size > 6_000_000
     assert peak < retained + 2 ** 20, (retained, peak)
+
+
+def test_writing_a_long_file_holds_little_beyond_the_trace(tmp_path):
+    rounds = 100_000
+    trace = run_scenario(parse_text(tmp_path,
+        f"protocol: {{kind: coin_tossing}}\nhorizon: {rounds}\n"
+        "forecaster: {name: harmonic}\nskeptic: {name: bc_fictional}\n"
+        "reality: {name: bc_comply}\n"))
+    path = tmp_path / "long.csv"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_trace_csv(trace, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The file is about 6.9 MB; the writer holds a piece of it at a time.
+    assert path.stat().st_size > 6_000_000
+    assert peak < before + 2 ** 20, (before, peak)
+    assert path.read_text(encoding="utf-8") == trace_to_csv_text(trace)
