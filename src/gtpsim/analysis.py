@@ -76,18 +76,19 @@ def lower_probability_coin(p_script: Sequence[float], event: EventPredicate) -> 
 def coin_price_bounds(p_script: Sequence[float], event: EventState) -> Tuple[float, float]:
     """(upper, lower) probability of the event by backward induction over the
     reachable (round, state) pairs, at most MAX_PRICING_STATES of them, with
-    one call of `accept` per final state: one backward sweep over the leaf
-    values v, one over 1 - v for the complement.  Nodes with one state have
-    one value, and v is 0.0 or 1.0, so 1 - v is exact and both prices are
-    the same floats as `upper_probability_coin` and `lower_probability_coin`
-    on the 2^N tree."""
+    one call of `accept` per final state and one backward sweep that carries
+    the pair (v, 1 - v): the event's value and its complement's.  Nodes with
+    one state have one value, and v is 0.0 or 1.0, so 1 - v is exact; each
+    component goes through the float operations of one sweep, so both prices
+    are the same floats as `upper_probability_coin` and
+    `lower_probability_coin` on the 2^N tree."""
     _check_prices(p_script)
     start, step, accept = event
     rows, finals = _state_graph(p_script, start, step)
-    leaves = {s: 1.0 if accept(s) else 0.0 for s in finals}
-    upper = _sweep(p_script, rows, leaves, start)
-    complement = {s: 1.0 - v for s, v in leaves.items()}
-    return upper, 1.0 - _sweep(p_script, rows, complement, start)
+    upper, complement = _sweep(
+        p_script, rows, {s: (1.0, 0.0) if accept(s) else (0.0, 1.0) for s in finals},
+        start)
+    return upper, 1.0 - complement
 
 
 StateRows = List[List[Tuple[Hashable, Hashable, Hashable]]]
@@ -116,11 +117,17 @@ def _state_graph(p_script: Sequence[float], start: Hashable,
 
 
 def _sweep(p_script: Sequence[float], rows: StateRows,
-           values: Dict[Hashable, float], start: Hashable) -> float:
-    """Backward induction from the final states' values to the start's."""
+           values: Dict[Hashable, Tuple[float, float]],
+           start: Hashable) -> Tuple[float, float]:
+    """Backward induction from the final states' value pairs to the start's,
+    each component on its own."""
     for p, row in zip(reversed(p_script), reversed(rows)):
         q = 1.0 - p
-        values = {s: p * values[up] + q * values[down] for s, up, down in row}
+        swept = {}
+        for s, up, down in row:
+            (v1, c1), (v0, c0) = values[up], values[down]
+            swept[s] = (p * v1 + q * v0, p * c1 + q * c0)
+        values = swept
     return values[start]
 
 

@@ -71,7 +71,7 @@ def load_manifest(path: Path) -> List[Scenario]:
     `scenarios:` path list, or a YAML file naming a built-in `pool:` with an
     optional `horizon` and `seed`."""
     if path.is_dir():
-        return [parse_scenario(p) for p in sorted(path.glob("*.yaml"))]
+        return [_parse_listed(p) for p in sorted(path.glob("*.yaml"))]
     doc = load_yaml(path) or {}
     if not isinstance(doc, dict):
         raise ScenarioError("manifest must be a mapping or a directory")
@@ -87,7 +87,18 @@ def load_manifest(path: Path) -> List[Scenario]:
     if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
         raise ScenarioError(
             f"manifest scenarios must be a list of paths, got {paths!r}")
-    return [parse_scenario(path.parent / p) for p in paths]
+    return [_parse_listed(path.parent / p) for p in paths]
+
+
+def _parse_listed(path: Path) -> Scenario:
+    """`parse_scenario`, with an error that does not yet name the file
+    raised again with its path in front."""
+    try:
+        return parse_scenario(path)
+    except ValueError as exc:
+        if str(exc).startswith(f"{path}: "):
+            raise
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def cmd_verify(scenarios: List[Scenario],

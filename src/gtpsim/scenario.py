@@ -44,23 +44,78 @@ class ScenarioError(ValueError):
     """Malformed or out-of-range scenario content."""
 
 
+# The deepest nesting of lists and mappings an input file may hold.  No
+# stock file passes 4.  libyaml composes a document by recursion in C, which
+# overflows the stack (SIGSEGV) some 25,000 levels down; json raises
+# RecursionError near 1,000.
+MAX_NESTING = 32
+
+
 def load_yaml(path: Path) -> Any:
     """The YAML document of a file, read as UTF-8.  A file that cannot be
-    read or is not YAML is a ScenarioError.
+    read, is not UTF-8, is not YAML or nests lists and mappings deeper than
+    MAX_NESTING is a ScenarioError that starts with the path.
 
-    PyYAML is imported here, not at module level, so code that builds
-    scenarios in Python never loads it."""
+    Text that is JSON is read by `json`, typed as YAML 1.1 types it: a
+    number is a float only when it has a dot and any exponent is signed
+    (`1e5` and `1.5e5` stay strings), and NaN and Infinity stay strings.
+    PyYAML reads any other text, and is imported only then."""
+    import json
+
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8: {exc}") from None
+    too_deep = ScenarioError(f"{path}: nested deeper than {MAX_NESTING} levels")
+    try:
+        doc = json.loads(text, parse_float=_yaml_float, parse_constant=str)
+    except RecursionError:
+        raise too_deep from None
+    except ValueError:            # not JSON (or an int json will not convert)
+        pass
+    else:
+        if _nested_deeper(doc, MAX_NESTING):
+            raise too_deep
+        return doc
     import yaml
 
     # libyaml's parser when PyYAML was built with it, else the pure-Python
     # one; both build the same documents through the same safe constructor.
+    # Their events are read first, so a deep document stops at its first
+    # level past the limit, before either parser recurses.
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    depth = 0
     try:
-        return yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
-    except OSError as exc:
-        raise ScenarioError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+        for event in yaml.parse(text, Loader=loader):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise too_deep
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+        return yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
+
+
+def _yaml_float(number: str) -> Any:
+    """A JSON number with a fraction or an exponent, as YAML 1.1 reads it:
+    a float when it has a dot and any exponent is signed, else a string."""
+    mantissa, e, exponent = number.lower().partition("e")
+    if "." in mantissa and (not e or exponent[0] in "+-"):
+        return float(number)
+    return number
+
+
+def _nested_deeper(doc: Any, levels: int) -> bool:
+    """Whether lists and mappings nest in `doc` more than `levels` deep."""
+    nodes = [doc]
+    for _ in range(levels):
+        nodes = [child for node in nodes if isinstance(node, (dict, list))
+                 for child in (node.values() if isinstance(node, dict) else node)]
+    return any(isinstance(node, (dict, list)) for node in nodes)
 
 
 def as_integer(raw: Any, what: str) -> int:

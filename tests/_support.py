@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, List, Sequence
@@ -21,6 +24,16 @@ from gtpsim import (
     capital_update,
 )
 from gtpsim.scenario import Scenario, build_reality, parse_scenario
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports gtpsim from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
 
 
 class ScriptReality(Reality):

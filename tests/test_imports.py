@@ -3,25 +3,13 @@ some functions use, and no module imports a name it never uses."""
 
 import ast
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def _fresh_python(*args: str) -> subprocess.CompletedProcess:
-    """Run a new interpreter that imports gtpsim from this checkout."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=60)
+from _support import SRC, fresh_python
 
 
 def test_importing_the_package_does_not_load_numpy():
     code = "import sys, gtpsim.cli, gtpsim.scenario; print('numpy' in sys.modules)"
-    done = _fresh_python("-c", code)
+    done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
@@ -31,7 +19,7 @@ def test_importing_the_package_does_not_load_numpy():
 def test_importing_the_package_does_not_load_numbers():
     code = ("import sys, gtpsim, gtpsim.cli, gtpsim.scenario, gtpsim.traceio\n"
             "print('numbers' in sys.modules)")
-    done = _fresh_python("-c", code)
+    done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
@@ -44,7 +32,7 @@ DEFERRED = ("yaml", "fractions", "decimal", "argparse", "csv", "numpy")
 def test_importing_the_package_loads_no_deferred_module():
     code = ("import sys, json, gtpsim, gtpsim.cli, gtpsim.scenario, gtpsim.traceio\n"
             f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))")
-    done = _fresh_python("-c", code)
+    done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []
 
@@ -74,7 +62,7 @@ print(json.dumps({
 def test_each_deferred_import_loads_when_its_function_runs(tmp_path):
     yaml_file = tmp_path / "a.yaml"
     yaml_file.write_text("a: 1\n", encoding="utf-8")
-    done = _fresh_python("-c", DEFERRED_PATHS, str(yaml_file))
+    done = fresh_python("-c", DEFERRED_PATHS, str(yaml_file))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
         "yaml": [False, True, {"a": 1}],
@@ -84,8 +72,35 @@ def test_each_deferred_import_loads_when_its_function_runs(tmp_path):
     }
 
 
+# JSON text is read by json, so a command on JSON files never loads PyYAML.
+JSON_COMMANDS = """
+import contextlib, io, json, sys
+from gtpsim import cli
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes = [cli.main(["price", sys.argv[1]]), cli.main(["run", sys.argv[2]])]
+print(json.dumps([codes, "yaml" in sys.modules, out.getvalue().splitlines()[:2]]))
+"""
+
+
+def test_commands_on_json_files_do_not_load_yaml(tmp_path):
+    pricing = tmp_path / "price.yaml"
+    pricing.write_text(json.dumps({"p_script": [0.5, 0.5], "event": {"type": "all"}}),
+                       encoding="utf-8")
+    scenario = tmp_path / "mini.json"
+    scenario.write_text(json.dumps({
+        "protocol": {"kind": "coin_tossing"}, "horizon": 5,
+        "forecaster": {"name": "harmonic"}, "skeptic": {"name": "zero"},
+        "reality": {"name": "bc_comply"}}), encoding="utf-8")
+    done = fresh_python("-c", JSON_COMMANDS, str(pricing), str(scenario))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        [0, 0], False, ["upper: 1.000000000000", "lower: 1.000000000000"]]
+
+
 def test_cli_help_exits_zero():
-    done = _fresh_python("-m", "gtpsim.cli", "--help")
+    done = fresh_python("-m", "gtpsim.cli", "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: gtpsim")
 

@@ -11,6 +11,7 @@ import random
 import time
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,8 +47,10 @@ def _tree_prices(doc, event=None):
             lower_probability_coin(doc["p_script"], event))
 
 
-def _price_file(path, doc):
-    path.write_text(json.dumps(doc), encoding="utf-8")
+def _price_file(path, doc, dump=json.dumps):
+    """`cmd_price` on the document written by `dump`: JSON text is read by
+    `json`, the block YAML of `yaml.safe_dump` by PyYAML."""
+    path.write_text(dump(doc), encoding="utf-8")
     return cmd_price(path)
 
 
@@ -73,7 +76,8 @@ def pricing_docs(draw, max_n=12):
 def test_induction_prices_equal_the_tree_bit_for_bit(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "induction.yaml"
     expected = _tree_prices(doc)
-    assert _price_file(path, doc) == expected
+    for dump in (json.dumps, yaml.safe_dump):
+        assert _price_file(path, doc, dump) == expected
     p_script, spec = doc["p_script"], doc["event"]
     assert coin_price_bounds(p_script, _event_state(spec, len(p_script))) == expected
     assert _tree_prices(doc, _event_from_spec(spec, len(p_script))) == expected

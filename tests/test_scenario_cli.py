@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from gtpsim import GameKind, replay_verify, run_game
 from gtpsim.cli import cmd_verify, load_manifest, main
@@ -20,6 +22,7 @@ from gtpsim.hedges import HedgeValidationError
 from gtpsim.randomized import KolmogorovReality
 from gtpsim.scenario import (
     _FORECASTER_KEYS,
+    MAX_NESTING,
     _REALITIES,
     _SKEPTICS,
     STOCK_POOLS,
@@ -29,6 +32,7 @@ from gtpsim.scenario import (
     build_reality,
     build_skeptic,
     event_proxy_for,
+    load_yaml,
     parse_scenario,
     proxy_avoid_match,
     proxy_heads_at_c_increments,
@@ -46,7 +50,14 @@ from gtpsim.traceio import (
 )
 from gtpsim.analysis import strong_compliance_verdict
 
-from _support import ScriptReality, mv_forecaster, parse_text, price_forecaster, trace_of
+from _support import (
+    ScriptReality,
+    fresh_python,
+    mv_forecaster,
+    parse_text,
+    price_forecaster,
+    trace_of,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -757,6 +768,131 @@ def test_cli_reports_a_missing_file(tmp_path, capsys, command):
                                      "scenarios: [missing.yaml]\n"))]
     err = _cli_error(argv, capsys)
     assert "missing.yaml" in err
+
+
+def test_cli_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.yaml"
+    latin1.write_bytes(MINIMAL.replace("mini", "caf\xe9").encode("latin-1"))
+    manifest = _write(tmp_path / "manifest.yml", "scenarios: [latin1.yaml]\n")
+    for argv in (["run", str(latin1)], ["verify", str(manifest)]):
+        err = _cli_error(argv, capsys)
+        assert err.startswith(f"error: {latin1}: not UTF-8: ")
+
+
+@pytest.mark.parametrize("listed_by", ["manifest", "directory"])
+def test_cli_verify_names_the_scenario_that_fails_to_parse(tmp_path, capsys, listed_by):
+    _write(tmp_path / "a_good.yaml", MINIMAL)
+    bad = _write(tmp_path / "b_bad.yaml", MINIMAL.replace("horizon: 50", "horizon: 0"))
+    manifest = _write(tmp_path / "manifest.yml", "scenarios: [a_good.yaml, b_bad.yaml]\n")
+    err = _cli_error(["verify", str(manifest if listed_by == "manifest" else tmp_path)],
+                     capsys)
+    assert err == f"error: {bad}: horizon must be >= 1, got 0\n"
+    assert _cli_error(["run", str(bad)], capsys) == "error: horizon must be >= 1, got 0\n"
+
+
+# Each shape nests lists or mappings `levels` deep around one scalar.
+NESTED = {
+    "flow-sequence": lambda levels: "[" * levels + "1" + "]" * levels,
+    "flow-mapping": lambda levels: "{a: " * levels + "1" + "}" * levels,
+    "block-sequence": lambda levels: "- " * levels + "1\n",
+    "json": lambda levels: '{"a": ' * levels + "1" + "}" * levels,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_a_document_may_nest_up_to_the_limit(tmp_path, shape):
+    path = _write(tmp_path / "nested.yaml", NESTED[shape](MAX_NESTING))
+    doc = load_yaml(path)
+    for _ in range(MAX_NESTING):
+        doc = doc["a"] if isinstance(doc, dict) else doc[0]
+    assert doc == 1
+    _write(path, NESTED[shape](MAX_NESTING + 1))
+    with pytest.raises(ScenarioError, match=f"nested deeper than {MAX_NESTING} levels"):
+        load_yaml(path)
+
+
+# libyaml composes by recursion in C, so at the parent commit these files
+# crashed the interpreter (exit 139).  Run in a fresh interpreter, as a crash
+# would take the test run down with it.
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_cli_rejects_a_document_nested_fifty_thousand_deep(tmp_path, shape):
+    path = _write(tmp_path / "deep.yaml", NESTED[shape](50_000))
+    done = fresh_python("-m", "gtpsim.cli", "run", str(path))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {path}: nested deeper than {MAX_NESTING} levels\n"
+
+
+def _json_number():
+    """JSON number tokens in every form YAML 1.1 types differently: with
+    and without a fraction, with an exponent that is signed or not."""
+    exponent = st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                         st.sampled_from(["0", "5", "05", "16", "308", "400"]))
+    return st.tuples(
+        st.sampled_from(["", "-"]),
+        st.sampled_from(["0", "1", "12", "4503599627370497"]),
+        st.sampled_from(["", ".0", ".5", ".25", ".000001"]),
+        st.one_of(st.just(("",)), exponent),
+    ).map(lambda parts: "".join(parts[:3]) + "".join(parts[3]))
+
+
+# Characters of the Basic Multilingual Plane that are not surrogates: json
+# escapes the others to a surrogate pair, which PyYAML rejects.
+BMP_TEXT = st.text(st.characters(blacklist_categories=("Cs",), max_codepoint=0xFFFF),
+                   max_size=8)
+JSON_SCALAR = st.one_of(
+    _json_number(),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "-0", "-0.0", "true", "false",
+                     "null"]),
+    BMP_TEXT.map(json.dumps),
+)
+
+
+def _json_texts():
+    """JSON texts of nested lists and mappings, with repeated keys and
+    varied white space."""
+    def containers(children):
+        sep = st.sampled_from([",", ", ", "\n  ,"])
+        items = st.lists(children, max_size=4)
+        keys = st.one_of(st.sampled_from(["a", "b", "1.5e+5"]), BMP_TEXT)
+        pairs = st.lists(st.tuples(keys.map(json.dumps), children), max_size=4)
+        return st.one_of(
+            st.tuples(sep, items).map(lambda t: "[" + t[0].join(t[1]) + "]"),
+            st.tuples(sep, st.sampled_from([":", ": ", " :\n "]), pairs).map(
+                lambda t: "{" + t[0].join(k + t[1] + v for k, v in t[2]) + "}"),
+        )
+    return st.recursive(JSON_SCALAR, containers, max_leaves=12)
+
+
+def _same_document(a, b) -> bool:
+    """Equal in value and type, floats by their bits (a NaN equals a NaN)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex() or math.isnan(a) and math.isnan(b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_document, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same_document(a[k], b[k]) for k in a)
+    return a == b
+
+
+@seed(2901)
+@settings(deadline=None, max_examples=300)
+@given(text=_json_texts())
+def test_json_text_loads_as_pyyaml_reads_it(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    json.loads(text)                  # the text is JSON
+    loaded = load_yaml(path)
+    expected = yaml.load(text, Loader=yaml.CSafeLoader)
+    assert _same_document(loaded, expected), (loaded, expected)
+
+
+def test_json_text_with_a_surrogate_pair_escape_loads(tmp_path):
+    text = '{"name": "\\ud83d\\ude00"}'
+    with pytest.raises(yaml.YAMLError):
+        yaml.load(text, Loader=yaml.CSafeLoader)
+    assert load_yaml(_write(tmp_path / "emoji.json", text)) == {"name": "\U0001F600"}
 
 
 @pytest.mark.parametrize("where, text, field", [
