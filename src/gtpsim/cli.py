@@ -47,9 +47,19 @@ def _safe_name(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in name)
 
 
+def _make_out_dir(out_dir: Path) -> None:
+    """Create the output directory before any scenario is played, or raise
+    a ScenarioError that starts with its path."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"{out_dir}: cannot create the output directory:"
+                            f" {exc.strerror or exc}") from exc
+
+
 def _write_outputs(out_dir: Path, trace: Trace, summary: dict) -> None:
-    """Write the trace CSV and the summary JSON, named after the scenario."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write the trace CSV and the summary JSON, named after the scenario,
+    into the directory `_make_out_dir` made."""
     stem = _safe_name(summary["scenario"])
     write_trace_csv(trace, out_dir / f"{stem}.csv")
     write_summary_json(summary, out_dir / f"{stem}.json")
@@ -58,6 +68,8 @@ def _write_outputs(out_dir: Path, trace: Trace, summary: dict) -> None:
 def cmd_run(scenario: Scenario,
             out_dir: Optional[Path] = None) -> Tuple[dict, List[str]]:
     """(The scenario's summary, its verdict's notes.)"""
+    if out_dir is not None:
+        _make_out_dir(out_dir)
     trace = run_scenario(scenario)
     verdict = strong_compliance_verdict(trace, event_proxy_for(scenario))
     summary = summary_dict(scenario.name, trace, verdict)
@@ -105,8 +117,8 @@ def cmd_verify(scenarios: List[Scenario],
                out_dir: Optional[Path] = None) -> Tuple[int, List[str]]:
     """Run every scenario and cross-check its verdict against its labels.
     Returns (number of failures, report lines).  With `out_dir`, two
-    scenarios whose outputs would share a file name are a ScenarioError,
-    raised before any is played."""
+    scenarios whose outputs would share a file name, or a directory that
+    cannot be made, are a ScenarioError, raised before any is played."""
     if out_dir is not None:
         stems: Dict[str, str] = {}
         for scenario in scenarios:
@@ -115,6 +127,7 @@ def cmd_verify(scenarios: List[Scenario],
                 raise ScenarioError(f"scenarios {stems[stem]!r} and {scenario.name!r}"
                                     f" would both write {out_dir / stem}.csv/.json")
             stems[stem] = scenario.name
+        _make_out_dir(out_dir)
     lines = []
     failures = 0
     for scenario in scenarios:

@@ -53,13 +53,17 @@ MAX_NESTING = 32
 
 def load_yaml(path: Path) -> Any:
     """The YAML document of a file, read as UTF-8.  A file that cannot be
-    read, is not UTF-8, is not YAML or nests lists and mappings deeper than
-    MAX_NESTING is a ScenarioError that starts with the path.
+    read, is not UTF-8, is not YAML, nests lists and mappings deeper than
+    MAX_NESTING or holds an integer too long for `int` is a ScenarioError
+    that starts with the path.
 
-    Text that is JSON is read by `json`, typed as YAML 1.1 types it: a
-    number is a float only when it has a dot and any exponent is signed
+    Three readers give the document PyYAML's safe loader builds, tried in
+    turn.  Text that is JSON is read by `json`, typed as YAML 1.1 types it:
+    a number is a float only when it has a dot and any exponent is signed
     (`1e5` and `1.5e5` stay strings), and NaN and Infinity stay strings.
-    PyYAML reads any other text, and is imported only then."""
+    Other text is read by `plain_yaml`, when it keeps to the plain forms
+    that module lists, and else by PyYAML.  `plain_yaml` and PyYAML are
+    imported only when they are needed."""
     import json
 
     try:
@@ -70,34 +74,44 @@ def load_yaml(path: Path) -> Any:
         raise ScenarioError(f"{path}: not UTF-8: {exc}") from None
     too_deep = ScenarioError(f"{path}: nested deeper than {MAX_NESTING} levels")
     try:
-        doc = json.loads(text, parse_float=_yaml_float, parse_constant=str)
-    except RecursionError:
-        raise too_deep from None
-    except ValueError:            # not JSON (or an int json will not convert)
-        pass
-    else:
-        if _nested_deeper(doc, MAX_NESTING):
-            raise too_deep
-        return doc
-    import yaml
+        try:
+            doc = json.loads(text, parse_float=_yaml_float, parse_constant=str)
+        except json.JSONDecodeError:
+            from . import plain_yaml
 
-    # libyaml's parser when PyYAML was built with it, else the pure-Python
-    # one; both build the same documents through the same safe constructor.
-    # Their events are read first, so a deep document stops at its first
-    # level past the limit, before either parser recurses.
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    depth = 0
-    try:
-        for event in yaml.parse(text, Loader=loader):
-            if isinstance(event, yaml.CollectionStartEvent):
-                depth += 1
-                if depth > MAX_NESTING:
-                    raise too_deep
-            elif isinstance(event, yaml.CollectionEndEvent):
-                depth -= 1
-        return yaml.load(text, Loader=loader)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
+            doc = plain_yaml.read(text, MAX_NESTING)
+        else:
+            if _nested_deeper(doc, MAX_NESTING):
+                raise too_deep
+            return doc
+        if doc is not None:
+            return doc
+        import yaml
+
+        # libyaml's parser when PyYAML was built with it, else the
+        # pure-Python one; both build the same documents through the same
+        # safe constructor.  Their events are read first, so a deep document
+        # stops at its first level past the limit, before either parser
+        # recurses.
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        depth = 0
+        try:
+            for event in yaml.parse(text, Loader=loader):
+                if isinstance(event, yaml.CollectionStartEvent):
+                    depth += 1
+                    if depth > MAX_NESTING:
+                        raise too_deep
+                elif isinstance(event, yaml.CollectionEndEvent):
+                    depth -= 1
+            return yaml.load(text, Loader=loader)
+        except yaml.YAMLError as exc:
+            raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
+    except RecursionError:        # json raises it near 1,000 levels
+        raise too_deep from None
+    except ScenarioError:
+        raise
+    except ValueError as exc:     # an int longer than `int` converts, in any reader
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def _yaml_float(number: str) -> Any:

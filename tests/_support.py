@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,19 @@ from gtpsim import (
 from gtpsim.scenario import Scenario, build_reality, parse_scenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def same_document(a, b) -> bool:
+    """Equal in value and type, floats by their bits (a NaN equals a NaN)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex() or math.isnan(a) and math.isnan(b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_document, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_document(a[k], b[k]) for k in a)
+    return a == b
 
 
 def fresh_python(*args: str) -> subprocess.CompletedProcess:

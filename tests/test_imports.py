@@ -26,7 +26,8 @@ def test_importing_the_package_does_not_load_numbers():
 
 # Imported only inside the functions that use them (decimal comes with
 # fractions), so code that builds and plays scenarios never loads them.
-DEFERRED = ("yaml", "fractions", "decimal", "argparse", "csv", "numpy")
+DEFERRED = ("yaml", "gtpsim.plain_yaml", "fractions", "decimal", "argparse", "csv",
+            "numpy")
 
 
 def test_importing_the_package_loads_no_deferred_module():
@@ -60,19 +61,22 @@ print(json.dumps({
 
 
 def test_each_deferred_import_loads_when_its_function_runs(tmp_path):
+    # A quoted scalar is outside the forms `plain_yaml` reads, so PyYAML
+    # reads this file.
     yaml_file = tmp_path / "a.yaml"
-    yaml_file.write_text("a: 1\n", encoding="utf-8")
+    yaml_file.write_text("a: '1'\n", encoding="utf-8")
     done = fresh_python("-c", DEFERRED_PATHS, str(yaml_file))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
-        "yaml": [False, True, {"a": 1}],
+        "yaml": [False, True, {"a": "1"}],
         "fractions": [False, True, True],
         "argparse": [False, True, True],
         "csv": [False, True, [[1, 1.0, 1.25], [2, 0.0, 1.25]]],
     }
 
 
-# JSON text is read by json, so a command on JSON files never loads PyYAML.
+# JSON text is read by json, so a command on JSON files never loads PyYAML
+# or `plain_yaml`.
 JSON_COMMANDS = """
 import contextlib, io, json, sys
 from gtpsim import cli
@@ -80,7 +84,8 @@ from gtpsim import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     codes = [cli.main(["price", sys.argv[1]]), cli.main(["run", sys.argv[2]])]
-print(json.dumps([codes, "yaml" in sys.modules, out.getvalue().splitlines()[:2]]))
+print(json.dumps([codes, [m in sys.modules for m in ("yaml", "gtpsim.plain_yaml")],
+                  out.getvalue().splitlines()[:2]]))
 """
 
 
@@ -96,7 +101,27 @@ def test_commands_on_json_files_do_not_load_yaml(tmp_path):
     done = fresh_python("-c", JSON_COMMANDS, str(pricing), str(scenario))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [
-        [0, 0], False, ["upper: 1.000000000000", "lower: 1.000000000000"]]
+        [0, 0], [False, False], ["upper: 1.000000000000", "lower: 1.000000000000"]]
+
+
+# The stock YAML files keep to the forms `plain_yaml` reads, so verifying a
+# manifest of them or running one never loads PyYAML.
+PLAIN_YAML_COMMANDS = """
+import contextlib, io, json, sys
+from gtpsim import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["verify", sys.argv[1]]), cli.main(["run", sys.argv[2]])]
+print(json.dumps([codes, "yaml" in sys.modules, "gtpsim.plain_yaml" in sys.modules]))
+"""
+
+
+def test_commands_on_stock_yaml_files_do_not_load_yaml():
+    scenarios = SRC.parent / "scenarios"
+    done = fresh_python("-c", PLAIN_YAML_COMMANDS, str(scenarios / "examples_manifest.yaml"),
+                        str(scenarios / "sub_ulp_coin.yaml"))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0, 0], False, True]
 
 
 def test_cli_help_exits_zero():

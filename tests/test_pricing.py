@@ -15,13 +15,14 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtpsim import analysis, cli
+from gtpsim import analysis, cli, plain_yaml
 from gtpsim.analysis import (
     coin_price_bounds,
     lower_probability_coin,
     upper_probability_coin,
 )
 from gtpsim.cli import _event_from_spec, _event_state, cmd_price
+from gtpsim.scenario import MAX_NESTING
 
 PRICE = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 
@@ -49,9 +50,16 @@ def _tree_prices(doc, event=None):
 
 def _price_file(path, doc, dump=json.dumps):
     """`cmd_price` on the document written by `dump`: JSON text is read by
-    `json`, the block YAML of `yaml.safe_dump` by PyYAML."""
+    `json`, the plain YAML of `_plain_dump` by `plain_yaml`, and the block
+    YAML of `yaml.safe_dump`, whose sequences are not indented under their
+    keys, by PyYAML."""
     path.write_text(dump(doc), encoding="utf-8")
     return cmd_price(path)
+
+
+def _plain_dump(doc):
+    """Block mappings with every list on one line in flow style."""
+    return yaml.safe_dump(doc, default_flow_style=None, width=math.inf)
 
 
 @st.composite
@@ -76,8 +84,10 @@ def pricing_docs(draw, max_n=12):
 def test_induction_prices_equal_the_tree_bit_for_bit(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "induction.yaml"
     expected = _tree_prices(doc)
-    for dump in (json.dumps, yaml.safe_dump):
+    for dump, plain in ((json.dumps, None), (_plain_dump, True), (yaml.safe_dump, False)):
         assert _price_file(path, doc, dump) == expected
+        if plain is not None:
+            assert (plain_yaml.read(dump(doc), MAX_NESTING) is not None) is plain
     p_script, spec = doc["p_script"], doc["event"]
     assert coin_price_bounds(p_script, _event_state(spec, len(p_script))) == expected
     assert _tree_prices(doc, _event_from_spec(spec, len(p_script))) == expected

@@ -11,7 +11,7 @@ import yaml
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from gtpsim import GameKind, replay_verify, run_game
+from gtpsim import GameKind, cli, replay_verify, run_game
 from gtpsim.cli import cmd_verify, load_manifest, main
 from gtpsim.engine import (
     Protocol,
@@ -56,6 +56,7 @@ from _support import (
     mv_forecaster,
     parse_text,
     price_forecaster,
+    same_document,
     trace_of,
 )
 
@@ -863,19 +864,6 @@ def _json_texts():
     return st.recursive(JSON_SCALAR, containers, max_leaves=12)
 
 
-def _same_document(a, b) -> bool:
-    """Equal in value and type, floats by their bits (a NaN equals a NaN)."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, float):
-        return a.hex() == b.hex() or math.isnan(a) and math.isnan(b)
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_same_document, a, b))
-    if isinstance(a, dict):
-        return list(a) == list(b) and all(_same_document(a[k], b[k]) for k in a)
-    return a == b
-
-
 @seed(2901)
 @settings(deadline=None, max_examples=300)
 @given(text=_json_texts())
@@ -885,7 +873,7 @@ def test_json_text_loads_as_pyyaml_reads_it(tmp_path_factory, text):
     json.loads(text)                  # the text is JSON
     loaded = load_yaml(path)
     expected = yaml.load(text, Loader=yaml.CSafeLoader)
-    assert _same_document(loaded, expected), (loaded, expected)
+    assert same_document(loaded, expected), (loaded, expected)
 
 
 def test_json_text_with_a_surrogate_pair_escape_loads(tmp_path):
@@ -1059,3 +1047,57 @@ def test_a_scenario_built_in_python_is_held_to_its_game_too():
     scenario = replace(STOCK_POOLS["ufg"](horizon=20)[0], expected_event="first_round")
     with pytest.raises(ScenarioError, match="expected_event 'first_round' requires the"):
         cmd_verify([scenario])
+
+
+# An integer of more digits than `int` converts (4,300 by default), spelt
+# for each reader of `load_yaml`: JSON, `plain_yaml`, and PyYAML (a quoted
+# scalar keeps the text outside the plain forms).
+LONG_INT = "1" * 5_000
+LONG_INT_TEXTS = {
+    "json": ('{"p_script": [0.5], "event": {"type": "coordinate", "index": %s}}' % LONG_INT,
+             '{"horizon": %s, "forecaster": {"name": "harmonic"}}' % LONG_INT),
+    "plain_yaml": (f"p_script: [0.5]\nevent: {{type: coordinate, index: {LONG_INT}}}\n",
+                   MINIMAL.replace("horizon: 50", f"horizon: {LONG_INT}")),
+    "pyyaml": (f"p_script: [0.5]\nevent: {{type: 'coordinate', index: {LONG_INT}}}\n",
+               MINIMAL.replace("horizon: 50", f"horizon: {LONG_INT}").replace(
+                   "name: mini", "name: 'mini'")),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(LONG_INT_TEXTS))
+def test_an_integer_too_long_for_int_is_an_error_that_names_the_file(tmp_path, capsys,
+                                                                      reader):
+    for command, text in zip(("price", "run"), LONG_INT_TEXTS[reader]):
+        path = _write(tmp_path / f"{command}.yaml", text)
+        err = _cli_error([command, str(path)], capsys)
+        assert err.startswith(f"error: {path}: Exceeds the limit (4300 digits)"), err
+        with pytest.raises(ScenarioError, match=f"^{path}: "):
+            load_yaml(path)
+
+
+def _count_plays(monkeypatch):
+    """A list that grows by one each time the CLI plays a scenario."""
+    plays = []
+    play = cli.run_scenario
+
+    def counted(scenario):
+        plays.append(scenario.name)
+        return play(scenario)
+    monkeypatch.setattr(cli, "run_scenario", counted)
+    return plays
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("out", ["a-file", "a-file/below"])
+def test_an_out_path_that_cannot_be_a_directory_stops_the_cli_before_any_play(
+        tmp_path, capsys, monkeypatch, command, out):
+    _write(tmp_path / "a-file", "taken\n")
+    plays = _count_plays(monkeypatch)
+    stock = SCENARIOS / ("first_round.yaml" if command == "run" else "examples_manifest.yaml")
+    err = _cli_error([command, str(stock), "--horizon", "20", "--out", str(tmp_path / out)],
+                     capsys)
+    assert err.startswith(f"error: {tmp_path / out}: cannot create the output directory")
+    assert plays == []
+    assert main([command, str(stock), "--horizon", "20", "--out", str(tmp_path / "out")]) \
+        in (0, 1)
+    assert len(plays) == (1 if command == "run" else 4)
