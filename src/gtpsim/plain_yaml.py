@@ -74,10 +74,10 @@ def _flow(text: str, depth: int, max_depth: int) -> Any:
                 state = "item"
                 continue
         if type(container) is dict and state != "value":
-            is_key = _KEY_LINE.fullmatch(token)
-            if is_key is None or not _is_key(is_key[1]):
+            key_match = _KEY_LINE.fullmatch(token)
+            if key_match is None or not _is_key(key_match[1]):
                 return _NO
-            key, state = is_key[1], "value"
+            key, state = key_match[1], "value"
             continue
         if state == "value" and not space:
             return _NO

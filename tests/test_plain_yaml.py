@@ -98,7 +98,8 @@ def test_a_document_nested_past_the_limit_is_declined(shape):
             " " * half + "a: " + "[" * brackets + "1" + "]" * brackets + "\n"
     assert same_document(read(nested(MAX_NESTING)), pyyaml(nested(MAX_NESTING)))
     assert read(nested(MAX_NESTING + 1)) is None
-    assert read(nested(50_000) if shape == "flow" else nested(MAX_NESTING + 1)) is None
+    if shape == "flow":
+        assert read(nested(50_000)) is None
 
 
 # ---------------------------------------------------------------------------
