@@ -43,7 +43,10 @@ class BcCounters(NamedTuple):
     `partial_sum` reads the sum back as a Fraction.
 
     A NamedTuple, like the step states that hold it (see `reality`).  Hot
-    paths build it with `_tuple_new(BcCounters, (b, acc, c))`.
+    paths build it with `_tuple_new(BcCounters, (b, acc, c))`.  Counters
+    are never written, so equal counters are interchangeable: the counters
+    a counter Skeptic's step returns may also be Reality's (see
+    `ceiling_index_update`).
     """
 
     b: int = 0
@@ -65,12 +68,29 @@ class BcCounters(NamedTuple):
 _tuple_new = tuple.__new__
 
 
+# The counter Skeptic's last step of the exact sum: (price object, counters
+# before, counters after).  Only `_CounterSkeptic.bet` writes it, as one
+# tuple in one assignment, so no reader sees a price with another step's
+# counters.
+_shared_step: tuple = (None, None, None)
+
+
 def ceiling_index_update(counters: BcCounters, p: float) -> BcCounters:
-    """Add the float increment p >= 0 to the exact sum and refresh c."""
+    """Add the float increment p >= 0 to the exact sum and refresh c.
+
+    A compliance Reality playing a counter Skeptic steps the same counters
+    with the same price object the Skeptic stepped a moment before: given
+    the identical p (`is`) and counters equal to the Skeptic's last step,
+    it returns that step's counters and skips the exact arithmetic.  The
+    range check and the zero shortcut come first.  Any other call pays one
+    identity test and takes the step itself."""
     if not 0.0 <= p < math.inf:
         raise ValueError(f"price increment must be finite and >= 0, got {p}")
     if p == 0.0:  # also -0.0: the sum and c stay, as in a geometric tail
         return counters
+    price, before, after = _shared_step
+    if p is price and counters == before:
+        return after
     num, den = p.as_integer_ratio()  # den = 2^k with k <= 1074
     acc = counters.acc + (num << (1075 - den.bit_length()))  # num * 2^(1074 - k)
     return _tuple_new(BcCounters, (counters.b, acc, (acc >> 1074) + 1))
@@ -101,7 +121,9 @@ class _CounterSkeptic(Skeptic):
     reads only b and c, so it runs again only when either moves (`bet_c`
     is the c it last ran for, 0 after a head), and the last float is
     announced again while the bits of M do not change (`copysign` tells
-    -0.0 from 0.0).
+    -0.0 from 0.0).  Each bet leaves its step of the exact sum in
+    `_shared_step`, where `ceiling_index_update` finds it when a compliance
+    Reality takes the same step in the same round.
     """
 
     formula: Callable[[BcCounters], float]
@@ -114,7 +136,10 @@ class _CounterSkeptic(Skeptic):
         self.bet_c = 0
 
     def bet(self, n: int, forecast: Forecast, k_prev: float) -> float:
-        self.counters = counters = ceiling_index_update(self.counters, forecast)
+        global _shared_step
+        before = self.counters
+        self.counters = counters = ceiling_index_update(before, forecast)
+        _shared_step = (forecast, before, counters)
         c = counters.c
         if c != self.bet_c:
             self.bet_c = c

@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import Iterable, List, Sequence
 
 from gtpsim import (
+    BcComplyState,
     BcCounters,
     ForecastMove,
     Forecaster,
@@ -22,8 +23,11 @@ from gtpsim import (
     Skeptic,
     SkepticBet,
     Trace,
+    bc_comply_step,
     capital_update,
+    ceiling_index_update,
 )
+from gtpsim.engine import BOUND_SLACK
 from gtpsim.scenario import Scenario, build_reality, parse_scenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -172,3 +176,65 @@ def exact_capitals(trace: Trace) -> List[Fraction]:
               + Fraction(s.V) * (abs(centered) ** power - Fraction(f.v)))
         capitals.append(k)
     return capitals
+
+
+_COIN = Protocol(kind=GameKind.COIN_TOSSING)
+# The first losses the search tries in a Waiting round: the weight w of the
+# fictional bet, from the smallest subnormal to K_0 less an ulp (K_0 = 1).
+FIRST_LOSSES = (5e-324, 1e-300, 0.5, 1.0 - math.ulp(1.0))
+
+
+def comply_worst_capital(prices: Sequence[float]) -> tuple:
+    """(The largest exact capital K_N, leaves searched) over every Skeptic
+    in an exhaustive depth-first search of N = len(prices) coin rounds
+    against the pure `bc_comply_step` from `BcComplyState()`, K_0 = 1.
+
+    Why a finite set of bets covers every Skeptic (Shafer & Vovk ch. 1, the
+    backward induction `analysis.coin_price_bounds` runs for prices):
+    - In a Mixing round Reality answers heads exactly when M <= T, the
+      mixing threshold, and Skeptic's gain M (x - p) is linear in M on each
+      side of T.  Fix the side of every round: K_N is then affine in each
+      bet, and its sup over a side is at an end of that side, the threshold
+      T (heads) or the float just above it (tails), or a collateral limit,
+      -K/(1 - p) or K/p.  A zero bet stands for every bet of a round whose
+      answer does not depend on M (Degenerate).
+    - A Waiting round's first strict loss -w sets the weight of every later
+      threshold, and the sup over w again lies near an end of (0, K_0]:
+      the search tries the collateral limits (w = K) and the weights in
+      `FIRST_LOSSES`, each taken on heads (M = -w/(1 - p)) and on tails
+      (M = w/p).
+
+    The capital is kept exactly in `Fraction` beside the float K that the
+    engine's `capital_update` computes and the bets are sized from.  A bet
+    that is not a finite float is not a move, and a round whose float K
+    breaks Skeptic's duty ends its branch there, as it ends `run_game`."""
+    floor = -BOUND_SLACK * _COIN.initial_capital
+    leaves = []     # the exact capital of each branch's last round
+
+    def bets(state: BcComplyState, p: float, k: float) -> set:
+        candidates = {0.0}
+        weights = (k,) if state.phase.n0 is not None else (k, *FIRST_LOSSES)
+        for w in weights:
+            if p < 1.0:
+                candidates.add(-w / (1.0 - p))
+            if p > 0.0:
+                candidates.add(w / p)
+        mix_coeff = state.phase.mix_coeff
+        if mix_coeff is not None:
+            b, c = state.counters.b, ceiling_index_update(state.counters, p).c
+            t = mix_coeff * (2.0 ** (-b - 2) - 2.0 ** (-c - 2))
+            candidates.update((t, math.nextafter(t, math.inf)))
+        return {M for M in candidates if math.isfinite(M)}
+
+    def search(n: int, state: BcComplyState, k: float, exact: Fraction) -> None:
+        if n > len(prices) or not k >= floor:
+            leaves.append(exact)
+            return
+        p = prices[n - 1]
+        for M in bets(state, p, k):
+            x, after = bc_comply_step(state, n, p, M, k)
+            search(n + 1, after, capital_update(_COIN, k, p, M, x, n),
+                   exact + Fraction(M) * (Fraction(x) - Fraction(p)))
+
+    search(1, BcComplyState(), _COIN.initial_capital, Fraction(_COIN.initial_capital))
+    return max(leaves), len(leaves)

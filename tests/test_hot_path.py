@@ -93,17 +93,20 @@ def _pool() -> dict:
 
 
 def _calls(scenario) -> tuple:
-    """(Python call events of one run_game, rounds played).  The cyclic
-    collector is emptied first and paused while counting, so finalizers of
-    garbage left by other tests add no calls."""
+    """(Python call events of one run_game, its C calls of
+    `float.as_integer_ratio`, rounds played).  The cyclic collector is
+    emptied first and paused while counting, so finalizers of garbage left
+    by other tests add no calls."""
     players = (build_forecaster(scenario), build_skeptic(scenario),
                build_reality(scenario))
-    count = 0
+    count = ratios = 0
 
     def profile(frame, event, arg):
-        nonlocal count
+        nonlocal count, ratios
         if event == "call":
             count += 1
+        elif event == "c_call" and arg.__name__ == "as_integer_ratio":
+            ratios += 1
 
     gc.collect()
     with gc_paused():
@@ -113,16 +116,33 @@ def _calls(scenario) -> tuple:
             trace = run_game(scenario.protocol, *players, HORIZON)
         finally:
             sys.setprofile(previous)
-    return count, len(trace.rounds)
+    return count, ratios, len(trace.rounds)
 
 
 @pytest.mark.parametrize("name", sorted(CALLS_PER_ROUND))
 def test_python_calls_per_round_stay_pinned(name):
     pool = _pool()
-    calls, rounds = _calls(pool[name])
+    calls, ratios, rounds = _calls(pool[name])
     assert rounds == HORIZON
-    assert _calls(pool[name]) == (calls, rounds)   # the count repeats exactly
+    assert _calls(pool[name]) == (calls, ratios, rounds)   # the count repeats exactly
     assert calls <= CALLS_PER_ROUND[name] * rounds + SETUP_CALLS, calls / rounds
+
+
+@pytest.mark.parametrize("name", ["coin[harmonic/bc_fictional]",
+                                  "derandomized[harmonic/bc_fictional]"])
+def test_reality_reuses_the_counter_skeptics_exact_step(name):
+    # Both players step the same exact price sum by the same price object:
+    # `ceiling_index_update` returns the Skeptic's step to Reality, so the
+    # round splits one price into its integer ratio, where it split two.
+    _, ratios, rounds = _calls(_pool()[name])
+    assert rounds == HORIZON
+    assert ratios <= rounds + SETUP_CALLS, ratios / rounds
+
+
+def test_mean_variance_machine_takes_its_own_exact_step():
+    # Its increment is a new float each round, never the Skeptic's price.
+    _, ratios, rounds = _calls(_pool()["ufg[v=1/m=0/zero]"])
+    assert (ratios, rounds) == (HORIZON, HORIZON)
 
 
 def _global_names(code) -> set:

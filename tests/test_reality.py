@@ -47,8 +47,8 @@ from gtpsim.skeptic import (
 )
 from gtpsim.engine import Skeptic, ZeroSkeptic
 
-from _support import (derandomizer, heads_count_update, mv_forecaster, play_past_faults,
-                      price_forecaster)
+from _support import (comply_worst_capital, derandomizer, heads_count_update,
+                      mv_forecaster, play_past_faults, price_forecaster)
 
 COIN = Protocol(kind=GameKind.COIN_TOSSING)
 BOUNDED = Protocol(kind=GameKind.BOUNDED_FORECASTING, initial_capital=0.5)
@@ -403,6 +403,32 @@ def test_coin_compliance_bound_against_fractional_bets(ps, fractions):
     )
     assert max(trace.capitals) <= 1.0 + 1e-9
     assert min(trace.capitals) >= -1e-9
+
+
+def _stock_prices(n: int) -> dict:
+    """The first n prices of each price script in the coin pool."""
+    scripts = {}
+    for scenario in coin_comply_pool(n):
+        if not scenario.name.endswith("/zero]"):
+            continue
+        name = scenario.name.split("/")[0][len("coin["):]
+        forecaster = build_forecaster(scenario)
+        forecaster.reset(scenario.protocol)
+        scripts[name] = [forecaster.forecast(k) for k in range(1, n + 1)]
+    return scripts
+
+
+SEARCH_ROUNDS = 5
+SEARCH_SCRIPTS = {**_stock_prices(SEARCH_ROUNDS),
+                  "edge": [0.0, 1.0, 5e-324, 0.5, 1.0 - 2.0 ** -53]}
+
+
+@pytest.mark.parametrize("prices", SEARCH_SCRIPTS.values(), ids=SEARCH_SCRIPTS)
+def test_no_skeptic_raises_the_waiting_machines_exact_capital(prices):
+    # Every Skeptic, by the finite search `comply_worst_capital` documents.
+    largest, leaves = comply_worst_capital(prices)
+    assert largest <= 1
+    assert leaves > 4 ** (SEARCH_ROUNDS - 1)   # far more than the zero bets' one path
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from gtpsim import (
@@ -146,6 +146,82 @@ def test_ceiling_index_exact_on_powers_of_two():
         counters = ceiling_index_update(counters, 2.0 ** -n)
     assert counters.c == 1
     assert counters.partial_sum == 1 - Fraction(1, 2 ** 1074)
+
+
+# ---------------------------------------------------------------------------
+# The shared step: a compliance Reality takes the counter Skeptic's step
+# ---------------------------------------------------------------------------
+
+def exact_step(counters: BcCounters, p: float) -> tuple:
+    """(b, partial sum, c) after adding p, by the Fraction oracle."""
+    total = counters.partial_sum + Fraction(p)
+    return counters.b, total, math.floor(total) + 1
+
+
+def read_back(counters: BcCounters) -> tuple:
+    assert type(counters) is BcCounters
+    return counters.b, counters.partial_sum, counters.c
+
+
+def assert_exact_step(counters: BcCounters, p: float, result: BcCounters) -> None:
+    assert read_back(result) == exact_step(counters, p)
+    if p == 0.0:
+        assert result is counters
+
+
+shared_step_prices = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300),            # subnormals included
+    st.sampled_from([0.0, -0.0, 5e-324, 2.0 ** -1022, 0.3, 1.0, 1e300]),
+)
+PROBES = ("bet", "comply", "equal_float", "other_counters", "invalid")
+
+
+@seed(3131)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([DivergentBcSkeptic, ConvergentBcSkeptic, FictionalBcSkeptic]),
+    st.lists(st.tuples(st.sampled_from(PROBES), shared_step_prices, st.booleans(),
+                       st.sampled_from([math.nan, math.inf, -math.inf, -5e-324, -1.0])),
+             max_size=30),
+)
+def test_the_shared_step_changes_no_result(skeptic_cls, probes):
+    # Until this run's first bet, the record is whatever an earlier example
+    # left: it must change nothing either.
+    skeptic = skeptic_cls()
+    skeptic.reset(COIN)
+    price, before, after = 0.5, BcCounters(b=2), None
+    for n, (probe, p, head, bad) in enumerate(probes, 1):
+        if probe == "bet":
+            price, before = p, skeptic.counters
+            skeptic.bet(n, p, 1.0)
+            after = skeptic.counters
+            assert_exact_step(before, p, after)
+            if head:
+                skeptic.observe(RoundRecord(p, 0.0, 1.0, 1.0))
+        elif probe == "comply":
+            # Reality's own counters, equal to the Skeptic's, and the
+            # Skeptic's price object: the step is read from the record.
+            counters = BcCounters(*before)
+            result = ceiling_index_update(counters, price)
+            assert_exact_step(counters, price, result)
+            if price and after is not None:
+                assert result is after
+            x, state = bc_comply_step(BcComplyState(counters=counters), n, price, 0.0, 1.0)
+            b, total, c = exact_step(counters, price)
+            assert read_back(state.counters) == (b + (x == 1.0), total, c)
+        elif probe == "equal_float":
+            twin = float.fromhex(price.hex())
+            assert twin is not price
+            counters = BcCounters(*before)
+            assert_exact_step(counters, twin, ceiling_index_update(counters, twin))
+        elif probe == "other_counters":
+            for counters in (before._replace(b=before.b + 1),
+                             BcCounters(before.b, before.acc + 1,
+                                        ((before.acc + 1) >> 1074) + 1)):
+                assert_exact_step(counters, price, ceiling_index_update(counters, price))
+        else:
+            with pytest.raises(ValueError):
+                ceiling_index_update(BcCounters(*before), bad)
 
 
 # ---------------------------------------------------------------------------
