@@ -37,7 +37,6 @@ from .scenario import (
     run_scenario,
     scenario_passes,
 )
-from .traceio import summary_dict, write_summary_json, write_trace_csv
 
 if TYPE_CHECKING:
     import argparse
@@ -60,6 +59,8 @@ def _make_out_dir(out_dir: Path) -> None:
 def _write_outputs(out_dir: Path, trace: Trace, summary: dict) -> None:
     """Write the trace CSV and the summary JSON, named after the scenario,
     into the directory `_make_out_dir` made."""
+    from .traceio import write_summary_json, write_trace_csv
+
     stem = _safe_name(summary["scenario"])
     write_trace_csv(trace, out_dir / f"{stem}.csv")
     write_summary_json(summary, out_dir / f"{stem}.json")
@@ -68,6 +69,8 @@ def _write_outputs(out_dir: Path, trace: Trace, summary: dict) -> None:
 def cmd_run(scenario: Scenario,
             out_dir: Optional[Path] = None) -> Tuple[dict, List[str]]:
     """(The scenario's summary, its verdict's notes.)"""
+    from .traceio import summary_dict
+
     if out_dir is not None:
         _make_out_dir(out_dir)
     trace = run_scenario(scenario)
@@ -119,6 +122,8 @@ def cmd_verify(scenarios: List[Scenario],
     Returns (number of failures, report lines).  With `out_dir`, two
     scenarios whose outputs would share a file name, or a directory that
     cannot be made, are a ScenarioError, raised before any is played."""
+    from .traceio import summary_dict
+
     if out_dir is not None:
         stems: Dict[str, str] = {}
         for scenario in scenarios:

@@ -19,7 +19,8 @@ from enum import Enum
 from math import isfinite
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
-from .hedges import Hedge
+if TYPE_CHECKING:
+    from .hedges import Hedge
 
 # The slack, relative to the initial capital, by which a capital may pass
 # below 0 (Skeptic's collateral duty) or above K_0 (the strong-compliance

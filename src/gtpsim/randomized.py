@@ -55,7 +55,8 @@ class RandomStream:
 
 def uniform_block(seed: int, n_draws: int) -> "numpy.ndarray":
     """Vectorized uniforms equal to the first n_draws draws of
-    RandomStream(seed)."""
+    RandomStream(seed).  Needs numpy, which the package does not depend
+    on: install it, or the `test` extra."""
     import numpy as np
 
     counters = np.arange(1, n_draws + 1, dtype=np.uint64)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from . import randomized, reality, skeptic
-from .analysis import BOUND_SLACK, Verdict
 from .engine import (
+    BOUND_SLACK,
     MEAN_VARIANCE_GAMES,
     PRICE_GAMES,
     Forecaster,
@@ -28,16 +28,10 @@ from .engine import (
     ZeroSkeptic,
     run_game,
 )
-from .hedges import (
-    Growth,
-    Hedge,
-    identity_growth,
-    power_growth,
-    power_hedge,
-    validate_growth,
-    validate_hedge,
-)
-from .skeptic import BcCounters, ceiling_index_update
+
+if TYPE_CHECKING:
+    from .analysis import Verdict
+    from .hedges import Growth, Hedge
 
 
 class ScenarioError(ValueError):
@@ -202,6 +196,8 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 def parse_hedge(spec: str) -> Hedge:
+    from .hedges import power_hedge, validate_hedge
+
     if spec.startswith("power:r="):
         hedge = power_hedge(as_float(spec[len("power:r="):], "hedge power r"))
     else:
@@ -211,6 +207,8 @@ def parse_hedge(spec: str) -> Hedge:
 
 
 def parse_growth(spec: str) -> Growth:
+    from .hedges import identity_growth, power_growth, validate_growth
+
     if spec == "identity":
         growth = identity_growth()
     elif spec.startswith("power:r="):
@@ -359,6 +357,18 @@ def _seed(scenario: Scenario) -> int:
     return scenario.seed if scenario.seed is not None else 0
 
 
+class _PlayerModules:
+    """The modules the registered players come from, each imported when the
+    first player from it is built: parsing a pricing file or building a
+    pool builds no player, so it never loads them."""
+
+    def __getattr__(self, name: str) -> Any:
+        return import_module(f"{__package__}.{name}")
+
+
+_players = _PlayerModules()
+
+
 # name -> (the numeric parameter keys its spec may hold besides `name`,
 # constructor from (scenario, **the keys the spec holds, as floats)).  Any
 # other key is a ScenarioError, so a misspelt parameter cannot fall back to
@@ -367,30 +377,30 @@ _Registry = Dict[str, Tuple[Tuple[str, ...], Callable[..., Any]]]
 
 _SKEPTICS: _Registry = {
     "zero": ((), lambda sc: ZeroSkeptic()),
-    "bc_divergent": ((), lambda sc: skeptic.DivergentBcSkeptic()),
-    "bc_convergent": ((), lambda sc: skeptic.ConvergentBcSkeptic()),
-    "bc_fictional": ((), lambda sc: skeptic.FictionalBcSkeptic()),
-    "random_bounded": (("bound",), lambda sc, **kw: randomized.RandomBoundedSkeptic(
+    "bc_divergent": ((), lambda sc: _players.skeptic.DivergentBcSkeptic()),
+    "bc_convergent": ((), lambda sc: _players.skeptic.ConvergentBcSkeptic()),
+    "bc_fictional": ((), lambda sc: _players.skeptic.FictionalBcSkeptic()),
+    "random_bounded": (("bound",), lambda sc, **kw: _players.randomized.RandomBoundedSkeptic(
         seed=_seed(sc), **kw)),
     "bang_bang": (("amplitude", "v_amplitude"),
-                  lambda sc, **kw: skeptic.BangBangSkeptic(**kw)),
-    "single_bet": (("M", "V"), lambda sc, **kw: skeptic.SingleBetSkeptic(**kw)),
+                  lambda sc, **kw: _players.skeptic.BangBangSkeptic(**kw)),
+    "single_bet": (("M", "V"), lambda sc, **kw: _players.skeptic.SingleBetSkeptic(**kw)),
 }
 
 _REALITIES: _Registry = {
-    "bc_comply": ((), lambda sc: reality.BcComplyReality()),
-    "ufg_comply": ((), lambda sc: reality.MvComplyReality()),
-    "ufgh_comply": ((), lambda sc: reality.MvComplyReality(
-        growth=sc.growth or identity_growth()
+    "bc_comply": ((), lambda sc: _players.reality.BcComplyReality()),
+    "ufg_comply": ((), lambda sc: _players.reality.MvComplyReality()),
+    "ufgh_comply": ((), lambda sc: _players.reality.MvComplyReality(
+        growth=sc.growth or _players.hedges.identity_growth()
     )),
-    "derandomized_fictional": ((), lambda sc: reality.BcComplyReality(
-        reality.DERANDOMIZED_PHASE
+    "derandomized_fictional": ((), lambda sc: _players.reality.BcComplyReality(
+        _players.reality.DERANDOMIZED_PHASE
     )),
-    "first_round": ((), lambda sc: reality.FirstRoundComplyReality()),
-    "avoid_match": (("q",), lambda sc, **kw: reality.BoundedAvoidMatchReality(**kw)),
-    "bernoulli": ((), lambda sc: randomized.BernoulliReality(seed=_seed(sc))),
-    "kolmogorov": ((), lambda sc: randomized.KolmogorovReality(seed=_seed(sc))),
-    "constant": (("x",), lambda sc, **kw: reality.ConstantReality(**kw)),
+    "first_round": ((), lambda sc: _players.reality.FirstRoundComplyReality()),
+    "avoid_match": (("q",), lambda sc, **kw: _players.reality.BoundedAvoidMatchReality(**kw)),
+    "bernoulli": ((), lambda sc: _players.randomized.BernoulliReality(seed=_seed(sc))),
+    "kolmogorov": ((), lambda sc: _players.randomized.KolmogorovReality(seed=_seed(sc))),
+    "constant": (("x",), lambda sc, **kw: _players.reality.ConstantReality(**kw)),
 }
 
 
@@ -507,6 +517,8 @@ def proxy_no_late_heads(trace: Trace) -> bool:
 
 def proxy_heads_at_c_increments(trace: Trace) -> bool:
     """Heads occur exactly where the price partial sum crosses an integer."""
+    from .skeptic import BcCounters, ceiling_index_update
+
     counters = BcCounters()
     for p, x in zip(trace.forecasts, trace.xs):
         updated = ceiling_index_update(counters, p)
@@ -525,6 +537,8 @@ def proxy_slln_hold(trace: Trace) -> bool:
 def proxy_slln_fail(trace: Trace) -> bool:
     """|S_n| / n >= 0.5 at every round n >= 10 where the partial sum of
     v_n / n^2 crosses an integer, and there is such a round."""
+    from .skeptic import BcCounters, ceiling_index_update
+
     counters, total, crossed = BcCounters(), 0.0, False
     for n, (f, x) in enumerate(zip(trace.forecasts, trace.xs), 1):
         total += x - f.m
@@ -685,6 +699,8 @@ def ufg_pool(horizon: int = 10_000, seed: int = 7) -> List[Scenario]:
 
 def ufgh_pool(horizon: int = 10_000, seed: int = 7) -> List[Scenario]:
     """General-hedge compliance pool over power hedges and growth choices."""
+    from .hedges import power_hedge
+
     return _pool("ufgh_comply", [
         (f"ufgh[r={r:g}/{g}", Protocol(kind=GameKind.GENERAL_HEDGE, hedge=power_hedge(r)),
          {"name": "mv", "v": {"name": "constant", "value": 1.0}}, parse_growth(g), False,

@@ -11,17 +11,20 @@ import io
 import json
 import math
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional
 
-from .analysis import Verdict
 from .engine import (
     PACK_ROUNDS,
     ForecastMove,
+    GameKind,
     Protocol,
     SkepticBet,
     Trace,
     gc_paused,
 )
+
+if TYPE_CHECKING:
+    from .analysis import Verdict
 
 CSV_HEADER = ["n", "p_or_m", "v", "M", "V", "x", "K"]
 
@@ -160,10 +163,14 @@ def read_trace_csv(path, protocol: Protocol, seed: Optional[int] = None) -> Trac
 
 
 def summary_dict(name: str, trace: Trace, verdict: Verdict) -> Dict:
+    """The summary of a played trace.  A played coin trace holds only 0.0,
+    -0.0 and 1.0, so its sum is its head count, and each packed double is
+    read once."""
     xs = trace.xs
-    if trace.protocol.kind.uses_price:
+    kind = trace.protocol.kind
+    if kind.uses_price:
         heads = xs.count(1.0)
-        final_mean = sum(xs) / len(xs)
+        final_mean = (heads if kind is GameKind.COIN_TOSSING else sum(xs)) / len(xs)
     else:
         forecasts = trace.forecasts
         heads = sum(1 for x, f in zip(xs, forecasts) if x != f.m)

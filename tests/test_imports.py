@@ -1,9 +1,14 @@
 """Import hygiene: loading the package loads none of the imports that only
-some functions use, and no module imports a name it never uses."""
+some functions use, each entry point loads only the package modules it
+runs, and no module imports a name it never uses."""
 
 import ast
+import importlib
 import json
 
+import pytest
+
+import gtpsim
 from _support import SRC, fresh_python
 
 
@@ -122,6 +127,111 @@ def test_commands_on_stock_yaml_files_do_not_load_yaml():
                         str(scenarios / "sub_ulp_coin.yaml"))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [[0, 0], False, True]
+
+
+# The names the package exported when it imported its submodules eagerly.
+EXPORTS = {
+    "engine": "CombinedSkeptic Forecaster ForecastMove GameKind InvalidMoveError Policy"
+              " Protocol Reality RoundRecord ScriptForecaster Skeptic SkepticBet Trace"
+              " ZeroSkeptic capital_update replay_verify run_game",
+    "hedges": "Growth Hedge HedgeValidationError hedge_inverse identity_growth"
+              " power_growth power_hedge validate_growth validate_hedge",
+    "skeptic": "BcCounters ConvergentBcSkeptic DivergentBcSkeptic FictionalBcSkeptic"
+               " SingleBetSkeptic bc_convergent_bet bc_divergent_bet bc_fictional_bet"
+               " ceiling_index_update",
+    "reality": "BcComplyReality BcComplyState BoundedAvoidMatchReality ComplyPhase"
+               " FirstRoundComplyReality MvComplyReality MvComplyState bc_comply_step"
+               " mv_comply_step",
+    "randomized": "RandomStream bernoulli_reality kolmogorov_sample mix64 uniform_block",
+    "analysis": "Verdict coin_price_bounds epsilon_sequence_step lower_probability_coin"
+                " mixture_capitals strong_compliance_verdict upper_probability_coin",
+}
+EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
+PLAYER_MODULES = ("gtpsim.randomized", "gtpsim.reality", "gtpsim.skeptic")
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = ("import json, sys, gtpsim\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('gtpsim.')]))")
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
+@pytest.mark.parametrize("module, name", EXPORTED)
+def test_each_exported_name_is_listed_and_is_its_submodules_object(module, name):
+    assert name in gtpsim.__all__
+    assert name in dir(gtpsim)
+    assert getattr(gtpsim, name) is getattr(importlib.import_module(f"gtpsim.{module}"), name)
+
+
+def test_the_package_exports_no_other_name():
+    assert sorted(gtpsim.__all__) == sorted(name for _, name in EXPORTED)
+
+
+def test_an_unknown_package_name_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gtpsim.no_such_name
+
+
+def test_star_import_binds_every_exported_name():
+    code = ("import json\nnames = {}\nexec('from gtpsim import *', names)\n"
+            "print(json.dumps(sorted(n for n in names if n != '__builtins__')))")
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == sorted(name for _, name in EXPORTED)
+
+
+# Building the stock pools builds no player: the modules that define the
+# players load when a pool is played, not when it is built.
+POOLS_BUILT = """
+import json, sys
+import gtpsim.cli, gtpsim.engine, gtpsim.scenario, gtpsim.traceio
+from gtpsim.scenario import STOCK_POOLS
+
+def loaded():
+    return sorted(m for m in sys.modules if m in sys.argv[1:])
+
+STOCK_POOLS["coin_comply"]()
+coin = loaded()
+STOCK_POOLS["ufg"]()
+STOCK_POOLS["ufgh"]()
+print(json.dumps([coin, loaded()]))
+"""
+
+
+def test_building_the_stock_pools_loads_no_player_module():
+    done = fresh_python("-c", POOLS_BUILT, *PLAYER_MODULES, "gtpsim.hedges")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], ["gtpsim.hedges"]]
+
+
+# Pricing plays no game; playing one pool scenario afterwards loads what it
+# plays with.
+PRICE_THEN_PLAY = """
+import contextlib, io, json, sys
+from gtpsim import cli, scenario
+
+def loaded():
+    return sorted(m for m in sys.modules if m in sys.argv[2:])
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["price", sys.argv[1]])
+priced = loaded()
+pool = {s.name: s for s in scenario.coin_comply_pool(horizon=50)}
+summary, _ = cli.cmd_run(pool["coin[harmonic/random_bounded]"])
+print(json.dumps([code, priced, loaded(), summary["strong_bound_ok"]]))
+"""
+
+
+def test_pricing_loads_no_player_module_and_playing_loads_them(tmp_path):
+    pricing = tmp_path / "price.json"
+    pricing.write_text(json.dumps({"p_script": [0.5, 0.25], "event": {"type": "all"}}),
+                       encoding="utf-8")
+    modules = (*PLAYER_MODULES, "gtpsim.hedges", "gtpsim.traceio")
+    done = fresh_python("-c", PRICE_THEN_PLAY, str(pricing), *modules)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, [], sorted(modules), True]
 
 
 def test_cli_help_exits_zero():

@@ -22,12 +22,14 @@ from gtpsim import (
     replay_verify,
     run_game,
 )
+from gtpsim.analysis import Verdict
 from gtpsim.cli import main
 from gtpsim.hedges import power_hedge
-from gtpsim.scenario import run_scenario
+from gtpsim.scenario import coin_comply_pool, run_scenario
 from gtpsim.traceio import (
     CSV_HEADER,
     read_trace_csv,
+    summary_dict,
     trace_from_csv_text,
     trace_to_csv_text,
     write_trace_csv,
@@ -158,6 +160,31 @@ def test_csv_text_writes_non_finite_values_as_csv_writer_does(tmp_path):
     assert text.splitlines()[1].endswith(",inf") and text.splitlines()[2].endswith(",nan")
     back = trace_from_csv_text(text, trace.protocol)
     assert trace_to_csv_text(back) == text
+
+
+def _price_game_traces(tmp_path):
+    """Every stock coin-pool trace, and every price-game trace above."""
+    for s in coin_comply_pool():
+        yield s.name, run_scenario(s)
+    for kind in PLAYED:
+        if PLAYED[kind][0].startswith(("coin", "bounded")):
+            yield kind, _played(tmp_path, kind)
+    for kind, build in PACKED.items():
+        yield kind, build()
+
+
+def test_price_game_summary_keeps_the_mean_of_the_summed_outcomes(tmp_path):
+    # A coin summary divides the head count, not sum(xs): the two agree bit
+    # for bit because a played coin x is 0.0, -0.0 or 1.0.
+    verdict = Verdict(skeptic_duty_ok=True, strong_bound_ok=True, sup_capital=1.0)
+    kinds = set()
+    for name, trace in _price_game_traces(tmp_path):
+        kinds.add(trace.protocol.kind)
+        xs = list(trace.xs)
+        summary = summary_dict(name, trace, verdict)
+        assert summary["heads"] == xs.count(1.0), name
+        assert summary["final_mean"].hex() == (sum(xs) / len(xs)).hex(), name
+    assert kinds == {GameKind.COIN_TOSSING, GameKind.BOUNDED_FORECASTING}
 
 
 def test_csv_text_of_absent_fields_and_hand_built_values():
