@@ -165,10 +165,6 @@ def test_each_exported_name_is_listed_and_is_its_submodules_object(module, name)
     assert getattr(gtpsim, name) is getattr(importlib.import_module(f"gtpsim.{module}"), name)
 
 
-def test_the_package_exports_no_other_name():
-    assert sorted(gtpsim.__all__) == sorted(name for _, name in EXPORTED)
-
-
 def test_an_unknown_package_name_is_an_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         gtpsim.no_such_name
